@@ -8,6 +8,8 @@
 # classical RK4; conserved quantities monitor its quality.
 
 # %%
+import math
+
 import numpy as np
 
 from laxchain import (
@@ -31,14 +33,11 @@ print("final chain:", np.round(traj.states[-1], 6))
 # telescope over a period).  Its drift is pure integrator error.
 
 # %%
-def coupling_product(c):
-    prod = 1.0
-    for n in range(c.period):
-        prod *= float(vn_from_gamma(c, n))
-    return prod
+def coupling_product(gamma):
+    return math.prod(vn_from_gamma(gamma, curve).tolist())
 
-p0 = coupling_product(traj.chain_at(0))
-p1 = coupling_product(traj.chain_at(traj.steps))
+p0 = coupling_product(traj.states[0])
+p1 = coupling_product(traj.states[-1])
 print(f"coupling product: initial {p0:.12f}, final {p1:.12f}, drift {abs(p1-p0):.3e}")
 
 # %% [markdown]

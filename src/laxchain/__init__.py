@@ -68,7 +68,6 @@ from .flows import (
 from .operators import (
     DifferenceOperator,
     OperatorWindow,
-    apply_operator,
     build_l4,
     commutator,
     compose,

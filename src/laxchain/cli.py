@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 
 from .curves import SpectralCurve
@@ -197,48 +198,43 @@ def _invariant_rows(traj):
     from .spectral import QPolynomial, q_conserved_value
 
     probes = sorted({0, traj.steps // 2, traj.steps})
+    states = [traj.states[i] for i in probes]
     rows = {}
 
     if traj.kind != "gamma":
-        prods = []
-        for i in probes:
-            prod = 1.0
-            for v in traj.chain_at(i).v:
-                prod *= float(v)
-            prods.append(prod)
+        # left-to-right products, so the report bytes do not hang on how
+        # numpy would order the multiplies
+        prods = [math.prod(s[: traj.period].tolist()) for s in states]
         rows["coupling_product"] = {
             "initial": prods[0],
             "max_drift": max(abs(p - prods[0]) for p in prods),
         }
         return rows
 
-    curve = traj.curve
-    z_probe = 2.0 + max(abs(float(v)) for v in traj.chain_at(0).values)
+    curve = traj.curve.to_float()
+    period = traj.period
+    z_probe = 2.0 + max(abs(g) for g in states[0].tolist())
     expected = float(curve.eval(z_probe))
 
-    def coupling_product(chain):
-        prod = 1.0
-        for n in range(chain.period):
-            prod *= float(vn_from_gamma(chain, n))
-        return prod
-
-    def spectral_value(chain):
-        q = [QPolynomial.from_gamma(float(g)) for g in chain.values]
+    def spectral_value(gamma, v):
+        q = [QPolynomial.from_gamma(g) for g in gamma.tolist()]
+        w = wn_from_gamma(gamma, curve).tolist()
         return float(
             q_conserved_value(
-                q[-1 % chain.period],
+                q[-1 % period],
                 q[0],
-                q[1 % chain.period],
-                q[2 % chain.period],
-                vn_from_gamma(chain, 0),
-                vn_from_gamma(chain, 1),
-                wn_from_gamma(chain, 0),
+                q[1 % period],
+                q[2 % period],
+                v[0],
+                v[1],
+                w[0],
                 z_probe,
             )
         )
 
-    prods = [coupling_product(traj.chain_at(i)) for i in probes]
-    specs = [spectral_value(traj.chain_at(i)) for i in probes]
+    vs = [vn_from_gamma(s, curve).tolist() for s in states]
+    prods = [math.prod(v) for v in vs]
+    specs = [spectral_value(s, v) for s, v in zip(states, vs)]
     rows["coupling_product"] = {
         "initial": prods[0],
         "max_drift": max(abs(p - prods[0]) for p in prods),
@@ -280,25 +276,23 @@ def _cmd_simulate(args):
 
     traj = rk4_integrate(state, flow, h, steps)
 
-    rows = []
+    # Python floats print as numpy's float64 scalars do, and cheaper
+    states = traj.states.tolist()
+    sites = range(traj.period)
     if traj.kind == "gamma":
         header = ["step", "x", "site", "gamma"]
-        for i in range(traj.steps + 1):
-            for site in range(traj.period):
-                rows.append([i, i * traj.h, site, traj.states[i][site]])
+        rows = [
+            [i, i * traj.h, site, state[site]]
+            for i, state in enumerate(states)
+            for site in sites
+        ]
     else:
         header = ["step", "x", "site", "V", "W"]
-        for i in range(traj.steps + 1):
-            for site in range(traj.period):
-                rows.append(
-                    [
-                        i,
-                        i * traj.h,
-                        site,
-                        traj.states[i][site],
-                        traj.states[i][traj.period + site],
-                    ]
-                )
+        rows = [
+            [i, i * traj.h, site, state[site], state[traj.period + site]]
+            for i, state in enumerate(states)
+            for site in sites
+        ]
     out_csv = args.csv or "trajectory.csv"
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -423,8 +417,7 @@ def _cmd_elliptic(args):
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "wp", "wp_prime", "energy_drift"])
-        for row in zip(ys, wps, wpps, drift):
-            writer.writerow(list(row))
+        writer.writerows(zip(ys.tolist(), wps.tolist(), wpps.tolist(), drift.tolist()))
     print(f"wrote {len(ys)} samples to {out_csv}; max |energy drift| = {max(abs(drift)):.3e}")
     return 0
 

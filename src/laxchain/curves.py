@@ -41,6 +41,15 @@ class SpectralCurve:
     def degree(self):
         return 2 * self.genus + 1
 
+    def to_float(self):
+        """The same curve with float coefficients, for float64 site arrays.
+
+        ``float + Fraction`` rounds through ``float(c)``, so :meth:`eval` of
+        a float gives the same bits on both curves; the float copy keeps
+        arrays float64 where a Fraction would make them object arrays.
+        """
+        return SpectralCurve(self.genus, tuple(float(c) for c in self.coeffs))
+
     def eval(self, z):
         """Horner evaluation of ``F_g(z)``."""
         acc = z + self.coeffs[-1]

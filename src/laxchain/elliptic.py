@@ -17,6 +17,7 @@ import numpy as np
 
 from .curves import SpectralCurve
 from .errors import AccuracyError, UnsupportedCurveError
+from .flows import rk4_run
 from .scalars import Fraction, Jet, QuadExt, is_rational_square, rational
 
 __all__ = [
@@ -151,19 +152,10 @@ def wp_init_bounded(curve):
     return BoundedBranch(curve=curve, roots=(e1, e2, e3), y=0.0, wp=e3, wp_prime=0.0)
 
 
-def _ode_rhs(curve, state):
-    wp, wp_prime = state
-    return np.array(
-        [wp_prime, float(curve.eval_derivative(wp, 1)) / 2.0], dtype=float
-    )
-
-
-def _rk4_step(curve, state, h):
-    k1 = _ode_rhs(curve, state)
-    k2 = _ode_rhs(curve, state + 0.5 * h * k1)
-    k3 = _ode_rhs(curve, state + 0.5 * h * k2)
-    k4 = _ode_rhs(curve, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _wp_rhs(curve):
+    """Vector field ``(wp, wp') -> (wp', F'(wp)/2)`` on the float curve."""
+    fcurve = curve.to_float()
+    return lambda vec: np.array((vec[1], fcurve.eval_derivative(vec[0], 1) / 2.0))
 
 
 def wp_integrate(state, y, h):
@@ -174,15 +166,15 @@ def wp_integrate(state, y, h):
     """
     if y < state.y:
         raise ValueError("target y must not be behind the current state")
+    rhs = _wp_rhs(state.curve)
     vec = np.array([state.wp, state.wp_prime], dtype=float)
     e0 = state.energy()
     remaining = y - state.y
     nsteps = int(remaining // h)
-    for _ in range(nsteps):
-        vec = _rk4_step(state.curve, vec, h)
+    vec = rk4_run(rhs, vec, h, nsteps)
     tail = remaining - nsteps * h
     if tail > 1e-15:
-        vec = _rk4_step(state.curve, vec, tail)
+        vec = rk4_run(rhs, vec, tail, 1)
     new = BoundedBranch(
         curve=state.curve,
         roots=state.roots,
@@ -204,16 +196,10 @@ def wp_trajectory(state, y_max, h):
     Returns arrays ``(y, wp, wp_prime, energy_drift)`` ready for CSV output.
     """
     steps = int(round(y_max / h))
-    ys = np.empty(steps + 1)
-    wps = np.empty(steps + 1)
-    wpps = np.empty(steps + 1)
-    vec = np.array([state.wp, state.wp_prime], dtype=float)
-    e0 = state.energy()
-    ys[0], wps[0], wpps[0] = state.y, vec[0], vec[1]
-    for i in range(1, steps + 1):
-        vec = _rk4_step(state.curve, vec, h)
-        ys[i] = state.y + i * h
-        wps[i] = vec[0]
-        wpps[i] = vec[1]
-    drift = wpps**2 - np.array([float(state.curve.eval(float(v))) for v in wps])
-    return ys, wps, wpps, drift - e0
+    states = np.empty((steps + 1, 2))
+    states[0] = (state.wp, state.wp_prime)
+    rk4_run(_wp_rhs(state.curve), states[0], h, steps, states)
+    ys = state.y + np.arange(steps + 1) * h
+    wps, wpps = states[:, 0], states[:, 1]
+    drift = wpps**2 - state.curve.to_float().eval(wps)
+    return ys, wps, wpps, drift - state.energy()

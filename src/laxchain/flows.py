@@ -15,11 +15,15 @@ coupled (V, W) system via
 whose own evolution and second hierarchy flow are implemented here, together
 with jet prolongation along the dKN flow and a classical RK4 integrator.
 
-All right-hand sides are pure functions over immutable chains and are generic
-in the scalar: exact rationals and jets verify identities, floats integrate.
+Each right-hand side is one array expression over a whole period: it takes
+periodic site arrays (:func:`site_array`) and returns the derivative at every
+site, the neighbour n+k being a periodic shift of the array.  The same
+function is generic in the scalar: object arrays of exact rationals and jets
+verify identities and prolong jets, float64 arrays integrate.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .curves import SpectralCurve
 from .errors import AccuracyError, DegenerateConfigurationError
 from .operators import DifferenceOperator
 from .poly import poly_scale, poly_sub
-from .scalars import Fraction, Jet, is_degenerate_pair
+from .scalars import NUMERIC_DEGENERACY_RTOL, Fraction, Jet, is_degenerate_pair
 
 __all__ = [
     "FLOWS",
@@ -43,6 +47,8 @@ __all__ = [
     "q_flow_rhs",
     "reduced_flow2_gamma",
     "rk4_integrate",
+    "rk4_run",
+    "site_array",
     "vn_from_gamma",
     "vw_chain_from_gamma",
     "wn_from_gamma",
@@ -73,9 +79,6 @@ class GammaChain:
 
     def gamma(self, n):
         return self.values[n % self.period]
-
-    def with_values(self, values):
-        return GammaChain(tuple(values), self.curve)
 
 
 @dataclass(frozen=True)
@@ -126,87 +129,110 @@ class VWChain:
         return self.w[n % self.period]
 
 
-def _require_distinct(chain, a, b):
-    if is_degenerate_pair(chain.gamma(a), chain.gamma(b)):
-        pa, pb = a % chain.period, b % chain.period
+@lru_cache(maxsize=None)
+def _shift_index(period, k):
+    index = (np.arange(period) + k) % period
+    index.flags.writeable = False  # shared by every caller through the cache
+    return index
+
+
+def _at(a, k):
+    """Periodic neighbour array: ``_at(a, k)[n] == a[(n + k) % N]``."""
+    return a[_shift_index(len(a), k)]
+
+
+def site_array(values):
+    """Chain values as a site array: float64 if all are floats, else an
+    object array that keeps exact rationals and jets exact (ints become
+    Fractions; numpy never coerces them to machine numbers)."""
+    values = [_normalize_value(v) for v in values]
+    if all(isinstance(v, float) for v in values):
+        return np.array(values, dtype=float)
+    sites = np.empty(len(values), dtype=object)
+    sites[:] = values
+    return sites
+
+
+def _check_gaps(gamma, gp):
+    """Raise on the first colliding pair gamma_n, gamma_{n+1} (period-reduced):
+    :func:`is_degenerate_pair`, vectorised for float sites."""
+    if gamma.dtype == object:
+        hits = [n for n in range(len(gamma)) if is_degenerate_pair(gamma[n], gp[n])]
+    else:
+        scale = np.maximum(np.maximum(np.abs(gamma), np.abs(gp)), 1.0)
+        hits = np.flatnonzero(np.abs(gamma - gp) < NUMERIC_DEGENERACY_RTOL * scale)
+    if len(hits):
+        a, b = int(hits[0]), (int(hits[0]) + 1) % len(gamma)
         raise DegenerateConfigurationError(
-            (a, b),
-            f"gamma collision between sites {a} and {b} "
-            f"(period-reduced {pa} and {pb})",
+            (a, b), f"gamma collision between sites {a} and {b}"
         )
 
 
-def dkn_rhs(chain, n):
-    """dKN right-hand side at site ``n``.
+def dkn_rhs(gamma, curve):
+    """dKN right-hand side at every site of the periodic array ``gamma``.
 
-    Requires gamma_{n-1} != gamma_n and gamma_n != gamma_{n+1} (the
-    denominator factors); the numerator may vanish freely.
+    Requires gamma_n != gamma_{n+1} for every n (the denominator factors);
+    the numerator may vanish freely.  Float64 sites need a float curve
+    (:meth:`SpectralCurve.to_float`) to give a float64 result.
     """
-    _require_distinct(chain, n - 1, n)
-    _require_distinct(chain, n, n + 1)
-    gm, g0, gp = chain.gamma(n - 1), chain.gamma(n), chain.gamma(n + 1)
-    return (chain.curve.eval(g0) * (gm - gp)) / ((gm - g0) * (g0 - gp))
+    gm, gp = _at(gamma, -1), _at(gamma, 1)
+    _check_gaps(gamma, gp)
+    return (curve.eval(gamma) * (gm - gp)) / ((gm - gamma) * (gamma - gp))
 
 
-def vn_from_gamma(chain, n):
-    """Coupling ``V_n`` induced by the chain."""
-    _require_distinct(chain, n - 1, n)
-    _require_distinct(chain, n, n + 1)
-    gm, g0, gp = chain.gamma(n - 1), chain.gamma(n), chain.gamma(n + 1)
-    return chain.curve.eval(g0) / ((g0 - gm) * (g0 - gp))
+def vn_from_gamma(gamma, curve):
+    """Couplings ``V_n`` induced by the periodic site array ``gamma``."""
+    gm, gp = _at(gamma, -1), _at(gamma, 1)
+    _check_gaps(gamma, gp)
+    return curve.eval(gamma) / ((gamma - gm) * (gamma - gp))
 
 
-def wn_from_gamma(chain, n):
-    """Diagonal ``W_n = -c2 - gamma_n - gamma_{n+1}``."""
-    c2 = chain.curve.coeffs[2]
-    return -c2 - chain.gamma(n) - chain.gamma(n + 1)
+def wn_from_gamma(gamma, curve):
+    """Diagonals ``W_n = -c2 - gamma_n - gamma_{n+1}``."""
+    return -curve.coeffs[2] - gamma - _at(gamma, 1)
 
 
 def vw_chain_from_gamma(chain):
     """Materialize the (V, W) chain induced by a gamma chain."""
+    sites = site_array(chain.values)
     return VWChain(
-        tuple(vn_from_gamma(chain, n) for n in range(chain.period)),
-        tuple(wn_from_gamma(chain, n) for n in range(chain.period)),
+        tuple(vn_from_gamma(sites, chain.curve).tolist()),
+        tuple(wn_from_gamma(sites, chain.curve).tolist()),
     )
 
 
-def chain_vw_rhs(vw, n):
-    """First flow of the coupled (V, W) system:
+def chain_vw_rhs(v, w):
+    """First flow of the coupled (V, W) system over periodic site arrays:
 
     dV_n = V_n (W_{n-1} - W_n + V_{n-1} - V_{n+1}),
     dW_n = (W_n - W_{n-1}) V_n + (W_{n+1} - W_n) V_{n+1}.
     """
-    v, w = vw.v_at, vw.w_at
-    dv = v(n) * (w(n - 1) - w(n) + v(n - 1) - v(n + 1))
-    dw = (w(n) - w(n - 1)) * v(n) + (w(n + 1) - w(n)) * v(n + 1)
+    vm, vp = _at(v, -1), _at(v, 1)
+    wm, wp = _at(w, -1), _at(w, 1)
+    dv = v * (wm - w + vm - vp)
+    dw = (w - wm) * v + (wp - w) * vp
     return dv, dw
 
 
-def flow2_rhs(vw, n):
+def flow2_rhs(v, w):
     """Second hierarchy flow on (V, W) (the k = 2 symmetry)."""
-    v, w = vw.v_at, vw.w_at
-    dv = v(n) * (
-        v(n - 2) * v(n - 1)
-        + v(n - 1) * v(n)
-        - v(n) * v(n + 1)
-        - v(n + 1) * v(n + 2)
-        + v(n - 1) ** 2
-        - v(n + 1) ** 2
-        + w(n - 1) ** 2
-        - w(n) ** 2
-        + 2 * (v(n - 1) + v(n)) * w(n - 1)
-        - 2 * (v(n) + v(n + 1)) * w(n)
+    vmm, vm, vp, vpp = (_at(v, k) for k in (-2, -1, 1, 2))
+    wmm, wm, wp, wpp = (_at(w, k) for k in (-2, -1, 1, 2))
+    dv = v * (
+        vmm * vm + vm * v - v * vp - vp * vpp
+        + vm ** 2 - vp ** 2 + wm ** 2 - w ** 2
+        + 2 * (vm + v) * wm - 2 * (v + vp) * w
     )
     dw = (
-        v(n - 1) * v(n) * (w(n - 2) - 2 * w(n - 1) + w(n))
-        - v(n + 1) * v(n + 2) * (w(n) - 2 * w(n + 1) + w(n + 2))
-        - v(n) * (w(n - 1) - w(n)) * (2 * v(n) + w(n - 1) + w(n))
-        - v(n + 1) * (w(n) - w(n + 1)) * (2 * v(n + 1) + w(n) + w(n + 1))
+        vm * v * (wmm - 2 * wm + w)
+        - vp * vpp * (w - 2 * wp + wpp)
+        - v * (wm - w) * (2 * v + wm + w)
+        - vp * (w - wp) * (2 * vp + w + wp)
     )
     return dv, dw
 
 
-def reduced_flow2_gamma(chain, n):
+def reduced_flow2_gamma(gamma, curve):
     """Second hierarchy flow pushed down to the gamma chain.
 
     dgamma_n = V_n ( V_{n+1} (W_{n-1} - 2 W_n + W_{n+1})
@@ -215,12 +241,13 @@ def reduced_flow2_gamma(chain, n):
 
     with V, W induced by the chain.
     """
-    v = lambda k: vn_from_gamma(chain, k)
-    w = lambda k: wn_from_gamma(chain, k)
-    return v(n) * (
-        v(n + 1) * (w(n - 1) - 2 * w(n) + w(n + 1))
-        - v(n - 1) * (w(n - 2) - 2 * w(n - 1) + w(n))
-        + (w(n - 1) - w(n)) * (2 * v(n) + w(n - 1) + w(n))
+    v, w = vn_from_gamma(gamma, curve), wn_from_gamma(gamma, curve)
+    vm, vp = _at(v, -1), _at(v, 1)
+    wmm, wm, wp = _at(w, -2), _at(w, -1), _at(w, 1)
+    return v * (
+        vp * (wm - 2 * w + wp)
+        - vm * (wmm - 2 * wm + w)
+        + (wm - w) * (2 * v + wm + w)
     )
 
 
@@ -246,11 +273,8 @@ def prolong_gamma_jets(chain, order=2):
         raise ValueError(f"jet order must be between 1 and 3, got {order}")
     jets = [Jet((v,)) for v in chain.values]
     for _ in range(order):
-        jet_chain = GammaChain(tuple(jets), chain.curve)
-        rhs = [dkn_rhs(jet_chain, n) for n in range(chain.period)]
-        jets = [
-            Jet((chain.values[n],) + rhs[n].coeffs) for n in range(chain.period)
-        ]
+        rhs = dkn_rhs(site_array(jets), chain.curve)
+        jets = [Jet((v,) + d.coeffs) for v, d in zip(chain.values, rhs)]
     return GammaJetChain(tuple(jets), chain.curve)
 
 
@@ -274,32 +298,6 @@ def operator_time_derivative_fd(op_of_t, t, dt):
 # ---------------------------------------------------------------------------
 # RK4 integration of the periodic flows (numeric path)
 # ---------------------------------------------------------------------------
-
-def _gamma_vector_rhs(flow_fn, curve, period):
-    def rhs(vec):
-        chain = GammaChain(tuple(float(x) for x in vec), curve)
-        return np.array(
-            [float(flow_fn(chain, n)) for n in range(period)], dtype=float
-        )
-
-    return rhs
-
-
-def _vw_vector_rhs(flow_fn, period):
-    def rhs(vec):
-        chain = VWChain(
-            tuple(float(x) for x in vec[:period]),
-            tuple(float(x) for x in vec[period:]),
-        )
-        out = np.empty(2 * period, dtype=float)
-        for n in range(period):
-            dv, dw = flow_fn(chain, n)
-            out[n] = dv
-            out[period + n] = dw
-        return out
-
-    return rhs
-
 
 FLOWS = ("dkn", "vw", "flow2", "reduced_t2")
 
@@ -332,54 +330,65 @@ class Trajectory:
         )
 
 
+def rk4_run(rhs, vec, h, steps, out=None):
+    """Advance ``vec`` by ``steps`` classical RK4 steps of size ``h``.
+
+    ``rhs`` maps a float64 state array to its derivative; ``out[i + 1]``, if
+    given, receives the state after step ``i``.  Returns the final state.
+    Degeneracies are re-raised with the step index; a non-finite state
+    aborts, so numpy's overflow warnings are muted.
+    """
+    with np.errstate(all="ignore"):
+        for i in range(steps):
+            try:
+                k1 = rhs(vec)
+                k2 = rhs(vec + 0.5 * h * k1)
+                k3 = rhs(vec + 0.5 * h * k2)
+                k4 = rhs(vec + h * k3)
+            except DegenerateConfigurationError as err:
+                raise DegenerateConfigurationError(
+                    err.sites, f"at integration step {i}: {err}"
+                ) from err
+            vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(vec).all():
+                raise AccuracyError(f"non-finite state at integration step {i + 1}")
+            if out is not None:
+                out[i + 1] = vec
+    return vec
+
+
 def rk4_integrate(state, flow, h, steps):
     """Classical 4th-order Runge-Kutta on a periodic chain.
 
     ``state`` is a :class:`GammaChain` (flows "dkn", "reduced_t2") or a
-    :class:`VWChain` (flows "vw", "flow2").  Degeneracies hit mid-step are
-    re-raised annotated with the step index; non-finite values abort.
+    :class:`VWChain` (flows "vw", "flow2").  Each stage evaluates the flow's
+    array right-hand side on the whole float64 state (see :func:`rk4_run`).
     """
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     if flow not in FLOWS:
         raise ValueError(f"unknown flow {flow!r}; expected one of {FLOWS}")
 
+    period = state.period
     if flow in ("dkn", "reduced_t2"):
         if not isinstance(state, GammaChain):
             raise TypeError(f"flow {flow!r} integrates a GammaChain")
         if state.curve.genus != 1:
             raise ValueError("gamma flows need a genus-1 curve")
-        period = state.period
         fn = dkn_rhs if flow == "dkn" else reduced_flow2_gamma
-        rhs = _gamma_vector_rhs(fn, state.curve, period)
+        fcurve = state.curve.to_float()
+        rhs = lambda y: fn(y, fcurve)
         vec = np.array([float(v) for v in state.values], dtype=float)
         kind, curve = "gamma", state.curve
     else:
         if not isinstance(state, VWChain):
             raise TypeError(f"flow {flow!r} integrates a VWChain")
-        period = state.period
         fn = chain_vw_rhs if flow == "vw" else flow2_rhs
-        rhs = _vw_vector_rhs(fn, period)
-        vec = np.array(
-            [float(v) for v in state.v] + [float(v) for v in state.w], dtype=float
-        )
+        rhs = lambda y: np.concatenate(fn(y[:period], y[period:]))
+        vec = np.array([float(v) for v in state.v + state.w], dtype=float)
         kind, curve = "vw", None
 
     out = np.empty((steps + 1, vec.size), dtype=float)
     out[0] = vec
-    for i in range(steps):
-        try:
-            k1 = rhs(vec)
-            k2 = rhs(vec + 0.5 * h * k1)
-            k3 = rhs(vec + 0.5 * h * k2)
-            k4 = rhs(vec + h * k3)
-        except DegenerateConfigurationError as err:
-            raise DegenerateConfigurationError(
-                err.sites, f"at integration step {i}: {err}"
-            ) from err
-        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(vec)):
-            raise AccuracyError(f"non-finite state at integration step {i + 1}")
-        out[i + 1] = vec
-
+    rk4_run(rhs, vec, h, steps, out)
     return Trajectory(flow, float(h), out, kind, period, curve)

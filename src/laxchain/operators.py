@@ -18,7 +18,6 @@ from .scalars import format_scalar, scalar_abs
 __all__ = [
     "DifferenceOperator",
     "OperatorWindow",
-    "apply_operator",
     "build_l4",
     "commutator",
     "compose",
@@ -177,10 +176,6 @@ def build_l4(v_provider, w_provider):
     """
     factor = DifferenceOperator.from_bands({1: lambda n: 1, -1: v_provider})
     return compose(factor, factor) + DifferenceOperator.diagonal(w_provider)
-
-
-def apply_operator(a, psi, n):
-    return a.apply(psi, n)
 
 
 def max_band_norm(a, window):

@@ -36,8 +36,8 @@ from .flows import (
     GammaChain,
     prolong_gamma_jets,
     rk4_integrate,
+    site_array,
     vn_from_gamma,
-    vw_chain_from_gamma,
     wn_from_gamma,
 )
 from .operators import DifferenceOperator, lax_residual
@@ -431,9 +431,10 @@ def l4_lax_residual_window(chain, n0=0, n1=None):
     """
     if n1 is None:
         n1 = n0 + chain.period - 1
-    jets = prolong_gamma_jets(chain, 2)
-    v = lambda n: vn_from_gamma(jets, n)
-    w = lambda n: wn_from_gamma(jets, n)
+    sites = site_array(prolong_gamma_jets(chain, 2).jets)
+    vs, ws = vn_from_gamma(sites, chain.curve), wn_from_gamma(sites, chain.curve)
+    v = lambda n: vs[n % chain.period]
+    w = lambda n: ws[n % chain.period]
     from .operators import build_l4
 
     l_full = build_l4(v, w)

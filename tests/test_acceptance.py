@@ -44,6 +44,7 @@ from laxchain.flows import (
     prolong_gamma_jets,
     q_flow_rhs,
     reduced_flow2_gamma,
+    site_array,
     vn_from_gamma,
     vw_chain_from_gamma,
     wn_from_gamma,
@@ -179,6 +180,11 @@ def test_criterion4_spectral_conservation():
     for cfg in _configs():
         chain = GammaChain(cfg.gamma, cfg.curve)
         jets = prolong_gamma_jets(chain, 2)
+        v_jets = vn_from_gamma(site_array(jets.jets), chain.curve)
+        w_jets = wn_from_gamma(site_array(jets.jets), chain.curve)
+        v = vn_from_gamma(site_array(chain.values), chain.curve)
+        w = wn_from_gamma(site_array(chain.values), chain.curve)
+        p = chain.period
         z = cfg.z0
         expected = cfg.curve.eval(z)
         values = set()
@@ -186,9 +192,9 @@ def test_criterion4_spectral_conservation():
             q = [QPolynomial.from_gamma(jets.gamma(n + k)) for k in (-1, 0, 1, 2)]
             val = q_conserved_value(
                 q[0], q[1], q[2], q[3],
-                vn_from_gamma(jets, n),
-                vn_from_gamma(jets, n + 1),
-                wn_from_gamma(jets, n),
+                v_jets[n],
+                v_jets[(n + 1) % p],
+                w_jets[n],
                 z,
             )
             # n-independent, equals F(z), zero x-derivative along the flow
@@ -200,11 +206,11 @@ def test_criterion4_spectral_conservation():
                 QPolynomial.from_gamma(chain.gamma(n)),
                 QPolynomial.from_gamma(chain.gamma(n + 2)),
                 QPolynomial.from_gamma(chain.gamma(n + 3)),
-                vn_from_gamma(chain, n),
-                vn_from_gamma(chain, n + 1),
-                vn_from_gamma(chain, n + 2),
-                wn_from_gamma(chain, n),
-                wn_from_gamma(chain, n + 1),
+                v[n],
+                v[(n + 1) % p],
+                v[(n + 2) % p],
+                w[n],
+                w[(n + 1) % p],
             )
             assert all(c == 0 for c in res)
         assert len(values) == 1
@@ -223,30 +229,31 @@ def test_criterion5_reduction_consistency():
     for cfg in _configs():
         chain = GammaChain(cfg.gamma, cfg.curve)
         vw = vw_chain_from_gamma(chain)
-        jets1 = prolong_gamma_jets(chain, 1)
+        v_sites, w_sites = site_array(vw.v), site_array(vw.w)
+        gamma = site_array(chain.values)
+        jets1 = site_array(prolong_gamma_jets(chain, 1).jets)
+        v1, w1 = vn_from_gamma(jets1, chain.curve), wn_from_gamma(jets1, chain.curve)
+        v = vn_from_gamma(gamma, chain.curve)
+        dgamma = dkn_rhs(gamma, chain.curve)
+        dv, dw = chain_vw_rhs(v_sites, w_sites)
         for n in range(chain.period):
-            dv, dw = chain_vw_rhs(vw, n)
-            assert vn_from_gamma(jets1, n).coeffs[1] == dv
-            assert wn_from_gamma(jets1, n).coeffs[1] == dw
+            assert v1[n].coeffs[1] == dv[n]
+            assert w1[n].coeffs[1] == dw[n]
             # polynomial flow at genus 1 reproduces the lattice flow
             rhs = q_flow_rhs(
                 QPolynomial.from_gamma(chain.gamma(n - 1)).coeffs(),
                 QPolynomial.from_gamma(chain.gamma(n + 1)).coeffs(),
-                vn_from_gamma(chain, n),
+                v[n],
             )
-            assert rhs[0] == -dkn_rhs(chain, n) and rhs[1] == 0
+            assert rhs[0] == -dgamma[n] and rhs[1] == 0
         # second-flow reduction: documented deterministic result = exact match
-        jets2 = GammaChain(
-            tuple(
-                Jet((chain.values[n], reduced_flow2_gamma(chain, n)))
-                for n in range(chain.period)
-            ),
-            chain.curve,
-        )
+        dgamma2 = reduced_flow2_gamma(gamma, chain.curve)
+        jets2 = site_array([Jet((g, d)) for g, d in zip(chain.values, dgamma2)])
+        v2, w2 = vn_from_gamma(jets2, chain.curve), wn_from_gamma(jets2, chain.curve)
+        dv2, dw2 = flow2_rhs(v_sites, w_sites)
         for n in range(chain.period):
-            dv2, dw2 = flow2_rhs(vw, n)
-            assert vn_from_gamma(jets2, n).coeffs[1] == dv2
-            assert wn_from_gamma(jets2, n).coeffs[1] == dw2
+            assert v2[n].coeffs[1] == dv2[n]
+            assert w2[n].coeffs[1] == dw2[n]
     print(
         f"\nACCEPTANCE 5 PASS: first-flow reduction exact; polynomial flow "
         f"reproduces the lattice flow coefficient-wise; second-flow "

@@ -21,7 +21,7 @@ from laxchain.darboux import (
 )
 from laxchain.elliptic import exact_curve_point, exact_wp_jet
 from laxchain.errors import DegenerateConfigurationError, PoleError
-from laxchain.flows import GammaChain, dkn_rhs, prolong_gamma_jets
+from laxchain.flows import GammaChain, dkn_rhs, prolong_gamma_jets, site_array
 from laxchain.operators import DifferenceOperator, build_l4, compose
 from laxchain.scalars import Jet, QuadExt
 
@@ -155,7 +155,7 @@ def test_solution_hand_value_b():
     sol = rank2_solution(data)
     b0 = _val(sol.b(0))
     w = QuadExt(Fraction(0), Fraction(1), Fraction(125))
-    expected = -w * dkn_rhs(chain, 0) / 9
+    expected = -w * dkn_rhs(site_array(chain.values), cubic)[0] / 9
     assert b0 == expected
 
 

@@ -16,6 +16,7 @@ from laxchain.flows import (
     q_flow_rhs,
     reduced_flow2_gamma,
     rk4_integrate,
+    site_array,
     vn_from_gamma,
     vw_chain_from_gamma,
     wn_from_gamma,
@@ -32,62 +33,64 @@ CUBIC = SpectralCurve.elliptic(0, 0, 0)  # z^3
 def test_dkn_rhs_hand_value():
     chain = GammaChain((1, 2, 3), CUBIC)
     # at n=1: F(2)*(1-3)/((1-2)(2-3)) = 8*(-2)/1 = -16
-    assert dkn_rhs(chain, 1) == -16
+    assert dkn_rhs(site_array(chain.values), chain.curve)[1] == -16
 
 
 def test_dkn_rhs_symmetric_numerator_vanishes():
     chain = GammaChain((1, 2, 1, 3), CUBIC)
     # site 1: neighbors gamma_0 = gamma_2 = 1
-    assert dkn_rhs(chain, 1) == 0
+    assert dkn_rhs(site_array(chain.values), chain.curve)[1] == 0
 
 
 def test_dkn_rhs_curve_root():
     curve = SpectralCurve.elliptic(0, -1, 0)  # roots 0, 1, -1
     chain = GammaChain((Fraction(1), Fraction(3), Fraction(5), Fraction(7)), curve)
-    assert dkn_rhs(chain, 0) == 0  # F(1) = 0
+    assert dkn_rhs(site_array(chain.values), curve)[0] == 0  # F(1) = 0
 
 
 def test_dkn_degeneracy_error_names_sites():
     chain = GammaChain((1, 1, 2, 3), CUBIC)
     with pytest.raises(DegenerateConfigurationError) as err:
-        dkn_rhs(chain, 0)
+        dkn_rhs(site_array(chain.values), chain.curve)
     assert set(err.value.sites) & {0, 1}
 
 
 def test_couplings_hand_values():
     chain = GammaChain((1, 2, 3), CUBIC)
     # V at n=1: F(2)/((2-1)(2-3)) = -8
-    assert vn_from_gamma(chain, 1) == -8
+    assert vn_from_gamma(site_array(chain.values), chain.curve)[1] == -8
     # W with c2=0, gamma_n=2, gamma_{n+1}=3 -> -5
-    assert wn_from_gamma(chain, 1) == -5
+    assert wn_from_gamma(site_array(chain.values), chain.curve)[1] == -5
 
 
 def test_vn_zero_at_curve_root():
     curve = SpectralCurve.elliptic(0, -1, 0)
     chain = GammaChain((Fraction(1), Fraction(3), Fraction(5), Fraction(7)), curve)
-    assert vn_from_gamma(chain, 0) == 0
+    assert vn_from_gamma(site_array(chain.values), curve)[0] == 0
 
 
 def test_vw_rhs_constant_chain_is_fixed_point():
     vw = VWChain((2, 2, 2, 2), (5, 5, 5, 5))
+    v, w = site_array(vw.v), site_array(vw.w)
+    dv1, dw1 = chain_vw_rhs(v, w)
+    dv2, dw2 = flow2_rhs(v, w)
     for n in range(4):
-        assert chain_vw_rhs(vw, n) == (0, 0)
-        assert flow2_rhs(vw, n) == (0, 0)
+        assert (dv1[n], dw1[n]) == (0, 0)
+        assert (dv2[n], dw2[n]) == (0, 0)
 
 
 def test_vw_rhs_hand_value():
     vw = VWChain((1, 2, 1, 2), (0, 1, 0, 1))
-    dv, dw = chain_vw_rhs(vw, 0)
-    assert dv == 1  # 1*(1-0+2-2)
-    assert dw == 1  # (0-1)*1 + (1-0)*2
+    dv, dw = chain_vw_rhs(site_array(vw.v), site_array(vw.w))
+    assert dv[0] == 1  # 1*(1-0+2-2)
+    assert dw[0] == 1  # (0-1)*1 + (1-0)*2
 
 
 def test_flow2_hand_values_alternating_w():
     vw = VWChain((2, 2), (0, 1))
-    dv0, dw0 = flow2_rhs(vw, 0)
-    dv1, dw1 = flow2_rhs(vw, 1)
-    assert (dv0, dw0) == (18, 0)
-    assert (dv1, dw1) == (-18, 0)
+    dv, dw = flow2_rhs(site_array(vw.v), site_array(vw.w))
+    assert (dv[0], dw[0]) == (18, 0)
+    assert (dv[1], dw[1]) == (-18, 0)
 
 
 def _flow2_second_transcription(vw, n):
@@ -123,19 +126,21 @@ def test_flow2_double_transcription(rng):
             tuple(random_fraction(rng) for _ in range(4)),
             tuple(random_fraction(rng) for _ in range(4)),
         )
+        dv, dw = flow2_rhs(site_array(vw.v), site_array(vw.w))
         for n in range(4):
-            assert flow2_rhs(vw, n) == _flow2_second_transcription(vw, n)
+            assert (dv[n], dw[n]) == _flow2_second_transcription(vw, n)
 
 
 def test_reduced_flow2_frozen_value():
     chain = GammaChain((1, 2, 3, 4), CUBIC)
-    assert reduced_flow2_gamma(chain, 0) == Fraction(140, 9)
+    assert reduced_flow2_gamma(site_array(chain.values), chain.curve)[0] == Fraction(140, 9)
 
 
 def test_reduced_flow2_alternating_fixed_point():
     chain = GammaChain((1, 3, 1, 3), CUBIC)
+    rhs = reduced_flow2_gamma(site_array(chain.values), chain.curve)
     for n in range(4):
-        assert reduced_flow2_gamma(chain, n) == 0
+        assert rhs[n] == 0
 
 
 def test_first_flow_reduction_consistency(rng):
@@ -143,14 +148,14 @@ def test_first_flow_reduction_consistency(rng):
     coupled-system right-hand side, exactly."""
     for _ in range(10):
         chain = random_chain(rng)
-        jets = prolong_gamma_jets(chain, 1)
+        jets = site_array(prolong_gamma_jets(chain, 1).jets)
         vw = vw_chain_from_gamma(chain)
+        v_jets = vn_from_gamma(jets, chain.curve)
+        w_jets = wn_from_gamma(jets, chain.curve)
+        dv, dw = chain_vw_rhs(site_array(vw.v), site_array(vw.w))
         for n in range(chain.period):
-            v_jet = vn_from_gamma(jets, n)
-            w_jet = wn_from_gamma(jets, n)
-            dv, dw = chain_vw_rhs(vw, n)
-            assert v_jet.coeffs[1] == dv
-            assert w_jet.coeffs[1] == dw
+            assert v_jets[n].coeffs[1] == dv[n]
+            assert w_jets[n].coeffs[1] == dw[n]
 
 
 def test_second_flow_reduction_consistency(rng):
@@ -159,28 +164,27 @@ def test_second_flow_reduction_consistency(rng):
     for _ in range(10):
         chain = random_chain(rng)
         vw = vw_chain_from_gamma(chain)
-        jets = GammaChain(
-            tuple(
-                Jet((chain.values[n], reduced_flow2_gamma(chain, n)))
-                for n in range(chain.period)
-            ),
-            chain.curve,
-        )
+        rhs = reduced_flow2_gamma(site_array(chain.values), chain.curve)
+        jets = site_array([Jet((g, d)) for g, d in zip(chain.values, rhs)])
+        v_jets = vn_from_gamma(jets, chain.curve)
+        w_jets = wn_from_gamma(jets, chain.curve)
+        dv, dw = flow2_rhs(site_array(vw.v), site_array(vw.w))
         for n in range(chain.period):
-            dv, dw = flow2_rhs(vw, n)
-            assert vn_from_gamma(jets, n).coeffs[1] == dv
-            assert wn_from_gamma(jets, n).coeffs[1] == dw
+            assert v_jets[n].coeffs[1] == dv[n]
+            assert w_jets[n].coeffs[1] == dw[n]
 
 
 def test_q_flow_reproduces_lattice_flow(rng):
     for _ in range(6):
         chain = random_chain(rng)
+        v = vn_from_gamma(site_array(chain.values), chain.curve)
+        dgamma = dkn_rhs(site_array(chain.values), chain.curve)
         for n in range(chain.period):
             q_prev = QPolynomial.from_gamma(chain.gamma(n - 1)).coeffs()
             q_next = QPolynomial.from_gamma(chain.gamma(n + 1)).coeffs()
-            rhs = q_flow_rhs(q_prev, q_next, vn_from_gamma(chain, n))
+            rhs = q_flow_rhs(q_prev, q_next, v[n])
             # dQ_n/dx = -gamma_n'
-            assert rhs[0] == -dkn_rhs(chain, n)
+            assert rhs[0] == -dgamma[n]
             assert rhs[1] == 0
 
 
@@ -197,8 +201,9 @@ def test_q_flow_trivial_and_linearity():
 def test_prolong_first_coefficients_match_rhs(rng):
     chain = random_chain(rng)
     jets = prolong_gamma_jets(chain, 2)
+    rhs = dkn_rhs(site_array(chain.values), chain.curve)
     for n in range(chain.period):
-        assert jets.jets[n].coeffs[1] == dkn_rhs(chain, n)
+        assert jets.jets[n].coeffs[1] == rhs[n]
     assert jets.order == 2
     assert jets.value_chain().values == chain.values
 
@@ -226,10 +231,10 @@ def test_prolong_second_coefficient_vs_finite_difference():
     traj = rk4_integrate(chain, "dkn", h, 2)
     # jets at the midpoint chain; centered difference of the rhs around it
     jets = prolong_gamma_jets(traj.chain_at(1), 2)
+    rhs_minus = dkn_rhs(site_array(traj.chain_at(0).values), curve)
+    rhs_plus = dkn_rhs(site_array(traj.chain_at(2).values), curve)
     for n in range(4):
-        rhs_minus = dkn_rhs(traj.chain_at(0), n)
-        rhs_plus = dkn_rhs(traj.chain_at(2), n)
-        fd = (rhs_plus - rhs_minus) / (2 * h)
+        fd = (rhs_plus[n] - rhs_minus[n]) / (2 * h)
         assert jets.jets[n].coeffs[2] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -243,14 +248,16 @@ def test_spectral_value_constant_under_jets(rng):
         q = [
             QPolynomial.from_gamma(jets.gamma(n)) for n in range(chain.period)
         ]
+        v = vn_from_gamma(site_array(jets.jets), chain.curve)
+        w = wn_from_gamma(site_array(jets.jets), chain.curve)
         val = q_conserved_value(
             q[-1 % chain.period],
             q[0],
             q[1],
             q[2 % chain.period],
-            vn_from_gamma(jets, 0),
-            vn_from_gamma(jets, 1),
-            wn_from_gamma(jets, 0),
+            v[0],
+            v[1],
+            w[0],
             z,
         )
         expected = chain.curve.eval(z)

@@ -6,7 +6,7 @@ import pytest
 
 from laxchain.curves import SpectralCurve
 from laxchain.errors import AnsatzError, DegreeError
-from laxchain.flows import GammaChain, vn_from_gamma, wn_from_gamma
+from laxchain.flows import GammaChain, site_array, vn_from_gamma, wn_from_gamma
 from laxchain.operators import DifferenceOperator
 from laxchain.poly import poly_eval
 from laxchain.spectral import (
@@ -36,9 +36,8 @@ def chain_q(chain, n):
 
 
 def couplings(chain):
-    v = [vn_from_gamma(chain, n) for n in range(chain.period)]
-    w = [wn_from_gamma(chain, n) for n in range(chain.period)]
-    return v, w
+    gamma = site_array(chain.values)
+    return vn_from_gamma(gamma, chain.curve), wn_from_gamma(gamma, chain.curve)
 
 
 # ---------------------------------------------------------------------------

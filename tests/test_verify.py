@@ -106,14 +106,15 @@ def test_l4_lax_requires_flow():
     # zero out the time derivative by using the residual with jets from a
     # *different* chain is awkward; instead check a fixed point passes and a
     # generic nonzero rhs with omitted bracket term fails via max_band_norm
-    from laxchain.flows import prolong_gamma_jets, vn_from_gamma, wn_from_gamma
+    from laxchain.flows import prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
     from laxchain.operators import build_l4, lax_residual, DifferenceOperator
     from laxchain.scalars import Jet
 
     chain = GammaChain((1, 2, 3, 5), SpectralCurve.elliptic(0, 0, 0))
-    jets = prolong_gamma_jets(chain, 2)
-    v = lambda n: vn_from_gamma(jets, n)
-    w = lambda n: wn_from_gamma(jets, n)
+    jets = site_array(prolong_gamma_jets(chain, 2).jets)
+    vs, ws = vn_from_gamma(jets, chain.curve), wn_from_gamma(jets, chain.curve)
+    v = lambda n: vs[n % 4]
+    w = lambda n: ws[n % 4]
     l_full = build_l4(v, w)
     l_t = l_full.map_coeffs(lambda c: c.derivative() if isinstance(c, Jet) else 0)
     trunc = lambda c: c.truncate(1) if isinstance(c, Jet) else c
