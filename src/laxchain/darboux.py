@@ -18,14 +18,20 @@ with chi1(n) = -V_n (z0 - gamma_{n+1})/(z0 - gamma_n) and
 chi2(n) = w/(z0 - gamma_n), w^2 = F(z0).  Swapping the factors and adding
 z0 yields the transformed operator, whose four explicit band formulas are
 cross-checked against the swapped product on every run.
+
+Every Lax residual (the x and y brackets here, the fourth-order one in
+``verify``) is assembled by :func:`lax_window` from one operator built a jet
+order higher than the residual: its derivative and, truncated by one order,
+its bracket partner come from the same coefficients.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curves import SpectralCurve
 from .errors import DegenerateConfigurationError, PoleError
-from .flows import GammaChain, GammaJetChain, prolong_gamma_jets
+from .flows import prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
 from .scalars import Jet, QuadExt, is_degenerate_pair, scalar_value
 
@@ -41,6 +47,7 @@ __all__ = [
     "darboux_data_static",
     "eigenfunction_step",
     "factorization_check",
+    "lax_window",
     "rank2_solution",
     "solve_tail_constants",
     "transformed_operator",
@@ -122,19 +129,19 @@ class DarbouxData:
             y_order=y_order,
         )
 
+    @cached_property
+    def _v(self):
+        return vn_from_gamma(site_array(self.gamma), self.curve)
+
+    @cached_property
+    def _w(self):
+        return wn_from_gamma(site_array(self.gamma), self.curve)
+
     def v_at(self, n):
-        g = self.gamma_at
-        return self._cached(
-            "v",
-            n,
-            lambda m: self.curve.eval(g(m)) / ((g(m) - g(m - 1)) * (g(m) - g(m + 1))),
-        )
+        return self._v[n % self.period]
 
     def w_site(self, n):
-        c2 = self.curve.coeffs[2]
-        return self._cached(
-            "w", n, lambda m: -c2 - self.gamma_at(m) - self.gamma_at(m + 1)
-        )
+        return self._w[n % self.period]
 
     def chi1(self, n):
         g = self.gamma_at
@@ -234,18 +241,6 @@ def _dy(s):
     return s.coeffs[0].coeffs[1]
 
 
-def _x_derivative_coeff(c):
-    if isinstance(c, Jet):
-        return c.derivative()
-    return 0
-
-
-def _y_derivative_coeff(c):
-    if isinstance(c, Jet):
-        return Jet(tuple(inner.derivative() for inner in c.coeffs))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Factorization and the transformed operator
 # ---------------------------------------------------------------------------
@@ -281,6 +276,22 @@ def factorization_check(data, n0=0, n1=None):
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     residual = compose(_left_factor(data), _right_factor(data)) - (l4 - z_term)
     return residual.window(n0, n1)
+
+
+def _d_band(data, n):
+    """``V_{n-1} V_n (z0 - gamma_{n-2})(z0 - gamma_{n+1})
+    / ((z0 - gamma_{n-1})(z0 - gamma_n))``: the ``T^{-2}`` band of the
+    transformed operator and the ``d_n`` of the solution family."""
+    g, z0 = data.gamma_at, data.z0
+    return data._cached(
+        "d",
+        n,
+        lambda m: data.v_at(m - 1)
+        * data.v_at(m)
+        * (z0 - g(m - 2))
+        * (z0 - g(m + 1))
+        / ((z0 - g(m - 1)) * (z0 - g(m))),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,19 +353,8 @@ def transformed_operator(data):
             lambda m: (g(m - 1) - g(m + 1)) * data.v_at(m) * w / (z0 - g(m)) ** 2,
         )
 
-    def am2(n):
-        return data._cached(
-            "Am2",
-            n,
-            lambda m: data.v_at(m - 1)
-            * data.v_at(m)
-            * (z0 - g(m - 2))
-            * (z0 - g(m + 1))
-            / ((z0 - g(m - 1)) * (z0 - g(m))),
-        )
-
     op = DifferenceOperator.from_bands(
-        {2: lambda n: 1, 1: a1, 0: a0, -1: am1, -2: am2}
+        {2: lambda n: 1, 1: a1, 0: a0, -1: am1, -2: lambda n: _d_band(data, n)}
     )
     return TransformedOperator(operator=op, data=data)
 
@@ -400,6 +400,10 @@ class ChainSolution:
         f_n = -z0' (gamma_n - gamma_{n+1})
               / ((z0 - gamma_n)(z0 - gamma_{n+1})) + g_n,
         g_n = (-1)^n ((n s1 + s0) z0^2 + (n k1 + k0) z0 + (n p1 + p0)) / z0'.
+
+    With V_n = F(gamma_n) / ((gamma_n - gamma_{n-1})(gamma_n - gamma_{n+1})),
+    d_n is the T^{-2} band A_{-2} of the transformed operator; both read it
+    from one formula.
 
     The g tail uses the literal site index (it is only 4-periodic when the
     n-linear constants vanish), so providers take true integers.
@@ -450,27 +454,8 @@ class ChainSolution:
             / (self.data.z0 - g(m)) ** 2,
         )
 
-    def _d(self, m):
-        g = self.data.gamma_at
-        curve = self.data.curve
-        z0 = self.data.z0
-        num = (
-            curve.eval(g(m - 1))
-            * curve.eval(g(m))
-            * (z0 - g(m - 2))
-            * (z0 - g(m + 1))
-        )
-        den = (
-            (g(m - 2) - g(m - 1))
-            * (g(m - 1) - g(m)) ** 2
-            * (g(m) - g(m + 1))
-            * (z0 - g(m - 1))
-            * (z0 - g(m))
-        )
-        return num / den
-
     def d(self, n):
-        return self.data._cached("d", n, self._d)
+        return _d_band(self.data, n)
 
 
 def rank2_solution(data, constants=None):
@@ -516,6 +501,37 @@ def chain_residuals(sol, n):
     return r1, r2, r3
 
 
+# axis -> how a map of single jets acts on a nested scalar along that axis
+_LAX_AXES = {
+    "x": lambda c, fn: fn(c),
+    "y": lambda c, fn: Jet(tuple(fn(inner) for inner in c.coeffs)),
+}
+
+
+def lax_window(l_op, axis, a_op, n0, n1):
+    """Window on sites ``n0..n1`` of the Lax residual ``dL + [L, A]``.
+
+    ``l_op`` carries one more jet order along ``axis`` than the residual:
+    dL is its coefficient-wise derivative, and the L of the bracket is the
+    same coefficients truncated by one order (truncation commutes with the
+    field operations, so this equals L rebuilt at the lower order).
+    ``a_op`` is given at the residual's order.  Axis ``"x"`` acts on the
+    outer jet (so also on plain jets), ``"y"`` on the inner jets of nested
+    scalars; coefficients that are not jets are constants.
+    """
+    along = _LAX_AXES[axis]
+
+    def derive(c):
+        return along(c, Jet.derivative) if isinstance(c, Jet) else 0
+
+    def cut(c):
+        return along(c, lambda j: j.truncate(j.order - 1)) if isinstance(c, Jet) else c
+
+    return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op).window(
+        n0, n1
+    )
+
+
 def commutator_x_check(data, n0=0, n1=None):
     """Window of the x-Lax residual ``d/dx(Ltilde) + [Ltilde, b T^{-1} + d T^{-2}]``.
 
@@ -527,14 +543,9 @@ def commutator_x_check(data, n0=0, n1=None):
     if n1 is None:
         n1 = n0 + data.period - 1
     d_hi = data.truncated(data.x_order, 0)
-    d_lo = d_hi.truncated(data.x_order - 1, 0)
-
-    l_hi = transformed_operator(d_hi).operator
-    l_t = l_hi.map_coeffs(_x_derivative_coeff)
-    l_lo = transformed_operator(d_lo).operator
-    sol = rank2_solution(d_lo)
+    sol = rank2_solution(d_hi.truncated(data.x_order - 1, 0))
     c_op = DifferenceOperator.from_bands({-1: sol.b, -2: sol.d})
-    return lax_residual(l_lo, l_t, c_op).window(n0, n1)
+    return lax_window(transformed_operator(d_hi).operator, "x", c_op, n0, n1)
 
 
 def commutator_y_check(data, constants=None, n0=0, n1=None):
@@ -549,14 +560,9 @@ def commutator_y_check(data, constants=None, n0=0, n1=None):
     if n1 is None:
         n1 = n0 + data.period - 1
     d_hi = data.truncated(0, data.y_order)
-    d_lo = d_hi.truncated(0, data.y_order - 1)
-
-    l_hi = transformed_operator(d_hi).operator
-    l_y = l_hi.map_coeffs(_y_derivative_coeff)
-    l_lo = transformed_operator(d_lo).operator
-    sol = rank2_solution(d_lo, constants)
+    sol = rank2_solution(d_hi.truncated(0, data.y_order - 1), constants)
     b_op = DifferenceOperator.from_bands({1: lambda n: 1, 0: sol.f})
-    return lax_residual(l_lo, l_y, b_op).window(n0, n1)
+    return lax_window(transformed_operator(d_hi).operator, "y", b_op, n0, n1)
 
 
 def eigenfunction_step(data, psi_prev, psi_cur, n):
@@ -637,29 +643,9 @@ def solve_tail_constants(chain, probes=None):
         else:
             gaps.append(r3 * sqrt(float(chain.curve.eval(p))) / 2)
 
+    # Newton divided differences of the quadratic s0 p^2 + k0 p + p0
     (p1, g1), (p2, g2), (p3, g3) = zip(probes, gaps)
-    m = [
-        [p1 * p1, p1, p1 * 0 + 1],
-        [p2 * p2, p2, p2 * 0 + 1],
-        [p3 * p3, p3, p3 * 0 + 1],
-    ]
-
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
-    def replaced(col):
-        out = [row[:] for row in m]
-        for i, g in enumerate((g1, g2, g3)):
-            out[i][col] = g
-        return out
-
-    d0 = det3(m)
-    return SolutionConstants(
-        s0=det3(replaced(0)) / d0,
-        k0=det3(replaced(1)) / d0,
-        p0=det3(replaced(2)) / d0,
-    )
+    d12 = (g2 - g1) / (p2 - p1)
+    s0 = ((g3 - g2) / (p3 - p2) - d12) / (p3 - p1)
+    k0 = d12 - s0 * (p1 + p2)
+    return SolutionConstants(s0=s0, k0=k0, p0=g1 - (k0 + s0 * p1) * p1)

@@ -336,7 +336,8 @@ def rk4_run(rhs, vec, h, steps, out=None):
     ``rhs`` maps a float64 state array to its derivative; ``out[i + 1]``, if
     given, receives the state after step ``i``.  Returns the final state.
     Degeneracies are re-raised with the step index; a non-finite state
-    aborts, so numpy's overflow warnings are muted.
+    aborts, naming the step, x and the non-finite components, so numpy's
+    overflow warnings are muted.
     """
     with np.errstate(all="ignore"):
         for i in range(steps):
@@ -350,8 +351,13 @@ def rk4_run(rhs, vec, h, steps, out=None):
                     err.sites, f"at integration step {i}: {err}"
                 ) from err
             vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(vec).all():
-                raise AccuracyError(f"non-finite state at integration step {i + 1}")
+            finite = np.isfinite(vec)
+            if not finite.all():
+                raise AccuracyError(
+                    f"non-finite state at integration step {i + 1} "
+                    f"(x = {(i + 1) * h:g}) in components "
+                    f"{np.flatnonzero(~finite).tolist()}"
+                )
             if out is not None:
                 out[i + 1] = vec
     return vec

@@ -27,6 +27,7 @@ from .darboux import (
     commutator_y_check,
     darboux_data,
     factorization_check,
+    lax_window,
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
@@ -40,7 +41,7 @@ from .flows import (
     vn_from_gamma,
     wn_from_gamma,
 )
-from .operators import DifferenceOperator, lax_residual
+from .operators import DifferenceOperator, build_l4
 from .scalars import Jet, format_scalar, is_rational_square, rational, scalar_abs
 
 __all__ = [
@@ -286,12 +287,45 @@ def _eval_lax_y_sample(config):
     return ok, worst, {"negative_control_nonzero": control_hit}
 
 
+def l4_lax_residual_window(chain, n0=0, n1=None):
+    """Window of ``dL/dx + [L, V_{n-1} V_n T^{-2}]`` for the fourth-order
+    operator built from the chain couplings, with the time derivative taken
+    from order-2 jets.  Exactly zero when the chain follows the lattice flow.
+    """
+    if n1 is None:
+        n1 = n0 + chain.period - 1
+    sites = site_array(prolong_gamma_jets(chain, 2).jets)
+    vs, ws = vn_from_gamma(sites, chain.curve), wn_from_gamma(sites, chain.curve)
+    v = lambda n: vs[n % chain.period]
+    w = lambda n: ws[n % chain.period]
+    a_op = DifferenceOperator.from_bands({-2: lambda n: (v(n - 1) * v(n)).truncate(1)})
+    return lax_window(build_l4(v, w), "x", a_op, n0, n1)
+
+
+def _eval_lax_l4_sample(config):
+    win = l4_lax_residual_window(GammaChain(config.gamma, config.curve))
+    if win.is_zero():
+        return True, 0.0, {}
+    return False, float(win.max_abs()), {}
+
+
+# The suite registry of run_suite and replay_config.  SUITES, the suites
+# run_all and the CLI offer, leaves out the library-level "lax-l4".
 _SUITE_EVALS = {
     "chain": _eval_chain_sample,
     "factorization": _eval_factorization_sample,
     "lax-x": _eval_lax_x_sample,
     "lax-y": _eval_lax_y_sample,
+    "lax-l4": _eval_lax_l4_sample,
 }
+
+
+def _suite_eval(suite):
+    if suite not in _SUITE_EVALS:
+        raise ValueError(
+            f"unknown suite {suite!r}; expected one of {', '.join(_SUITE_EVALS)}"
+        )
+    return _SUITE_EVALS[suite]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +377,7 @@ def _eval_indexed_sample(task):
         else None
     )
     config = draw_sample(seed, index, max_num, max_den, constants)
-    ok, worst, info = _SUITE_EVALS[suite](config)
+    ok, worst, info = _suite_eval(suite)(config)
     dump = None if ok else config.to_dump(suite, index, note="residual nonzero")
     return index, ok, worst, info, dump
 
@@ -360,8 +394,7 @@ def run_suite(
     """Run one exact suite; samples are independent, so ``workers > 1`` farms
     them out to a process pool and a single collector assembles the report
     (identical output regardless of worker count)."""
-    if suite not in _SUITE_EVALS:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    _suite_eval(suite)
     constants_tuple = (
         tuple(format_scalar(c) for c in constants.as_tuple()) if constants else None
     )
@@ -409,54 +442,13 @@ def replay_config(dump):
     """Re-run the suite named in a failure dump on that exact configuration."""
     config = SampleConfig.from_dump(dump)
     suite = dump["suite"]
-    evaluate = _SUITE_EVALS[suite]
-    ok, worst, info = evaluate(config)
+    ok, worst, info = _suite_eval(suite)(config)
     report = SuiteReport(suite=suite, samples=1, passes=1 if ok else 0)
     report.max_residual = worst
     if not ok:
         report.failures.append(config.to_dump(suite, dump.get("sample", 0), "replay"))
     if info:
         report.details["samples"] = {"replay": info}
-    return report
-
-
-# ---------------------------------------------------------------------------
-# The fourth-order Lax identity (library-level suite)
-# ---------------------------------------------------------------------------
-
-def l4_lax_residual_window(chain, n0=0, n1=None):
-    """Window of ``dL/dx + [L, V_{n-1} V_n T^{-2}]`` for the fourth-order
-    operator built from the chain couplings, with the time derivative taken
-    from order-2 jets.  Exactly zero when the chain follows the lattice flow.
-    """
-    if n1 is None:
-        n1 = n0 + chain.period - 1
-    sites = site_array(prolong_gamma_jets(chain, 2).jets)
-    vs, ws = vn_from_gamma(sites, chain.curve), wn_from_gamma(sites, chain.curve)
-    v = lambda n: vs[n % chain.period]
-    w = lambda n: ws[n % chain.period]
-    from .operators import build_l4
-
-    l_full = build_l4(v, w)
-    l_t = l_full.map_coeffs(lambda c: c.derivative() if isinstance(c, Jet) else 0)
-    trunc = lambda c: c.truncate(1) if isinstance(c, Jet) else c
-    l_low = l_full.map_coeffs(trunc)
-    a_op = DifferenceOperator.from_bands({-2: lambda n: trunc(v(n - 1) * v(n))})
-    return lax_residual(l_low, l_t, a_op).window(n0, n1)
-
-
-def run_l4_lax_suite(samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
-                     max_num=DEFAULT_MAX_NUM, max_den=DEFAULT_MAX_DEN):
-    report = SuiteReport(suite="lax-l4", samples=samples, passes=0)
-    for i in range(samples):
-        config = draw_sample(seed, i, max_num, max_den)
-        chain = GammaChain(config.gamma, config.curve)
-        win = l4_lax_residual_window(chain)
-        if win.is_zero():
-            report.passes += 1
-        else:
-            report.max_residual = max(report.max_residual, float(win.max_abs()))
-            report.failures.append(config.to_dump("lax-l4", i))
     return report
 
 

@@ -68,7 +68,6 @@ from laxchain.poly import poly_eval
 from laxchain.verify import (
     draw_sample,
     l4_lax_residual_window,
-    run_l4_lax_suite,
     run_suite,
     rk4_convergence_order,
     trajectory_chain_residual,
@@ -127,7 +126,7 @@ def test_criterion1_chain_residuals_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_criterion2_l4_lax_identity():
-    report = run_l4_lax_suite(samples=SAMPLES, seed=SEED)
+    report = run_suite("lax-l4", samples=SAMPLES, seed=SEED)
     assert report.passed, report.failures
     print(
         f"\nACCEPTANCE 2 PASS: dL/dx + [L, V_(n-1)V_n T^-2] exactly zero "

@@ -119,6 +119,19 @@ def test_simulate_requires_stencil(tmp_path):
     assert code == 2
 
 
+def test_simulate_blowup_names_step_x_and_components(tmp_path, capsys):
+    # |V| ~ F(gamma)/gap^2 is large here, so h = 1e-3 overflows at once
+    code = run_cli(
+        ["simulate", "--flow", "reduced_t2", "--curve", "1/3,-2,5/7",
+         "--gamma=1,2.5,3,5,7.25", "--h", "1e-3",
+         "--csv", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite state at integration step 2 (x = 0.002)" in err
+    assert "in components [0, 2, 3, 4]" in err
+
+
 def test_commutant_sharp(tmp_path):
     out = tmp_path / "commutant.json"
     code = run_cli(

@@ -13,6 +13,7 @@ from laxchain.darboux import (
     darboux_data_static,
     eigenfunction_step,
     factorization_check,
+    lax_window,
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
@@ -22,7 +23,7 @@ from laxchain.darboux import (
 from laxchain.elliptic import exact_curve_point, exact_wp_jet
 from laxchain.errors import DegenerateConfigurationError, PoleError
 from laxchain.flows import GammaChain, dkn_rhs, prolong_gamma_jets, site_array
-from laxchain.operators import DifferenceOperator, build_l4, compose
+from laxchain.operators import DifferenceOperator, build_l4, compose, lax_residual
 from laxchain.scalars import Jet, QuadExt
 
 from conftest import random_chain, random_point_off_chain
@@ -293,18 +294,62 @@ def test_commutator_x_exact_zero(rng, sign):
 
 
 def test_commutator_x_needs_lower_bands(rng):
-    from laxchain.operators import lax_residual
-
     _, data = sample_data(rng)
     d_hi = data.truncated(data.x_order, 0)
-    d_lo = d_hi.truncated(data.x_order - 1, 0)
-    l_hi = transformed_operator(d_hi).operator
-    l_t = l_hi.map_coeffs(lambda c: c.derivative() if isinstance(c, Jet) else 0)
-    l_lo = transformed_operator(d_lo).operator
-    sol = rank2_solution(d_lo)
+    sol = rank2_solution(d_hi.truncated(data.x_order - 1, 0))
     # drop the T^-2 coefficient: the bracket must notice
     c_op = DifferenceOperator.from_bands({-1: sol.b})
-    assert not lax_residual(l_lo, l_t, c_op).window(0, 3).is_zero()
+    l_hi = transformed_operator(d_hi).operator
+    assert not lax_window(l_hi, "x", c_op, 0, 3).is_zero()
+
+
+def _x_cut(c):
+    return c.truncate(c.order - 1) if isinstance(c, Jet) else c
+
+
+def _y_cut(c):
+    if isinstance(c, Jet):
+        return Jet(tuple(inner.truncate(inner.order - 1) for inner in c.coeffs))
+    return c
+
+
+def _x_derivative(c):
+    return c.derivative() if isinstance(c, Jet) else 0
+
+
+def _y_derivative(c):
+    return Jet(tuple(inner.derivative() for inner in c.coeffs)) if isinstance(c, Jet) else 0
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lax_window_truncation_equals_rebuild(rng, axis, sign):
+    """The transformed operator cut by one jet order equals the operator
+    rebuilt from the lower-order configuration (the reference), and so does
+    every bracket ``lax_window`` assembles from it."""
+    for max_num, max_den in ((50, 8), (10**9, 10**6), (50, 8)):
+        chain = random_chain(rng, max_num=max_num, max_den=max_den)
+        z0 = random_point_off_chain(rng, chain, max_num, max_den)
+        wp = exact_wp_jet(chain.curve, z0, order=3, sign=sign)
+        data = darboux_data(prolong_gamma_jets(chain, 3), wp)
+        if axis == "x":
+            d_hi = data.truncated(data.x_order, 0)
+            d_lo = d_hi.truncated(data.x_order - 1, 0)
+            cut, derive = _x_cut, _x_derivative
+            # deficient A (no T^-2 band), so the residual is nonzero
+            a_op = DifferenceOperator.from_bands({-1: rank2_solution(d_lo).b})
+        else:
+            d_hi = data.truncated(0, data.y_order)
+            d_lo = d_hi.truncated(0, data.y_order - 1)
+            cut, derive = _y_cut, _y_derivative
+            a_op = DifferenceOperator.from_bands({0: rank2_solution(d_lo).f})
+        l_hi = transformed_operator(d_hi).operator
+        rebuilt = transformed_operator(d_lo).operator
+        assert l_hi.map_coeffs(cut).window(0, 3) == rebuilt.window(0, 3)
+
+        reference = lax_residual(rebuilt, l_hi.map_coeffs(derive), a_op).window(0, 3)
+        assert not reference.is_zero()
+        assert lax_window(l_hi, axis, a_op, 0, 3) == reference
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -1,4 +1,4 @@
-"""Byte-identity regression for the numeric reports.
+"""Byte-identity regression for the numeric and the exact reports.
 
 ``simulate`` (every flow, period 5, 20 steps) and a short ``elliptic`` run
 must write exactly these bytes: the CSV, the JSON summary (its ``csv`` path
@@ -7,6 +7,10 @@ digests pin the bit-for-bit output of the RK4 stage arithmetic, the
 invariant reports and the number formatting.  A one-ulp change inside a
 right-hand side is mostly absorbed into the state at h = 1e-3; the
 bit-for-bit checks of ``test_flow_arrays.py`` catch those.
+
+The exact reports (``verify`` on default and wide draws, the README
+``darboux`` run and the library-level lax-l4 suite) are pinned the same way:
+every exact value they print is part of the digest.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import io
 import pytest
 
 from laxchain import cli
+from laxchain.verify import report_to_json, run_suite
 
 GAMMA = "--gamma=-0.82,-0.31,0.28,0.77,1.4"
 V = "--v=0.33,-0.93,0.89,-0.4,0.61"
@@ -77,3 +82,34 @@ def report_digests(name, workdir):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_unchanged(name, tmp_path):
     assert report_digests(name, tmp_path) == EXPECTED[name]
+
+
+EXACT_RUNS = {
+    "verify-all": ["verify", "--suite", "all", "--samples", "2", "--seed", "7"],
+    "verify-all-wide": [
+        "verify", "--suite", "all", "--samples", "1", "--seed", "3",
+        "--max-num", "1000000000", "--max-den", "1000000",
+    ],
+    "darboux": ["darboux", "--curve", "1/3,-2,5/7", "--gamma", "1,2,3,5", "--z0", "9/2"],
+}
+
+# Digests of the exact reports as the per-bracket rebuilt-operator code wrote
+# them (lax-l4 from its former stand-alone driver).
+EXACT_EXPECTED = {
+    "verify-all": "5662889fa91dc406e839a0ce4d2b988203443fb5cd4d49f199f2f75e466fbb1c",
+    "verify-all-wide": "5a852d3d6cc03213c875dd220f9d00c159fb5057ead873baa65714b3c36714d7",
+    "darboux": "11ddd7a88bd90b98a0bbb00a0e266f96457f3f96123d7349bb6efe8e7efa5bcb",
+    "lax-l4": "073790661a2d2a0d94860c802b2c672f0f5e4155e51376a046d5cf9850dca70d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_RUNS))
+def test_exact_report_bytes_unchanged(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert cli.main(EXACT_RUNS[name] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXACT_EXPECTED[name]
+
+
+def test_lax_l4_report_bytes_unchanged():
+    text = report_to_json(run_suite("lax-l4", samples=3, seed=17))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_EXPECTED["lax-l4"]

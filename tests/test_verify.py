@@ -16,7 +16,6 @@ from laxchain.verify import (
     report_to_json,
     rk4_convergence_order,
     run_all,
-    run_l4_lax_suite,
     run_suite,
     trajectory_chain_residual,
     wp_convergence_order,
@@ -81,46 +80,40 @@ def test_run_all_and_combined_report():
 
 
 def test_workers_produce_identical_reports():
-    serial = report_to_json(run_suite("factorization", samples=2, seed=4, workers=1))
-    parallel = report_to_json(run_suite("factorization", samples=2, seed=4, workers=2))
-    assert serial == parallel
+    for suite in ("factorization", "lax-l4"):
+        serial = report_to_json(run_suite(suite, samples=2, seed=4, workers=1))
+        parallel = report_to_json(run_suite(suite, samples=2, seed=4, workers=2))
+        assert serial == parallel
 
 
 def test_replay_from_dump():
     cfg = draw_sample(seed=31, index=0)
-    dump = cfg.to_dump("factorization", 0)
-    report = replay_config(dump)
-    assert report.samples == 1 and report.passed
+    for suite in ("factorization", "lax-l4"):
+        report = replay_config(cfg.to_dump(suite, 0))
+        assert report.suite == suite
+        assert report.samples == 1 and report.passed
 
 
 def test_l4_lax_exact(rng):
     for _ in range(4):
         chain = random_chain(rng)
         assert l4_lax_residual_window(chain).is_zero()
-    report = run_l4_lax_suite(samples=3, seed=17)
+    report = run_suite("lax-l4", samples=3, seed=17)
     assert report.passed
 
 
 def test_l4_lax_requires_flow():
-    # a static (frozen-derivative) chain does not satisfy the bracket:
-    # zero out the time derivative by using the residual with jets from a
-    # *different* chain is awkward; instead check a fixed point passes and a
-    # generic nonzero rhs with omitted bracket term fails via max_band_norm
+    # without the V_{n-1} V_n T^{-2} term the bracket cannot cancel dL/dx
+    from laxchain.darboux import lax_window
     from laxchain.flows import prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
-    from laxchain.operators import build_l4, lax_residual, DifferenceOperator
-    from laxchain.scalars import Jet
+    from laxchain.operators import build_l4, DifferenceOperator
 
     chain = GammaChain((1, 2, 3, 5), SpectralCurve.elliptic(0, 0, 0))
     jets = site_array(prolong_gamma_jets(chain, 2).jets)
     vs, ws = vn_from_gamma(jets, chain.curve), wn_from_gamma(jets, chain.curve)
-    v = lambda n: vs[n % 4]
-    w = lambda n: ws[n % 4]
-    l_full = build_l4(v, w)
-    l_t = l_full.map_coeffs(lambda c: c.derivative() if isinstance(c, Jet) else 0)
-    trunc = lambda c: c.truncate(1) if isinstance(c, Jet) else c
-    l_low = l_full.map_coeffs(trunc)
+    l4 = build_l4(lambda n: vs[n % 4], lambda n: ws[n % 4])
     zero_a = DifferenceOperator.from_constant_bands({0: 0})
-    assert not lax_residual(l_low, l_t, zero_a).window(0, 3).is_zero()
+    assert not lax_window(l4, "x", zero_a, 0, 3).is_zero()
 
 
 def test_numeric_convergence_orders():
@@ -143,3 +136,5 @@ def test_trajectory_residual_bounded_by_integration_error():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope", samples=1, seed=1)
+    with pytest.raises(ValueError):
+        replay_config(draw_sample(seed=31, index=0).to_dump("nope", 0))
