@@ -54,7 +54,7 @@ from .spectral import (
     flat_operator,
     sharp_operator,
 )
-from .verify import SUITES, replay_config, report_to_json, run_all, run_suite
+from .verify import SUITES, read_dump, replay_config, report_to_json, run_all, run_suite
 
 __all__ = ["main"]
 
@@ -159,6 +159,10 @@ def _cmd_verify(args):
             with open(args.replay) as fh:
                 dump = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
+            raise ConfigError(f"replay: {err}") from err
+        try:
+            read_dump(dump)
+        except ValueError as err:
             raise ConfigError(f"replay: {err}") from err
         report = replay_config(dump)
         _write_text(args.out, report_to_json(report))

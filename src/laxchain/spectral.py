@@ -19,7 +19,7 @@ least squares / SVD).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, sin
+from math import comb, cos, sin
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "PolynomialBandOperator",
     "QPolynomial",
     "WindowedCommutantResult",
+    "commutant_columns",
     "commutant_solve_exact",
     "commutant_solve_windowed",
     "commutator_polynomial_bands",
@@ -315,16 +316,40 @@ class ExactCommutantResult:
         for j, p in cand.items():
             if abs(j) > m or poly_degree(p) > d:
                 return False
-        cols = [vec(sol.bands) for sol in self.basis]
-        target = vec(cand)
-        # candidate in span <=> appending it does not raise the rank
-        base = [list(col) for col in zip(*cols)] if cols else []
-        rank_before = len(rref(base)[1]) if base else 0
-        extended = [row + [t] for row, t in zip(base, target)] if base else [
-            [t] for t in target
-        ]
-        rank_after = len(rref(extended)[1]) if extended else 0
-        return rank_after == rank_before
+        cols = [vec(sol.bands) for sol in self.basis] + [vec(cand)]
+        # the basis is independent, so the candidate (last column) lies in
+        # its span exactly when that column gets no pivot
+        _, pivots = rref([list(row) for row in zip(*cols)])
+        return len(self.basis) not in pivots
+
+
+def commutant_columns(l_bands, ansatz):
+    """Columns of the exact commutant system, one per unknown ``(j, d)`` of
+    the ansatz in ``(band, degree)`` order: the nonzero coefficients
+    ``{(band, n-power): c}`` of ``[L, n^d T^j]``.
+
+    Uses the closed form ``[L, n^d T^j] = sum_i (L_i(n) (n + i)^d -
+    n^d L_i(n + j)) T^(i + j)``: ``L_i(n) (n + i)^d`` is formed once per
+    band ``i`` and power ``d``, and ``L_i(n + j)`` once per shift ``j``.
+    """
+    degrees = range(ansatz.degree + 1)
+    left = {
+        (i, d): poly_mul(p, tuple(comb(d, e) * i ** (d - e) for e in range(d + 1)))
+        for i, p in l_bands.items()
+        for d in degrees
+    }
+    columns = []
+    for j in range(-ansatz.band_m, ansatz.band_m + 1):
+        shifted = {i: poly_shift_arg(p, j) for i, p in l_bands.items()}
+        for d in degrees:
+            entries = {}
+            for i, p in shifted.items():
+                coeffs = poly_sub(left[i, d], (0,) * d + p)
+                for e, c in enumerate(coeffs):
+                    if c != 0:
+                        entries[(i + j, e)] = c
+            columns.append(entries)
+    return columns
 
 
 def commutant_solve_exact(l_op, ansatz):
@@ -352,18 +377,11 @@ def commutant_solve_exact(l_op, ansatz):
         for j in range(-ansatz.band_m, ansatz.band_m + 1)
         for d in range(ansatz.degree + 1)
     ]
-    columns = []
+    columns = commutant_columns(l_bands, ansatz)
     row_keys = {}
-    for j, d in unknowns:
-        mono = (Fraction(0),) * d + (Fraction(1),)
-        comm = commutator_polynomial_bands(l_bands, {j: mono})
-        entries = {}
-        for k, p in comm.items():
-            for e, c in enumerate(p):
-                if c != 0:
-                    entries[(k, e)] = c
-                    row_keys.setdefault((k, e), len(row_keys))
-        columns.append(entries)
+    for entries in columns:
+        for key in entries:
+            row_keys.setdefault(key, len(row_keys))
 
     matrix = [[Fraction(0)] * len(unknowns) for _ in range(len(row_keys))]
     for col, entries in enumerate(columns):

@@ -50,6 +50,7 @@ __all__ = [
     "SuiteReport",
     "draw_sample",
     "l4_lax_residual_window",
+    "read_dump",
     "replay_config",
     "run_all",
     "run_suite",
@@ -438,10 +439,26 @@ def run_all(
     ]
 
 
+def read_dump(dump):
+    """The suite name and the configuration that a failure dump holds.
+
+    Raises ``ValueError`` naming what is wrong: an unknown suite, a missing
+    field, or a value that is not an exact rational.
+    """
+    try:
+        suite = dump["suite"]
+        _suite_eval(suite)
+        config = SampleConfig.from_dump(dump)
+    except KeyError as err:
+        raise ValueError(f"dump has no field {err}") from err
+    except TypeError as err:
+        raise ValueError(f"malformed dump: {err}") from err
+    return suite, config
+
+
 def replay_config(dump):
     """Re-run the suite named in a failure dump on that exact configuration."""
-    config = SampleConfig.from_dump(dump)
-    suite = dump["suite"]
+    suite, config = read_dump(dump)
     ok, worst, info = _suite_eval(suite)(config)
     report = SuiteReport(suite=suite, samples=1, passes=1 if ok else 0)
     report.max_residual = worst

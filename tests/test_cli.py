@@ -59,6 +59,27 @@ def test_verify_replay(tmp_path):
     assert payload["samples"] == 1 and payload["passes"] == 1
 
 
+
+@pytest.mark.parametrize("damage", ["unknown-suite", "missing-field", "not-an-object"])
+def test_verify_replay_bad_dump_is_config_error(tmp_path, capsys, damage):
+    dump = verify_mod.draw_sample(seed=9, index=1).to_dump("lax-x", 1)
+    if damage == "unknown-suite":
+        dump["suite"] = "nope"
+    elif damage == "missing-field":
+        del dump["curve"]["c1"]
+    else:
+        dump = [dump]
+    dump_path = tmp_path / "dump.json"
+    dump_path.write_text(json.dumps(dump))
+    out = tmp_path / "replay.json"
+    code = run_cli(["verify", "--replay", str(dump_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: replay: ")
+    assert {"unknown-suite": "'nope'", "missing-field": "'c1'"}.get(damage, "") in err
+    assert not out.exists()
+
+
 def test_verify_byte_identical_reports(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "--suite", "chain", "--samples", "2", "--seed", "8"]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,3 +80,84 @@ def test_nullspace_random_membership(rng):
         for v in nullspace(rows):
             for row in rows:
                 assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+def dense_rref(matrix):
+    """Reference: the dense Fraction elimination that every ``rref`` result
+    must reproduce (first nonzero row as pivot, every entry updated)."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def random_sparse_matrix(rng, nrows, ncols, max_num, max_den, density):
+    """Seeded matrix with duplicate, zero and combined rows, and zero columns:
+    rank-deficient whenever it has more than one row."""
+    dead_cols = {c for c in range(ncols) if rng.random() < 0.15}
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))  # duplicate
+        elif kind < 0.25:
+            rows.append([0] * ncols)  # zero row
+        elif len(rows) >= 2 and kind < 0.4:
+            a, b = rng.sample(rows, 2)  # combination of earlier rows
+            f = random_fraction(rng, max_num, max_den)
+            rows.append([x + f * y for x, y in zip(a, b)])
+        else:
+            rows.append([
+                random_fraction(rng, max_num, max_den)
+                if c not in dead_cols and rng.random() < density else 0
+                for c in range(ncols)
+            ])
+    return rows
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (3, 3), (5, 12), (12, 5), (9, 9), (30, 14), (14, 30)]
+
+
+@pytest.mark.parametrize("bounds", [(50, 8), (10**9, 10**6)], ids=["default", "wide"])
+@pytest.mark.parametrize("shape", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])
+def test_rref_matches_dense_reference(shape, bounds):
+    rng = random.Random(str((shape, bounds)))
+    for density in (0.2, 0.5, 1.0):
+        for _ in range(3):
+            m = random_sparse_matrix(rng, *shape, *bounds, density)
+            snapshot = [list(row) for row in m]
+            got = rref(m)
+            assert got == dense_rref(m)
+            assert m == snapshot  # the input is left as it was
+            rows, pivots = got
+            assert len(rows) == len(m)
+            assert all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rref_edge_inputs():
+    assert rref([]) == ([], [])
+    assert rref([[]]) == dense_rref([[]])
+    assert rref([[0, 0], [0, 0]]) == dense_rref([[0, 0], [0, 0]])
+    assert rref([["0", "1/2"], [2, 1.5]]) == dense_rref([["0", "1/2"], [2, 1.5]])

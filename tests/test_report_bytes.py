@@ -9,8 +9,9 @@ right-hand side is mostly absorbed into the state at h = 1e-3; the
 bit-for-bit checks of ``test_flow_arrays.py`` catch those.
 
 The exact reports (``verify`` on default and wide draws, the README
-``darboux`` run and the library-level lax-l4 suite) are pinned the same way:
-every exact value they print is part of the digest.
+``darboux`` run, the library-level lax-l4 suite and the exact ``commutant``
+searches) are pinned the same way: every exact value they print is part of
+the digest.
 """
 
 import contextlib
@@ -91,11 +92,24 @@ EXACT_RUNS = {
         "--max-num", "1000000000", "--max-den", "1000000",
     ],
     "darboux": ["darboux", "--curve", "1/3,-2,5/7", "--gamma", "1,2,3,5", "--z0", "9/2"],
+    "commutant-sharp": ["commutant", "--variant", "sharp", "--band", "3", "--degree", "9"],
+    "commutant-sharp-wide": [
+        "commutant", "--variant", "sharp", "--band", "3", "--degree", "9",
+        "--r=912673,-403518,785021,-640297",
+    ],
+    "commutant-custom": [
+        "commutant", "--variant", "custom", "--band", "2", "--degree", "3",
+        "--bands", '{"1": ["1"], "-1": ["0", "1"], "0": ["1/2", "-3"]}',
+    ],
 }
 
 # Digests of the exact reports as the per-bracket rebuilt-operator code wrote
-# them (lax-l4 from its former stand-alone driver).
+# them (lax-l4 from its former stand-alone driver), and of the commutant
+# reports as the dense Fraction elimination wrote them.
 EXACT_EXPECTED = {
+    "commutant-custom": "cdc8240a4897074f1febad7be0ec5a887184ae3cb353e231203630682a466d07",
+    "commutant-sharp": "c0b944c0cc88f8afbf0d9294dd896485b212c5cd8946d3ea4dc9a4936c5ba38b",
+    "commutant-sharp-wide": "6d703a0b0295608d2a6d3250a9683fd477cf25d44a0aff4d046ce3d84dea1c95",
     "verify-all": "5662889fa91dc406e839a0ce4d2b988203443fb5cd4d49f199f2f75e466fbb1c",
     "verify-all-wide": "5a852d3d6cc03213c875dd220f9d00c159fb5057ead873baa65714b3c36714d7",
     "darboux": "11ddd7a88bd90b98a0bbb00a0e266f96457f3f96123d7349bb6efe8e7efa5bcb",

@@ -14,6 +14,7 @@ from laxchain.spectral import (
     OperatorFamilyParams,
     PolynomialBandOperator,
     QPolynomial,
+    commutant_columns,
     commutant_solve_exact,
     commutant_solve_windowed,
     commutator_polynomial_bands,
@@ -258,6 +259,47 @@ def test_flat_operator_bands():
 # Exact commutant search
 # ---------------------------------------------------------------------------
 
+def reference_columns(l_bands, ansatz):
+    """Commutant system columns from the general band commutator, one
+    monomial ``n^d T^j`` at a time."""
+    columns = []
+    for j in range(-ansatz.band_m, ansatz.band_m + 1):
+        for d in range(ansatz.degree + 1):
+            mono = (Fraction(0),) * d + (Fraction(1),)
+            comm = commutator_polynomial_bands(l_bands, {j: mono})
+            columns.append({
+                (k, e): c for k, p in comm.items() for e, c in enumerate(p) if c != 0
+            })
+    return columns
+
+
+def random_bands(rng, lo, hi, max_degree, max_num, max_den):
+    bands = {}
+    for j in range(lo, hi + 1):
+        if rng.random() < 0.8:
+            degree = rng.randint(0, max_degree)
+            bands[j] = tuple(random_fraction(rng, max_num, max_den) for _ in range(degree + 1))
+    return bands
+
+
+def test_commutant_columns_match_band_commutator(rng):
+    cases = [
+        (sharp_operator(OperatorFamilyParams("sharp", r)).bands, CommutantAnsatz(3, 9))
+        for r in ((0, 0, 0, 1), (3, -2, 5, 4), (912673, -403518, 785021, -640297))
+    ]
+    cases.append(({1: (Fraction(1),), -1: (Fraction(0), Fraction(1))}, CommutantAnsatz(2, 3)))
+    cases.append(({0: (Fraction(7),)}, CommutantAnsatz(0, 0)))
+    for max_num, max_den in ((50, 8), (10**9, 10**6)):
+        for _ in range(4):
+            lo = rng.randint(-3, 1)
+            bands = random_bands(rng, lo, lo + rng.randint(0, 4), 4, max_num, max_den)
+            cases.append((bands, CommutantAnsatz(rng.randint(0, 3), rng.randint(0, 5))))
+    for l_bands, ansatz in cases:
+        columns = commutant_columns(l_bands, ansatz)
+        assert len(columns) == ansatz.unknowns
+        assert columns == reference_columns(l_bands, ansatz)
+
+
 def test_commutant_shift_pair_dimension_three():
     """Brute-force oracle: for L = T + T^-1 every constant-coefficient band
     commutes ([L, T] = [L, T^-1] = [L, I] = 0), so at band 1 / degree 0 the
@@ -281,6 +323,26 @@ def test_commutant_contains_identity_and_l(rng):
     assert res.dimension == 2  # exactly span{I, L} at band 2
     assert res.spans({0: (Fraction(1),)})
     assert res.spans(op.bands)
+
+
+def test_commutant_spans_rejects_non_members():
+    params = OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1)
+    op = sharp_operator(params)
+    res = commutant_solve_exact(op, CommutantAnsatz(2, 6))
+    # bands the ansatz allows but span{I, L} lacks
+    assert not res.spans({1: (Fraction(1),)})
+    assert not res.spans({2: (Fraction(1),)})
+    assert not res.spans({0: (Fraction(0), Fraction(1))})
+    assert not res.spans({**op.bands, 1: (Fraction(1),)})
+    assert res.spans({j: tuple(3 * c for c in p) for j, p in op.bands.items()})
+    assert res.spans({})
+    # outside the ansatz altogether
+    assert not res.spans({3: (Fraction(1),)})
+
+    tt = {1: (Fraction(1),), -1: (Fraction(1),)}
+    res = commutant_solve_exact(tt, CommutantAnsatz(1, 1))
+    assert res.spans({1: (Fraction(2),), 0: (Fraction(-1),)})
+    assert not res.spans({0: (Fraction(0), Fraction(1))})  # [L, n] != 0
 
 
 def test_commutant_sharp_band3_partner():
