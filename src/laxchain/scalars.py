@@ -12,9 +12,25 @@ simulation.  Three kinds of scalars are used:
   through arithmetic by the Leibniz rule.  Jets nest: a jet whose coefficients
   are jets in a second variable carries mixed partial derivatives.
 
-All values are immutable after construction and safe to share between threads.
+Most components in the nested jets are exact zeros (an embedded rational has
+``b == 0``; padded derivatives vanish), so the kernels skip them.  Only
+*exact* zeros are skipped: a Fraction 0, and a QuadExt or Jet built from
+Fraction zeros.  A skipped Fraction product yields ``Fraction(0)`` and a
+skipped sum passes the other Fraction through -- the value and the type the
+full formula would give.  Between two jets, terms are skipped only when every
+leaf of both is a Fraction and their coefficients share one *kind*
+(``Fraction``, a QuadExt discriminant, or a jet order over a kind), so a
+skipped term cannot change a result's type: a zero QuadExt slot stays a
+QuadExt and every formatted report is unchanged.  Anything holding a float,
+an int component or mixed kinds takes the full formulas, so floats keep
+their IEEE semantics (``-0.0``, ``inf``, ``nan``) bit for bit.
+
+All values are immutable after construction and safe to share between
+threads; a jet's cached zero pattern is a function of its coefficients, so
+concurrent fills agree.
 """
 
+import operator
 from fractions import Fraction
 from math import comb, isqrt, sqrt
 
@@ -59,6 +75,56 @@ def is_rational_square(q):
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
+# Exact zero that a skipped Fraction product or quotient returns: equal to,
+# and of the same type as, the product it stands for.  The zero tests below
+# read the Fraction's own ``_numerator`` slot, which skips the ``numerator``
+# property and ``Fraction.__bool__``.
+_ZERO = Fraction(0)
+
+
+def _is_zero(x):
+    """``x == 0`` with a cheap test for Fractions (the common leaf)."""
+    return not x._numerator if type(x) is Fraction else x == 0
+
+
+def _add(x, y):
+    """``x + y``; a Fraction zero passes the other Fraction through."""
+    if type(x) is Fraction and type(y) is Fraction:
+        if not x._numerator:
+            return y
+        if not y._numerator:
+            return x
+    return x + y
+
+
+def _sub(x, y):
+    """``x - y``; a Fraction zero on either side skips the subtraction."""
+    if type(x) is Fraction and type(y) is Fraction:
+        if not y._numerator:
+            return x
+        if not x._numerator:
+            return -y
+    return x - y
+
+
+def _mul(x, y):
+    """``x * y``; a Fraction zero on either side gives the Fraction zero."""
+    if type(x) is Fraction and type(y) is Fraction and not (x._numerator and y._numerator):
+        return _ZERO
+    return x * y
+
+
+def _div(x, y):
+    """``x / y`` for a nonzero ``y``; a Fraction zero over a Fraction stays zero."""
+    if type(x) is Fraction and type(y) is Fraction and not x._numerator:
+        return _ZERO
+    return x / y
+
+
+def _neg(x):
+    return x if type(x) is Fraction and not x._numerator else -x
+
+
 class QuadExt:
     """``a + b*w`` with ``w**2 = disc`` over any base field.
 
@@ -68,90 +134,124 @@ class QuadExt:
     the base field; callers that need that guarantee should sample
     discriminants accordingly (see :func:`is_rational_square`).  No
     simplification is attempted when ``disc`` happens to be a square.
+
+    A base-field operand (int, Fraction, float) acts on the components
+    directly.  Terms with a Fraction-zero factor are skipped (see the module
+    docstring); an element with ``b == 0`` equals, and hashes as, ``a``.
     """
 
     __slots__ = ("a", "b", "disc")
 
     def __init__(self, a, b, disc):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "disc", disc)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_disc(self, disc)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
-    def _lift(self, other):
-        if isinstance(other, QuadExt):
-            if other.disc != self.disc:
-                raise ValueError(
-                    f"mixing quadratic extensions with different discriminants "
-                    f"({self.disc} vs {other.disc})"
-                )
-            return other
-        if isinstance(other, (int, Fraction, float)):
-            return QuadExt(other, 0, self.disc)
-        return None
+    def _check_disc(self, other):
+        if other.disc is not self.disc and other.disc != self.disc:
+            raise ValueError(
+                f"mixing quadratic extensions with different discriminants "
+                f"({self.disc} vs {other.disc})"
+            )
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.disc)
+        if isinstance(other, QuadExt):
+            self._check_disc(other)
+            return QuadExt(_add(self.a, other.a), _add(self.b, other.b), self.disc)
+        if isinstance(other, (int, Fraction, float)):
+            b = self.b
+            return QuadExt(
+                _add(self.a, other), b if type(b) in _EXACT else b + 0, self.disc
+            )
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.disc)
+        if isinstance(other, QuadExt):
+            self._check_disc(other)
+            return QuadExt(_sub(self.a, other.a), _sub(self.b, other.b), self.disc)
+        if isinstance(other, (int, Fraction, float)):
+            b = self.b
+            return QuadExt(
+                _sub(self.a, other), b if type(b) in _EXACT else b - 0, self.disc
+            )
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.disc)
+        if isinstance(other, (int, Fraction, float)):
+            b = self.b
+            return QuadExt(
+                _sub(other, self.a), _neg(b) if type(b) in _EXACT else 0 - b, self.disc
+            )
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        # zero components are the common case (embedded base-field values)
-        if self.b == 0:
-            return QuadExt(self.a * o.a, self.a * o.b, self.disc)
-        if o.b == 0:
-            return QuadExt(self.a * o.a, self.b * o.a, self.disc)
-        return QuadExt(
-            self.a * o.a + self.disc * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-            self.disc,
-        )
+        a, b = self.a, self.b
+        if isinstance(other, QuadExt):
+            self._check_disc(other)
+            c, d = other.a, other.b
+            # zero components are the common case (embedded base-field values)
+            if _is_zero(b):
+                return QuadExt(_mul(a, c), _mul(a, d), self.disc)
+            if _is_zero(d):
+                return QuadExt(_mul(a, c), _mul(b, c), self.disc)
+            return QuadExt(
+                _add(_mul(a, c), self.disc * b * d),
+                _add(_mul(a, d), _mul(b, c)),
+                self.disc,
+            )
+        if isinstance(other, (int, Fraction, float)):
+            if _is_zero(b):
+                return QuadExt(
+                    _mul(a, other), _ZERO if type(a) is Fraction else a * 0, self.disc
+                )
+            return QuadExt(_mul(a, other), _mul(b, other), self.disc)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, QuadExt):
+            self._check_disc(other)
+            c, d = other.a, other.b
+        elif isinstance(other, (int, Fraction, float)):
+            c, d = other, 0
+        else:
             return NotImplemented
-        nrm = o.a * o.a - self.disc * o.b * o.b
+        a, b, disc = self.a, self.b, self.disc
+        if (type(a) is Fraction and type(b) is Fraction and type(disc) is Fraction
+                and type(c) in _EXACT and type(d) in _EXACT):
+            # (a + b w)/c = a/c + (b/c) w;  (a + b w)/(d w) = b/d + (a/(disc d)) w
+            if not d:
+                if not c:
+                    raise ZeroDivisionError(_ZERO_DIVISOR)
+                return QuadExt(_div(a, c), _div(b, c), disc)
+            if not c:
+                if not disc:
+                    raise ZeroDivisionError(_ZERO_DIVISOR)
+                return QuadExt(_div(b, d), _div(a, disc * d), disc)
+        nrm = c * c - disc * d * d
         if nrm == 0:
-            raise ZeroDivisionError(
-                "division by a zero divisor in the quadratic extension"
+            raise ZeroDivisionError(_ZERO_DIVISOR)
+        if _is_zero(a) or _is_zero(b):
+            return QuadExt(
+                _div(_sub(_mul(a, c), _mul(_mul(disc, b), d)), nrm),
+                _div(_sub(_mul(b, c), _mul(a, d)), nrm),
+                disc,
             )
-        return QuadExt(
-            (self.a * o.a - self.disc * self.b * o.b) / nrm,
-            (self.b * o.a - self.a * o.b) / nrm,
-            self.disc,
-        )
+        return QuadExt((a * c - disc * b * d) / nrm, (b * c - a * d) / nrm, disc)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, (int, Fraction, float)):
+            return QuadExt(other, 0, self.disc) / self
+        return NotImplemented
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.disc)
+        return QuadExt(_neg(self.a), _neg(self.b), self.disc)
 
     def __pos__(self):
         return self
@@ -184,6 +284,9 @@ class QuadExt:
         return NotImplemented
 
     def __hash__(self):
+        # an embedded base-field value equals its base value, so hashes as it
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b, self.disc))
 
     def __bool__(self):
@@ -196,6 +299,36 @@ class QuadExt:
         return format_scalar(self)
 
 
+_set_a = QuadExt.a.__set__
+_set_b = QuadExt.b.__set__
+_set_disc = QuadExt.disc.__set__
+_EXACT = (int, Fraction)
+_ZERO_DIVISOR = "division by a zero divisor in the quadratic extension"
+
+
+def _kind_zero(x):
+    """``(kind, is_zero)`` of a scalar whose leaves are all Fractions, else None.
+
+    The kind is ``Fraction``, a QuadExt's discriminant, or ``(order, kind)``
+    of a jet whose coefficients share one kind.  Two operands of one kind
+    combine to that kind, so a skipped zero term cannot change a result's type.
+    """
+    t = type(x)
+    if t is Jet:
+        shape = x._shape
+        if shape is None:
+            shape = x._scan()
+        return (shape[0], not shape[1]) if shape else None
+    if t is QuadExt:
+        a, b, disc = x.a, x.b, x.disc
+        if type(a) is Fraction and type(b) is Fraction and type(disc) is Fraction:
+            return disc, not (a._numerator or b._numerator)
+        return None
+    if t is Fraction:
+        return Fraction, not x._numerator
+    return None
+
+
 class Jet:
     """Truncated Taylor jet: ``coeffs = (f, f', ..., f^(K))``.
 
@@ -204,17 +337,53 @@ class Jet:
     Arithmetic between jets demands equal orders -- mixing orders is almost
     always a bug, so it raises instead of silently truncating.  Non-jet
     operands are treated as constants.
+
+    Between two jets of one exact kind (see the module docstring) the Leibniz
+    sums skip every term with an exact-zero factor and every binomial that is
+    1, and sums pass a coefficient through when the other one is zero.  The
+    zero pattern is scanned on first use and cached on the jet (``_shape``:
+    ``((order, kind), nonzero indices)``, or False when the jet holds a
+    float or mixes kinds); results of skipping operations carry theirs.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_shape")
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        _set_coeffs(self, tuple(coeffs))
+        _set_shape(self, None)
         if not self.coeffs:
             raise ValueError("a jet needs at least a value coefficient")
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
+
+    def _scan(self):
+        kind = None
+        nonzero = []
+        for i, c in enumerate(self.coeffs):
+            kz = _kind_zero(c)
+            if kz is None or (i and kz[0] is not kind and kz[0] != kind):
+                shape = False
+                break
+            kind = kz[0]
+            if not kz[1]:
+                nonzero.append(i)
+        else:
+            shape = ((len(self.coeffs) - 1, kind), tuple(nonzero))
+        _set_shape(self, shape)
+        return shape
+
+    def _shapes(self, other):
+        """Shapes of both jets when they share an exact kind, else None."""
+        sa = self._shape
+        if sa is None:
+            sa = self._scan()
+        sb = other._shape
+        if sb is None:
+            sb = other._scan()
+        if sa and sb and (sa[0] is sb[0] or sa[0] == sb[0]):
+            return sa, sb
+        return None
 
     @property
     def order(self):
@@ -248,72 +417,114 @@ class Jet:
             raise ValueError(f"cannot extend a jet of order {self.order} to {order}")
         return Jet(self.coeffs[: order + 1])
 
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise ValueError(
-                    f"jet order mismatch: {self.order} vs {other.order}"
-                )
-            return other
-        return Jet.constant(other, self.order)
+    def _check_order(self, other):
+        if len(other.coeffs) != len(self.coeffs):
+            raise ValueError(f"jet order mismatch: {self.order} vs {other.order}")
+
+    def _zip(self, other, op, negate):
+        """Coefficient-wise ``op``: a zero in ``other`` passes ``a_i`` through,
+        a zero in ``self`` passes ``b_i`` (negated for a difference)."""
+        self._check_order(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return _jet((op(a[0], b[0]),))
+        shapes = self._shapes(other)
+        if shapes is None:
+            return _jet(tuple(map(op, a, b)))
+        (kind, nza), (_, nzb) = shapes
+        out = tuple(
+            a[i] if i not in nzb
+            else op(a[i], b[i]) if i in nza
+            else -b[i] if negate else b[i]
+            for i in range(len(a))
+        )
+        return _jet(out, (kind, _union(nza, nzb)))
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             # constants only touch the value coefficient
             return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
-        o = self._lift(other)
-        return Jet(tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+        return self._zip(other, operator.add, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
             return Jet((self.coeffs[0] - other,) + self.coeffs[1:])
-        o = self._lift(other)
-        return Jet(tuple(x - y for x, y in zip(self.coeffs, o.coeffs)))
+        return self._zip(other, operator.sub, True)
 
     def __rsub__(self, other):
         if not isinstance(other, Jet):
             return Jet((other - self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
-        o = self._lift(other)
-        return Jet(tuple(y - x for x, y in zip(self.coeffs, o.coeffs)))
+        self._check_order(other)
+        return other - self
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             # constants have no derivatives: Leibniz collapses to a scale
             return Jet(tuple(c * other for c in self.coeffs))
-        o = self._lift(other)
-        a, b = self.coeffs, o.coeffs
+        self._check_order(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return _jet((a[0] * b[0],))
+        shapes = self._shapes(other)
+        if shapes is None:
+            return _jet(_leibniz_dense(a, b))
+        (kind, nza), (_, nzb) = shapes
         out = []
+        nonzero = []
         for k in range(len(a)):
-            term = a[0] * b[k]
-            for j in range(1, k + 1):
-                term = term + comb(k, j) * (a[j] * b[k - j])
+            term = None
+            for j in nza:
+                if j > k:
+                    break
+                if k - j in nzb:
+                    p = _term(k, j, a[j], b[k - j])
+                    term = p if term is None else term + p
+            if term is None:
+                # every term has a zero factor: the coefficient is that zero
+                term = b[k] if 0 in nza else a[0]
+            else:
+                nonzero.append(k)
             out.append(term)
-        return Jet(out)
+        return _jet(tuple(out), (kind, tuple(nonzero)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             return Jet(tuple(c / other for c in self.coeffs))
-        o = self._lift(other)
-        if o.coeffs[0] == 0:
+        self._check_order(other)
+        a, b = self.coeffs, other.coeffs
+        if b[0] == 0:
             raise ZeroDivisionError("division by a jet with zero value coefficient")
-        a, b = self.coeffs, o.coeffs
+        if len(a) == 1:
+            return _jet((a[0] / b[0],))
+        shapes = self._shapes(other)
+        if shapes is None:
+            return _jet(_quotient_dense(a, b))
+        (kind, nza), (_, nzb) = shapes
+        # h[0] is always formed, so a zero divisor raises as before
         h = [a[0] / b[0]]
+        nonzero = [0] if 0 in nza else []
         for k in range(1, len(a)):
-            acc = a[k]
-            for j in range(k):
-                acc = acc - comb(k, j) * (h[j] * b[k - j])
-            h.append(acc / b[0])
-        return Jet(h)
+            acc = a[k] if k in nza else None
+            for j in nonzero:
+                if k - j in nzb:
+                    p = _term(k, j, h[j], b[k - j])
+                    acc = -p if acc is None else acc - p
+            if acc is None:
+                h.append(a[k])  # a zero of the shared kind
+            else:
+                h.append(acc / b[0])
+                nonzero.append(k)
+        return _jet(tuple(h), (kind, tuple(nonzero)))
 
     def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
+        return Jet.constant(other, self.order) / self
 
     def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs))
+        return _jet(tuple(-c for c in self.coeffs), self._shape)
 
     def __pos__(self):
         return self
@@ -321,10 +532,18 @@ class Jet:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = Jet.constant(self.coeffs[0] * 0 + 1, self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if exponent == 0:
+            return Jet.constant(self.coeffs[0] * 0 + 1, self.order)
+        # binary powering from self: x**2 is one product
+        result = None
+        base = self
+        while True:
+            if exponent & 1:
+                result = base if result is None else base * result
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, Jet):
@@ -334,6 +553,9 @@ class Jet:
         return all(c == 0 for c in self.coeffs[1:])
 
     def __hash__(self):
+        # a constant jet equals its value, so hashes as it
+        if all(c == 0 for c in self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __bool__(self):
@@ -342,6 +564,50 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({list(self.coeffs)!r})"
+
+
+_set_coeffs = Jet.coeffs.__set__
+_set_shape = Jet._shape.__set__
+_new = object.__new__
+
+
+def _jet(coeffs, shape=None):
+    """Jet from a nonempty tuple, with its shape when the caller knows it."""
+    jet = _new(Jet)
+    _set_coeffs(jet, coeffs)
+    _set_shape(jet, shape)
+    return jet
+
+
+def _term(k, j, x, y):
+    """Leibniz term ``comb(k, j) * (x * y)``, without multiplying by a binomial of 1."""
+    p = x * y
+    c = comb(k, j)
+    return p if c == 1 else c * p
+
+
+def _union(nza, nzb):
+    return nza if nza == nzb else tuple(sorted(set(nza) | set(nzb)))
+
+
+def _leibniz_dense(a, b):
+    out = []
+    for k in range(len(a)):
+        term = a[0] * b[k]
+        for j in range(1, k + 1):
+            term = term + comb(k, j) * (a[j] * b[k - j])
+        out.append(term)
+    return tuple(out)
+
+
+def _quotient_dense(a, b):
+    h = [a[0] / b[0]]
+    for k in range(1, len(a)):
+        acc = a[k]
+        for j in range(k):
+            acc = acc - comb(k, j) * (h[j] * b[k - j])
+        h.append(acc / b[0])
+    return tuple(h)
 
 
 def scalar_value(x):

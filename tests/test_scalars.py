@@ -1,4 +1,9 @@
+import math
+import operator
+import random
+import struct
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -234,3 +239,374 @@ def test_degeneracy_guard():
     assert not is_degenerate_pair(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
     assert is_degenerate_pair(1.0, 1.0 + 1e-16)
     assert not is_degenerate_pair(1.0, 1.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Zero-skipping kernels against the dense formulas
+# ---------------------------------------------------------------------------
+#
+# ``ref_*`` transcribe the QuadExt and Jet arithmetic as it was before the
+# kernels learned to skip exact zeros: every Leibniz term is formed, every
+# binomial multiplied, and base-field operands are lifted to QuadExt(x, 0).
+# They follow Python's operator dispatch (left operand first, reflected
+# methods of QuadExt and Jet computing with themselves on the left) and
+# recurse through jet coefficients, so no level uses the kernels under test.
+
+def _ref_lift_quad(q, other):
+    if isinstance(other, QuadExt):
+        if other.disc != q.disc:
+            raise ValueError("mixing quadratic extensions with different discriminants")
+        return other
+    return QuadExt(other, 0, q.disc)
+
+
+def _ref_quad_add(q, other):
+    o = _ref_lift_quad(q, other)
+    return QuadExt(q.a + o.a, q.b + o.b, q.disc)
+
+
+def _ref_quad_sub(q, other):
+    o = _ref_lift_quad(q, other)
+    return QuadExt(q.a - o.a, q.b - o.b, q.disc)
+
+
+def _ref_quad_mul(q, other):
+    o = _ref_lift_quad(q, other)
+    if q.b == 0:
+        return QuadExt(q.a * o.a, q.a * o.b, q.disc)
+    if o.b == 0:
+        return QuadExt(q.a * o.a, q.b * o.a, q.disc)
+    return QuadExt(q.a * o.a + q.disc * q.b * o.b, q.a * o.b + q.b * o.a, q.disc)
+
+
+def _ref_quad_div(q, other):
+    o = _ref_lift_quad(q, other)
+    nrm = o.a * o.a - q.disc * o.b * o.b
+    if nrm == 0:
+        raise ZeroDivisionError("division by a zero divisor in the quadratic extension")
+    return QuadExt(
+        (q.a * o.a - q.disc * q.b * o.b) / nrm, (q.b * o.a - q.a * o.b) / nrm, q.disc
+    )
+
+
+def _ref_jet_lift(j, other):
+    if isinstance(other, Jet):
+        if other.order != j.order:
+            raise ValueError("jet order mismatch")
+        return other
+    zero = ref_mul(other, 0)
+    return Jet((other,) + (zero,) * j.order)
+
+
+def _ref_jet_mul(j, other):
+    if not isinstance(other, Jet):
+        return Jet(tuple(ref_mul(c, other) for c in j.coeffs))
+    a, b = j.coeffs, _ref_jet_lift(j, other).coeffs
+    out = []
+    for k in range(len(a)):
+        term = ref_mul(a[0], b[k])
+        for j_ in range(1, k + 1):
+            term = ref_add(term, ref_mul(comb(k, j_), ref_mul(a[j_], b[k - j_])))
+        out.append(term)
+    return Jet(out)
+
+
+def _ref_jet_div(j, other):
+    if not isinstance(other, Jet):
+        return Jet(tuple(ref_div(c, other) for c in j.coeffs))
+    a, b = j.coeffs, _ref_jet_lift(j, other).coeffs
+    if b[0] == 0:
+        raise ZeroDivisionError("division by a jet with zero value coefficient")
+    h = [ref_div(a[0], b[0])]
+    for k in range(1, len(a)):
+        acc = a[k]
+        for j_ in range(k):
+            acc = ref_sub(acc, ref_mul(comb(k, j_), ref_mul(h[j_], b[k - j_])))
+        h.append(ref_div(acc, b[0]))
+    return Jet(h)
+
+
+def ref_neg(x):
+    if isinstance(x, Jet):
+        return Jet(tuple(ref_neg(c) for c in x.coeffs))
+    if isinstance(x, QuadExt):
+        return QuadExt(-x.a, -x.b, x.disc)
+    return -x
+
+
+def ref_add(x, y):
+    if isinstance(x, Jet):
+        if not isinstance(y, Jet):
+            return Jet((ref_add(x.coeffs[0], y),) + x.coeffs[1:])
+        b = _ref_jet_lift(x, y).coeffs
+        return Jet(tuple(ref_add(p, q) for p, q in zip(x.coeffs, b)))
+    if isinstance(y, Jet):
+        return ref_add(y, x)
+    if isinstance(x, QuadExt):
+        return _ref_quad_add(x, y)
+    if isinstance(y, QuadExt):
+        return _ref_quad_add(y, x)
+    return x + y
+
+
+def ref_sub(x, y):
+    if isinstance(x, Jet):
+        if not isinstance(y, Jet):
+            return Jet((ref_sub(x.coeffs[0], y),) + x.coeffs[1:])
+        b = _ref_jet_lift(x, y).coeffs
+        return Jet(tuple(ref_sub(p, q) for p, q in zip(x.coeffs, b)))
+    if isinstance(y, Jet):
+        return Jet((ref_sub(x, y.coeffs[0]),) + tuple(ref_neg(c) for c in y.coeffs[1:]))
+    if isinstance(x, QuadExt):
+        return _ref_quad_sub(x, y)
+    if isinstance(y, QuadExt):
+        o = _ref_lift_quad(y, x)
+        return QuadExt(o.a - y.a, o.b - y.b, y.disc)
+    return x - y
+
+
+def ref_mul(x, y):
+    if isinstance(x, Jet):
+        return _ref_jet_mul(x, y)
+    if isinstance(y, Jet):
+        return _ref_jet_mul(y, x)
+    if isinstance(x, QuadExt):
+        return _ref_quad_mul(x, y)
+    if isinstance(y, QuadExt):
+        return _ref_quad_mul(y, x)
+    return x * y
+
+
+def ref_div(x, y):
+    if isinstance(x, Jet):
+        return _ref_jet_div(x, y)
+    if isinstance(y, Jet):
+        return _ref_jet_div(_ref_jet_lift(y, x), y)
+    if isinstance(x, QuadExt):
+        return _ref_quad_div(x, y)
+    if isinstance(y, QuadExt):
+        return _ref_quad_div(_ref_lift_quad(y, x), y)
+    return x / y
+
+
+OPS = {
+    "+": (operator.add, ref_add),
+    "-": (operator.sub, ref_sub),
+    "*": (operator.mul, ref_mul),
+    "/": (operator.truediv, ref_div),
+}
+
+
+def deep_key(x):
+    """Type and value of every component; floats by their bits.
+
+    Python leaves the sign and payload of a NaN unspecified (CPython's
+    specialised float instructions can return either operand's NaN, so one
+    expression run twice may differ), so every NaN keys as ``nan``.
+    """
+    if isinstance(x, Jet):
+        return ("Jet", tuple(deep_key(c) for c in x.coeffs))
+    if isinstance(x, QuadExt):
+        return ("QuadExt", deep_key(x.a), deep_key(x.b), deep_key(x.disc))
+    if isinstance(x, float):
+        return ("float", "nan" if x != x else struct.pack("<d", x))
+    return (type(x).__name__, x)
+
+
+def outcome(fn, x, y):
+    try:
+        return fn(x, y)
+    except (ZeroDivisionError, ValueError) as err:
+        return type(err)
+
+
+def assert_same(got, want, context):
+    if isinstance(want, type):
+        assert got is want, context
+        return
+    assert deep_key(got) == deep_key(want), context
+    assert format_scalar(got) == format_scalar(want), context
+
+
+def sparse_fraction(rng, zero_rate, wide=False):
+    if rng.random() < zero_rate:
+        return Fraction(0)
+    if wide:
+        return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+    return Fraction(rng.randint(-1000, 1000), rng.randint(1, 8))
+
+
+def sparse_quad(rng, disc, zero_rate, wide=False):
+    return QuadExt(
+        sparse_fraction(rng, zero_rate, wide), sparse_fraction(rng, zero_rate, wide), disc
+    )
+
+
+def sparse_jet(rng, orders, leaf, zero_rate):
+    """Jet_x(Jet_y(...(leaf))) with whole coefficients zeroed at random."""
+    if not orders:
+        return leaf()
+    order, inner = orders[0], orders[1:]
+
+    def coeff():
+        c = sparse_jet(rng, inner, leaf, zero_rate)
+        return c * 0 if rng.random() < zero_rate else c
+
+    return Jet(tuple(coeff() for _ in range(order + 1)))
+
+
+def check_all_ops(x, y):
+    for name, (new, ref) in OPS.items():
+        got, want = outcome(new, x, y), outcome(ref, x, y)
+        assert_same(got, want, (name, x, y))
+
+
+DISC = Fraction(-7, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernels_match_dense_formulas_on_nested_jets(seed):
+    rng = random.Random(seed)
+    wide = seed % 2 == 1
+    for orders in ((2, 2), (1, 3), (3, 1), (0, 2), (2, 0), (0, 0), (2,), (3,)):
+        for zero_rate in (0.0, 0.3, 0.6, 0.9, 1.0):
+            leaf = lambda: sparse_quad(rng, DISC, zero_rate, wide)
+            x = sparse_jet(rng, orders, leaf, zero_rate)
+            y = sparse_jet(rng, orders, leaf, zero_rate)
+            check_all_ops(x, y)
+            check_all_ops(x, x)
+            for const in (Fraction(0), Fraction(3, 4), 2, leaf()):
+                check_all_ops(x, const)
+                check_all_ops(const, x)
+
+
+def test_kernels_match_dense_formulas_on_zero_value_coefficients():
+    # every Leibniz term of some coefficient has a zero factor
+    rng = random.Random(11)
+    z = QuadExt(Fraction(0), Fraction(0), DISC)
+    q = lambda: sparse_quad(rng, DISC, 0.0)
+    cases = [
+        (Jet((z, q(), q())), Jet((z, q(), q()))),
+        (Jet((z, z, q())), Jet((q(), z, z))),
+        (Jet((Jet((z, z)), Jet((q(), z)))), Jet((Jet((z, q())), Jet((z, z))))),
+        (Jet((z, q(), z, q())), Jet((q(), z, q(), z))),
+    ]
+    for x, y in cases:
+        check_all_ops(x, y)
+        check_all_ops(y, x)
+    prod = cases[0][0] * cases[0][1]
+    assert prod.coeffs[0] == 0 and prod.coeffs[1] == 0
+    assert isinstance(prod.coeffs[1], QuadExt)
+
+
+def test_kernels_match_dense_formulas_on_mixed_coefficients():
+    rng = random.Random(5)
+    for _ in range(60):
+        def leaf():
+            r = rng.random()
+            if r < 0.3:
+                return sparse_fraction(rng, 0.4)
+            if r < 0.4:
+                return rng.choice((0, 1, -3))
+            return sparse_quad(rng, DISC, 0.4)
+
+        order = rng.randint(0, 3)
+        x = Jet(tuple(leaf() for _ in range(order + 1)))
+        y = Jet(tuple(leaf() for _ in range(order + 1)))
+        check_all_ops(x, y)
+        check_all_ops(leaf(), leaf())
+        # int components and int discriminants
+        ix = QuadExt(rng.randint(-3, 3), rng.randint(-1, 1), rng.choice((5, DISC)))
+        check_all_ops(ix, leaf())
+        check_all_ops(leaf(), ix)
+        nested = Jet((Jet((leaf(), leaf())), Jet((leaf(), leaf()))))
+        check_all_ops(nested, nested * 0)
+        check_all_ops(nested, Jet((Jet((leaf(), leaf())), Jet((leaf(), leaf())))))
+
+
+FLOATS = (0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 1e308)
+
+
+def test_kernels_match_dense_formulas_bit_for_bit_on_floats():
+    rng = random.Random(3)
+
+    def leaf():
+        r = rng.random()
+        if r < 0.6:
+            return rng.choice(FLOATS)
+        if r < 0.8:
+            return rng.choice((0, Fraction(0), Fraction(1, 3)))
+        return QuadExt(rng.choice(FLOATS), rng.choice(FLOATS + (0, Fraction(0))), DISC)
+
+    for _ in range(300):
+        check_all_ops(leaf(), leaf())
+        order = rng.randint(0, 2)
+        x = Jet(tuple(leaf() for _ in range(order + 1)))
+        y = Jet(tuple(leaf() for _ in range(order + 1)))
+        check_all_ops(x, y)
+        check_all_ops(x, leaf())
+        q = QuadExt(rng.choice(FLOATS), rng.choice(FLOATS), rng.choice((DISC, 2.0)))
+        check_all_ops(q, leaf())
+        check_all_ops(q, QuadExt(rng.choice(FLOATS), rng.choice((0, Fraction(0), 0.0)), q.disc))
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3,), (1, 1), (0, 0)])
+def test_jet_power_equals_repeated_multiplication(orders):
+    rng = random.Random(sum(orders))
+    leaf = lambda: sparse_quad(rng, DISC, 0.3)
+    for zero_rate in (0.0, 0.5):
+        x = sparse_jet(rng, orders, leaf, zero_rate)
+        product = Jet.constant(x.coeffs[0] * 0 + 1, x.order)
+        for exponent in range(6):
+            assert deep_key(x**exponent) == deep_key(product)
+            product = product * x
+
+
+# ---------------------------------------------------------------------------
+# Equality and hashing
+# ---------------------------------------------------------------------------
+
+DISCS = (Fraction(5), Fraction(-7, 3))
+
+
+@st.composite
+def embedded_scalars(draw):
+    """A base value in one of the representations that compare equal to it."""
+    value = draw(st.one_of(st.integers(-5, 5), rationals, st.sampled_from((0.5, -0.0, 2.0))))
+    wrap = draw(st.sampled_from(("plain", "quad", "jet", "jet-quad", "nested")))
+    disc = draw(st.sampled_from(DISCS))
+    zero = draw(st.sampled_from((0, Fraction(0), 0.0)))
+    if wrap == "plain":
+        return value
+    if wrap == "quad":
+        return QuadExt(value, zero, disc)
+    order = draw(st.integers(0, 2))
+    if wrap == "jet":
+        return Jet((value,) + (zero,) * order)
+    inner = QuadExt(value, zero, disc)
+    if wrap == "jet-quad":
+        return Jet((inner,) + (QuadExt(zero, zero, disc),) * order)
+    return Jet((Jet((inner, QuadExt(zero, zero, disc))),) + (Jet((zero, zero)),) * order)
+
+
+scalars_any = st.one_of(
+    embedded_scalars(),
+    st.builds(QuadExt, rationals, rationals, st.sampled_from(DISCS)),
+    st.builds(lambda cs: Jet(cs), st.lists(rationals, min_size=1, max_size=3)),
+)
+
+
+@given(scalars_any, scalars_any)
+@settings(max_examples=300)
+def test_equal_scalars_hash_equal(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_embedded_values_collapse_in_sets():
+    disc = Fraction(5)
+    three = Fraction(3)
+    assert len({QuadExt(3, 0, disc), three}) == 1
+    assert len({Jet((3, 0)), three, 3}) == 1
+    assert len({Jet((QuadExt(three, Fraction(0), disc), QuadExt(0, 0, disc))), 3}) == 1
+    assert len({QuadExt(three, Fraction(1), disc), three}) == 2
