@@ -72,7 +72,6 @@ from .operators import (
     commutator,
     compose,
     lax_residual,
-    max_band_norm,
 )
 from .scalars import (
     Fraction,

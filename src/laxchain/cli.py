@@ -48,8 +48,10 @@ from .scalars import format_scalar, rational
 from .spectral import (
     CommutantAnsatz,
     OperatorFamilyParams,
+    PolynomialBandOperator,
     commutant_solve_exact,
     commutant_solve_windowed,
+    commutator_polynomial_bands,
     exact_commutator_is_zero,
     flat_operator,
     sharp_operator,
@@ -66,11 +68,11 @@ def _parse_rational(text, field):
         raise ConfigError(f"{field}: not a rational: {text!r}") from err
 
 
-def _parse_rational_list(text, field, expect=None):
+def _parse_list(text, field, expect=None, parse=_parse_rational):
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
     if expect is not None and len(parts) != expect:
         raise ConfigError(f"{field}: expected {expect} comma-separated values, got {len(parts)}")
-    return tuple(_parse_rational(p, f"{field}[{i}]") for i, p in enumerate(parts))
+    return tuple(parse(p, f"{field}[{i}]") for i, p in enumerate(parts))
 
 
 def _parse_float(text, field):
@@ -80,11 +82,21 @@ def _parse_float(text, field):
         raise ConfigError(f"{field}: not a number: {text!r}") from err
 
 
-def _parse_int(text, field):
+def _parse_int(text, field, least=None):
     try:
-        return int(text)
+        value = int(text)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{field}: not an integer: {text!r}") from err
+    if least is not None and value < least:
+        raise ConfigError(f"{field}: must be >= {least}, got {value}")
+    return value
+
+
+def _parse_positive_float(text, field):
+    value = _parse_float(text, field)
+    if not value > 0:
+        raise ConfigError(f"{field}: must be positive, got {text!r}")
+    return value
 
 
 class Settings:
@@ -114,7 +126,7 @@ class Settings:
     def curve(self, section="curve"):
         raw = self.get(section, "curve")
         if raw is not None:
-            coeffs = _parse_rational_list(raw, "curve", expect=3)
+            coeffs = _parse_list(raw, "curve", expect=3)
         else:
             missing = [k for k in ("c2", "c1", "c0") if not self.file.has_option(section, k)]
             if missing:
@@ -132,7 +144,7 @@ class Settings:
         raw = self.get("verify", "constants")
         if raw is None:
             return None
-        vals = _parse_rational_list(raw, "constants", expect=6)
+        vals = _parse_list(raw, "constants", expect=6)
         return SolutionConstants(*vals)
 
 
@@ -169,11 +181,11 @@ def _cmd_verify(args):
         return 0 if report.passed else 1
 
     suite = settings.get("verify", "suite", "all")
-    samples = _parse_int(settings.get("verify", "samples", 20), "samples")
+    samples = _parse_int(settings.get("verify", "samples", 20), "samples", least=1)
     seed = _parse_int(settings.get("verify", "seed", 7), "seed")
-    workers = _parse_int(settings.get("verify", "workers", 1), "workers")
-    max_num = _parse_int(settings.get("verify", "max_num", 1000), "max_num")
-    max_den = _parse_int(settings.get("verify", "max_den", 8), "max_den")
+    workers = _parse_int(settings.get("verify", "workers", 1), "workers", least=1)
+    max_num = _parse_int(settings.get("verify", "max_num", 1000), "max_num", least=1)
+    max_den = _parse_int(settings.get("verify", "max_den", 8), "max_den", least=1)
     constants = settings.constants()
 
     if suite == "all":
@@ -256,15 +268,15 @@ def _cmd_simulate(args):
     flow = settings.get("simulate", "flow", "dkn")
     if flow not in FLOWS:
         raise ConfigError(f"flow: unknown flow {flow!r} (choose from {', '.join(FLOWS)})")
-    h = _parse_float(settings.get("simulate", "h", "1e-3"), "h")
-    steps = _parse_int(settings.get("simulate", "steps", 1000), "steps")
+    h = _parse_positive_float(settings.get("simulate", "h", "1e-3"), "h")
+    steps = _parse_int(settings.get("simulate", "steps", 1000), "steps", least=0)
 
     if flow in ("dkn", "reduced_t2"):
         curve = settings.curve()
         gamma_raw = settings.get("chain", "gamma")
         if gamma_raw is None:
             raise ConfigError("chain.gamma: required for gamma flows")
-        gamma = _parse_rational_list(gamma_raw, "chain.gamma")
+        gamma = _parse_list(gamma_raw, "chain.gamma")
         if len(gamma) < 3:
             raise ConfigError("chain.gamma: the lattice stencil needs period >= 3")
         state = GammaChain(gamma, curve)
@@ -274,8 +286,8 @@ def _cmd_simulate(args):
         if v_raw is None or w_raw is None:
             raise ConfigError("chain.v / chain.w: required for coupled flows")
         state = VWChain(
-            _parse_rational_list(v_raw, "chain.v"),
-            _parse_rational_list(w_raw, "chain.w"),
+            _parse_list(v_raw, "chain.v"),
+            _parse_list(w_raw, "chain.w"),
         )
 
     traj = rk4_integrate(state, flow, h, steps)
@@ -318,42 +330,49 @@ def _cmd_simulate(args):
 # commutant
 # ---------------------------------------------------------------------------
 
+def _exact_commutant(l_op, band, degree, payload):
+    """Solve the exact commutant and add the ``degree``/``dimension``/``basis``
+    entries that the sharp and custom reports share."""
+    result = commutant_solve_exact(l_op, CommutantAnsatz(band_m=band, degree=degree))
+    payload.update(
+        {
+            "degree": degree,
+            "dimension": result.dimension,
+            "basis": [
+                {str(j): [format_scalar(c) for c in p] for j, p in sol.bands.items()}
+                for sol in result.basis
+            ],
+        }
+    )
+    return result
+
+
 def _cmd_commutant(args):
     settings = Settings(args)
     variant = settings.get("commutant", "variant", "sharp")
-    band = _parse_int(settings.get("commutant", "band", 3), "band")
-    degree = _parse_int(settings.get("commutant", "degree", 9), "degree")
+    band = _parse_int(settings.get("commutant", "band", 3), "band", least=0)
+    degree = _parse_int(settings.get("commutant", "degree", 9), "degree", least=0)
     genus = _parse_int(settings.get("commutant", "genus", 1), "genus")
 
     payload = {"variant": variant, "band": band}
     if variant == "sharp":
-        r = _parse_rational_list(settings.get("commutant", "r", "0,0,0,1"), "r", expect=4)
+        r = _parse_list(settings.get("commutant", "r", "0,0,0,1"), "r", expect=4)
         op = sharp_operator(OperatorFamilyParams("sharp", r, genus))
-        ansatz = CommutantAnsatz(band_m=band, degree=degree)
-        result = commutant_solve_exact(op, ansatz)
+        result = _exact_commutant(op, band, degree, payload)
         verified = all(exact_commutator_is_zero(op, x) for x in result.basis)
-        from .operators import commutator, max_band_norm
-
         payload.update(
             {
-                "degree": degree,
-                "dimension": result.dimension,
                 "verified_exact": verified,
-                "basis": [
-                    {
-                        str(j): [format_scalar(c) for c in p]
-                        for j, p in sol.bands.items()
-                    }
-                    for sol in result.basis
-                ],
                 "basis_windows": [
                     sol.window(0, 7).to_json_dict() for sol in result.basis
                 ],
                 "residual_norms": [
                     float(
-                        max_band_norm(
-                            commutator(op.operator, sol.operator), (0, 7)
+                        PolynomialBandOperator(
+                            commutator_polynomial_bands(op.bands, sol.bands)
                         )
+                        .window(0, 7)
+                        .max_abs()
                     )
                     for sol in result.basis
                 ],
@@ -361,10 +380,12 @@ def _cmd_commutant(args):
         )
         ok = result.dimension > 0 and verified
     elif variant == "flat":
-        r = _parse_rational_list(settings.get("commutant", "r", "0,1"), "r", expect=2)
+        r = _parse_list(settings.get("commutant", "r", "0,1"), "r", expect=2)
         op = flat_operator(OperatorFamilyParams("flat", r, genus))
         window = settings.get("commutant", "window", "0,40")
-        n0, n1 = (int(x) for x in _parse_rational_list(window, "window", expect=2))
+        n0, n1 = _parse_list(window, "window", expect=2, parse=_parse_int)
+        if n0 > n1:
+            raise ConfigError(f"window: empty site range {n0},{n1}")
         result = commutant_solve_windowed(op, band, n0, n1)
         payload.update(result.to_json_dict())
         ok = result.nullity > 0
@@ -383,21 +404,7 @@ def _cmd_commutant(args):
             }
         except (ValueError, TypeError) as err:
             raise ConfigError(f"commutant.bands: {err}") from err
-        ansatz = CommutantAnsatz(band_m=band, degree=degree)
-        result = commutant_solve_exact(bands, ansatz)
-        payload.update(
-            {
-                "degree": degree,
-                "dimension": result.dimension,
-                "basis": [
-                    {
-                        str(j): [format_scalar(c) for c in p]
-                        for j, p in sol.bands.items()
-                    }
-                    for sol in result.basis
-                ],
-            }
-        )
+        result = _exact_commutant(bands, band, degree, payload)
         ok = result.dimension > 0
     else:
         raise ConfigError(f"variant: unknown variant {variant!r} (sharp|flat|custom)")
@@ -414,7 +421,9 @@ def _cmd_elliptic(args):
     settings = Settings(args)
     curve = settings.curve()
     y_max = _parse_float(settings.get("elliptic", "y_max", 20.0), "y_max")
-    h = _parse_float(settings.get("elliptic", "h", "1e-3"), "h")
+    if not 0 <= y_max < math.inf:
+        raise ConfigError(f"y_max: must be finite and >= 0, got {y_max}")
+    h = _parse_positive_float(settings.get("elliptic", "h", "1e-3"), "h")
     branch = wp_init_bounded(curve)
     ys, wps, wpps, drift = wp_trajectory(branch, y_max, h)
     out_csv = args.csv or "elliptic.csv"
@@ -436,7 +445,7 @@ def _cmd_darboux(args):
     gamma_raw = settings.get("chain", "gamma")
     if gamma_raw is None:
         raise ConfigError("chain.gamma: required")
-    gamma = _parse_rational_list(gamma_raw, "chain.gamma")
+    gamma = _parse_list(gamma_raw, "chain.gamma")
     z0 = _parse_rational(settings.get("darboux", "z0", "0"), "darboux.z0")
 
     chain = GammaChain(gamma, curve)

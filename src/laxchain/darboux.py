@@ -202,7 +202,9 @@ def darboux_data(jet_chain, wp_jet):
     gamma = tuple(site_jets(raw[n], 0) for n in range(period))
     dgamma = tuple(site_jets(raw[n], 1) for n in range(period))
 
-    zero_y = Jet.constant(embed(base.a * 0 if isinstance(base, QuadExt) else 0.0), y_ord)
+    # the x-padding zero comes from the point's own field, so exact stays exact
+    field = base.a if isinstance(base, QuadExt) else base
+    zero_y = Jet.constant(embed(0.0 if isinstance(field, float) else field * 0), y_ord)
     z0_nested = Jet((Jet(wp_jet.coeffs[: y_ord + 1]),) + (zero_y,) * x_ord)
     w_nested = Jet((Jet(wp_jet.coeffs[1 : y_ord + 2]),) + (zero_y,) * x_ord)
 

@@ -64,13 +64,29 @@ def exact_curve_point(curve, z0, sign=1):
     )
 
 
+def _curve_jet(curve, p, w, lift, order):
+    """The y-jet ``(p, w, F'(p)/2, F''(p) w / 2)`` of ``(p')**2 = F(p)``.
+
+    ``p`` is a base-field value and ``w`` its derivative; ``lift`` maps the
+    base field into the field of ``w``, so one formula serves the exact
+    extension and floats.
+    """
+    coeffs = (
+        lift(p),
+        w,
+        lift(curve.eval_derivative(p, 1)) / 2,
+        lift(curve.eval_derivative(p, 2)) * w / 2,
+    )
+    return Jet(coeffs[: order + 1])
+
+
 def exact_wp_jet(curve, p, order=2, sign=1):
     """Exact y-jet of the Weierstrass-type function at value ``p``.
 
-    Coefficients follow from differentiating the defining ODE:
-    ``(p, w, F'(p)/2, F''(p) w / 2)`` with ``w**2 = F(p)``.  All derivatives
-    are induced, so the jet satisfies the curve relation and its derivative
-    identically in the extension.
+    Coefficients follow from differentiating the defining ODE (see
+    :func:`_curve_jet`) with ``w = sign * sqrt(F(p))`` adjoined formally.
+    All derivatives are induced, so the jet satisfies the curve relation and
+    its derivative identically in the extension.
     """
     if not 0 <= order <= 3:
         raise ValueError(f"jet order must be between 0 and 3, got {order}")
@@ -81,24 +97,12 @@ def exact_wp_jet(curve, p, order=2, sign=1):
         return QuadExt(x, Fraction(0), disc)
 
     w = QuadExt(Fraction(0), Fraction(sign), disc)
-    coeffs = [
-        lift(p),
-        w,
-        lift(curve.eval_derivative(p, 1) / 2),
-        QuadExt(Fraction(0), Fraction(sign) * curve.eval_derivative(p, 2) / 2, disc),
-    ]
-    return Jet(coeffs[: order + 1])
+    return _curve_jet(curve, p, w, lift, order)
 
 
 def wp_jet_numeric(curve, wp, wp_prime, order=3):
     """Float jet at a numeric trajectory point, derivatives from the ODE."""
-    coeffs = [
-        float(wp),
-        float(wp_prime),
-        float(curve.eval_derivative(wp, 1)) / 2.0,
-        float(curve.eval_derivative(wp, 2)) * float(wp_prime) / 2.0,
-    ]
-    return Jet(coeffs[: order + 1])
+    return _curve_jet(curve, wp, float(wp_prime), float, order)
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,8 @@ def rk4_integrate(state, flow, h, steps):
     """
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
     if flow not in FLOWS:
         raise ValueError(f"unknown flow {flow!r}; expected one of {FLOWS}")
 

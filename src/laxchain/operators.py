@@ -22,7 +22,6 @@ __all__ = [
     "commutator",
     "compose",
     "lax_residual",
-    "max_band_norm",
 ]
 
 
@@ -176,14 +175,6 @@ def build_l4(v_provider, w_provider):
     """
     factor = DifferenceOperator.from_bands({1: lambda n: 1, -1: v_provider})
     return compose(factor, factor) + DifferenceOperator.diagonal(w_provider)
-
-
-def max_band_norm(a, window):
-    """Max of ``scalar_abs`` over the band and the site window ``(n0, n1)``."""
-    if isinstance(window, OperatorWindow):
-        return window.max_abs()
-    n0, n1 = window
-    return a.window(n0, n1).max_abs()
 
 
 @dataclass(frozen=True, eq=False)

@@ -184,23 +184,17 @@ class OperatorFamilyParams:
 class PolynomialBandOperator:
     """Difference operator whose band coefficients are polynomials in n.
 
-    Carries both the opaque provider form (for generic operator algebra) and
-    the dense polynomial form (for the exact commutant solver).
+    The band polynomials are the only table: ``coeff``, ``operator`` (the
+    provider form, for generic operator algebra) and ``window`` all read it.
     """
 
-    def __init__(self, bands, operator=None):
+    def __init__(self, bands):
         self.bands = {j: tuple(p) for j, p in bands.items() if not poly_is_zero(p)}
         if not self.bands:
             self.bands = {0: (Fraction(0),)}
         self.lo = min(self.bands)
         self.hi = max(self.bands)
-        if operator is None:
-            operator = DifferenceOperator(
-                self.lo,
-                self.hi,
-                lambda j, n: poly_eval(self.bands.get(j, (Fraction(0),)), n),
-            )
-        self.operator = operator
+        self.operator = DifferenceOperator(self.lo, self.hi, self.coeff)
 
     def coeff(self, j, n):
         return poly_eval(self.bands.get(j, (Fraction(0),)), n)
@@ -233,9 +227,9 @@ def commutator_polynomial_bands(a, b):
 def sharp_operator(params):
     """``(T + p(n) T^{-1})^2 + g(g+1) r3 n`` with cubic ``p``; exact.
 
-    The provider route goes through :func:`build_l4` (composition, not
-    hard-coded bands); the polynomial route composes band polynomials.  The
-    two agree on every window, which the tests pin down.
+    The band polynomials come from composing the first-order factor with
+    itself (not from hard-coded bands); the tests compare them with
+    :func:`build_l4` on windows.
     """
     if params.variant != "sharp":
         raise AnsatzError("sharp_operator needs variant='sharp'")
@@ -244,14 +238,10 @@ def sharp_operator(params):
     p = r  # ascending coefficients of the potential polynomial
     diag = (Fraction(0), Fraction(g * (g + 1)) * r[3])
 
-    op = build_l4(
-        lambda n: poly_eval(p, n),
-        lambda n: poly_eval(diag, n),
-    )
     factor = {1: (Fraction(1),), -1: p}
     bands = compose_polynomial_bands(factor, factor)
     bands[0] = poly_add(bands.get(0, ()), diag)
-    return PolynomialBandOperator(bands, operator=op)
+    return PolynomialBandOperator(bands)
 
 
 def flat_operator(params):
@@ -452,6 +442,11 @@ def commutant_solve_windowed(l_op, band_m, n0, n1, threshold_factor=1e-8):
     value (commutant candidates should be separated by many orders of
     magnitude from the generic spectrum).
     """
+    if band_m < 0 or n0 > n1:
+        raise AnsatzError(
+            f"windowed ansatz needs band_m >= 0 and n0 <= n1, got band_m = "
+            f"{band_m} and window {n0},{n1}"
+        )
     sites = list(range(n0, n1 + 1))
     col_index = {}
     for j in range(-band_m, band_m + 1):

@@ -33,6 +33,7 @@ from .darboux import (
     transformed_operator,
 )
 from .elliptic import exact_wp_jet, wp_init_bounded, wp_integrate, wp_jet_numeric
+from .errors import ConfigError
 from .flows import (
     GammaChain,
     prolong_gamma_jets,
@@ -65,6 +66,10 @@ DEFAULT_SAMPLES = 20
 DEFAULT_SEED = 7
 DEFAULT_MAX_NUM = 1000
 DEFAULT_MAX_DEN = 8
+
+# Rejected draws after which draw_sample gives up on the bounds: at the
+# default bounds a sample is accepted at the first draw nearly always.
+MAX_REJECTED_DRAWS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +149,11 @@ def draw_sample(
     Drawn so that no denominator in any residual can vanish: all four gammas
     pairwise distinct and off the curve's roots, z0 off the chain, F(z0)
     nonzero and not a rational square (so "both components zero" certifies
-    nonzero elements of the extension).
+    nonzero elements of the extension).  Raises :class:`ConfigError` naming
+    the bounds when ``MAX_REJECTED_DRAWS`` draws in a row are rejected.
     """
     rng = _philox(seed, index)
-    while True:
+    for _ in range(MAX_REJECTED_DRAWS):
         curve = SpectralCurve.elliptic(
             _draw_fraction(rng, max_num, max_den),
             _draw_fraction(rng, max_num, max_den),
@@ -170,6 +176,10 @@ def draw_sample(
             z0=z0,
             constants=constants or SolutionConstants.zero(),
         )
+    raise ConfigError(
+        f"no admissible sample in {MAX_REJECTED_DRAWS} draws with numerators "
+        f"<= {max_num} and denominators <= {max_den}; widen the bounds"
+    )
 
 
 # ---------------------------------------------------------------------------

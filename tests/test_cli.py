@@ -99,6 +99,50 @@ def test_malformed_curve_is_config_error(tmp_path, capsys):
     assert "curve" in err
 
 
+VERIFY = ["verify", "--suite", "factorization", "--samples", "1"]
+SIMULATE = ["simulate", "--flow", "dkn", "--curve", "0,-1,0",
+            "--gamma=-0.82,-0.31,0.28,0.77"]
+ELLIPTIC = ["elliptic", "--curve", "0,-1,0"]
+FLAT = ["commutant", "--variant", "flat", "--r", "0,1"]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (VERIFY + ["--samples", "0"], "samples"),
+        (VERIFY + ["--workers", "0"], "workers"),
+        (VERIFY + ["--max-num", "0"], "max_num"),
+        (VERIFY + ["--max-den", "0"], "max_den"),
+        (VERIFY + ["--max-num", "1", "--max-den", "1"], "numerators <= 1"),
+        (SIMULATE + ["--h", "0", "--steps", "5"], "h"),
+        (SIMULATE + ["--h", "1e-3", "--steps", "-2"], "steps"),
+        (ELLIPTIC + ["--h", "0", "--y-max", "1"], "h"),
+        (ELLIPTIC + ["--h", "1e-3", "--y-max", "-1"], "y_max"),
+        (FLAT + ["--band", "3", "--window", "40,0"], "window"),
+        (FLAT + ["--band", "-1", "--window", "0,40"], "band"),
+        (FLAT + ["--band", "3", "--window", "0.5,40"], "window[0]"),
+    ],
+    ids=[
+        "verify-samples-0", "verify-workers-0", "verify-max-num-0",
+        "verify-max-den-0", "verify-no-admissible-draw", "simulate-h-0",
+        "simulate-steps-negative", "elliptic-h-0", "elliptic-y-max-negative",
+        "flat-window-reversed", "flat-band-negative", "flat-window-fraction",
+    ],
+)
+def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):
+    out = tmp_path / "report.json"
+    csv_path = tmp_path / "out.csv"
+    extra = ["--out", str(out)]
+    if args[0] in ("simulate", "elliptic"):
+        extra += ["--csv", str(csv_path)]
+    assert run_cli(args + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists() and not csv_path.exists()
+
+
 def test_simulate_dkn_csv_and_summary(tmp_path):
     csv_path = tmp_path / "traj.csv"
     out = tmp_path / "summary.json"

@@ -58,6 +58,32 @@ def test_data_orders_and_truncation():
     assert cut.gamma_at(0).coeffs[0].coeffs == data.gamma_at(0).coeffs[0].coeffs[:1]
 
 
+def _leaves(x):
+    if isinstance(x, Jet):
+        for c in x.coeffs:
+            yield from _leaves(c)
+    elif isinstance(x, QuadExt):
+        yield from _leaves(x.a)
+        yield from _leaves(x.b)
+    else:
+        yield x
+
+
+def test_rational_curve_point_stays_exact():
+    """A curve-point jet over Q (w**2 = z**3 + 1 at (2, 3)) gives an exact
+    configuration: the x-padding of z0 and w holds Fraction zeros, not 0.0,
+    so the three identities read exactly zero."""
+    curve = SpectralCurve.elliptic(0, 0, 1)
+    chain = GammaChain((0, 1, 3, 5), curve)
+    wp = Jet(tuple(Fraction(c) for c in (2, 3, 6, 18)))
+    data = darboux_data(prolong_gamma_jets(chain, 3), wp)
+    scalars = data.gamma + data.dgamma + (data.z0, data.w)
+    assert all(type(leaf) is Fraction for s in scalars for leaf in _leaves(s))
+    assert commutator_x_check(data).is_zero()
+    assert factorization_check(data.truncated(0, 0)).is_zero()
+    assert commutator_y_check(data, solve_tail_constants(chain)).is_zero()
+
+
 def test_data_rejects_z0_on_chain():
     jets = prolong_gamma_jets(CHAIN, 2)
     wp = exact_wp_jet(CURVE, Fraction(2), order=3)  # collides with gamma_1

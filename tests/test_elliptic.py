@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from laxchain.elliptic import (
 )
 from laxchain.errors import AccuracyError, UnsupportedCurveError
 from laxchain.scalars import QuadExt
+
+from conftest import random_fraction
 
 THREE_ROOTS = SpectralCurve.elliptic(0, -1, 0)  # z^3 - z, roots 1, 0, -1
 
@@ -137,3 +140,74 @@ def test_numeric_jet_matches_ode():
     assert jet.coeffs[1] ** 2 - float(THREE_ROOTS.eval(jet.coeffs[0])) == pytest.approx(
         0.0, abs=1e-8
     )
+
+
+# ---------------------------------------------------------------------------
+# One curve-point jet formula for the exact and float paths
+# ---------------------------------------------------------------------------
+
+def _reference_exact_jet(curve, p, order, sign):
+    """The exact jet as it was written before the formula was shared."""
+    disc = curve.eval(p)
+
+    def lift(x):
+        return QuadExt(x, Fraction(0), disc)
+
+    coeffs = [
+        lift(p),
+        QuadExt(Fraction(0), Fraction(sign), disc),
+        lift(curve.eval_derivative(p, 1) / 2),
+        QuadExt(Fraction(0), Fraction(sign) * curve.eval_derivative(p, 2) / 2, disc),
+    ]
+    return coeffs[: order + 1]
+
+
+def _reference_numeric_jet(curve, wp, wp_prime, order):
+    """The float jet as it was written before the formula was shared."""
+    coeffs = [
+        float(wp),
+        float(wp_prime),
+        float(curve.eval_derivative(wp, 1)) / 2.0,
+        float(curve.eval_derivative(wp, 2)) * float(wp_prime) / 2.0,
+    ]
+    return coeffs[: order + 1]
+
+
+def _deep_key(x):
+    """Type and value of every component; floats by their bits."""
+    if isinstance(x, QuadExt):
+        return ("QuadExt", _deep_key(x.a), _deep_key(x.b), _deep_key(x.disc))
+    if isinstance(x, float):
+        return ("float", struct.pack("<d", x))
+    return (type(x).__name__, x)
+
+
+def test_curve_jets_match_the_separate_formulas(rng):
+    curves = [
+        THREE_ROOTS,
+        SpectralCurve.elliptic(0, 0, 1),
+        SpectralCurve.elliptic(Fraction(1, 3), Fraction(-2), Fraction(5, 7)),
+    ]
+    curves += [
+        SpectralCurve.elliptic(*(random_fraction(rng) for _ in range(3)))
+        for _ in range(5)
+    ]
+    floats = [0.0, -0.0, 0.5, -0.82, 1e-310, -3.75e150, 7.0]
+    floats += [rng.uniform(-50.0, 50.0) for _ in range(8)]
+    for curve in curves:
+        for _ in range(6):
+            p = random_fraction(rng)
+            for sign in (1, -1):
+                for order in range(4):
+                    got = exact_wp_jet(curve, p, order=order, sign=sign).coeffs
+                    want = _reference_exact_jet(curve, p, order, sign)
+                    assert [_deep_key(c) for c in got] == [_deep_key(c) for c in want]
+        for c in (curve, curve.to_float()):
+            for wp in floats + [Fraction(3, 7)]:
+                for wpp in floats:
+                    for order in range(4):
+                        got = wp_jet_numeric(c, wp, wpp, order).coeffs
+                        want = _reference_numeric_jet(c, wp, wpp, order)
+                        assert [_deep_key(v) for v in got] == [
+                            _deep_key(v) for v in want
+                        ]

@@ -287,6 +287,9 @@ def test_rk4_validation():
         rk4_integrate(chain, "dkn", -1e-3, 5)
     with pytest.raises(TypeError):
         rk4_integrate(chain, "vw", 1e-3, 5)
+    with pytest.raises(ValueError, match="step count"):
+        rk4_integrate(chain, "dkn", 1e-3, -2)
+    assert rk4_integrate(chain, "dkn", 1e-3, 0).states.shape == (1, 4)
 
 
 def test_rk4_self_convergence_order():

@@ -7,7 +7,7 @@ import pytest
 from laxchain.curves import SpectralCurve
 from laxchain.errors import AnsatzError, DegreeError
 from laxchain.flows import GammaChain, site_array, vn_from_gamma, wn_from_gamma
-from laxchain.operators import DifferenceOperator
+from laxchain.operators import DifferenceOperator, build_l4, commutator
 from laxchain.poly import poly_eval
 from laxchain.spectral import (
     CommutantAnsatz,
@@ -234,9 +234,39 @@ def test_sharp_operator_band_table():
 def test_sharp_polynomial_bands_match_operator():
     params = OperatorFamilyParams("sharp", (2, -1, 3, 5), genus=2)
     op = sharp_operator(params)
+    # reference: the provider route, composing the factor with build_l4
+    p = tuple(Fraction(c) for c in params.r)
+    diag = (Fraction(0), Fraction(2 * 3) * p[3])
+    ref = build_l4(lambda n: poly_eval(p, n), lambda n: poly_eval(diag, n))
     for n in range(-5, 6):
         for j in range(-2, 3):
-            assert op.coeff(j, n) == op.operator.band_coeff(j, n)
+            assert op.coeff(j, n) == ref.band_coeff(j, n)
+            assert op.operator.band_coeff(j, n) == ref.band_coeff(j, n)
+    assert op.window(-5, 5) == ref.window(-5, 5)
+
+
+@pytest.mark.parametrize("r", [(0, 0, 0, 1), (3, -2, 5, 4)])
+def test_band_commutator_norm_matches_provider_route(r):
+    """The sharp report's residual norm, taken from the exact band
+    commutator, equals the norm of the provider-form commutator on the same
+    window; X = n^2 T + T^-3 does not commute with L, so the norms are
+    nonzero, and the found partners give 0.0 both ways."""
+    op = sharp_operator(OperatorFamilyParams("sharp", r, genus=1))
+    x_bad = PolynomialBandOperator(
+        {1: (Fraction(0), Fraction(0), Fraction(1)), -3: (Fraction(1),)}
+    )
+    found = commutant_solve_exact(op, CommutantAnsatz(3, 9))
+    norms = []
+    for x in (x_bad,) + found.basis:
+        band_route = PolynomialBandOperator(
+            commutator_polynomial_bands(op.bands, x.bands)
+        ).window(0, 7).max_abs()
+        provider_route = commutator(op.operator, x.operator).window(0, 7).max_abs()
+        assert band_route == provider_route
+        assert float(band_route) == float(provider_route)
+        norms.append(float(band_route))
+    assert norms[0] > 0
+    assert norms[1:] == [0.0] * found.dimension
 
 
 def test_sharp_side_condition():
@@ -441,6 +471,10 @@ def test_windowed_ill_posed_window():
     tt = DifferenceOperator.from_constant_bands({1: 1.0, -1: 1.0})
     with pytest.raises(AnsatzError):
         commutant_solve_windowed(tt, 3, 0, 3)
+    with pytest.raises(AnsatzError, match="band_m = -1"):
+        commutant_solve_windowed(tt, -1, 0, 40)
+    with pytest.raises(AnsatzError, match="window 40,0"):
+        commutant_solve_windowed(tt, 1, 40, 0)
 
 
 def test_windowed_report_serializes():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from laxchain.curves import SpectralCurve
+from laxchain import verify as verify_mod
 from laxchain.darboux import SolutionConstants
+from laxchain.errors import ConfigError
 from laxchain.flows import GammaChain
 from laxchain.scalars import is_rational_square
 from laxchain.verify import (
@@ -41,6 +43,33 @@ def test_draw_sample_deterministic():
     assert a.gamma == b.gamma and a.z0 == b.z0 and a.curve == b.curve
     c = draw_sample(seed=5, index=4)
     assert c.gamma != a.gamma or c.z0 != a.z0
+
+
+def test_draw_sample_gives_up_after_a_fixed_number_of_rejections(monkeypatch):
+    """Bounds that admit no sample (four distinct gammas need at least four
+    values) end in a ConfigError naming them after MAX_REJECTED_DRAWS
+    rejected draws, instead of drawing forever."""
+    draws = []
+    real = verify_mod._draw_fraction
+
+    def counted(rng, max_num, max_den):
+        draws.append(None)
+        return real(rng, max_num, max_den)
+
+    monkeypatch.setattr(verify_mod, "MAX_REJECTED_DRAWS", 5)
+    monkeypatch.setattr(verify_mod, "_draw_fraction", counted)
+    with pytest.raises(ConfigError, match="numerators <= 1 and denominators <= 1"):
+        draw_sample(seed=7, index=0, max_num=1, max_den=1)
+    # every rejected draw stops at the repeated gammas: 3 curve + 4 gamma values
+    assert len(draws) == 5 * 7
+
+
+def test_default_run_accepts_every_sample_at_its_first_draw(monkeypatch):
+    """The default run (seed 7, 20 samples) never needs a second draw, so
+    the rejection limit is far from binding at the default bounds."""
+    monkeypatch.setattr(verify_mod, "MAX_REJECTED_DRAWS", 1)
+    for i in range(20):
+        draw_sample(seed=7, index=i)
 
 
 def test_sample_dump_roundtrip():
