@@ -16,7 +16,6 @@ carry no timestamps: identical inputs give byte-identical output.
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -34,7 +33,7 @@ from .darboux import (
     transformed_operator,
 )
 from .elliptic import exact_wp_jet, wp_init_bounded, wp_trajectory
-from .errors import ConfigError, LaxchainError
+from .errors import AnsatzError, ConfigError, LaxchainError
 from .flows import (
     FLOWS,
     GammaChain,
@@ -263,6 +262,28 @@ def _invariant_rows(traj):
     return rows
 
 
+def _trajectory_csv(traj):
+    """One row per step and site, as text in the bytes that csv.writer's
+    excel dialect writes: ints as ``str``, floats as ``repr``, ``\\r\\n``
+    line ends, no numeric field quoted.  Python floats print as numpy's
+    float64 scalars do, and cheaper."""
+    labels = [f"{site}," for site in range(traj.period)]
+    if traj.kind == "gamma":
+        lines = ["step,x,site,gamma\r\n"]
+        for i, state in enumerate(traj.states.tolist()):
+            prefix = f"{i},{i * traj.h!r},"
+            lines.extend([f"{prefix}{label}{g!r}\r\n" for label, g in zip(labels, state)])
+    else:
+        lines = ["step,x,site,V,W\r\n"]
+        for i, state in enumerate(traj.states.tolist()):
+            prefix = f"{i},{i * traj.h!r},"
+            lines.extend([
+                f"{prefix}{label}{v!r},{w!r}\r\n"
+                for label, v, w in zip(labels, state, state[traj.period:])
+            ])
+    return "".join(lines)
+
+
 def _cmd_simulate(args):
     settings = Settings(args)
     flow = settings.get("simulate", "flow", "dkn")
@@ -291,29 +312,9 @@ def _cmd_simulate(args):
         )
 
     traj = rk4_integrate(state, flow, h, steps)
-
-    # Python floats print as numpy's float64 scalars do, and cheaper
-    states = traj.states.tolist()
-    sites = range(traj.period)
-    if traj.kind == "gamma":
-        header = ["step", "x", "site", "gamma"]
-        rows = [
-            [i, i * traj.h, site, state[site]]
-            for i, state in enumerate(states)
-            for site in sites
-        ]
-    else:
-        header = ["step", "x", "site", "V", "W"]
-        rows = [
-            [i, i * traj.h, site, state[site], state[traj.period + site]]
-            for i, state in enumerate(states)
-            for site in sites
-        ]
     out_csv = args.csv or "trajectory.csv"
     with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_trajectory_csv(traj))
 
     summary = {
         "flow": flow,
@@ -347,17 +348,26 @@ def _exact_commutant(l_op, band, degree, payload):
     return result
 
 
+def _family_params(variant, r, genus):
+    """Sharp or flat family parameters; ``genus`` is already >= 1, so the
+    library can only reject ``r``."""
+    try:
+        return OperatorFamilyParams(variant, r, genus)
+    except AnsatzError as err:
+        raise ConfigError(f"r: {err}") from err
+
+
 def _cmd_commutant(args):
     settings = Settings(args)
     variant = settings.get("commutant", "variant", "sharp")
     band = _parse_int(settings.get("commutant", "band", 3), "band", least=0)
     degree = _parse_int(settings.get("commutant", "degree", 9), "degree", least=0)
-    genus = _parse_int(settings.get("commutant", "genus", 1), "genus")
+    genus = _parse_int(settings.get("commutant", "genus", 1), "genus", least=1)
 
     payload = {"variant": variant, "band": band}
     if variant == "sharp":
         r = _parse_list(settings.get("commutant", "r", "0,0,0,1"), "r", expect=4)
-        op = sharp_operator(OperatorFamilyParams("sharp", r, genus))
+        op = sharp_operator(_family_params("sharp", r, genus))
         result = _exact_commutant(op, band, degree, payload)
         verified = all(exact_commutator_is_zero(op, x) for x in result.basis)
         payload.update(
@@ -381,12 +391,15 @@ def _cmd_commutant(args):
         ok = result.dimension > 0 and verified
     elif variant == "flat":
         r = _parse_list(settings.get("commutant", "r", "0,1"), "r", expect=2)
-        op = flat_operator(OperatorFamilyParams("flat", r, genus))
+        op = flat_operator(_family_params("flat", r, genus))
         window = settings.get("commutant", "window", "0,40")
         n0, n1 = _parse_list(window, "window", expect=2, parse=_parse_int)
         if n0 > n1:
             raise ConfigError(f"window: empty site range {n0},{n1}")
-        result = commutant_solve_windowed(op, band, n0, n1)
+        try:
+            result = commutant_solve_windowed(op, band, n0, n1)
+        except AnsatzError as err:
+            raise ConfigError(f"window: {err}") from err
         payload.update(result.to_json_dict())
         ok = result.nullity > 0
     elif variant == "custom":
@@ -417,6 +430,16 @@ def _cmd_commutant(args):
 # elliptic
 # ---------------------------------------------------------------------------
 
+def _elliptic_csv(ys, wps, wpps, drift):
+    """The four sample arrays as CSV text, in the bytes of
+    :func:`_trajectory_csv`."""
+    rows = zip(ys.tolist(), wps.tolist(), wpps.tolist(), drift.tolist())
+    return "".join(
+        ["y,wp,wp_prime,energy_drift\r\n"]
+        + [f"{y!r},{wp!r},{wpp!r},{d!r}\r\n" for y, wp, wpp, d in rows]
+    )
+
+
 def _cmd_elliptic(args):
     settings = Settings(args)
     curve = settings.curve()
@@ -428,9 +451,7 @@ def _cmd_elliptic(args):
     ys, wps, wpps, drift = wp_trajectory(branch, y_max, h)
     out_csv = args.csv or "elliptic.csv"
     with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "wp", "wp_prime", "energy_drift"])
-        writer.writerows(zip(ys.tolist(), wps.tolist(), wpps.tolist(), drift.tolist()))
+        fh.write(_elliptic_csv(ys, wps, wpps, drift))
     print(f"wrote {len(ys)} samples to {out_csv}; max |energy drift| = {max(abs(drift)):.3e}")
     return 0
 

@@ -160,7 +160,10 @@ def _check_gaps(gamma, gp):
         hits = [n for n in range(len(gamma)) if is_degenerate_pair(gamma[n], gp[n])]
     else:
         scale = np.maximum(np.maximum(np.abs(gamma), np.abs(gp)), 1.0)
-        hits = np.flatnonzero(np.abs(gamma - gp) < NUMERIC_DEGENERACY_RTOL * scale)
+        close = np.abs(gamma - gp) < NUMERIC_DEGENERACY_RTOL * scale
+        if not close.any():
+            return
+        hits = np.flatnonzero(close)
     if len(hits):
         a, b = int(hits[0]), (int(hits[0]) + 1) % len(gamma)
         raise DegenerateConfigurationError(

@@ -121,12 +121,17 @@ FLAT = ["commutant", "--variant", "flat", "--r", "0,1"]
         (FLAT + ["--band", "3", "--window", "40,0"], "window"),
         (FLAT + ["--band", "-1", "--window", "0,40"], "band"),
         (FLAT + ["--band", "3", "--window", "0.5,40"], "window[0]"),
+        (["commutant", "--r", "1,0,0,0"], "r: sharp family requires r3 != 0"),
+        (["commutant", "--variant", "flat", "--r", "0,0"], "r: flat family requires r1"),
+        (["commutant", "--genus", "0"], "genus: must be >= 1"),
+        (FLAT + ["--band", "3", "--window", "0,3"], "window: ill-posed window"),
     ],
     ids=[
         "verify-samples-0", "verify-workers-0", "verify-max-num-0",
         "verify-max-den-0", "verify-no-admissible-draw", "simulate-h-0",
         "simulate-steps-negative", "elliptic-h-0", "elliptic-y-max-negative",
         "flat-window-reversed", "flat-band-negative", "flat-window-fraction",
+        "sharp-r3-zero", "flat-r1-zero", "genus-0", "flat-window-ill-posed",
     ],
 )
 def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):

@@ -254,6 +254,19 @@ def test_wraparound_collision_names_last_and_first_site(period, exact):
         assert f"between sites {period - 1} and 0" in str(err.value)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_guard_names_the_first_of_several_collisions(exact):
+    # sites 1-2, 3-4 and the wrap pair 5-0 all collide; the first is named
+    gamma = [Fraction(v) for v in (1, 3, 3, 5, 5, 1)]
+    curve = CUBIC
+    if not exact:
+        gamma, curve = [float(g) for g in gamma], CUBIC.to_float()
+    for fn in (dkn_rhs, vn_from_gamma, reduced_flow2_gamma):
+        with pytest.raises(DegenerateConfigurationError) as err:
+            fn(site_array(gamma), curve)
+        assert err.value.sites == (1, 2)
+
+
 def test_reduced_t2_hits_the_collision_guard():
     with pytest.raises(DegenerateConfigurationError) as err:
         reduced_flow2_gamma(site_array((1.0, 1.0, 2.0, 3.0)), CUBIC.to_float())
