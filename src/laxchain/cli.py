@@ -91,6 +91,17 @@ def _parse_int(text, field, least=None):
     return value
 
 
+def _chain_gamma(settings, purpose):
+    """The ``chain.gamma`` values; the lattice stencil reads three sites at least."""
+    gamma_raw = settings.get("chain", "gamma")
+    if gamma_raw is None:
+        raise ConfigError(f"chain.gamma: required for {purpose}")
+    gamma = _parse_list(gamma_raw, "chain.gamma")
+    if len(gamma) < 3:
+        raise ConfigError("chain.gamma: the lattice stencil needs period >= 3")
+    return gamma
+
+
 def _parse_positive_float(text, field):
     value = _parse_float(text, field)
     if not value > 0:
@@ -293,14 +304,7 @@ def _cmd_simulate(args):
     steps = _parse_int(settings.get("simulate", "steps", 1000), "steps", least=0)
 
     if flow in ("dkn", "reduced_t2"):
-        curve = settings.curve()
-        gamma_raw = settings.get("chain", "gamma")
-        if gamma_raw is None:
-            raise ConfigError("chain.gamma: required for gamma flows")
-        gamma = _parse_list(gamma_raw, "chain.gamma")
-        if len(gamma) < 3:
-            raise ConfigError("chain.gamma: the lattice stencil needs period >= 3")
-        state = GammaChain(gamma, curve)
+        state = GammaChain(_chain_gamma(settings, "gamma flows"), settings.curve())
     else:
         v_raw = settings.get("chain", "v")
         w_raw = settings.get("chain", "w")
@@ -463,11 +467,12 @@ def _cmd_elliptic(args):
 def _cmd_darboux(args):
     settings = Settings(args)
     curve = settings.curve()
-    gamma_raw = settings.get("chain", "gamma")
-    if gamma_raw is None:
-        raise ConfigError("chain.gamma: required")
-    gamma = _parse_list(gamma_raw, "chain.gamma")
+    gamma = _chain_gamma(settings, "darboux")
     z0 = _parse_rational(settings.get("darboux", "z0", "0"), "darboux.z0")
+    if curve.eval(z0) == 0:
+        raise ConfigError(f"darboux.z0: {z0} is a branch point of the curve (F(z0) = 0)")
+    if z0 in gamma:
+        raise ConfigError(f"darboux.z0: {z0} lies on the chain (site {gamma.index(z0)})")
 
     chain = GammaChain(gamma, curve)
     jets = prolong_gamma_jets(chain, 3)

@@ -19,10 +19,12 @@ chi2(n) = w/(z0 - gamma_n), w^2 = F(z0).  Swapping the factors and adding
 z0 yields the transformed operator, whose four explicit band formulas are
 cross-checked against the swapped product on every run.
 
-Every Lax residual (the x and y brackets here, the fourth-order one in
-``verify``) is assembled by :func:`lax_window` from one operator built a jet
-order higher than the residual: its derivative and, truncated by one order,
-its bracket partner come from the same coefficients.
+The chain equations are zero curvature: :func:`chain_residuals` reads them
+from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
+B = T + f.  The Lax residuals (the x and y brackets here, the fourth-order
+one in ``verify``) go through :func:`lax_window`, which takes dL and, cut by
+one jet order, L from one operator.  Both assemble every bracket with
+``operators.lax_residual``.
 """
 
 from dataclasses import dataclass
@@ -415,23 +417,18 @@ class ChainSolution:
     constants: SolutionConstants
 
     def __post_init__(self):
-        object.__setattr__(self, "_g_cache", {})
+        object.__setattr__(self, "_f_cache", {})
 
     def g(self, n):
         c = self.constants
         if c.is_zero():
             return self.data.z0 * 0
-        hit = self._g_cache.get(n)
-        if hit is not None:
-            return hit
         sgn = -1 if n % 2 else 1
         z0 = self.data.z0
         quad = (n * c.s1 + c.s0) * z0**2 + (n * c.k1 + c.k0) * z0 + (
             n * c.p1 + c.p0
         )
-        out = sgn * quad / self.data.w
-        self._g_cache[n] = out
-        return out
+        return sgn * quad / self.data.w
 
     def _f_core(self, n):
         g = self.data.gamma_at
@@ -444,7 +441,11 @@ class ChainSolution:
         )
 
     def f(self, n):
-        return self._f_core(n) + self.g(n)
+        hit = self._f_cache.get(n)
+        if hit is None:
+            hit = self._f_core(n) + self.g(n)
+            self._f_cache[n] = hit
+        return hit
 
     def b(self, n):
         g = self.data.gamma_at
@@ -475,32 +476,30 @@ def chain_residuals(sol, n):
         R2 = f_{n-2} - f_n + d_{n,y} / d_n,
         R3 = f_{n-1} - f_n + b_{n,y} / b_n + (d_n - d_{n+1}) / b_n.
 
+    The chain equations are the zero curvature of A = b T^{-1} + d T^{-2}
+    and B = T + f: the bracket [d/dx - A, d/dy - B], which is
+    ``lax_residual(A, A_y - B_x, B)``, has the bands T^0 = -R1,
+    T^{-1} = b_n R3 and T^{-2} = d_n R2 at site n, and no others.
+
     Returned as base-field elements (exact extension scalars or floats).
     Requires working jet orders >= (1, 1).
     """
     data = sol.data
     if data.x_order < 1 or data.y_order < 1:
         raise ValueError("chain residuals need jet orders >= (1, 1)")
-    f_n = sol.f(n)
-    r1 = _dx(f_n) - _val(sol.b(n)) + _val(sol.b(n + 1))
-
-    d_n = sol.d(n)
-    d_val = _val(d_n)
-    if d_val == 0:
-        raise PoleError(f"d vanishes at site {n}")
-    r2 = _val(sol.f(n - 2)) - _val(f_n) + _dy(d_n) / d_val
-
-    b_n = sol.b(n)
-    b_val = _val(b_n)
-    if b_val == 0:
-        raise PoleError(f"b vanishes at site {n}")
-    r3 = (
-        _val(sol.f(n - 1))
-        - _val(f_n)
-        + _dy(b_n) / b_val
-        + (_val(d_n) - _val(sol.d(n + 1))) / b_val
+    d_val, b_val = _val(sol.d(n)), _val(sol.b(n))
+    for name, val in (("d", d_val), ("b", b_val)):
+        if val == 0:
+            raise PoleError(f"{name} vanishes at site {n}")
+    band = DifferenceOperator.from_bands
+    a_op = band({-1: lambda m: _val(sol.b(m)), -2: lambda m: _val(sol.d(m))})
+    b_op = band({1: lambda m: 1, 0: lambda m: _val(sol.f(m))})
+    a_y_minus_b_x = band(
+        {0: lambda m: -_dx(sol.f(m)), -1: lambda m: _dy(sol.b(m)),
+         -2: lambda m: _dy(sol.d(m))}
     )
-    return r1, r2, r3
+    bands = lax_residual(a_op, a_y_minus_b_x, b_op).coeff
+    return -bands(0, n), bands(-2, n) / d_val, bands(-1, n) / b_val
 
 
 # axis -> how a map of single jets acts on a nested scalar along that axis

@@ -159,7 +159,9 @@ def lax_residual(l_op, l_t, a_op):
 
     This is the full commutator ``[d/dt - a_op, l_op]`` once ``l_t`` holds
     the coefficient-wise time derivatives of ``l_op``; it vanishes exactly
-    when the Lax representation holds.  All bracket assembly in the package
+    when the Lax representation holds.  With ``l_t = A_y - B_x`` it is the
+    zero curvature ``[d/dx - A, d/dy - B]`` of ``l_op = A`` and ``a_op = B``,
+    the form of the chain equations.  All bracket assembly in the package
     goes through this single function so sign conventions cannot drift.
     """
     return l_t + commutator(l_op, a_op)

@@ -186,11 +186,25 @@ def draw_sample(
 # Per-sample suite evaluations
 # ---------------------------------------------------------------------------
 
-def _sample_data(config, sign, chain_order=3):
-    chain = GammaChain(config.gamma, config.curve)
-    jets = prolong_gamma_jets(chain, chain_order)
-    wp = exact_wp_jet(config.curve, config.z0, order=3, sign=sign)
-    return chain, darboux_data(jets, wp)
+def _sample_data(config, chain_order=3):
+    """Configurations for both signs of w, from one prolongation of the chain."""
+    jets = prolong_gamma_jets(GammaChain(config.gamma, config.curve), chain_order)
+    return tuple(
+        darboux_data(jets, exact_wp_jet(config.curve, config.z0, order=3, sign=sign))
+        for sign in (1, -1)
+    )
+
+
+def _windows_zero(windows):
+    """``(ok, worst)`` over residual windows: ok when every window is zero,
+    worst the largest coefficient magnitude among those that are not."""
+    ok = True
+    worst = 0.0
+    for win in windows:
+        if not win.is_zero():
+            ok = False
+            worst = max(worst, float(win.max_abs()))
+    return ok, worst
 
 
 def _eval_chain_sample(config):
@@ -201,14 +215,12 @@ def _eval_chain_sample(config):
     with the solved tail constants all three vanish, for both square-root
     signs.  The solved constants and the gap magnitude are reported.
     """
-    chain = GammaChain(config.gamma, config.curve)
-    solved = solve_tail_constants(chain)
+    solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
     ok = True
     worst = 0.0
     gap_mag = 0.0
-    for sign in (1, -1):
-        _, data = _sample_data(config, sign, chain_order=2)
-        data = data.truncated(1, 1)
+    per_sign = [data.truncated(1, 1) for data in _sample_data(config, chain_order=2)]
+    for data in per_sign:
         bare = rank2_solution(data)
         fixed = rank2_solution(data, solved)
         for n in range(4):
@@ -217,8 +229,7 @@ def _eval_chain_sample(config):
                 ok = False
                 worst = max(worst, float(scalar_abs(r1)), float(scalar_abs(r2)))
             gap_mag = max(gap_mag, float(scalar_abs(r3)))
-            s1, s2, s3 = chain_residuals(fixed, n)
-            for r in (s1, s2, s3):
+            for r in chain_residuals(fixed, n):
                 if r != 0:
                     ok = False
                     worst = max(worst, float(scalar_abs(r)))
@@ -233,8 +244,7 @@ def _eval_chain_sample(config):
     if not config.constants.is_zero():
         # Documented outcome for user-supplied constants: deterministic
         # residual magnitudes, not a pass criterion.
-        _, data = _sample_data(config, 1, chain_order=2)
-        user = rank2_solution(data.truncated(1, 1), config.constants)
+        user = rank2_solution(per_sign[0], config.constants)
         info["user_constants_residuals"] = [
             [float(scalar_abs(r)) for r in chain_residuals(user, n)]
             for n in range(4)
@@ -243,30 +253,19 @@ def _eval_chain_sample(config):
 
 
 def _eval_factorization_sample(config):
-    ok = True
-    worst = 0.0
-    for sign in (1, -1):
-        _, data = _sample_data(config, sign, chain_order=1)
-        # the factorization and the band cross-check are pointwise identities
-        data = data.truncated(0, 0)
-        fac = factorization_check(data)
-        cross = transformed_operator(data).crosscheck_window()
-        for win in (fac, cross):
-            if not win.is_zero():
-                ok = False
-                worst = max(worst, float(win.max_abs()))
+    def windows():
+        for data in _sample_data(config, chain_order=1):
+            # the factorization and the band cross-check are pointwise identities
+            data = data.truncated(0, 0)
+            yield factorization_check(data)
+            yield transformed_operator(data).crosscheck_window()
+
+    ok, worst = _windows_zero(windows())
     return ok, worst, {}
 
 
 def _eval_lax_x_sample(config):
-    ok = True
-    worst = 0.0
-    for sign in (1, -1):
-        _, data = _sample_data(config, sign)
-        win = commutator_x_check(data)
-        if not win.is_zero():
-            ok = False
-            worst = max(worst, float(win.max_abs()))
+    ok, worst = _windows_zero(commutator_x_check(data) for data in _sample_data(config))
     return ok, worst, {}
 
 
@@ -276,26 +275,20 @@ def _eval_lax_y_sample(config):
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
     jets = prolong_gamma_jets(chain, 3)
-    ok = True
-    worst = 0.0
-    control_hit = True
-    for sign in (1, -1):
-        wp = exact_wp_jet(config.curve, config.z0, order=3, sign=sign)
-        data = darboux_data(jets, wp)
-        win = commutator_y_check(data, solved)
-        if not win.is_zero():
-            ok = False
-            worst = max(worst, float(win.max_abs()))
-        bad = Jet(
-            (wp.coeffs[0], wp.coeffs[1], wp.coeffs[2] + 1)
-            + tuple(wp.coeffs[3:])
-        )
-        bad_data = darboux_data(jets, bad)
-        bad_win = commutator_y_check(bad_data, solved)
-        if bad_win.is_zero():
-            control_hit = False
-            ok = False
-    return ok, worst, {"negative_control_nonzero": control_hit}
+    wps = [exact_wp_jet(config.curve, config.z0, order=3, sign=s) for s in (1, -1)]
+    ok, worst = _windows_zero(
+        commutator_y_check(darboux_data(jets, wp), solved) for wp in wps
+    )
+    control_hit = all(
+        not commutator_y_check(darboux_data(jets, _bump_second(wp)), solved).is_zero()
+        for wp in wps
+    )
+    return ok and control_hit, worst, {"negative_control_nonzero": control_hit}
+
+
+def _bump_second(wp):
+    """The curve-point jet with its second derivative bumped by 1."""
+    return Jet((wp.coeffs[0], wp.coeffs[1], wp.coeffs[2] + 1) + tuple(wp.coeffs[3:]))
 
 
 def l4_lax_residual_window(chain, n0=0, n1=None):
@@ -314,10 +307,10 @@ def l4_lax_residual_window(chain, n0=0, n1=None):
 
 
 def _eval_lax_l4_sample(config):
-    win = l4_lax_residual_window(GammaChain(config.gamma, config.curve))
-    if win.is_zero():
-        return True, 0.0, {}
-    return False, float(win.max_abs()), {}
+    ok, worst = _windows_zero(
+        [l4_lax_residual_window(GammaChain(config.gamma, config.curve))]
+    )
+    return ok, worst, {}
 
 
 # The suite registry of run_suite and replay_config.  SUITES, the suites

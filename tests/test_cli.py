@@ -104,6 +104,7 @@ SIMULATE = ["simulate", "--flow", "dkn", "--curve", "0,-1,0",
             "--gamma=-0.82,-0.31,0.28,0.77"]
 ELLIPTIC = ["elliptic", "--curve", "0,-1,0"]
 FLAT = ["commutant", "--variant", "flat", "--r", "0,1"]
+DARBOUX = ["darboux", "--curve", "0,-1,0"]
 
 
 @pytest.mark.parametrize(
@@ -125,6 +126,10 @@ FLAT = ["commutant", "--variant", "flat", "--r", "0,1"]
         (["commutant", "--variant", "flat", "--r", "0,0"], "r: flat family requires r1"),
         (["commutant", "--genus", "0"], "genus: must be >= 1"),
         (FLAT + ["--band", "3", "--window", "0,3"], "window: ill-posed window"),
+        (DARBOUX + ["--gamma", "2,3,4,5", "--z0", "1"], "darboux.z0: 1 is a branch point"),
+        (DARBOUX + ["--gamma", "2,3,4,5", "--z0", "3"], "darboux.z0: 3 lies on the chain"),
+        (DARBOUX + ["--gamma", "2,3", "--z0", "7"], "chain.gamma: the lattice stencil"),
+        (SIMULATE[:-1] + ["--gamma", "2,3", "--steps", "1"], "chain.gamma: the lattice stencil"),
     ],
     ids=[
         "verify-samples-0", "verify-workers-0", "verify-max-num-0",
@@ -132,6 +137,8 @@ FLAT = ["commutant", "--variant", "flat", "--r", "0,1"]
         "simulate-steps-negative", "elliptic-h-0", "elliptic-y-max-negative",
         "flat-window-reversed", "flat-band-negative", "flat-window-fraction",
         "sharp-r3-zero", "flat-r1-zero", "genus-0", "flat-window-ill-posed",
+        "darboux-z0-branch-point", "darboux-z0-on-chain", "darboux-period-2",
+        "simulate-period-2",
     ],
 )
 def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,14 +18,15 @@ from laxchain.darboux import (
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
-    _val,
+    _dx,
     _dy,
+    _val,
 )
 from laxchain.elliptic import exact_curve_point, exact_wp_jet
 from laxchain.errors import DegenerateConfigurationError, PoleError
 from laxchain.flows import GammaChain, dkn_rhs, prolong_gamma_jets, site_array
 from laxchain.operators import DifferenceOperator, build_l4, compose, lax_residual
-from laxchain.scalars import Jet, QuadExt
+from laxchain.scalars import Jet, QuadExt, format_scalar
 
 from conftest import random_chain, random_point_off_chain
 
@@ -275,30 +277,41 @@ def test_chain_residuals_nonzero_constants_shifts(rng):
         assert s2 != b2
 
 
+class Bumped:
+    """``base`` with the value of one site function (f, b or d) raised by 1
+    at the literal site 0."""
+
+    def __init__(self, base, name):
+        self.data, self.constants = base.data, base.constants
+        self._base, self._name = base, name
+
+    def _get(self, name, n):
+        bump = 1 if name == self._name and n == 0 else 0
+        return getattr(self._base, name)(n) + bump
+
+    def f(self, n):
+        return self._get("f", n)
+
+    def b(self, n):
+        return self._get("b", n)
+
+    def d(self, n):
+        return self._get("d", n)
+
+    def g(self, n):
+        return self._base.g(n)
+
+
 def test_chain_residuals_f_perturbation_moves_known_slots():
+    """A unit bump of f, b or d at site 0 lands in the slots the chain
+    equations put it in, so a wrong neighbour shift in A or B shows."""
     data = exact_data().truncated(1, 1)
     solved = solve_tail_constants(CHAIN)
     base = rank2_solution(data, solved)
+    sites = range(-1, 4)
+    assert all(chain_residuals(base, n) == (0, 0, 0) for n in sites)
 
-    class Perturbed:
-        data = base.data
-        constants = base.constants
-
-        def f(self, n):
-            bump = 1 if n == 0 else 0
-            return base.f(n) + bump
-
-        def b(self, n):
-            return base.b(n)
-
-        def d(self, n):
-            return base.d(n)
-
-        def g(self, n):
-            return base.g(n)
-
-    pert = Perturbed()
-    r = {n: chain_residuals(pert, n) for n in range(4)}
+    r = {n: chain_residuals(Bumped(base, "f"), n) for n in sites}
     assert r[0][0] == 0  # R1 never sees a constant shift
     assert r[0][1] == -1  # R2(0): -f(0)
     assert r[2][1] == 1  # R2(2): +f(0)
@@ -306,6 +319,114 @@ def test_chain_residuals_f_perturbation_moves_known_slots():
     assert r[1][2] == 1  # R3(1): +f(0)
     assert r[1][1] == 0 and r[3][1] == 0
     assert r[2][2] == 0 and r[3][2] == 0
+
+    f = lambda n: _val(base.f(n))
+    b0, d0 = _val(base.b(0)), _val(base.d(0))
+    r = {n: chain_residuals(Bumped(base, "b"), n) for n in sites}
+    assert r[0][0] == -1 and r[-1][0] == 1  # R1(n): -b(n) + b(n+1)
+    # R3(0) = f(-1) - f(0) + (b_y + d(0) - d(1)) / (b(0) + 1), and the
+    # unbumped equation says b_y + d(0) - d(1) = -b(0) (f(-1) - f(0))
+    assert r[0][2] == (f(-1) - f(0)) / (b0 + 1)
+    bumped = {(-1, 0), (0, 0), (0, 2)}
+    assert all(r[n][k] == 0 for n in sites for k in range(3) if (n, k) not in bumped)
+
+    r = {n: chain_residuals(Bumped(base, "d"), n) for n in sites}
+    assert r[0][1] == (f(-2) - f(0)) / (d0 + 1)  # R2(0) = f(-2) - f(0) + d_y / d(0)
+    assert r[0][2] == 1 / b0  # R3(0): +d(0) / b(0)
+    assert r[-1][2] == -1 / _val(base.b(-1))  # R3(-1): -d(0) / b(-1)
+    bumped = {(0, 1), (0, 2), (-1, 2)}
+    assert all(r[n][k] == 0 for n in sites for k in range(3) if (n, k) not in bumped)
+
+
+def reference_chain_residuals(sol, n):
+    """The three chain equations as hand-written formulas:
+
+        R1 = f_{n,x} - b_n + b_{n+1},
+        R2 = f_{n-2} - f_n + d_{n,y} / d_n,
+        R3 = f_{n-1} - f_n + b_{n,y} / b_n + (d_n - d_{n+1}) / b_n.
+    """
+    f_n = sol.f(n)
+    r1 = _dx(f_n) - _val(sol.b(n)) + _val(sol.b(n + 1))
+    d_n = sol.d(n)
+    d_val = _val(d_n)
+    r2 = _val(sol.f(n - 2)) - _val(f_n) + _dy(d_n) / d_val
+    b_n = sol.b(n)
+    b_val = _val(b_n)
+    r3 = (
+        _val(sol.f(n - 1))
+        - _val(f_n)
+        + _dy(b_n) / b_val
+        + (_val(d_n) - _val(sol.d(n + 1))) / b_val
+    )
+    return r1, r2, r3
+
+
+N_LINEAR = SolutionConstants(
+    s0=Fraction(1, 2), k0=Fraction(-3), p0=Fraction(2, 7),
+    s1=Fraction(1), k1=Fraction(0), p1=Fraction(-1, 3),
+)
+
+DRAWS = {"default": (1000, 8), "wide": (10**9, 10**6)}
+
+
+def _tail_solutions(draw, period, sign):
+    """Order-(1, 1) solutions with the zero, the solved and an n-linear tail
+    on one seeded chain of the given period and draw bounds."""
+    rng = random.Random(f"{draw}/{period}")
+    max_num, max_den = DRAWS[draw]
+    chain = random_chain(rng, period, max_num, max_den)
+    z0 = random_point_off_chain(rng, chain, max_num, max_den)
+    data = exact_data(chain, z0, sign, order=2).truncated(1, 1)
+    tails = (None, solve_tail_constants(chain), N_LINEAR)
+    return [rank2_solution(data, tail) for tail in tails]
+
+
+def _shape(x):
+    return [type(x)] + [type(leaf) for leaf in _leaves(x)]
+
+
+@pytest.mark.parametrize("period", [3, 4, 5])
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chain_residuals_equal_hand_written_formulas(draw, period, sign):
+    """The bracket gives R1-R3 with the value, the type and the printed form
+    of the hand-written formulas, whatever the tail."""
+    for sol in _tail_solutions(draw, period, sign):
+        for n in range(-1, period + 1):
+            got = chain_residuals(sol, n)
+            want = reference_chain_residuals(sol, n)
+            assert got == want
+            assert [_shape(r) for r in got] == [_shape(r) for r in want]
+            assert [format_scalar(r) for r in got] == [format_scalar(r) for r in want]
+
+
+def _part(read):
+    """A coefficient's component ``read`` (a jet part), constants as such."""
+    return lambda c: read(c) if isinstance(c, Jet) else (c if read is _val else 0)
+
+
+@pytest.mark.parametrize("period", [3, 4, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chain_equations_are_zero_curvature(period, sign):
+    """With A = b T^-1 + d T^-2 and B = T + f, the zero curvature
+    [d/dx - A, d/dy - B] = A_y - B_x + [A, B] has the bands T^0 = -R1,
+    T^-1 = b R3, T^-2 = d R2 and no others, both with the bracket taken on
+    the jets and as ``lax_residual(A, A_y - B_x, B)`` on base values."""
+    for sol in _tail_solutions("default", period, sign):
+        a_op = DifferenceOperator.from_bands({-1: sol.b, -2: sol.d})
+        b_op = DifferenceOperator.from_bands({1: lambda n: 1, 0: sol.f})
+        l_t = a_op.map_coeffs(_part(_dy)) - b_op.map_coeffs(_part(_dx))
+        on_jets = compose(a_op, b_op) - compose(b_op, a_op)
+        on_values = lax_residual(
+            a_op.map_coeffs(_part(_val)), l_t, b_op.map_coeffs(_part(_val))
+        )
+        for n in range(-1, period + 1):
+            r1, r2, r3 = reference_chain_residuals(sol, n)
+            bands = {0: -r1, -1: _val(sol.b(n)) * r3, -2: _val(sol.d(n)) * r2}
+            for j in range(-4, 3):
+                want = bands.get(j, 0)
+                assert l_t.band_coeff(j, n) + _part(_val)(on_jets.band_coeff(j, n)) == want
+                assert on_values.band_coeff(j, n) == want, (n, j)
 
 
 # ---------------------------------------------------------------------------

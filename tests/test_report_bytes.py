@@ -11,12 +11,16 @@ bit-for-bit checks of ``test_flow_arrays.py`` catch those.
 The exact reports (``verify`` on default and wide draws, the README
 ``darboux`` run, the library-level lax-l4 suite and the exact ``commutant``
 searches) are pinned the same way: every exact value they print is part of
-the digest.
+the digest.  So is the standard output of the demos that print the chain
+residuals (01 and 05).
 """
 
 import contextlib
 import hashlib
 import io
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -127,3 +131,22 @@ def test_exact_report_bytes_unchanged(name, tmp_path):
 def test_lax_l4_report_bytes_unchanged():
     text = report_to_json(run_suite("lax-l4", samples=3, seed=17))
     assert hashlib.sha256(text.encode()).hexdigest() == EXACT_EXPECTED["lax-l4"]
+
+
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+
+# Digests of the demos' standard output as the hand-written chain-residual
+# formulas printed it.
+DEMO_EXPECTED = {
+    "01_exact_identities.py": "2e6d49ee78559e1456e75072457a9aed75707f8ea694bdf00abadf43b96c2c1e",
+    "05_darboux_pipeline.py": "ac36caf2e8b229db3a1c674593cfb45894368e36afa148b6ef011242ae2f6fd8",
+}
+
+
+@pytest.mark.parametrize("script", sorted(DEMO_EXPECTED))
+def test_demo_stdout_bytes_unchanged(script):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script)], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_EXPECTED[script]
