@@ -133,19 +133,19 @@ class Settings:
             return self.file.get(section, key)
         return default
 
-    def curve(self, section="curve"):
-        raw = self.get(section, "curve")
+    def curve(self):
+        raw = self.get("curve", "curve")
         if raw is not None:
             coeffs = _parse_list(raw, "curve", expect=3)
         else:
-            missing = [k for k in ("c2", "c1", "c0") if not self.file.has_option(section, k)]
+            missing = [k for k in ("c2", "c1", "c0") if not self.file.has_option("curve", k)]
             if missing:
                 raise ConfigError(
                     f"curve: missing coefficients {', '.join(missing)} "
                     "(need exactly c2, c1, c0 for genus 1)"
                 )
             coeffs = tuple(
-                _parse_rational(self.file.get(section, k), f"curve.{k}")
+                _parse_rational(self.file.get("curve", k), f"curve.{k}")
                 for k in ("c2", "c1", "c0")
             )
         return SpectralCurve.elliptic(*coeffs)
@@ -159,15 +159,12 @@ class Settings:
 
 
 def _write_text(path, text):
+    """Write a JSON report and a final newline (``json.dumps`` ends in none)."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
         with open(path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +222,23 @@ def _invariant_rows(traj):
 
     probes = sorted({0, traj.steps // 2, traj.steps})
     states = [traj.states[i] for i in probes]
-    rows = {}
-
-    if traj.kind != "gamma":
-        # left-to-right products, so the report bytes do not hang on how
-        # numpy would order the multiplies
-        prods = [math.prod(s[: traj.period].tolist()) for s in states]
-        rows["coupling_product"] = {
+    if traj.kind == "gamma":
+        curve = traj.curve.to_float()
+        vs = [vn_from_gamma(s, curve).tolist() for s in states]
+    else:
+        vs = [s[: traj.period].tolist() for s in states]
+    # left-to-right products, so the report bytes do not hang on how numpy
+    # would order the multiplies
+    prods = [math.prod(v) for v in vs]
+    rows = {
+        "coupling_product": {
             "initial": prods[0],
             "max_drift": max(abs(p - prods[0]) for p in prods),
         }
+    }
+    if traj.kind != "gamma":
         return rows
 
-    curve = traj.curve.to_float()
     period = traj.period
     z_probe = 2.0 + max(abs(g) for g in states[0].tolist())
     expected = float(curve.eval(z_probe))
@@ -258,13 +259,7 @@ def _invariant_rows(traj):
             )
         )
 
-    vs = [vn_from_gamma(s, curve).tolist() for s in states]
-    prods = [math.prod(v) for v in vs]
     specs = [spectral_value(s, v) for s, v in zip(states, vs)]
-    rows["coupling_product"] = {
-        "initial": prods[0],
-        "max_drift": max(abs(p - prods[0]) for p in prods),
-    }
     rows["spectral_value"] = {
         "probe_z": z_probe,
         "expected": expected,
@@ -373,22 +368,26 @@ def _cmd_commutant(args):
         r = _parse_list(settings.get("commutant", "r", "0,0,0,1"), "r", expect=4)
         op = sharp_operator(_family_params("sharp", r, genus))
         result = _exact_commutant(op, band, degree, payload)
-        verified = all(exact_commutator_is_zero(op, x) for x in result.basis)
+        zero = [exact_commutator_is_zero(op, x) for x in result.basis]
+        verified = all(zero)
         payload.update(
             {
                 "verified_exact": verified,
                 "basis_windows": [
                     sol.window(0, 7).to_json_dict() for sol in result.basis
                 ],
+                # an exactly zero commutator has norm 0.0 on any window
                 "residual_norms": [
-                    float(
+                    0.0
+                    if is_zero
+                    else float(
                         PolynomialBandOperator(
                             commutator_polynomial_bands(op.bands, sol.bands)
                         )
                         .window(0, 7)
                         .max_abs()
                     )
-                    for sol in result.basis
+                    for sol, is_zero in zip(result.basis, zero)
                 ],
             }
         )
@@ -468,6 +467,9 @@ def _cmd_darboux(args):
     settings = Settings(args)
     curve = settings.curve()
     gamma = _chain_gamma(settings, "darboux")
+    for site, g in enumerate(gamma):
+        if curve.eval(g) == 0:
+            raise ConfigError(f"chain.gamma: {g} at site {site} is a branch point of the curve")
     z0 = _parse_rational(settings.get("darboux", "z0", "0"), "darboux.z0")
     if curve.eval(z0) == 0:
         raise ConfigError(f"darboux.z0: {z0} is a branch point of the curve (F(z0) = 0)")
@@ -508,13 +510,8 @@ def _cmd_darboux(args):
         "chain_residuals": residuals,
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2))
-    ok = (
-        payload["factorization_zero"]
-        and payload["crosscheck_zero"]
-        and payload["lax_x_zero"]
-        and payload["lax_y_zero"]
-    )
-    return 0 if ok else 1
+    verdicts = ("factorization_zero", "crosscheck_zero", "lax_x_zero", "lax_y_zero")
+    return 0 if all(payload[k] for k in verdicts) else 1
 
 
 # ---------------------------------------------------------------------------

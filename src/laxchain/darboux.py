@@ -270,16 +270,15 @@ def _right_factor(data):
     )
 
 
-def factorization_check(data, n0=0, n1=None):
-    """Window of ``(left factor)(right factor) - (L4 - z0)``; exactly zero
-    whenever the conserved-curve relation holds (any distinct-neighbor chain).
+def factorization_check(data):
+    """One-period window of ``(left factor)(right factor) - (L4 - z0)``;
+    exactly zero whenever the conserved-curve relation holds (any
+    distinct-neighbor chain).
     """
-    if n1 is None:
-        n1 = n0 + data.period - 1
     l4 = build_l4(data.v_at, data.w_site)
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     residual = compose(_left_factor(data), _right_factor(data)) - (l4 - z_term)
-    return residual.window(n0, n1)
+    return residual.window(0, data.period - 1)
 
 
 def _d_band(data, n):
@@ -314,18 +313,17 @@ class TransformedOperator:
 
     where z0' is the y-derivative jet of the curve point (w on the exact
     path).  ``crosscheck_window`` compares these formulas against the
-    swapped factor product plus z0, which must agree exactly.
+    swapped factor product plus z0 over one period, which must agree
+    exactly.
     """
 
     operator: DifferenceOperator
     data: DarbouxData
 
-    def crosscheck_window(self, n0=0, n1=None):
-        if n1 is None:
-            n1 = n0 + self.data.period - 1
+    def crosscheck_window(self):
         swapped = compose(_right_factor(self.data), _left_factor(self.data))
         z_term = DifferenceOperator.from_bands({0: lambda n: self.data.z0})
-        return (self.operator - (swapped + z_term)).window(n0, n1)
+        return (self.operator - (swapped + z_term)).window(0, self.data.period - 1)
 
 
 def transformed_operator(data):
@@ -378,14 +376,8 @@ class SolutionConstants:
     k1: Fraction = Fraction(0)
     p1: Fraction = Fraction(0)
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def is_zero(self):
-        return all(
-            c == 0 for c in (self.s0, self.k0, self.p0, self.s1, self.k1, self.p1)
-        )
+        return not any(self.as_tuple())
 
     def as_tuple(self):
         return (self.s0, self.k0, self.p0, self.s1, self.k1, self.p1)
@@ -462,11 +454,7 @@ class ChainSolution:
 
 
 def rank2_solution(data, constants=None):
-    if constants is None:
-        constants = SolutionConstants.zero()
-    elif not isinstance(constants, SolutionConstants):
-        constants = SolutionConstants(*constants)
-    return ChainSolution(data=data, constants=constants)
+    return ChainSolution(data=data, constants=constants or SolutionConstants())
 
 
 def chain_residuals(sol, n):
@@ -509,8 +497,8 @@ _LAX_AXES = {
 }
 
 
-def lax_window(l_op, axis, a_op, n0, n1):
-    """Window on sites ``n0..n1`` of the Lax residual ``dL + [L, A]``.
+def lax_window(l_op, axis, a_op, period):
+    """Window on sites ``0..period-1`` of the Lax residual ``dL + [L, A]``.
 
     ``l_op`` carries one more jet order along ``axis`` than the residual:
     dL is its coefficient-wise derivative, and the L of the bracket is the
@@ -529,28 +517,28 @@ def lax_window(l_op, axis, a_op, n0, n1):
         return along(c, lambda j: j.truncate(j.order - 1)) if isinstance(c, Jet) else c
 
     return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op).window(
-        n0, n1
+        0, period - 1
     )
 
 
-def commutator_x_check(data, n0=0, n1=None):
-    """Window of the x-Lax residual ``d/dx(Ltilde) + [Ltilde, b T^{-1} + d T^{-2}]``.
+def commutator_x_check(data):
+    """One-period window of the x-Lax residual
+    ``d/dx(Ltilde) + [Ltilde, b T^{-1} + d T^{-2}]``.
 
     Exactly zero when gamma follows the lattice flow; the constants play no
     role (b and d do not contain them).  Requires x-jets of order >= 1.
     """
     if data.x_order < 1:
         raise ValueError("the x-commutator check needs x-jet order >= 1")
-    if n1 is None:
-        n1 = n0 + data.period - 1
     d_hi = data.truncated(data.x_order, 0)
     sol = rank2_solution(d_hi.truncated(data.x_order - 1, 0))
     c_op = DifferenceOperator.from_bands({-1: sol.b, -2: sol.d})
-    return lax_window(transformed_operator(d_hi).operator, "x", c_op, n0, n1)
+    return lax_window(transformed_operator(d_hi).operator, "x", c_op, data.period)
 
 
-def commutator_y_check(data, constants=None, n0=0, n1=None):
-    """Window of the y-Lax residual ``d/dy(Ltilde) + [Ltilde, T + f]``.
+def commutator_y_check(data, constants=None):
+    """One-period window of the y-Lax residual
+    ``d/dy(Ltilde) + [Ltilde, T + f]``.
 
     Exactly zero when the curve-point jet satisfies the Weierstrass ODE
     (that is what ties z0'' to F'(z0)/2); a jet violating it is the standard
@@ -558,12 +546,10 @@ def commutator_y_check(data, constants=None, n0=0, n1=None):
     """
     if data.y_order < 1:
         raise ValueError("the y-commutator check needs y-jet order >= 1")
-    if n1 is None:
-        n1 = n0 + data.period - 1
     d_hi = data.truncated(0, data.y_order)
     sol = rank2_solution(d_hi.truncated(0, data.y_order - 1), constants)
     b_op = DifferenceOperator.from_bands({1: lambda n: 1, 0: sol.f})
-    return lax_window(transformed_operator(d_hi).operator, "y", b_op, n0, n1)
+    return lax_window(transformed_operator(d_hi).operator, "y", b_op, data.period)
 
 
 def eigenfunction_step(data, psi_prev, psi_cur, n):

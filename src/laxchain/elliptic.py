@@ -51,11 +51,11 @@ class CurvePoint:
     square_disc: bool
 
 
-def exact_curve_point(curve, z0, sign=1):
-    """Adjoin ``w = sign * sqrt(F_1(z0))`` formally and return the point."""
+def exact_curve_point(curve, z0):
+    """Adjoin ``w = sqrt(F_1(z0))`` formally and return the point."""
     z0 = rational(z0)
     disc = curve.eval(z0)
-    w = QuadExt(Fraction(0), Fraction(sign), disc)
+    w = QuadExt(Fraction(0), Fraction(1), disc)
     return CurvePoint(
         z0=z0,
         w=w,
@@ -118,9 +118,6 @@ class BoundedBranch:
     def energy(self):
         """Conserved quantity ``(wp')**2 - F_1(wp)`` (zero on the branch)."""
         return self.wp_prime**2 - float(self.curve.eval(self.wp))
-
-    def jet(self, order=3):
-        return wp_jet_numeric(self.curve, self.wp, self.wp_prime, order)
 
 
 def _real_roots_sorted(curve):

@@ -253,9 +253,6 @@ class QuadExt:
     def __neg__(self):
         return QuadExt(_neg(self.a), _neg(self.b), self.disc)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
@@ -454,10 +451,8 @@ class Jet:
         return self._zip(other, operator.sub, True)
 
     def __rsub__(self, other):
-        if not isinstance(other, Jet):
-            return Jet((other - self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
-        self._check_order(other)
-        return other - self
+        # only a non-Jet reaches here: Jet - Jet dispatches to __sub__
+        return Jet((other - self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]))
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -525,9 +520,6 @@ class Jet:
 
     def __neg__(self):
         return _jet(tuple(-c for c in self.coeffs), self._shape)
-
-    def __pos__(self):
-        return self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:

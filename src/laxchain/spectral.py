@@ -202,10 +202,6 @@ class PolynomialBandOperator:
     def window(self, n0, n1):
         return self.operator.window(n0, n1)
 
-    @classmethod
-    def identity(cls):
-        return cls({0: (Fraction(1),)})
-
 
 def compose_polynomial_bands(a, b):
     """Band polynomials of the product of two polynomial-band operators."""
@@ -389,7 +385,7 @@ def commutant_solve_exact(l_op, ansatz):
                     cur.append(Fraction(0))
                 cur[d] = c
                 bands[j] = tuple(cur)
-        basis.append(PolynomialBandOperator(bands if bands else {0: (Fraction(0),)}))
+        basis.append(PolynomialBandOperator(bands))
     return ExactCommutantResult(
         ansatz=ansatz, basis=tuple(basis), dimension=len(basis)
     )
@@ -431,13 +427,18 @@ class WindowedCommutantResult:
         }
 
 
-def commutant_solve_windowed(l_op, band_m, n0, n1, threshold_factor=1e-8):
+# Singular values below this fraction of the largest count toward the
+# numerical nullity of the windowed commutant system.
+NULLITY_THRESHOLD = 1e-8
+
+
+def commutant_solve_windowed(l_op, band_m, n0, n1):
     """Numeric analogue for operators without polynomial structure.
 
     Unknowns are free coefficient values ``x_j(n)`` on the window; equations
     are all commutator coefficients whose stencil stays inside the window
     (boundary unknowns are free, interior equations are complete).  The
-    numerical nullity is counted at ``threshold_factor * sigma_max``; ``gap``
+    numerical nullity is counted at ``NULLITY_THRESHOLD * sigma_max``; ``gap``
     is the ratio between the smallest kept and the largest discarded singular
     value (commutant candidates should be separated by many orders of
     magnitude from the generic spectrum).
@@ -487,7 +488,7 @@ def commutant_solve_windowed(l_op, band_m, n0, n1, threshold_factor=1e-8):
     a = np.array(rows)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     smax = float(s[0])
-    threshold = threshold_factor * smax
+    threshold = NULLITY_THRESHOLD * smax
     rank = int(np.sum(s >= threshold))
     nullity = ncols - rank
     if 0 < rank < len(s):

@@ -67,6 +67,9 @@ DEFAULT_SEED = 7
 DEFAULT_MAX_NUM = 1000
 DEFAULT_MAX_DEN = 8
 
+# Period of the drawn chains; everything downstream reads len(config.gamma).
+PERIOD = 4
+
 # Rejected draws after which draw_sample gives up on the bounds: at the
 # default bounds a sample is accepted at the first draw nearly always.
 MAX_REJECTED_DRAWS = 10_000
@@ -78,7 +81,7 @@ MAX_REJECTED_DRAWS = 10_000
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """One drawn configuration: curve, 4-periodic chain, and a curve point."""
+    """One drawn configuration: curve, periodic chain, and a curve point."""
 
     curve: SpectralCurve
     gamma: tuple
@@ -146,7 +149,7 @@ def draw_sample(
 ):
     """Random exact configuration suitable for every suite.
 
-    Drawn so that no denominator in any residual can vanish: all four gammas
+    Drawn so that no denominator in any residual can vanish: all ``PERIOD`` gammas
     pairwise distinct and off the curve's roots, z0 off the chain, F(z0)
     nonzero and not a rational square (so "both components zero" certifies
     nonzero elements of the extension).  Raises :class:`ConfigError` naming
@@ -159,8 +162,8 @@ def draw_sample(
             _draw_fraction(rng, max_num, max_den),
             _draw_fraction(rng, max_num, max_den),
         )
-        gamma = tuple(_draw_fraction(rng, max_num, max_den) for _ in range(4))
-        if len(set(gamma)) != 4:
+        gamma = tuple(_draw_fraction(rng, max_num, max_den) for _ in range(PERIOD))
+        if len(set(gamma)) != PERIOD:
             continue
         if any(curve.eval(g) == 0 for g in gamma):
             continue
@@ -174,7 +177,7 @@ def draw_sample(
             curve=curve,
             gamma=gamma,
             z0=z0,
-            constants=constants or SolutionConstants.zero(),
+            constants=constants or SolutionConstants(),
         )
     raise ConfigError(
         f"no admissible sample in {MAX_REJECTED_DRAWS} draws with numerators "
@@ -216,23 +219,18 @@ def _eval_chain_sample(config):
     signs.  The solved constants and the gap magnitude are reported.
     """
     solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
-    ok = True
-    worst = 0.0
+    must_vanish = []
     gap_mag = 0.0
     per_sign = [data.truncated(1, 1) for data in _sample_data(config, chain_order=2)]
     for data in per_sign:
         bare = rank2_solution(data)
         fixed = rank2_solution(data, solved)
-        for n in range(4):
+        for n in range(len(config.gamma)):
             r1, r2, r3 = chain_residuals(bare, n)
-            if r1 != 0 or r2 != 0:
-                ok = False
-                worst = max(worst, float(scalar_abs(r1)), float(scalar_abs(r2)))
+            must_vanish += [r1, r2, *chain_residuals(fixed, n)]
             gap_mag = max(gap_mag, float(scalar_abs(r3)))
-            for r in chain_residuals(fixed, n):
-                if r != 0:
-                    ok = False
-                    worst = max(worst, float(scalar_abs(r)))
+    nonzero = [r for r in must_vanish if r != 0]
+    worst = max((float(scalar_abs(r)) for r in nonzero), default=0.0)
     info = {
         "solved_constants": {
             "s0": format_scalar(solved.s0),
@@ -247,9 +245,9 @@ def _eval_chain_sample(config):
         user = rank2_solution(per_sign[0], config.constants)
         info["user_constants_residuals"] = [
             [float(scalar_abs(r)) for r in chain_residuals(user, n)]
-            for n in range(4)
+            for n in range(len(config.gamma))
         ]
-    return ok, worst, info
+    return not nonzero, worst, info
 
 
 def _eval_factorization_sample(config):
@@ -291,19 +289,18 @@ def _bump_second(wp):
     return Jet((wp.coeffs[0], wp.coeffs[1], wp.coeffs[2] + 1) + tuple(wp.coeffs[3:]))
 
 
-def l4_lax_residual_window(chain, n0=0, n1=None):
-    """Window of ``dL/dx + [L, V_{n-1} V_n T^{-2}]`` for the fourth-order
-    operator built from the chain couplings, with the time derivative taken
-    from order-2 jets.  Exactly zero when the chain follows the lattice flow.
+def l4_lax_residual_window(chain):
+    """One-period window of ``dL/dx + [L, V_{n-1} V_n T^{-2}]`` for the
+    fourth-order operator built from the chain couplings, with the time
+    derivative taken from order-2 jets.  Exactly zero when the chain follows
+    the lattice flow.
     """
-    if n1 is None:
-        n1 = n0 + chain.period - 1
     sites = site_array(prolong_gamma_jets(chain, 2).jets)
     vs, ws = vn_from_gamma(sites, chain.curve), wn_from_gamma(sites, chain.curve)
     v = lambda n: vs[n % chain.period]
     w = lambda n: ws[n % chain.period]
     a_op = DifferenceOperator.from_bands({-2: lambda n: (v(n - 1) * v(n)).truncate(1)})
-    return lax_window(build_l4(v, w), "x", a_op, n0, n1)
+    return lax_window(build_l4(v, w), "x", a_op, chain.period)
 
 
 def _eval_lax_l4_sample(config):
@@ -374,12 +371,7 @@ def report_to_json(reports):
 
 def _eval_indexed_sample(task):
     """Worker entry point: evaluate one sample; picklable args and results."""
-    suite, seed, index, max_num, max_den, constants_tuple = task
-    constants = (
-        SolutionConstants(*(rational(c) for c in constants_tuple))
-        if constants_tuple
-        else None
-    )
+    suite, seed, index, max_num, max_den, constants = task
     config = draw_sample(seed, index, max_num, max_den, constants)
     ok, worst, info = _suite_eval(suite)(config)
     dump = None if ok else config.to_dump(suite, index, note="residual nonzero")
@@ -399,12 +391,7 @@ def run_suite(
     them out to a process pool and a single collector assembles the report
     (identical output regardless of worker count)."""
     _suite_eval(suite)
-    constants_tuple = (
-        tuple(format_scalar(c) for c in constants.as_tuple()) if constants else None
-    )
-    tasks = [
-        (suite, seed, i, max_num, max_den, constants_tuple) for i in range(samples)
-    ]
+    tasks = [(suite, seed, i, max_num, max_den, constants) for i in range(samples)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

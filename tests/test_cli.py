@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import pytest
 
@@ -105,6 +106,9 @@ SIMULATE = ["simulate", "--flow", "dkn", "--curve", "0,-1,0",
 ELLIPTIC = ["elliptic", "--curve", "0,-1,0"]
 FLAT = ["commutant", "--variant", "flat", "--r", "0,1"]
 DARBOUX = ["darboux", "--curve", "0,-1,0"]
+CUSTOM = ["commutant", "--variant", "custom"]
+# a path that no file can have: os.devnull is not a directory
+UNREADABLE = os.path.join(os.devnull, "missing")
 
 
 @pytest.mark.parametrize(
@@ -130,6 +134,20 @@ DARBOUX = ["darboux", "--curve", "0,-1,0"]
         (DARBOUX + ["--gamma", "2,3,4,5", "--z0", "3"], "darboux.z0: 3 lies on the chain"),
         (DARBOUX + ["--gamma", "2,3", "--z0", "7"], "chain.gamma: the lattice stencil"),
         (SIMULATE[:-1] + ["--gamma", "2,3", "--steps", "1"], "chain.gamma: the lattice stencil"),
+        (DARBOUX + ["--gamma", "1,3,4,5", "--z0", "2"],
+         "chain.gamma: 1 at site 0 is a branch point"),
+        (DARBOUX + ["--gamma", "2,3,4,5", "--z0", "x"], "darboux.z0: not a rational"),
+        (ELLIPTIC + ["--y-max", "far"], "y_max: not a number"),
+        (DARBOUX + ["--z0", "7"], "chain.gamma: required for darboux"),
+        (["simulate", "--flow", "vw", "--v", "1,2,3"], "chain.v / chain.w: required"),
+        (CUSTOM, "commutant.bands: required"),
+        (CUSTOM + ["--bands", "{"], "commutant.bands: "),
+        (VERIFY + ["--config", UNREADABLE], "config: cannot read"),
+        (["elliptic", "--config", os.devnull], "curve: missing coefficients c2, c1, c0"),
+        (["verify", "--replay", UNREADABLE], "replay: "),
+        (["verify", "--suite", "nope"], "suite: unknown suite 'nope'"),
+        (["simulate", "--flow", "nope"], "flow: unknown flow 'nope'"),
+        (["commutant", "--variant", "nope"], "variant: unknown variant 'nope'"),
     ],
     ids=[
         "verify-samples-0", "verify-workers-0", "verify-max-num-0",
@@ -138,7 +156,11 @@ DARBOUX = ["darboux", "--curve", "0,-1,0"]
         "flat-window-reversed", "flat-band-negative", "flat-window-fraction",
         "sharp-r3-zero", "flat-r1-zero", "genus-0", "flat-window-ill-posed",
         "darboux-z0-branch-point", "darboux-z0-on-chain", "darboux-period-2",
-        "simulate-period-2",
+        "simulate-period-2", "darboux-gamma-branch-point", "not-a-rational",
+        "not-a-number", "darboux-gamma-missing", "simulate-vw-missing",
+        "custom-bands-missing", "custom-bands-bad-json", "config-unreadable",
+        "config-no-curve", "replay-unreadable", "verify-unknown-suite",
+        "simulate-unknown-flow", "commutant-unknown-variant",
     ],
 )
 def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):
@@ -219,6 +241,26 @@ def test_commutant_sharp(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["dimension"] == 3
     assert payload["verified_exact"] is True
+
+
+def test_commutant_sharp_unverified_basis_fails(tmp_path, monkeypatch):
+    """A basis element that fails the exact check gets its commutator norm
+    computed, and the command reports the failure."""
+    monkeypatch.setattr(cli, "exact_commutator_is_zero", lambda l_op, x_op: False)
+    computed = []
+    real = cli.commutator_polynomial_bands
+    monkeypatch.setattr(
+        cli, "commutator_polynomial_bands", lambda a, b: computed.append(b) or real(a, b)
+    )
+    out = tmp_path / "commutant.json"
+    code = run_cli(["commutant", "--variant", "sharp", "--band", "3", "--degree", "9",
+                    "--out", str(out)])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["verified_exact"] is False
+    assert len(computed) == payload["dimension"] == 3
+    # the basis does commute, so the computed norms are zero
+    assert payload["residual_norms"] == [0.0] * 3
 
 
 def test_commutant_flat(tmp_path):
@@ -305,6 +347,25 @@ def test_config_file_with_flag_override(tmp_path):
     # file picked the suite; the flag overrode the sample count
     assert payload["suite"] == "factorization"
     assert payload["samples"] == 1
+
+
+def test_ini_curve_coefficients_match_the_flag(tmp_path):
+    cfg = tmp_path / "curve.ini"
+    cfg.write_text("[curve]\nc2 = 1/3\nc1 = -2\nc0 = 5/7\n")
+    run = ["darboux", "--gamma", "1,2,3,5", "--z0", "9/2"]
+    from_flag, from_ini = tmp_path / "flag.json", tmp_path / "ini.json"
+    assert run_cli(run + ["--curve", "1/3,-2,5/7", "--out", str(from_flag)]) == 0
+    assert run_cli(run + ["--config", str(cfg), "--out", str(from_ini)]) == 0
+    assert from_ini.read_bytes() == from_flag.read_bytes()
+
+
+def test_verify_without_out_writes_the_report_to_stdout(tmp_path, capsys):
+    run = ["verify", "--suite", "factorization", "--samples", "1"]
+    out = tmp_path / "report.json"
+    assert run_cli(run + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(run) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_bad_config_file(tmp_path, capsys):

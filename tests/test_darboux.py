@@ -447,7 +447,7 @@ def test_commutator_x_needs_lower_bands(rng):
     # drop the T^-2 coefficient: the bracket must notice
     c_op = DifferenceOperator.from_bands({-1: sol.b})
     l_hi = transformed_operator(d_hi).operator
-    assert not lax_window(l_hi, "x", c_op, 0, 3).is_zero()
+    assert not lax_window(l_hi, "x", c_op, data.period).is_zero()
 
 
 def _x_cut(c):
@@ -496,7 +496,7 @@ def test_lax_window_truncation_equals_rebuild(rng, axis, sign):
 
         reference = lax_residual(rebuilt, l_hi.map_coeffs(derive), a_op).window(0, 3)
         assert not reference.is_zero()
-        assert lax_window(l_hi, axis, a_op, 0, 3) == reference
+        assert lax_window(l_hi, axis, a_op, chain.period) == reference
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -95,6 +95,14 @@ EXACT_RUNS = {
         "verify", "--suite", "all", "--samples", "1", "--seed", "3",
         "--max-num", "1000000000", "--max-den", "1000000",
     ],
+    "verify-chain-constants": [
+        "verify", "--suite", "chain", "--samples", "3",
+        "--constants", "1,2/3,-5,0,0,1",
+    ],
+    "verify-chain-constants-workers-2": [
+        "verify", "--suite", "chain", "--samples", "3",
+        "--constants", "1,2/3,-5,0,0,1", "--workers", "2",
+    ],
     "darboux": ["darboux", "--curve", "1/3,-2,5/7", "--gamma", "1,2,3,5", "--z0", "9/2"],
     "commutant-sharp": ["commutant", "--variant", "sharp", "--band", "3", "--degree", "9"],
     "commutant-sharp-wide": [
@@ -108,14 +116,20 @@ EXACT_RUNS = {
 }
 
 # Digests of the exact reports as the per-bracket rebuilt-operator code wrote
-# them (lax-l4 from its former stand-alone driver), and of the commutant
-# reports as the dense Fraction elimination wrote them.
+# them (lax-l4 from its former stand-alone function), of the commutant reports
+# as the dense Fraction elimination wrote them, and of the user-constants
+# report as it was written when each sample parsed its constants back from
+# strings (serial and pooled runs give the same bytes).
 EXACT_EXPECTED = {
     "commutant-custom": "cdc8240a4897074f1febad7be0ec5a887184ae3cb353e231203630682a466d07",
     "commutant-sharp": "c0b944c0cc88f8afbf0d9294dd896485b212c5cd8946d3ea4dc9a4936c5ba38b",
     "commutant-sharp-wide": "6d703a0b0295608d2a6d3250a9683fd477cf25d44a0aff4d046ce3d84dea1c95",
     "verify-all": "5662889fa91dc406e839a0ce4d2b988203443fb5cd4d49f199f2f75e466fbb1c",
     "verify-all-wide": "5a852d3d6cc03213c875dd220f9d00c159fb5057ead873baa65714b3c36714d7",
+    "verify-chain-constants":
+        "745cf67f6784fcbcdcaa98648748d58ccce1f5dc38c33b04f00c315a41599677",
+    "verify-chain-constants-workers-2":
+        "745cf67f6784fcbcdcaa98648748d58ccce1f5dc38c33b04f00c315a41599677",
     "darboux": "11ddd7a88bd90b98a0bbb00a0e266f96457f3f96123d7349bb6efe8e7efa5bcb",
     "lax-l4": "073790661a2d2a0d94860c802b2c672f0f5e4155e51376a046d5cf9850dca70d",
 }

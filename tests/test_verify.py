@@ -1,14 +1,15 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from laxchain.curves import SpectralCurve
 from laxchain import verify as verify_mod
-from laxchain.darboux import SolutionConstants
+from laxchain.darboux import DarbouxData, SolutionConstants
 from laxchain.errors import ConfigError
 from laxchain.flows import GammaChain
-from laxchain.scalars import is_rational_square
+from laxchain.scalars import Jet, is_rational_square
 from laxchain.verify import (
     SUITES,
     SampleConfig,
@@ -142,7 +143,7 @@ def test_l4_lax_requires_flow():
     vs, ws = vn_from_gamma(jets, chain.curve), wn_from_gamma(jets, chain.curve)
     l4 = build_l4(lambda n: vs[n % 4], lambda n: ws[n % 4])
     zero_a = DifferenceOperator.from_constant_bands({0: 0})
-    assert not lax_window(l4, "x", zero_a, 0, 3).is_zero()
+    assert not lax_window(l4, "x", zero_a, chain.period).is_zero()
 
 
 def test_numeric_convergence_orders():
@@ -167,3 +168,78 @@ def test_unknown_suite_rejected():
         run_suite("nope", samples=1, seed=1)
     with pytest.raises(ValueError):
         replay_config(draw_sample(seed=31, index=0).to_dump("nope", 0))
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: every suite evaluator rejects a perturbed input
+# ---------------------------------------------------------------------------
+
+def _off_solved_s0(monkeypatch):
+    """The solved tail constants with s0 off by one."""
+    real = verify_mod.solve_tail_constants
+
+    def off(chain):
+        solved = real(chain)
+        return replace(solved, s0=solved.s0 + 1)
+
+    monkeypatch.setattr(verify_mod, "solve_tail_constants", off)
+
+
+def _bare_tail_s1(monkeypatch):
+    """The bare solution (no constants given) with s1 = 1 instead of zero."""
+    real = verify_mod.rank2_solution
+    monkeypatch.setattr(
+        verify_mod,
+        "rank2_solution",
+        lambda data, constants=None: real(data, constants or SolutionConstants(s1=Fraction(1))),
+    )
+
+
+def _chi2_plus_one(monkeypatch):
+    real = DarbouxData.chi2
+    monkeypatch.setattr(DarbouxData, "chi2", lambda self, n: real(self, n) + 1)
+
+
+def _gamma0_prime_plus_one(monkeypatch):
+    """The prolonged chain with gamma_0' off the flow by one."""
+    real = verify_mod.prolong_gamma_jets
+
+    def off(chain, order=2):
+        jets = real(chain, order)
+        c = jets.jets[0].coeffs
+        return replace(jets, jets=(Jet((c[0], c[1] + 1) + c[2:]),) + jets.jets[1:])
+
+    monkeypatch.setattr(verify_mod, "prolong_gamma_jets", off)
+
+
+@pytest.mark.parametrize(
+    "suite, perturb",
+    [
+        ("chain", _off_solved_s0),
+        ("chain", _bare_tail_s1),
+        ("factorization", _chi2_plus_one),
+        ("lax-x", _gamma0_prime_plus_one),
+        ("lax-l4", _gamma0_prime_plus_one),
+        ("lax-y", _off_solved_s0),
+    ],
+    ids=["chain-solved-s0", "chain-bare-s1", "factorization-chi2", "lax-x-gamma-prime",
+         "lax-l4-gamma-prime", "lax-y-off-constants"],
+)
+def test_suite_rejects_perturbed_input(monkeypatch, suite, perturb):
+    config = draw_sample(7, 0)
+    assert verify_mod._SUITE_EVALS[suite](config)[0] is True
+    perturb(monkeypatch)
+    ok, worst, _ = verify_mod._SUITE_EVALS[suite](config)
+    assert ok is False
+    assert worst > 0
+
+
+def test_failure_dump_replays_as_failure(monkeypatch):
+    _chi2_plus_one(monkeypatch)
+    report = run_suite("factorization", samples=1, seed=7)
+    assert report.passes == 0 and report.max_residual > 0
+    (dump,) = report.failures
+    assert dump["note"] == "residual nonzero"
+    replayed = replay_config(dump)
+    assert not replayed.passed and replayed.max_residual > 0
+    assert [f["note"] for f in replayed.failures] == ["replay"]
