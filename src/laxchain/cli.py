@@ -92,13 +92,17 @@ def _parse_int(text, field, least=None):
 
 
 def _chain_gamma(settings, purpose):
-    """The ``chain.gamma`` values; the lattice stencil reads three sites at least."""
+    """The ``chain.gamma`` values: three sites at least, no two neighbours equal."""
     gamma_raw = settings.get("chain", "gamma")
     if gamma_raw is None:
         raise ConfigError(f"chain.gamma: required for {purpose}")
     gamma = _parse_list(gamma_raw, "chain.gamma")
     if len(gamma) < 3:
         raise ConfigError("chain.gamma: the lattice stencil needs period >= 3")
+    for site, g in enumerate(gamma):
+        after = (site + 1) % len(gamma)
+        if g == gamma[after]:
+            raise ConfigError(f"chain.gamma: sites {site} and {after} hold the same value {g}")
     return gamma
 
 

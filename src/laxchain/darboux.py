@@ -4,7 +4,9 @@ Everything here evaluates identities pointwise in (x, y) at jet-equipped
 sample configurations: gamma carries x-jets along the lattice flow, the curve
 point z0 carries y-jets along the Weierstrass-type ODE, and all site
 quantities live in the nested jet field Jet_x(Jet_y(base)) whose base is the
-quadratic extension Q(w) (exact path) or floats (numeric path).  A rational
+quadratic extension Q(w) (exact path) or floats (numeric path).  Chain
+values enter that field by arithmetic, as ``zero + c`` with ``zero`` the
+point's own zero, so no code path switches on the scalar type.  A rational
 identity that evaluates to exactly zero at random rational configurations is
 certified with overwhelming confidence (Schwartz-Zippel style), without any
 symbolic engine.
@@ -17,7 +19,9 @@ The factorization being transformed is
 with chi1(n) = -V_n (z0 - gamma_{n+1})/(z0 - gamma_n) and
 chi2(n) = w/(z0 - gamma_n), w^2 = F(z0).  Swapping the factors and adding
 z0 yields the transformed operator, whose four explicit band formulas are
-cross-checked against the swapped product on every run.
+cross-checked against the swapped product on every run.  chi1, chi2, those
+bands, b_n and f_n without its tail are ``DarbouxData`` methods
+behind one per-site memo, sharing the memoised gaps z0 - gamma_n.
 
 The chain equations are zero curvature: :func:`chain_residuals` reads them
 from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
@@ -29,13 +33,13 @@ one jet order, L from one operator.  Both assemble every bracket with
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .curves import SpectralCurve
 from .errors import DegenerateConfigurationError, PoleError
 from .flows import prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
-from .scalars import Jet, QuadExt, is_degenerate_pair, scalar_value
+from .scalars import Jet, is_degenerate_pair
 
 __all__ = [
     "ChainSolution",
@@ -60,19 +64,20 @@ __all__ = [
 # Nested-jet scene construction
 # ---------------------------------------------------------------------------
 
-def _make_embed(base_sample):
-    """Embedding of plain chain coefficients into the point's base field."""
-    if isinstance(base_sample, QuadExt):
-        disc = base_sample.disc
-        zero = base_sample.a * 0
+def _per_site(formula):
+    """Memoise ``formula(data, m)`` under its name and the site modulo the period."""
+    name = formula.__name__
 
-        def embed(c):
-            return QuadExt(c, zero, disc)
+    @wraps(formula)
+    def at_site(data, n):
+        key = (name, n % data.period)
+        hit = data._site_cache.get(key)
+        if hit is None:
+            hit = formula(data, key[1])
+            data._site_cache[key] = hit
+        return hit
 
-        return embed
-    if isinstance(base_sample, float):
-        return float
-    return lambda c: c
+    return at_site
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +87,8 @@ class DarbouxData:
     ``gamma``/``dgamma`` hold gamma_n and gamma_n' as nested scalars
     Jet_x(Jet_y(base)) of uniform orders (x_order, y_order); ``z0``/``w``
     hold the curve point and its y-derivative in the same shape.  Site
-    lookups reduce modulo the period.
+    lookups reduce modulo the period, and every per-site formula is a
+    method memoised in ``_site_cache``.
     """
 
     curve: SpectralCurve
@@ -94,7 +100,7 @@ class DarbouxData:
     y_order: int
 
     def __post_init__(self):
-        # per-site memo tables; every stored value is immutable
+        # per-site memo table; every stored value is immutable
         object.__setattr__(self, "_site_cache", {})
 
     @property
@@ -106,14 +112,6 @@ class DarbouxData:
 
     def dgamma_at(self, n):
         return self.dgamma[n % self.period]
-
-    def _cached(self, kind, n, compute):
-        key = (kind, n % self.period)
-        hit = self._site_cache.get(key)
-        if hit is None:
-            hit = compute(n % self.period)
-            self._site_cache[key] = hit
-        return hit
 
     def truncated(self, x_order, y_order):
         """Same configuration at lower jet orders (cheap slicing)."""
@@ -145,18 +143,59 @@ class DarbouxData:
     def w_site(self, n):
         return self._w[n % self.period]
 
-    def chi1(self, n):
+    @_per_site
+    def gap(self, m):
+        """``z0 - gamma_m``, the factor every formula below divides by."""
+        return self.z0 - self.gamma_at(m)
+
+    @_per_site
+    def chi1(self, m):
+        return -self.v_at(m) * self.gap(m + 1) / self.gap(m)
+
+    @_per_site
+    def chi2(self, m):
+        return self.w / self.gap(m)
+
+    @_per_site
+    def a1(self, m):
         g = self.gamma_at
-        return self._cached(
-            "chi1",
-            n,
-            lambda m: -self.v_at(m) * (self.z0 - g(m + 1)) / (self.z0 - g(m)),
+        return (g(m + 2) - g(m)) * self.w / (self.gap(m) * self.gap(m + 2))
+
+    @_per_site
+    def a0(self, m):
+        num = (
+            self.v_at(m) * self.gap(m + 1) ** 2
+            + self.v_at(m + 1) * self.gap(m) ** 2
+            - self.curve.eval(self.z0)
+        )
+        return num / (self.gap(m) * self.gap(m + 1)) + self.z0
+
+    @_per_site
+    def am1(self, m):
+        g = self.gamma_at
+        return (g(m - 1) - g(m + 1)) * self.v_at(m) * self.w / self.gap(m) ** 2
+
+    @_per_site
+    def d(self, m):
+        """The ``T^{-2}`` band of the transformed operator and the ``d_n`` of
+        the solution family."""
+        return (
+            self.v_at(m - 1)
+            * self.v_at(m)
+            * self.gap(m - 2)
+            * self.gap(m + 1)
+            / (self.gap(m - 1) * self.gap(m))
         )
 
-    def chi2(self, n):
-        return self._cached(
-            "chi2", n, lambda m: self.w / (self.z0 - self.gamma_at(m))
-        )
+    @_per_site
+    def b(self, m):
+        return -self.w * self.dgamma_at(m) / self.gap(m) ** 2
+
+    @_per_site
+    def f_core(self, m):
+        """``f_m`` without its tail ``g_m``."""
+        g = self.gamma_at
+        return -self.w * (g(m) - g(m + 1)) / (self.gap(m) * self.gap(m + 1))
 
 
 def darboux_data(jet_chain, wp_jet):
@@ -165,7 +204,9 @@ def darboux_data(jet_chain, wp_jet):
     ``jet_chain`` carries x-jets of gamma (order K >= 1); ``wp_jet`` carries
     the y-jet of the curve point (order >= 1), exact (QuadExt base) or float.
     Working orders come out one lower than the sources, so gamma and gamma'
-    (and z0 and z0') share a uniform shape.
+    (and z0 and z0') share a uniform shape.  Chain values enter the point's
+    field as ``zero + c``, with ``zero`` that field's own zero, so exact
+    stays exact and floats stay floats.
 
     Validates that the suites' denominators cannot vanish: adjacent gammas
     distinct, z0 off the chain, and the chain off the curve's branch points
@@ -178,37 +219,30 @@ def darboux_data(jet_chain, wp_jet):
     x_ord = jet_chain.order - 1
     y_ord = wp_jet.order - 1
     base = wp_jet.coeffs[0]
-    embed = _make_embed(base)
+    zero = base - base
     period = jet_chain.period
 
     raw = [jet_chain.jets[n].coeffs for n in range(period)]
-    z0_val = base
     for n in range(period):
         if is_degenerate_pair(raw[n][0], raw[(n + 1) % period][0]):
             raise DegenerateConfigurationError((n, n + 1))
-        if is_degenerate_pair(embed(raw[n][0]), z0_val):
+        if is_degenerate_pair(zero + raw[n][0], base):
             raise PoleError(f"z0 collides with gamma at site {n}")
-        if scalar_value(jet_chain.curve.eval(raw[n][0])) == 0 and isinstance(
-            raw[n][0], (int, Fraction)
-        ):
+        if jet_chain.curve.eval(raw[n][0]) == 0:
             raise PoleError(
                 f"gamma at site {n} is a branch point of the curve (V_n = 0)"
             )
 
-    def yconst(c):
-        return Jet.constant(embed(c), y_ord)
-
     def site_jets(coeffs, offset):
-        return Jet(tuple(yconst(coeffs[i + offset]) for i in range(x_ord + 1)))
+        lifted = (zero + coeffs[i + offset] for i in range(x_ord + 1))
+        return Jet(tuple(Jet.constant(c, y_ord) for c in lifted))
 
     gamma = tuple(site_jets(raw[n], 0) for n in range(period))
     dgamma = tuple(site_jets(raw[n], 1) for n in range(period))
 
-    # the x-padding zero comes from the point's own field, so exact stays exact
-    field = base.a if isinstance(base, QuadExt) else base
-    zero_y = Jet.constant(embed(0.0 if isinstance(field, float) else field * 0), y_ord)
-    z0_nested = Jet((Jet(wp_jet.coeffs[: y_ord + 1]),) + (zero_y,) * x_ord)
-    w_nested = Jet((Jet(wp_jet.coeffs[1 : y_ord + 2]),) + (zero_y,) * x_ord)
+    pad = (Jet.constant(zero, y_ord),) * x_ord
+    z0_nested = Jet((Jet(wp_jet.coeffs[: y_ord + 1]),) + pad)
+    w_nested = Jet((Jet(wp_jet.coeffs[1 : y_ord + 2]),) + pad)
 
     return DarbouxData(
         curve=jet_chain.curve,
@@ -224,9 +258,7 @@ def darboux_data(jet_chain, wp_jet):
 def darboux_data_static(chain, point):
     """Order-(0,0) configuration from plain chain values and a curve point."""
     jets = prolong_gamma_jets(chain, 1)
-    lift = _make_embed(point.w)
-    wp_jet = Jet((lift(point.z0), point.w))
-    return darboux_data(jets, wp_jet)
+    return darboux_data(jets, Jet((point.w - point.w + point.z0, point.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +313,6 @@ def factorization_check(data):
     return residual.window(0, data.period - 1)
 
 
-def _d_band(data, n):
-    """``V_{n-1} V_n (z0 - gamma_{n-2})(z0 - gamma_{n+1})
-    / ((z0 - gamma_{n-1})(z0 - gamma_n))``: the ``T^{-2}`` band of the
-    transformed operator and the ``d_n`` of the solution family."""
-    g, z0 = data.gamma_at, data.z0
-    return data._cached(
-        "d",
-        n,
-        lambda m: data.v_at(m - 1)
-        * data.v_at(m)
-        * (z0 - g(m - 2))
-        * (z0 - g(m + 1))
-        / ((z0 - g(m - 1)) * (z0 - g(m))),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class TransformedOperator:
     """The Darboux-transformed operator, in explicit band form.
@@ -312,9 +328,10 @@ class TransformedOperator:
                / ((z0 - gamma_{n-1})(z0 - gamma_n)),
 
     where z0' is the y-derivative jet of the curve point (w on the exact
-    path).  ``crosscheck_window`` compares these formulas against the
-    swapped factor product plus z0 over one period, which must agree
-    exactly.
+    path); the bands are the memoised ``DarbouxData`` methods ``a1``,
+    ``a0``, ``am1`` and ``d``.  ``crosscheck_window`` compares these
+    formulas against the swapped factor product plus z0 over one period,
+    which must agree exactly.
     """
 
     operator: DifferenceOperator
@@ -327,36 +344,8 @@ class TransformedOperator:
 
 
 def transformed_operator(data):
-    g = data.gamma_at
-    z0, w, curve = data.z0, data.w, data.curve
-
-    def a1(n):
-        return data._cached(
-            "A1",
-            n,
-            lambda m: (g(m + 2) - g(m)) * w / ((z0 - g(m)) * (z0 - g(m + 2))),
-        )
-
-    def _a0(m):
-        num = (
-            data.v_at(m) * (z0 - g(m + 1)) ** 2
-            + data.v_at(m + 1) * (z0 - g(m)) ** 2
-            - curve.eval(z0)
-        )
-        return num / ((z0 - g(m)) * (z0 - g(m + 1))) + z0
-
-    def a0(n):
-        return data._cached("A0", n, _a0)
-
-    def am1(n):
-        return data._cached(
-            "Am1",
-            n,
-            lambda m: (g(m - 1) - g(m + 1)) * data.v_at(m) * w / (z0 - g(m)) ** 2,
-        )
-
     op = DifferenceOperator.from_bands(
-        {2: lambda n: 1, 1: a1, 0: a0, -1: am1, -2: lambda n: _d_band(data, n)}
+        {2: lambda n: 1, 1: data.a1, 0: data.a0, -1: data.am1, -2: data.d}
     )
     return TransformedOperator(operator=op, data=data)
 
@@ -422,35 +411,18 @@ class ChainSolution:
         )
         return sgn * quad / self.data.w
 
-    def _f_core(self, n):
-        g = self.data.gamma_at
-        return self.data._cached(
-            "f_core",
-            n,
-            lambda m: -self.data.w
-            * (g(m) - g(m + 1))
-            / ((self.data.z0 - g(m)) * (self.data.z0 - g(m + 1))),
-        )
-
     def f(self, n):
         hit = self._f_cache.get(n)
         if hit is None:
-            hit = self._f_core(n) + self.g(n)
+            hit = self.data.f_core(n) + self.g(n)
             self._f_cache[n] = hit
         return hit
 
     def b(self, n):
-        g = self.data.gamma_at
-        return self.data._cached(
-            "b",
-            n,
-            lambda m: -self.data.w
-            * self.data.dgamma_at(m)
-            / (self.data.z0 - g(m)) ** 2,
-        )
+        return self.data.b(n)
 
     def d(self, n):
-        return _d_band(self.data, n)
+        return self.data.d(n)
 
 
 def rank2_solution(data, constants=None):

@@ -140,6 +140,26 @@ def _draw_fraction(rng, max_num, max_den):
     return Fraction(num, den)
 
 
+def _chain_problem(curve, gamma):
+    """Why ``draw_sample`` would reject the chain ``gamma``, or None."""
+    for site, g in enumerate(gamma):
+        if g in gamma[:site]:
+            return f"gamma: sites {gamma.index(g)} and {site} hold the same value {g}"
+        if curve.eval(g) == 0:
+            return f"gamma: {g} at site {site} is a branch point of the curve"
+
+
+def _point_problem(curve, gamma, z0):
+    """Why ``draw_sample`` would reject the curve point ``z0``, or None."""
+    if z0 in gamma:
+        return f"z0: {z0} lies on the chain (site {gamma.index(z0)})"
+    disc = curve.eval(z0)
+    if disc == 0:
+        return f"z0: {z0} is a branch point of the curve (F(z0) = 0)"
+    if is_rational_square(disc) or is_rational_square(-disc):
+        return f"z0: F(z0) = {disc} is a rational square up to sign"
+
+
 def draw_sample(
     seed,
     index,
@@ -163,15 +183,10 @@ def draw_sample(
             _draw_fraction(rng, max_num, max_den),
         )
         gamma = tuple(_draw_fraction(rng, max_num, max_den) for _ in range(PERIOD))
-        if len(set(gamma)) != PERIOD:
-            continue
-        if any(curve.eval(g) == 0 for g in gamma):
+        if _chain_problem(curve, gamma):
             continue
         z0 = _draw_fraction(rng, max_num, max_den)
-        if z0 in gamma:
-            continue
-        disc = curve.eval(z0)
-        if disc == 0 or is_rational_square(disc) or is_rational_square(-disc):
+        if _point_problem(curve, gamma, z0):
             continue
         return SampleConfig(
             curve=curve,
@@ -433,7 +448,8 @@ def read_dump(dump):
     """The suite name and the configuration that a failure dump holds.
 
     Raises ``ValueError`` naming what is wrong: an unknown suite, a missing
-    field, or a value that is not an exact rational.
+    field, a value that is not an exact rational, or a configuration that
+    ``draw_sample`` would have rejected (any period is accepted).
     """
     try:
         suite = dump["suite"]
@@ -443,6 +459,10 @@ def read_dump(dump):
         raise ValueError(f"dump has no field {err}") from err
     except TypeError as err:
         raise ValueError(f"malformed dump: {err}") from err
+    curve, gamma = config.curve, config.gamma
+    problem = _chain_problem(curve, gamma) or _point_problem(curve, gamma, config.z0)
+    if problem:
+        raise ValueError(problem)
     return suite, config
 
 

@@ -61,15 +61,50 @@ def test_verify_replay(tmp_path):
 
 
 
-@pytest.mark.parametrize("damage", ["unknown-suite", "missing-field", "not-an-object"])
+CUBIC = {"c2": "0", "c1": "-1", "c0": "0"}  # F = z^3 - z, roots 0, 1, -1
+
+# Damage to a valid dump: the edit and what the error line must name.  The
+# last five are configurations that ``draw_sample`` never draws; before they
+# were rejected, three failed inside the suite and a factorization replay at
+# F(z0) = 0 passed.
+DUMP_DAMAGE = {
+    "unknown-suite": ({"suite": "nope"}, "'nope'"),
+    "missing-field": (None, "'c1'"),
+    "equal-neighbours": (
+        {"curve": CUBIC, "gamma": ["2", "2", "4", "5"]},
+        "gamma: sites 0 and 1 hold the same value 2",
+    ),
+    "z0-on-chain": (
+        {"curve": CUBIC, "gamma": ["2", "3", "4", "5"], "z0": "4"},
+        "z0: 4 lies on the chain (site 2)",
+    ),
+    "gamma-branch-point": (
+        {"curve": CUBIC, "gamma": ["1", "3", "4", "5"]},
+        "gamma: 1 at site 0 is a branch point",
+    ),
+    "z0-branch-point": (
+        {"suite": "factorization", "curve": CUBIC, "gamma": ["2", "3", "4", "5"],
+         "z0": "-1"},
+        "z0: -1 is a branch point",
+    ),
+    "z0-square-disc": (
+        {"curve": {"c2": "0", "c1": "0", "c0": "1"}, "gamma": ["3", "4", "5", "6"],
+         "z0": "2"},
+        "z0: F(z0) = 9 is a rational square",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", ["not-an-object", *DUMP_DAMAGE])
 def test_verify_replay_bad_dump_is_config_error(tmp_path, capsys, damage):
     dump = verify_mod.draw_sample(seed=9, index=1).to_dump("lax-x", 1)
-    if damage == "unknown-suite":
-        dump["suite"] = "nope"
-    elif damage == "missing-field":
+    edit, named = DUMP_DAMAGE.get(damage, ({}, ""))
+    if damage == "missing-field":
         del dump["curve"]["c1"]
-    else:
+    elif damage == "not-an-object":
         dump = [dump]
+    else:
+        dump.update(edit)
     dump_path = tmp_path / "dump.json"
     dump_path.write_text(json.dumps(dump))
     out = tmp_path / "replay.json"
@@ -77,7 +112,7 @@ def test_verify_replay_bad_dump_is_config_error(tmp_path, capsys, damage):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: replay: ")
-    assert {"unknown-suite": "'nope'", "missing-field": "'c1'"}.get(damage, "") in err
+    assert named in err
     assert not out.exists()
 
 
@@ -137,6 +172,12 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         (DARBOUX + ["--gamma", "1,3,4,5", "--z0", "2"],
          "chain.gamma: 1 at site 0 is a branch point"),
         (DARBOUX + ["--gamma", "2,3,4,5", "--z0", "x"], "darboux.z0: not a rational"),
+        (DARBOUX + ["--gamma", "2,2,4,5", "--z0", "3"],
+         "chain.gamma: sites 0 and 1 hold the same value 2"),
+        (SIMULATE[:-1] + ["--gamma", "2,2,4,5", "--steps", "1"],
+         "chain.gamma: sites 0 and 1 hold the same value 2"),
+        (DARBOUX + ["--gamma", "2,3,4,2", "--z0", "5"],
+         "chain.gamma: sites 3 and 0 hold the same value 2"),
         (ELLIPTIC + ["--y-max", "far"], "y_max: not a number"),
         (DARBOUX + ["--z0", "7"], "chain.gamma: required for darboux"),
         (["simulate", "--flow", "vw", "--v", "1,2,3"], "chain.v / chain.w: required"),
@@ -157,6 +198,8 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         "sharp-r3-zero", "flat-r1-zero", "genus-0", "flat-window-ill-posed",
         "darboux-z0-branch-point", "darboux-z0-on-chain", "darboux-period-2",
         "simulate-period-2", "darboux-gamma-branch-point", "not-a-rational",
+        "darboux-gamma-equal-neighbours", "simulate-gamma-equal-neighbours",
+        "darboux-gamma-equal-wrap-pair",
         "not-a-number", "darboux-gamma-missing", "simulate-vw-missing",
         "custom-bands-missing", "custom-bands-bad-json", "config-unreadable",
         "config-no-curve", "replay-unreadable", "verify-unknown-suite",

@@ -1,5 +1,7 @@
 import random
+import struct
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 
@@ -22,7 +24,7 @@ from laxchain.darboux import (
     _dy,
     _val,
 )
-from laxchain.elliptic import exact_curve_point, exact_wp_jet
+from laxchain.elliptic import exact_curve_point, exact_wp_jet, wp_jet_numeric
 from laxchain.errors import DegenerateConfigurationError, PoleError
 from laxchain.flows import GammaChain, dkn_rhs, prolong_gamma_jets, site_array
 from laxchain.operators import DifferenceOperator, build_l4, compose, lax_residual
@@ -71,10 +73,52 @@ def _leaves(x):
         yield x
 
 
+def _old_embed(base):
+    """How chain values entered the point's field before they were lifted
+    as ``zero + c``: the reference for the lift's values and types."""
+    if isinstance(base, QuadExt):
+        zero = base.a * 0
+        return lambda c: QuadExt(c, zero, base.disc)
+    if isinstance(base, float):
+        return float
+    return lambda c: c
+
+
+def _same_leaf(a, b):
+    if isinstance(a, float):
+        return type(b) is float and struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+def _assert_lift_matches_old_embed(chain, wp):
+    """gamma, gamma', z0, w and the x-padding hold the leaves the old
+    per-type embedding gave, equal in value and type (floats bit for bit)."""
+    jets = prolong_gamma_jets(chain, 3)
+    data = darboux_data(jets, wp)
+    base = wp.coeffs[0]
+    embed = _old_embed(base)
+    field = base.a if isinstance(base, QuadExt) else base
+    pad = (Jet.constant(embed(0.0 if isinstance(field, float) else field * 0), 2),) * 2
+
+    def site_jets(coeffs, offset):
+        return Jet(tuple(Jet.constant(embed(coeffs[i + offset]), 2) for i in range(3)))
+
+    expected = (
+        tuple(site_jets(j.coeffs, 0) for j in jets.jets)
+        + tuple(site_jets(j.coeffs, 1) for j in jets.jets)
+        + (Jet((Jet(wp.coeffs[:3]),) + pad), Jet((Jet(wp.coeffs[1:4]),) + pad))
+    )
+    got = data.gamma + data.dgamma + (data.z0, data.w)
+    for g, e in zip(got, expected, strict=True):
+        assert all(_same_leaf(a, b) for a, b in zip(_leaves(g), _leaves(e), strict=True))
+
+
 def test_rational_curve_point_stays_exact():
     """A curve-point jet over Q (w**2 = z**3 + 1 at (2, 3)) gives an exact
     configuration: the x-padding of z0 and w holds Fraction zeros, not 0.0,
-    so the three identities read exactly zero."""
+    so the three identities read exactly zero.  Over Q, over Q(w) and over
+    floats the chain values and the padding enter the point's field as the
+    old per-type embedding put them."""
     curve = SpectralCurve.elliptic(0, 0, 1)
     chain = GammaChain((0, 1, 3, 5), curve)
     wp = Jet(tuple(Fraction(c) for c in (2, 3, 6, 18)))
@@ -84,6 +128,57 @@ def test_rational_curve_point_stays_exact():
     assert commutator_x_check(data).is_zero()
     assert factorization_check(data.truncated(0, 0)).is_zero()
     assert commutator_y_check(data, solve_tail_constants(chain)).is_zero()
+    _assert_lift_matches_old_embed(chain, wp)
+    _assert_lift_matches_old_embed(CHAIN, exact_wp_jet(CURVE, Fraction(9, 2), order=3))
+    float_chain = GammaChain((0.5, 1.25, 2.0, 3.5), curve)
+    _assert_lift_matches_old_embed(
+        float_chain, wp_jet_numeric(curve, 5.0, sqrt(curve.eval(5.0)), order=3)
+    )
+
+
+def test_float_branch_point_chain_names_the_site():
+    curve = SpectralCurve.elliptic(0, -1, 0)  # roots 0, 1, -1
+    chain = GammaChain((2.5, 3.0, -1.0, 4.5), curve)
+    wp = wp_jet_numeric(curve, 5.0, sqrt(curve.eval(5.0)), order=3)
+    with pytest.raises(PoleError, match="gamma at site 2 is a branch point"):
+        darboux_data(prolong_gamma_jets(chain, 2), wp)
+
+
+# the memoised per-site formulas of DarbouxData
+PER_SITE = ("gap", "chi1", "chi2", "a1", "a0", "am1", "d", "b", "f_core")
+
+
+def test_per_site_memo_reduces_sites_modulo_the_period():
+    data = exact_data()
+    for name in PER_SITE:
+        at = getattr(data, name)
+        for n in range(-2, data.period + 2):
+            assert at(n) is at(n + data.period)
+    assert len(data._site_cache) == len(PER_SITE) * data.period
+
+
+def test_per_site_memo_keeps_quantities_apart():
+    """Each formula read from a warm memo equals the same formula read
+    first on a cold one, so no two quantities share an entry."""
+    warm = exact_data()
+    for name in PER_SITE:
+        for n in range(warm.period):
+            getattr(warm, name)(n)
+    for name in PER_SITE:
+        for n in range(warm.period):
+            cold = exact_data()
+            assert getattr(cold, name)(n) == getattr(warm, name)(n)
+    assert warm.chi1(0) != warm.chi2(0) and warm.a0(0) != warm.gap(0)
+
+
+def test_truncated_copy_starts_with_an_empty_memo():
+    data = exact_data()
+    data.chi1(0)
+    data.d(1)
+    cut = data.truncated(1, 1)
+    assert cut._site_cache == {}
+    assert cut.chi1(0) is not data.chi1(0)
+    assert cut.chi1(0) == data.truncated(1, 1).chi1(0)
 
 
 def test_data_rejects_z0_on_chain():
