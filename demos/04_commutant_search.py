@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from laxchain import (
     CommutantAnsatz,
-    OperatorFamilyParams,
     commutant_solve_exact,
     commutant_solve_windowed,
     flat_operator,
@@ -40,7 +39,7 @@ for sol in res.basis:
 # (its lower band is a degree-6 polynomial); the partner needs degree 9.
 
 # %%
-op = sharp_operator(OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1))
+op = sharp_operator((0, 0, 0, 1))
 for degree in range(5, 10):
     found = commutant_solve_exact(op, CommutantAnsatz(band_m=3, degree=degree))
     print(f"degree bound {degree}: solution space dimension {found.dimension}")
@@ -61,7 +60,7 @@ print("commutes exactly:", exact_commutator_is_zero(op, partner))
 # between the null group and the rest of the spectrum is ~1e14.
 
 # %%
-flat = flat_operator(OperatorFamilyParams("flat", (0, 1), genus=1))
+flat = flat_operator((0, 1))
 win = commutant_solve_windowed(flat, band_m=3, n0=0, n1=39)
 print(f"windowed nullity: {win.nullity}")
 print(f"singular-value gap: {win.gap:.3e}")

@@ -18,9 +18,7 @@ from laxchain import (
     commutator_x_check,
     commutator_y_check,
     darboux_data,
-    darboux_data_static,
     eigenfunction_step,
-    exact_curve_point,
     exact_wp_jet,
     factorization_check,
     prolong_gamma_jets,
@@ -79,8 +77,7 @@ print("y-bracket zero:", commutator_y_check(data, constants).is_zero())
 # operator at the curve point.
 
 # %%
-point = exact_curve_point(curve, z0)
-sdata = darboux_data_static(chain, point)
+sdata = data.truncated(0, 0)
 psi = {0: 1, 1: 1}
 for n in range(1, 7):
     psi[n + 1] = eigenfunction_step(sdata, psi[n - 1], psi[n], n)

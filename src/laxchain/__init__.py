@@ -20,7 +20,6 @@ from .darboux import (
     commutator_x_check,
     commutator_y_check,
     darboux_data,
-    darboux_data_static,
     eigenfunction_step,
     factorization_check,
     rank2_solution,
@@ -29,8 +28,6 @@ from .darboux import (
 )
 from .elliptic import (
     BoundedBranch,
-    CurvePoint,
-    exact_curve_point,
     exact_wp_jet,
     wp_init_bounded,
     wp_integrate,
@@ -56,7 +53,6 @@ from .flows import (
     chain_vw_rhs,
     dkn_rhs,
     flow2_rhs,
-    operator_time_derivative_fd,
     prolong_gamma_jets,
     q_flow_rhs,
     reduced_flow2_gamma,
@@ -87,7 +83,6 @@ from .scalars import (
 from .spectral import (
     CommutantAnsatz,
     ExactCommutantResult,
-    OperatorFamilyParams,
     PolynomialBandOperator,
     QPolynomial,
     WindowedCommutantResult,

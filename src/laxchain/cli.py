@@ -46,7 +46,6 @@ from .flows import (
 from .scalars import format_scalar, rational
 from .spectral import (
     CommutantAnsatz,
-    OperatorFamilyParams,
     PolynomialBandOperator,
     commutant_solve_exact,
     commutant_solve_windowed,
@@ -55,7 +54,18 @@ from .spectral import (
     flat_operator,
     sharp_operator,
 )
-from .verify import SUITES, read_dump, replay_config, report_to_json, run_all, run_suite
+from .verify import (
+    DEFAULT_MAX_DEN,
+    DEFAULT_MAX_NUM,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    SUITES,
+    read_dump,
+    replay_config,
+    report_to_json,
+    run_all,
+    run_suite,
+)
 
 __all__ = ["main"]
 
@@ -192,11 +202,11 @@ def _cmd_verify(args):
         return 0 if report.passed else 1
 
     suite = settings.get("verify", "suite", "all")
-    samples = _parse_int(settings.get("verify", "samples", 20), "samples", least=1)
-    seed = _parse_int(settings.get("verify", "seed", 7), "seed")
+    samples = _parse_int(settings.get("verify", "samples", DEFAULT_SAMPLES), "samples", least=1)
+    seed = _parse_int(settings.get("verify", "seed", DEFAULT_SEED), "seed")
     workers = _parse_int(settings.get("verify", "workers", 1), "workers", least=1)
-    max_num = _parse_int(settings.get("verify", "max_num", 1000), "max_num", least=1)
-    max_den = _parse_int(settings.get("verify", "max_den", 8), "max_den", least=1)
+    max_num = _parse_int(settings.get("verify", "max_num", DEFAULT_MAX_NUM), "max_num", least=1)
+    max_den = _parse_int(settings.get("verify", "max_den", DEFAULT_MAX_DEN), "max_den", least=1)
     constants = settings.constants()
 
     if suite == "all":
@@ -351,15 +361,6 @@ def _exact_commutant(l_op, band, degree, payload):
     return result
 
 
-def _family_params(variant, r, genus):
-    """Sharp or flat family parameters; ``genus`` is already >= 1, so the
-    library can only reject ``r``."""
-    try:
-        return OperatorFamilyParams(variant, r, genus)
-    except AnsatzError as err:
-        raise ConfigError(f"r: {err}") from err
-
-
 def _cmd_commutant(args):
     settings = Settings(args)
     variant = settings.get("commutant", "variant", "sharp")
@@ -370,7 +371,10 @@ def _cmd_commutant(args):
     payload = {"variant": variant, "band": band}
     if variant == "sharp":
         r = _parse_list(settings.get("commutant", "r", "0,0,0,1"), "r", expect=4)
-        op = sharp_operator(_family_params("sharp", r, genus))
+        try:
+            op = sharp_operator(r, genus)
+        except AnsatzError as err:
+            raise ConfigError(f"r: {err}") from err
         result = _exact_commutant(op, band, degree, payload)
         zero = [exact_commutator_is_zero(op, x) for x in result.basis]
         verified = all(zero)
@@ -398,7 +402,10 @@ def _cmd_commutant(args):
         ok = result.dimension > 0 and verified
     elif variant == "flat":
         r = _parse_list(settings.get("commutant", "r", "0,1"), "r", expect=2)
-        op = flat_operator(_family_params("flat", r, genus))
+        try:
+            op = flat_operator(r, genus)
+        except AnsatzError as err:
+            raise ConfigError(f"r: {err}") from err
         window = settings.get("commutant", "window", "0,40")
         n0, n1 = _parse_list(window, "window", expect=2, parse=_parse_int)
         if n0 > n1:
@@ -471,9 +478,18 @@ def _cmd_darboux(args):
     settings = Settings(args)
     curve = settings.curve()
     gamma = _chain_gamma(settings, "darboux")
+    period = len(gamma)
     for site, g in enumerate(gamma):
         if curve.eval(g) == 0:
             raise ConfigError(f"chain.gamma: {g} at site {site} is a branch point of the curve")
+        # gamma_{n-1} = gamma_{n+1} stops the flow at n: gamma_n' = 0, so b_n = 0
+        across = (site + 2) % period
+        if g == gamma[across]:
+            middle = (site + 1) % period
+            raise ConfigError(
+                f"chain.gamma: sites {site} and {across} hold the same value {g}, "
+                f"so gamma_{middle}' = 0 and b vanishes at site {middle}"
+            )
     z0 = _parse_rational(settings.get("darboux", "z0", "0"), "darboux.z0")
     if curve.eval(z0) == 0:
         raise ConfigError(f"darboux.z0: {z0} is a branch point of the curve (F(z0) = 0)")

@@ -50,7 +50,6 @@ __all__ = [
     "commutator_x_check",
     "commutator_y_check",
     "darboux_data",
-    "darboux_data_static",
     "eigenfunction_step",
     "factorization_check",
     "lax_window",
@@ -137,6 +136,10 @@ class DarbouxData:
     def _w(self):
         return wn_from_gamma(site_array(self.gamma), self.curve)
 
+    @cached_property
+    def _f_z0(self):
+        return self.curve.eval(self.z0)
+
     def v_at(self, n):
         return self._v[n % self.period]
 
@@ -166,7 +169,7 @@ class DarbouxData:
         num = (
             self.v_at(m) * self.gap(m + 1) ** 2
             + self.v_at(m + 1) * self.gap(m) ** 2
-            - self.curve.eval(self.z0)
+            - self._f_z0
         )
         return num / (self.gap(m) * self.gap(m + 1)) + self.z0
 
@@ -224,8 +227,11 @@ def darboux_data(jet_chain, wp_jet):
 
     raw = [jet_chain.jets[n].coeffs for n in range(period)]
     for n in range(period):
-        if is_degenerate_pair(raw[n][0], raw[(n + 1) % period][0]):
-            raise DegenerateConfigurationError((n, n + 1))
+        after = (n + 1) % period
+        if is_degenerate_pair(raw[n][0], raw[after][0]):
+            raise DegenerateConfigurationError(
+                (n, after), f"gamma collision between sites {n} and {after}"
+            )
         if is_degenerate_pair(zero + raw[n][0], base):
             raise PoleError(f"z0 collides with gamma at site {n}")
         if jet_chain.curve.eval(raw[n][0]) == 0:
@@ -253,12 +259,6 @@ def darboux_data(jet_chain, wp_jet):
         x_order=x_ord,
         y_order=y_ord,
     )
-
-
-def darboux_data_static(chain, point):
-    """Order-(0,0) configuration from plain chain values and a curve point."""
-    jets = prolong_gamma_jets(chain, 1)
-    return darboux_data(jets, Jet((point.w - point.w + point.z0, point.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +537,7 @@ def eigenfunction_step(data, psi_prev, psi_cur, n):
 # Flow-determined tail constants
 # ---------------------------------------------------------------------------
 
-def solve_tail_constants(chain, probes=None):
+def solve_tail_constants(chain):
     """Solve for the tail constants (s0, k0, p0) that close the chain equations.
 
     With the tail absent, the first two chain residuals vanish identically but
@@ -553,8 +553,8 @@ def solve_tail_constants(chain, probes=None):
     (s1, k1, p1) must stay zero for a 4-periodic chain: they shift the second
     residual by 2 (-1)^n (s1 z0^2 + k1 z0 + p1) / z0', which nothing cancels.
 
-    ``probes`` optionally fixes the three curve points used for the solve
-    (defaults avoid the chain values and the curve roots automatically).
+    The three curve points are the first of max|gamma_n| + 2, + 3, ... that
+    are not roots of F (on the float path: where F(p) > 0).
     """
     from math import sqrt
 
@@ -563,35 +563,31 @@ def solve_tail_constants(chain, probes=None):
     exact = all(isinstance(v, (int, Fraction)) for v in chain.values)
     jets = prolong_gamma_jets(chain, 2)
 
-    if probes is None:
-        if exact:
-            start = int(max(abs(v) for v in chain.values)) + 2
-            candidates = (Fraction(start + i) for i in range(64))
-        else:
-            start = max(abs(float(v)) for v in chain.values) + 2.0
-            candidates = (start + i for i in range(64))
-        probes = []
-        for p in candidates:
-            fp = chain.curve.eval(p)
-            if fp == 0 or (not exact and float(fp) <= 0):
-                continue
-            if any(is_degenerate_pair(p, v) for v in chain.values):
-                continue
-            probes.append(p)
-            if len(probes) == 3:
-                break
+    if exact:
+        start = int(max(abs(v) for v in chain.values)) + 2
+        candidates = (Fraction(start + i) for i in range(64))
+    else:
+        start = max(abs(float(v)) for v in chain.values) + 2.0
+        candidates = (start + i for i in range(64))
+    probes = []
+    for p in candidates:
+        fp = chain.curve.eval(p)
+        if fp == 0 or (not exact and float(fp) <= 0):
+            continue
+        if any(is_degenerate_pair(p, v) for v in chain.values):
+            continue
+        probes.append(p)
+        if len(probes) == 3:
+            break
     if len(probes) != 3:
-        raise ValueError("three distinct valid curve points are required")
+        raise ValueError("fewer than three of the 64 probe candidates are valid curve points")
 
     gaps = []
     for p in probes:
         if exact:
             wp = exact_wp_jet(chain.curve, p, order=3, sign=1)
         else:
-            disc = float(chain.curve.eval(p))
-            if disc <= 0:
-                raise ValueError(f"numeric probe {p} needs F(p) > 0")
-            wp = wp_jet_numeric(chain.curve, p, sqrt(disc), order=3)
+            wp = wp_jet_numeric(chain.curve, p, sqrt(float(chain.curve.eval(p))), order=3)
         data = darboux_data(jets, wp).truncated(1, 1)
         sol = rank2_solution(data)
         r3 = chain_residuals(sol, 0)[2]

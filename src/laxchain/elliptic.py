@@ -4,7 +4,7 @@ Two complementary views of the same ODE:
 
 * numeric: RK4 on the bounded oscillatory real branch between the two lowest
   real roots of ``F_1`` (pole-free for all real y), with energy monitoring;
-* exact: curve points and y-jets in the quadratic extension with a formal
+* exact: y-jets at a curve point in the quadratic extension with a formal
   ``w = sqrt(F_1(z0))``, which is all the Darboux identity checks need.
 
 The sign of the derivative at an exact point is the abstract ``w``; callers
@@ -18,12 +18,10 @@ import numpy as np
 from .curves import SpectralCurve
 from .errors import AccuracyError, UnsupportedCurveError
 from .flows import rk4_run
-from .scalars import Fraction, Jet, QuadExt, is_rational_square, rational
+from .scalars import Fraction, Jet, QuadExt, rational
 
 __all__ = [
     "BoundedBranch",
-    "CurvePoint",
-    "exact_curve_point",
     "exact_wp_jet",
     "wp_init_bounded",
     "wp_integrate",
@@ -33,35 +31,6 @@ __all__ = [
 
 ROOT_RESIDUAL_TOL = 1e-12
 ENERGY_DRIFT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Exact point ``(z0, w)`` with ``w**2 = F_1(z0)`` in the extension field.
-
-    ``branch_point`` flags ``F_1(z0) = 0`` (the extension degenerates: w*w = 0
-    without w being a unit); ``square_disc`` flags a discriminant that happens
-    to be a rational square, where the a=0-and-b=0 zero test is no longer a
-    nonzero certificate.  Neither case is simplified away.
-    """
-
-    z0: Fraction
-    w: QuadExt
-    branch_point: bool
-    square_disc: bool
-
-
-def exact_curve_point(curve, z0):
-    """Adjoin ``w = sqrt(F_1(z0))`` formally and return the point."""
-    z0 = rational(z0)
-    disc = curve.eval(z0)
-    w = QuadExt(Fraction(0), Fraction(1), disc)
-    return CurvePoint(
-        z0=z0,
-        w=w,
-        branch_point=(disc == 0),
-        square_disc=is_rational_square(disc),
-    )
 
 
 def _curve_jet(curve, p, w, lift, order):

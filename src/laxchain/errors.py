@@ -1,5 +1,16 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "AccuracyError",
+    "AnsatzError",
+    "ConfigError",
+    "DegenerateConfigurationError",
+    "DegreeError",
+    "LaxchainError",
+    "PoleError",
+    "UnsupportedCurveError",
+]
+
 
 class LaxchainError(Exception):
     """Base class for all library errors."""

@@ -29,7 +29,6 @@ import numpy as np
 
 from .curves import SpectralCurve
 from .errors import AccuracyError, DegenerateConfigurationError
-from .operators import DifferenceOperator
 from .poly import poly_scale, poly_sub
 from .scalars import NUMERIC_DEGENERACY_RTOL, Fraction, Jet, is_degenerate_pair
 
@@ -42,7 +41,6 @@ __all__ = [
     "chain_vw_rhs",
     "dkn_rhs",
     "flow2_rhs",
-    "operator_time_derivative_fd",
     "prolong_gamma_jets",
     "q_flow_rhs",
     "reduced_flow2_gamma",
@@ -99,9 +97,6 @@ class GammaJetChain:
     def gamma(self, n):
         return self.jets[n % self.period]
 
-    def value_chain(self):
-        return GammaChain(tuple(j.value() for j in self.jets), self.curve)
-
 
 @dataclass(frozen=True)
 class VWChain:
@@ -121,12 +116,6 @@ class VWChain:
     @property
     def period(self):
         return len(self.v)
-
-    def v_at(self, n):
-        return self.v[n % self.period]
-
-    def w_at(self, n):
-        return self.w[n % self.period]
 
 
 @lru_cache(maxsize=None)
@@ -279,23 +268,6 @@ def prolong_gamma_jets(chain, order=2):
         rhs = dkn_rhs(site_array(jets), chain.curve)
         jets = [Jet((v,) + d.coeffs) for v, d in zip(chain.values, rhs)]
     return GammaJetChain(tuple(jets), chain.curve)
-
-
-def operator_time_derivative_fd(op_of_t, t, dt):
-    """Central finite-difference approximation of a coefficient derivative.
-
-    ``op_of_t`` maps a time to a :class:`DifferenceOperator`; the result holds
-    ``(coeff(t+dt) - coeff(t-dt)) / (2 dt)`` bandwise.  This is the only
-    sanctioned way to feed approximate time derivatives into Lax residuals.
-    """
-    plus = op_of_t(t + dt)
-    minus = op_of_t(t - dt)
-    lo, hi = min(plus.lo, minus.lo), max(plus.hi, minus.hi)
-    return DifferenceOperator(
-        lo,
-        hi,
-        lambda j, n: (plus.band_coeff(j, n) - minus.band_coeff(j, n)) / (2 * dt),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .rational_linalg import nullspace, rref
 __all__ = [
     "CommutantAnsatz",
     "ExactCommutantResult",
-    "OperatorFamilyParams",
     "PolynomialBandOperator",
     "QPolynomial",
     "WindowedCommutantResult",
@@ -148,39 +147,6 @@ def propagate_q(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next):
 # Explicit operator families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorFamilyParams:
-    """Parameters of the explicit families.
-
-    ``variant``: "sharp" (cubic polynomial potential, needs r3 != 0, exact)
-    or "flat" (cosine potential, needs r1 != 0, numeric only -- cos(n) at
-    integer n is transcendental, so there is no honest exact path for it).
-    ``r`` lists r_0.. in ascending order (four entries for sharp, two for
-    flat); ``genus`` scales the diagonal term.
-    """
-
-    variant: str
-    r: tuple
-    genus: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(self.r))
-        if self.variant not in ("sharp", "flat"):
-            raise AnsatzError(f"unknown family variant {self.variant!r}")
-        if self.genus < 1:
-            raise AnsatzError("genus must be positive")
-        if self.variant == "sharp":
-            if len(self.r) != 4:
-                raise AnsatzError("sharp family needs r = (r0, r1, r2, r3)")
-            if self.r[3] == 0:
-                raise AnsatzError("sharp family requires r3 != 0")
-        else:
-            if len(self.r) != 2:
-                raise AnsatzError("flat family needs r = (r0, r1)")
-            if self.r[1] == 0:
-                raise AnsatzError("flat family requires r1 != 0")
-
-
 class PolynomialBandOperator:
     """Difference operator whose band coefficients are polynomials in n.
 
@@ -220,19 +186,30 @@ def commutator_polynomial_bands(a, b):
     return {k: poly_sub(ab.get(k, ()), ba.get(k, ())) for k in keys}
 
 
-def sharp_operator(params):
-    """``(T + p(n) T^{-1})^2 + g(g+1) r3 n`` with cubic ``p``; exact.
+def _family_r(family, r, genus, size):
+    """``r`` as a tuple, checked for a family: ``size`` entries, the last
+    one nonzero, and a positive ``genus``."""
+    r = tuple(r)
+    names = [f"r{k}" for k in range(size)]
+    if genus < 1:
+        raise AnsatzError("genus must be positive")
+    if len(r) != size:
+        raise AnsatzError(f"{family} family needs r = ({', '.join(names)})")
+    if r[-1] == 0:
+        raise AnsatzError(f"{family} family requires {names[-1]} != 0")
+    return r
+
+
+def sharp_operator(r, genus=1):
+    """``(T + p(n) T^{-1})^2 + g(g+1) r3 n`` with the cubic ``p`` whose
+    ascending coefficients are ``r = (r0, r1, r2, r3)``, ``r3 != 0``; exact.
 
     The band polynomials come from composing the first-order factor with
     itself (not from hard-coded bands); the tests compare them with
     :func:`build_l4` on windows.
     """
-    if params.variant != "sharp":
-        raise AnsatzError("sharp_operator needs variant='sharp'")
-    r = tuple(Fraction(x) for x in params.r)
-    g = params.genus
-    p = r  # ascending coefficients of the potential polynomial
-    diag = (Fraction(0), Fraction(g * (g + 1)) * r[3])
+    p = tuple(Fraction(x) for x in _family_r("sharp", r, genus, 4))
+    diag = (Fraction(0), Fraction(genus * (genus + 1)) * p[3])
 
     factor = {1: (Fraction(1),), -1: p}
     bands = compose_polynomial_bands(factor, factor)
@@ -240,15 +217,15 @@ def sharp_operator(params):
     return PolynomialBandOperator(bands)
 
 
-def flat_operator(params):
-    """``(T + (r1 cos n + r0) T^{-1})^2 - 4 r1 sin(g/2) sin((g+1)/2) cos(n + 1/2)``.
+def flat_operator(r, genus=1):
+    """``(T + (r1 cos n + r0) T^{-1})^2 - 4 r1 sin(g/2) sin((g+1)/2) cos(n + 1/2)``
+    with ``r = (r0, r1)``, ``r1 != 0``.
 
-    Numeric-only: coefficients are floats evaluated at integer sites.
+    Numeric-only: coefficients are floats evaluated at integer sites (cos n
+    at integer n is transcendental, so there is no honest exact path).
     """
-    if params.variant != "flat":
-        raise AnsatzError("flat_operator needs variant='flat'")
-    r0, r1 = (float(x) for x in params.r)
-    g = params.genus
+    r0, r1 = (float(x) for x in _family_r("flat", r, genus, 2))
+    g = genus
     amp = -4.0 * r1 * sin(g / 2.0) * sin((g + 1) / 2.0)
     return build_l4(
         lambda n: r1 * cos(n) + r0,

@@ -28,14 +28,13 @@ from laxchain.darboux import (
     commutator_x_check,
     commutator_y_check,
     darboux_data,
-    darboux_data_static,
     eigenfunction_step,
     factorization_check,
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
 )
-from laxchain.elliptic import exact_curve_point, exact_wp_jet, wp_init_bounded, wp_integrate
+from laxchain.elliptic import exact_wp_jet, wp_init_bounded, wp_integrate
 from laxchain.flows import (
     GammaChain,
     chain_vw_rhs,
@@ -53,7 +52,6 @@ from laxchain.operators import build_l4
 from laxchain.scalars import Jet
 from laxchain.spectral import (
     CommutantAnsatz,
-    OperatorFamilyParams,
     QPolynomial,
     commutant_solve_exact,
     commutant_solve_windowed,
@@ -284,7 +282,7 @@ def test_criterion6_commutant_searches():
     assert res.spans({0: (Fraction(1),)}) and res.spans(tt)
 
     # sharp family: nontrivial band-3 partner at the minimal degree 9
-    op = sharp_operator(OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1))
+    op = sharp_operator((0, 0, 0, 1))
     found = commutant_solve_exact(op, CommutantAnsatz(3, 9))
     assert found.dimension == 3  # strictly more than span{I, L}
     assert any(3 in sol.bands or -3 in sol.bands for sol in found.basis)
@@ -296,7 +294,7 @@ def test_criterion6_commutant_searches():
                 assert poly_eval(p, Fraction(n)) == 0
 
     # flat family: windowed nullity beyond the trivial count, huge gap
-    flat = flat_operator(OperatorFamilyParams("flat", (0, 1), genus=1))
+    flat = flat_operator((0, 1))
     win = commutant_solve_windowed(flat, 3, 0, 39)
     assert win.nullity > 2
     assert win.gap >= 1e6
@@ -347,8 +345,9 @@ def test_criterion8_eigenfunction_recursion():
         cfg = draw_sample(SEED + 1, index)
         index += 1
         chain = GammaChain(cfg.gamma, cfg.curve)
-        point = exact_curve_point(cfg.curve, cfg.z0)
-        data = darboux_data_static(chain, point)
+        data = darboux_data(
+            prolong_gamma_jets(chain, 1), exact_wp_jet(cfg.curve, cfg.z0, order=1)
+        )
         psi = {0: 1, 1: 1}
         for n in range(1, 7):
             psi[n + 1] = eigenfunction_step(data, psi[n - 1], psi[n], n)

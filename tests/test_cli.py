@@ -178,6 +178,10 @@ UNREADABLE = os.path.join(os.devnull, "missing")
          "chain.gamma: sites 0 and 1 hold the same value 2"),
         (DARBOUX + ["--gamma", "2,3,4,2", "--z0", "5"],
          "chain.gamma: sites 3 and 0 hold the same value 2"),
+        (DARBOUX + ["--gamma", "2,3,2,5", "--z0", "7"],
+         "chain.gamma: sites 0 and 2 hold the same value 2"),
+        (DARBOUX + ["--gamma", "2,3,4,3", "--z0", "7"],
+         "chain.gamma: sites 1 and 3 hold the same value 3"),
         (ELLIPTIC + ["--y-max", "far"], "y_max: not a number"),
         (DARBOUX + ["--z0", "7"], "chain.gamma: required for darboux"),
         (["simulate", "--flow", "vw", "--v", "1,2,3"], "chain.v / chain.w: required"),
@@ -199,7 +203,8 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         "darboux-z0-branch-point", "darboux-z0-on-chain", "darboux-period-2",
         "simulate-period-2", "darboux-gamma-branch-point", "not-a-rational",
         "darboux-gamma-equal-neighbours", "simulate-gamma-equal-neighbours",
-        "darboux-gamma-equal-wrap-pair",
+        "darboux-gamma-equal-wrap-pair", "darboux-gamma-equal-across-site-1",
+        "darboux-gamma-equal-across-site-2",
         "not-a-number", "darboux-gamma-missing", "simulate-vw-missing",
         "custom-bands-missing", "custom-bands-bad-json", "config-unreadable",
         "config-no-curve", "replay-unreadable", "verify-unknown-suite",
@@ -218,6 +223,16 @@ def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):
     assert field in err
     assert "Traceback" not in err
     assert not out.exists() and not csv_path.exists()
+
+
+def test_simulate_accepts_equal_second_neighbours(tmp_path):
+    """gamma_{n-1} = gamma_{n+1} only stops site n (gamma_n' = 0): a legal
+    dKN state, which ``darboux`` rejects because b_n vanishes there."""
+    csv_path = tmp_path / "traj.csv"
+    args = ["simulate", "--flow", "dkn", "--curve", "0,-1,0", "--gamma", "2,3,2,5",
+            "--steps", "2", "--csv", str(csv_path), "--out", str(tmp_path / "s.json")]
+    assert run_cli(args) == 0
+    assert csv_path.exists()
 
 
 def test_simulate_dkn_csv_and_summary(tmp_path):

@@ -13,7 +13,6 @@ from laxchain.darboux import (
     commutator_x_check,
     commutator_y_check,
     darboux_data,
-    darboux_data_static,
     eigenfunction_step,
     factorization_check,
     lax_window,
@@ -24,11 +23,19 @@ from laxchain.darboux import (
     _dy,
     _val,
 )
-from laxchain.elliptic import exact_curve_point, exact_wp_jet, wp_jet_numeric
+from laxchain.elliptic import exact_wp_jet, wp_jet_numeric
 from laxchain.errors import DegenerateConfigurationError, PoleError
-from laxchain.flows import GammaChain, dkn_rhs, prolong_gamma_jets, site_array
+from laxchain.flows import (
+    GammaChain,
+    GammaJetChain,
+    dkn_rhs,
+    prolong_gamma_jets,
+    site_array,
+    vn_from_gamma,
+)
 from laxchain.operators import DifferenceOperator, build_l4, compose, lax_residual
 from laxchain.scalars import Jet, QuadExt, format_scalar
+from laxchain.verify import draw_sample
 
 from conftest import random_chain, random_point_off_chain
 
@@ -194,6 +201,35 @@ def test_data_rejects_adjacent_collision():
         prolong_gamma_jets(chain, 2)
 
 
+def test_data_names_the_wrap_pair_collision():
+    """A hand-built jet chain whose last and first sites collide names the
+    pair (3, 0) in the flow module's words."""
+    jets = GammaJetChain(
+        tuple(Jet((Fraction(v), Fraction(1))) for v in (2, 3, 4, 2)), CURVE
+    )
+    with pytest.raises(
+        DegenerateConfigurationError, match="gamma collision between sites 3 and 0"
+    ) as err:
+        darboux_data(jets, exact_wp_jet(CURVE, Fraction(9, 2), order=1))
+    assert err.value.sites == (3, 0)
+
+
+def test_a0_matches_its_formula_in_value_and_type():
+    """The T^0 band, which reads F(z0) once per configuration, equals its
+    formula with F(z0) evaluated at every site, leaf by leaf."""
+    data = exact_data()
+    fresh = exact_data()
+    for m in range(data.period):
+        num = (
+            fresh.v_at(m) * fresh.gap(m + 1) ** 2
+            + fresh.v_at(m + 1) * fresh.gap(m) ** 2
+            - fresh.curve.eval(fresh.z0)
+        )
+        direct = num / (fresh.gap(m) * fresh.gap(m + 1)) + fresh.z0
+        leaves = zip(_leaves(data.a0(m)), _leaves(direct), strict=True)
+        assert all(_same_leaf(a, b) for a, b in leaves)
+
+
 def test_data_rejects_branch_point_chain():
     curve = SpectralCurve.elliptic(0, -1, 0)  # roots 0, 1, -1
     chain = GammaChain((Fraction(1), Fraction(3), Fraction(4), Fraction(7)), curve)
@@ -340,14 +376,6 @@ def test_chain_residuals_solved_constants(rng):
 
 def _z0_of(data):
     return data.z0.coeffs[0].coeffs[0].a
-
-
-def test_solved_constants_probe_independent():
-    solved_a = solve_tail_constants(CHAIN)
-    solved_b = solve_tail_constants(
-        CHAIN, probes=[Fraction(17), Fraction(12, 5), Fraction(-9)]
-    )
-    assert solved_a == solved_b
 
 
 def test_chain_residuals_nonzero_constants_shifts(rng):
@@ -646,8 +674,9 @@ def test_eigenfunction_recursion_gives_eigenfunctions(rng):
     for _ in range(4):
         chain = random_chain(rng)
         z0 = random_point_off_chain(rng, chain)
-        point = exact_curve_point(chain.curve, z0)
-        data = darboux_data_static(chain, point)
+        data = darboux_data(
+            prolong_gamma_jets(chain, 1), exact_wp_jet(chain.curve, z0, order=1)
+        )
         psi = {0: 1, 1: 1}
         for n in range(1, 7):
             psi[n + 1] = eigenfunction_step(data, psi[n - 1], psi[n], n)
@@ -669,5 +698,67 @@ def test_solve_tail_constants_frozen_case():
 
 
 def test_solve_tail_constants_needs_three_probes():
-    with pytest.raises(ValueError):
-        solve_tail_constants(CHAIN, probes=[Fraction(17), Fraction(19)])
+    # F(z) = z^3 - 10^9 < 0 on every float probe candidate 5.5, 6.5, ..., 68.5
+    chain = GammaChain((0.5, 1.25, 2.0, 3.5), SpectralCurve.elliptic(0, 0, -(10**9)))
+    with pytest.raises(ValueError, match="fewer than three"):
+        solve_tail_constants(chain)
+
+
+def _gap_identity_constants(chain):
+    """(s0, k0, p0) from the gap identity, in plain Q.  With no tail,
+    w R3 at site 0 is 2 (s0 z^2 + k0 z + p0), and it equals
+
+        F'(z)/2 - F(z) (1/(z - g_{-1}) + 1/(z - g_1))
+            - (z - g_0)^2 (d_0(z) - d_1(z)) / g_0',
+
+    d_n(z) = V_{n-1} V_n (z - g_{n-2})(z - g_{n+1}) / ((z - g_{n-1})(z - g_n)),
+    g_0' from the dKN flow.  Three points off the chain fix the quadratic."""
+    curve, g = chain.curve, chain.gamma
+    sites = site_array(chain.values)
+    v = vn_from_gamma(sites, curve)
+    dg0 = dkn_rhs(sites, curve)[0]
+
+    def d(n, z):
+        vv = v[(n - 1) % chain.period] * v[n % chain.period]
+        return vv * (z - g(n - 2)) * (z - g(n + 1)) / ((z - g(n - 1)) * (z - g(n)))
+
+    def half_gap(z):
+        w_r3 = (
+            curve.eval_derivative(z, 1) / 2
+            - curve.eval(z) * (1 / (z - g(-1)) + 1 / (z - g(1)))
+            - (z - g(0)) ** 2 * (d(0, z) - d(1, z)) / dg0
+        )
+        return w_r3 / 2
+
+    start = int(max(abs(x) for x in chain.values)) + 1
+    z1, z2, z3 = (Fraction(start + i) for i in range(3))
+    h1, h2, h3 = (half_gap(z) for z in (z1, z2, z3))
+    d12 = (h2 - h1) / (z2 - z1)
+    s0 = ((h3 - h2) / (z3 - z2) - d12) / (z3 - z1)
+    k0 = d12 - s0 * (z1 + z2)
+    return s0, k0, h1 - (k0 + s0 * z1) * z1
+
+
+def _assert_gap_identity(chain):
+    solved = solve_tail_constants(chain)
+    expected = _gap_identity_constants(chain)
+    got = (solved.s0, solved.k0, solved.p0)
+    assert got == expected
+    assert [type(x) for x in got] == [Fraction] * 3 == [type(x) for x in expected]
+    assert (solved.s1, solved.k1, solved.p1) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("max_num, max_den", [(1000, 8), (10**9, 10**6)])
+def test_tail_constants_match_the_gap_identity_on_draws(max_num, max_den):
+    for index in range(6):
+        cfg = draw_sample(11, index, max_num, max_den)
+        _assert_gap_identity(GammaChain(cfg.gamma, cfg.curve))
+
+
+@pytest.mark.parametrize(
+    "gamma", [(1, 2, 3), (1, 2, 3, 5), (1, 2, 3, 5, Fraction(7, 2)),
+              (1, 2, 3, 5, Fraction(7, 2), -4)],
+    ids=["period-3", "period-4", "period-5", "period-6"],
+)
+def test_tail_constants_match_the_gap_identity_on_pinned_chains(gamma):
+    _assert_gap_identity(GammaChain(gamma, CURVE))

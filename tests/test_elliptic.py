@@ -6,7 +6,6 @@ import pytest
 
 from laxchain.curves import SpectralCurve
 from laxchain.elliptic import (
-    exact_curve_point,
     exact_wp_jet,
     wp_init_bounded,
     wp_integrate,
@@ -87,18 +86,6 @@ def test_self_convergence_order():
     e2 = np.max(np.abs(ends[1] - ends[2]))
     order = np.log2(e1 / e2)
     assert 3.8 <= order <= 4.2
-
-
-def test_exact_curve_point_flags():
-    cubic = SpectralCurve.elliptic(0, 0, 0)
-    pt = exact_curve_point(cubic, Fraction(1))
-    assert pt.square_disc and not pt.branch_point  # D = 1
-    pt = exact_curve_point(cubic, Fraction(2))
-    assert pt.w * pt.w == 8
-    assert not pt.square_disc
-    pt = exact_curve_point(THREE_ROOTS, Fraction(1))
-    assert pt.branch_point
-    assert pt.w * pt.w == 0
 
 
 def test_exact_wp_jet_frozen_case():

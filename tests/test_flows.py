@@ -11,7 +11,6 @@ from laxchain.flows import (
     chain_vw_rhs,
     dkn_rhs,
     flow2_rhs,
-    operator_time_derivative_fd,
     prolong_gamma_jets,
     q_flow_rhs,
     reduced_flow2_gamma,
@@ -21,7 +20,6 @@ from laxchain.flows import (
     vw_chain_from_gamma,
     wn_from_gamma,
 )
-from laxchain.operators import DifferenceOperator
 from laxchain.scalars import Jet
 from laxchain.spectral import QPolynomial, q_conserved_value
 
@@ -95,8 +93,8 @@ def test_flow2_hand_values_alternating_w():
 
 def _flow2_second_transcription(vw, n):
     """Independent re-reading of the two k=2 hierarchy displays."""
-    V = vw.v_at
-    W = vw.w_at
+    V = lambda m: vw.v[m % vw.period]
+    W = lambda m: vw.w[m % vw.period]
     dv = V(n) * (
         V(n - 2) * V(n - 1)
         + V(n - 1) * V(n)
@@ -205,7 +203,7 @@ def test_prolong_first_coefficients_match_rhs(rng):
     for n in range(chain.period):
         assert jets.jets[n].coeffs[1] == rhs[n]
     assert jets.order == 2
-    assert jets.value_chain().values == chain.values
+    assert tuple(j.value() for j in jets.jets) == chain.values
 
 
 def test_prolong_rejects_bad_order():
@@ -343,12 +341,3 @@ def test_trajectory_chain_roundtrip():
     c0 = traj.chain_at(0)
     assert c0.values == (2.0, 3.0, 5.0, 7.0)
     assert traj.x_at(10) == pytest.approx(0.01)
-
-
-def test_operator_time_derivative_fd():
-    # coefficients linear in t: derivative recovered to rounding
-    def op_of_t(t):
-        return DifferenceOperator.from_bands({0: lambda n, t=t: (2.0 + 3.0 * t) * n})
-
-    d = operator_time_derivative_fd(op_of_t, t=1.0, dt=1e-5)
-    assert d.coeff(0, 4) == pytest.approx(12.0, rel=1e-8)

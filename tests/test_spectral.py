@@ -11,7 +11,6 @@ from laxchain.operators import DifferenceOperator, build_l4, commutator
 from laxchain.poly import poly_eval
 from laxchain.spectral import (
     CommutantAnsatz,
-    OperatorFamilyParams,
     PolynomialBandOperator,
     QPolynomial,
     commutant_columns,
@@ -219,8 +218,7 @@ def test_propagate_errors():
 # ---------------------------------------------------------------------------
 
 def test_sharp_operator_band_table():
-    params = OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1)
-    op = sharp_operator(params)
+    op = sharp_operator((0, 0, 0, 1))
     # diagonal: n^3 + (n+1)^3 + 2n ; lower band: (n-1)^3 n^3
     expected_diag = {0: 1, 1: 11, 2: 39, 3: 97}
     expected_low = {0: 0, 1: 0, 2: 8, 3: 216}
@@ -232,10 +230,10 @@ def test_sharp_operator_band_table():
 
 
 def test_sharp_polynomial_bands_match_operator():
-    params = OperatorFamilyParams("sharp", (2, -1, 3, 5), genus=2)
-    op = sharp_operator(params)
+    r = (2, -1, 3, 5)
+    op = sharp_operator(r, genus=2)
     # reference: the provider route, composing the factor with build_l4
-    p = tuple(Fraction(c) for c in params.r)
+    p = tuple(Fraction(c) for c in r)
     diag = (Fraction(0), Fraction(2 * 3) * p[3])
     ref = build_l4(lambda n: poly_eval(p, n), lambda n: poly_eval(diag, n))
     for n in range(-5, 6):
@@ -251,7 +249,7 @@ def test_band_commutator_norm_matches_provider_route(r):
     commutator, equals the norm of the provider-form commutator on the same
     window; X = n^2 T + T^-3 does not commute with L, so the norms are
     nonzero, and the found partners give 0.0 both ways."""
-    op = sharp_operator(OperatorFamilyParams("sharp", r, genus=1))
+    op = sharp_operator(r)
     x_bad = PolynomialBandOperator(
         {1: (Fraction(0), Fraction(0), Fraction(1)), -3: (Fraction(1),)}
     )
@@ -270,19 +268,23 @@ def test_band_commutator_norm_matches_provider_route(r):
 
 
 def test_sharp_side_condition():
-    with pytest.raises(AnsatzError):
-        OperatorFamilyParams("sharp", (1, 0, 0, 0), genus=1)  # r3 = 0
-    with pytest.raises(AnsatzError):
-        OperatorFamilyParams("sharp", (1, 0), genus=1)
+    with pytest.raises(AnsatzError, match="requires r3 != 0"):
+        sharp_operator((1, 0, 0, 0))
+    with pytest.raises(AnsatzError, match=r"needs r = \(r0, r1, r2, r3\)"):
+        sharp_operator((1, 0))
+    with pytest.raises(AnsatzError, match="genus must be positive"):
+        sharp_operator((0, 0, 0, 1), genus=0)
 
 
 def test_flat_operator_bands():
-    op = flat_operator(OperatorFamilyParams("flat", (0, 1), genus=1))
+    op = flat_operator((0, 1))
     for n in range(-3, 4):
         assert op.coeff(-2, n) == pytest.approx(cos(n - 1) * cos(n))
         assert op.coeff(2, n) == 1
-    with pytest.raises(AnsatzError):
-        OperatorFamilyParams("flat", (1, 0), genus=1)  # r1 = 0
+    with pytest.raises(AnsatzError, match="requires r1 != 0"):
+        flat_operator((1, 0))
+    with pytest.raises(AnsatzError, match=r"needs r = \(r0, r1\)"):
+        flat_operator((0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +316,7 @@ def random_bands(rng, lo, hi, max_degree, max_num, max_den):
 
 def test_commutant_columns_match_band_commutator(rng):
     cases = [
-        (sharp_operator(OperatorFamilyParams("sharp", r)).bands, CommutantAnsatz(3, 9))
+        (sharp_operator(r).bands, CommutantAnsatz(3, 9))
         for r in ((0, 0, 0, 1), (3, -2, 5, 4), (912673, -403518, 785021, -640297))
     ]
     cases.append(({1: (Fraction(1),), -1: (Fraction(0), Fraction(1))}, CommutantAnsatz(2, 3)))
@@ -347,8 +349,7 @@ def test_commutant_shift_pair_dimension_three():
 
 
 def test_commutant_contains_identity_and_l(rng):
-    params = OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1)
-    op = sharp_operator(params)
+    op = sharp_operator((0, 0, 0, 1))
     res = commutant_solve_exact(op, CommutantAnsatz(2, 6))
     assert res.dimension == 2  # exactly span{I, L} at band 2
     assert res.spans({0: (Fraction(1),)})
@@ -356,8 +357,7 @@ def test_commutant_contains_identity_and_l(rng):
 
 
 def test_commutant_spans_rejects_non_members():
-    params = OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1)
-    op = sharp_operator(params)
+    op = sharp_operator((0, 0, 0, 1))
     res = commutant_solve_exact(op, CommutantAnsatz(2, 6))
     # bands the ansatz allows but span{I, L} lacks
     assert not res.spans({1: (Fraction(1),)})
@@ -376,8 +376,7 @@ def test_commutant_spans_rejects_non_members():
 
 
 def test_commutant_sharp_band3_partner():
-    params = OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1)
-    op = sharp_operator(params)
+    op = sharp_operator((0, 0, 0, 1))
     res = commutant_solve_exact(op, CommutantAnsatz(3, 9))
     # strictly larger than span{I, L} truncated to the band
     assert res.dimension == 3
@@ -388,8 +387,7 @@ def test_commutant_sharp_band3_partner():
 
 
 def test_commutant_sharp_minimal_degree_schedule():
-    params = OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1)
-    op = sharp_operator(params)
+    op = sharp_operator((0, 0, 0, 1))
     dims = {
         d: commutant_solve_exact(op, CommutantAnsatz(3, d)).dimension
         for d in (5, 6, 8, 9)
@@ -401,8 +399,7 @@ def test_commutant_sharp_minimal_degree_schedule():
 
 
 def test_commutant_verification_on_disjoint_window():
-    params = OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1)
-    op = sharp_operator(params)
+    op = sharp_operator((0, 0, 0, 1))
     res = commutant_solve_exact(op, CommutantAnsatz(3, 9))
     for sol in res.basis:
         comm = commutator_polynomial_bands(op.bands, sol.bands)
@@ -447,7 +444,7 @@ def test_windowed_shift_pair():
 
 
 def test_windowed_flat_family_detects_partner():
-    op = flat_operator(OperatorFamilyParams("flat", (0, 1), genus=1))
+    op = flat_operator((0, 1))
     res = commutant_solve_windowed(op, 3, 0, 39)
     # trivial polynomial-in-L count at band 3 is 2 ({I, L}); both families have
     # even bands only, so the parity twist doubles everything; the partner
@@ -491,7 +488,7 @@ def test_windowed_system_agrees_with_exact_partner():
     exactly-solved band-3 partner of the cubic family, restricted to a
     window, must be (near-)null for the windowed system built from the same
     operator in floats; a perturbed copy must not."""
-    op = sharp_operator(OperatorFamilyParams("sharp", (0, 0, 0, 1), genus=1))
+    op = sharp_operator((0, 0, 0, 1))
     found = commutant_solve_exact(op, CommutantAnsatz(3, 9))
     partner = next(s for s in found.basis if 3 in s.bands or -3 in s.bands)
 
