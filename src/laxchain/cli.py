@@ -23,11 +23,13 @@ import sys
 from .curves import SpectralCurve
 from .darboux import (
     SolutionConstants,
+    chain_problem,
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
     darboux_data,
     factorization_check,
+    point_problem,
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
@@ -91,28 +93,38 @@ def _parse_float(text, field):
         raise ConfigError(f"{field}: not a number: {text!r}") from err
 
 
-def _parse_int(text, field, least=None):
+def _parse_int(text, field, least=None, below=None):
     try:
         value = int(text)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{field}: not an integer: {text!r}") from err
     if least is not None and value < least:
         raise ConfigError(f"{field}: must be >= {least}, got {value}")
+    if below is not None and value >= below:
+        raise ConfigError(f"{field}: must be < {below}, got {value}")
     return value
 
 
-def _chain_gamma(settings, purpose):
-    """The ``chain.gamma`` values: three sites at least, no two neighbours equal."""
+def _flow_problem(gamma):
+    """``simulate``'s rule for a chain: three sites at least, no two neighbours
+    equal; it accepts gamma_{n-1} = gamma_{n+1}, a legal dKN state."""
+    if len(gamma) < 3:
+        return "the lattice stencil needs period >= 3"
+    for site, g in enumerate(gamma):
+        after = (site + 1) % len(gamma)
+        if g == gamma[after]:
+            return f"sites {site} and {after} hold the same value {g}"
+
+
+def _chain_gamma(settings, purpose, problem):
+    """The ``chain.gamma`` values, refused with the message ``problem`` gives."""
     gamma_raw = settings.get("chain", "gamma")
     if gamma_raw is None:
         raise ConfigError(f"chain.gamma: required for {purpose}")
     gamma = _parse_list(gamma_raw, "chain.gamma")
-    if len(gamma) < 3:
-        raise ConfigError("chain.gamma: the lattice stencil needs period >= 3")
-    for site, g in enumerate(gamma):
-        after = (site + 1) % len(gamma)
-        if g == gamma[after]:
-            raise ConfigError(f"chain.gamma: sites {site} and {after} hold the same value {g}")
+    message = problem(gamma)
+    if message:
+        raise ConfigError(f"chain.gamma: {message}")
     return gamma
 
 
@@ -191,11 +203,8 @@ def _cmd_verify(args):
         try:
             with open(args.replay) as fh:
                 dump = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"replay: {err}") from err
-        try:
-            read_dump(dump)
-        except ValueError as err:
+            read_dump(dump)  # a JSONDecodeError is a ValueError too
+        except (OSError, ValueError) as err:
             raise ConfigError(f"replay: {err}") from err
         report = replay_config(dump)
         _write_text(args.out, report_to_json(report))
@@ -203,7 +212,7 @@ def _cmd_verify(args):
 
     suite = settings.get("verify", "suite", "all")
     samples = _parse_int(settings.get("verify", "samples", DEFAULT_SAMPLES), "samples", least=1)
-    seed = _parse_int(settings.get("verify", "seed", DEFAULT_SEED), "seed")
+    seed = _parse_int(settings.get("verify", "seed", DEFAULT_SEED), "seed", 0, 2**64)
     workers = _parse_int(settings.get("verify", "workers", 1), "workers", least=1)
     max_num = _parse_int(settings.get("verify", "max_num", DEFAULT_MAX_NUM), "max_num", least=1)
     max_den = _parse_int(settings.get("verify", "max_den", DEFAULT_MAX_DEN), "max_den", least=1)
@@ -313,16 +322,18 @@ def _cmd_simulate(args):
     steps = _parse_int(settings.get("simulate", "steps", 1000), "steps", least=0)
 
     if flow in ("dkn", "reduced_t2"):
-        state = GammaChain(_chain_gamma(settings, "gamma flows"), settings.curve())
+        state = GammaChain(
+            _chain_gamma(settings, "gamma flows", _flow_problem), settings.curve()
+        )
     else:
         v_raw = settings.get("chain", "v")
         w_raw = settings.get("chain", "w")
         if v_raw is None or w_raw is None:
             raise ConfigError("chain.v / chain.w: required for coupled flows")
-        state = VWChain(
-            _parse_list(v_raw, "chain.v"),
-            _parse_list(w_raw, "chain.w"),
-        )
+        try:
+            state = VWChain(_parse_list(v_raw, "chain.v"), _parse_list(w_raw, "chain.w"))
+        except ValueError as err:
+            raise ConfigError(f"chain.v / chain.w: {err}") from err
 
     traj = rk4_integrate(state, flow, h, steps)
     out_csv = args.csv or "trajectory.csv"
@@ -477,24 +488,11 @@ def _cmd_elliptic(args):
 def _cmd_darboux(args):
     settings = Settings(args)
     curve = settings.curve()
-    gamma = _chain_gamma(settings, "darboux")
-    period = len(gamma)
-    for site, g in enumerate(gamma):
-        if curve.eval(g) == 0:
-            raise ConfigError(f"chain.gamma: {g} at site {site} is a branch point of the curve")
-        # gamma_{n-1} = gamma_{n+1} stops the flow at n: gamma_n' = 0, so b_n = 0
-        across = (site + 2) % period
-        if g == gamma[across]:
-            middle = (site + 1) % period
-            raise ConfigError(
-                f"chain.gamma: sites {site} and {across} hold the same value {g}, "
-                f"so gamma_{middle}' = 0 and b vanishes at site {middle}"
-            )
+    gamma = _chain_gamma(settings, "darboux", lambda g: chain_problem(curve, g))
     z0 = _parse_rational(settings.get("darboux", "z0", "0"), "darboux.z0")
-    if curve.eval(z0) == 0:
-        raise ConfigError(f"darboux.z0: {z0} is a branch point of the curve (F(z0) = 0)")
-    if z0 in gamma:
-        raise ConfigError(f"darboux.z0: {z0} lies on the chain (site {gamma.index(z0)})")
+    problem = point_problem(curve, gamma, z0)
+    if problem:
+        raise ConfigError(f"darboux.z0: {problem}")
 
     chain = GammaChain(gamma, curve)
     jets = prolong_gamma_jets(chain, 3)
@@ -508,18 +506,10 @@ def _cmd_darboux(args):
     ]
     transformed = transformed_operator(data.truncated(0, 0))
     payload = {
-        "curve": {
-            "c2": format_scalar(curve.coeffs[2]),
-            "c1": format_scalar(curve.coeffs[1]),
-            "c0": format_scalar(curve.coeffs[0]),
-        },
+        "curve": dict(zip(("c0", "c1", "c2"), map(format_scalar, curve.coeffs))),
         "gamma": [format_scalar(g) for g in gamma],
         "z0": format_scalar(z0),
-        "solved_constants": {
-            "s0": format_scalar(solved.s0),
-            "k0": format_scalar(solved.k0),
-            "p0": format_scalar(solved.p0),
-        },
+        "solved_constants": {k: format_scalar(getattr(solved, k)) for k in ("s0", "k0", "p0")},
         "transformed_operator": transformed.operator.window(
             0, chain.period - 1
         ).to_json_dict(),

@@ -34,6 +34,7 @@ one jet order, L from one operator.  Both assemble every bracket with
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import islice
 
 from .curves import SpectralCurve
 from .errors import DegenerateConfigurationError, PoleError
@@ -46,6 +47,7 @@ __all__ = [
     "DarbouxData",
     "SolutionConstants",
     "TransformedOperator",
+    "chain_problem",
     "chain_residuals",
     "commutator_x_check",
     "commutator_y_check",
@@ -53,6 +55,7 @@ __all__ = [
     "eigenfunction_step",
     "factorization_check",
     "lax_window",
+    "point_problem",
     "rank2_solution",
     "solve_tail_constants",
     "transformed_operator",
@@ -259,6 +262,36 @@ def darboux_data(jet_chain, wp_jet):
         x_order=x_ord,
         y_order=y_ord,
     )
+
+
+def chain_problem(curve, gamma):
+    """Why the exact chain ``gamma`` cannot be transformed, or None.  The
+    formulas divide by V_n (zero at a root of F, neighbour differences below)
+    and by b_n ~ gamma_{n-1} - gamma_{n+1}: so the period is at least 3, no
+    value is a root of F, and neighbours and second neighbours differ."""
+    period = len(gamma)
+    if period < 3:
+        return "the lattice stencil needs period >= 3"
+    for site, g in enumerate(gamma):
+        if curve.eval(g) == 0:
+            return f"{g} at site {site} is a branch point of the curve"
+        after, across = (site + 1) % period, (site + 2) % period
+        if g == gamma[after]:
+            return f"sites {site} and {after} hold the same value {g}"
+        if g == gamma[across]:
+            return (
+                f"sites {site} and {across} hold the same value {g}, "
+                f"so gamma_{after}' = 0 and b vanishes at site {after}"
+            )
+
+
+def point_problem(curve, gamma, z0):
+    """Why ``z0`` cannot be used with ``gamma``, or None: w^2 = F(z0) and
+    every gap z0 - gamma_n are divisors."""
+    if curve.eval(z0) == 0:
+        return f"{z0} is a branch point of the curve (F(z0) = 0)"
+    if z0 in gamma:
+        return f"{z0} lies on the chain (site {gamma.index(z0)})"
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +587,7 @@ def solve_tail_constants(chain):
     residual by 2 (-1)^n (s1 z0^2 + k1 z0 + p1) / z0', which nothing cancels.
 
     The three curve points are the first of max|gamma_n| + 2, + 3, ... that
-    are not roots of F (on the float path: where F(p) > 0).
+    :func:`point_problem` admits (on the float path also F(p) > 0).
     """
     from math import sqrt
 
@@ -569,16 +602,12 @@ def solve_tail_constants(chain):
     else:
         start = max(abs(float(v)) for v in chain.values) + 2.0
         candidates = (start + i for i in range(64))
-    probes = []
-    for p in candidates:
-        fp = chain.curve.eval(p)
-        if fp == 0 or (not exact and float(fp) <= 0):
-            continue
-        if any(is_degenerate_pair(p, v) for v in chain.values):
-            continue
-        probes.append(p)
-        if len(probes) == 3:
-            break
+    admitted = (
+        p for p in candidates
+        if not point_problem(chain.curve, chain.values, p)
+        and (exact or chain.curve.eval(p) > 0)
+    )
+    probes = list(islice(admitted, 3))
     if len(probes) != 3:
         raise ValueError("fewer than three of the 64 probe candidates are valid curve points")
 

@@ -14,7 +14,7 @@ failure.  Every sample runs with both signs of the extension square root.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +22,14 @@ import numpy as np
 from .curves import SpectralCurve
 from .darboux import (
     SolutionConstants,
+    chain_problem,
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
     darboux_data,
     factorization_check,
     lax_window,
+    point_problem,
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
@@ -89,15 +91,10 @@ class SampleConfig:
     constants: SolutionConstants
 
     def to_dump(self, suite, sample_index, note=""):
-        c0, c1, c2 = self.curve.coeffs
         return {
             "suite": suite,
             "sample": sample_index,
-            "curve": {
-                "c2": format_scalar(c2),
-                "c1": format_scalar(c1),
-                "c0": format_scalar(c0),
-            },
+            "curve": dict(zip(("c0", "c1", "c2"), map(format_scalar, self.curve.coeffs))),
             "gamma": [format_scalar(g) for g in self.gamma],
             "z0": format_scalar(self.z0),
             "constants": {
@@ -140,24 +137,11 @@ def _draw_fraction(rng, max_num, max_den):
     return Fraction(num, den)
 
 
-def _chain_problem(curve, gamma):
-    """Why ``draw_sample`` would reject the chain ``gamma``, or None."""
-    for site, g in enumerate(gamma):
-        if g in gamma[:site]:
-            return f"gamma: sites {gamma.index(g)} and {site} hold the same value {g}"
-        if curve.eval(g) == 0:
-            return f"gamma: {g} at site {site} is a branch point of the curve"
-
-
-def _point_problem(curve, gamma, z0):
-    """Why ``draw_sample`` would reject the curve point ``z0``, or None."""
-    if z0 in gamma:
-        return f"z0: {z0} lies on the chain (site {gamma.index(z0)})"
+def _square_problem(curve, z0):
+    """Why Q(w) would have zero divisors (F(z0) a rational square up to sign), or None."""
     disc = curve.eval(z0)
-    if disc == 0:
-        return f"z0: {z0} is a branch point of the curve (F(z0) = 0)"
     if is_rational_square(disc) or is_rational_square(-disc):
-        return f"z0: F(z0) = {disc} is a rational square up to sign"
+        return f"F(z0) = {disc} is a rational square up to sign"
 
 
 def draw_sample(
@@ -169,11 +153,12 @@ def draw_sample(
 ):
     """Random exact configuration suitable for every suite.
 
-    Drawn so that no denominator in any residual can vanish: all ``PERIOD`` gammas
-    pairwise distinct and off the curve's roots, z0 off the chain, F(z0)
-    nonzero and not a rational square (so "both components zero" certifies
-    nonzero elements of the extension).  Raises :class:`ConfigError` naming
-    the bounds when ``MAX_REJECTED_DRAWS`` draws in a row are rejected.
+    Drawn so that no denominator in any residual can vanish: the chain and
+    z0 pass ``darboux.chain_problem`` and ``point_problem`` (at ``PERIOD`` =
+    4 all gammas are then pairwise distinct), and F(z0) is not a rational
+    square up to sign (so "both components zero" certifies nonzero elements
+    of the extension).  Raises :class:`ConfigError` naming the bounds when
+    ``MAX_REJECTED_DRAWS`` draws in a row are rejected.
     """
     rng = _philox(seed, index)
     for _ in range(MAX_REJECTED_DRAWS):
@@ -183,10 +168,10 @@ def draw_sample(
             _draw_fraction(rng, max_num, max_den),
         )
         gamma = tuple(_draw_fraction(rng, max_num, max_den) for _ in range(PERIOD))
-        if _chain_problem(curve, gamma):
+        if chain_problem(curve, gamma):
             continue
         z0 = _draw_fraction(rng, max_num, max_den)
-        if _point_problem(curve, gamma, z0):
+        if point_problem(curve, gamma, z0) or _square_problem(curve, z0):
             continue
         return SampleConfig(
             curve=curve,
@@ -247,11 +232,7 @@ def _eval_chain_sample(config):
     nonzero = [r for r in must_vanish if r != 0]
     worst = max((float(scalar_abs(r)) for r in nonzero), default=0.0)
     info = {
-        "solved_constants": {
-            "s0": format_scalar(solved.s0),
-            "k0": format_scalar(solved.k0),
-            "p0": format_scalar(solved.p0),
-        },
+        "solved_constants": {k: format_scalar(getattr(solved, k)) for k in ("s0", "k0", "p0")},
         "gap_magnitude": gap_mag,
     }
     if not config.constants.is_zero():
@@ -362,14 +343,7 @@ class SuiteReport:
         return self.passes == self.samples
 
     def to_json_dict(self):
-        return {
-            "suite": self.suite,
-            "samples": self.samples,
-            "passes": self.passes,
-            "failures": self.failures,
-            "max_residual": self.max_residual,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def report_to_json(reports):
@@ -449,7 +423,8 @@ def read_dump(dump):
 
     Raises ``ValueError`` naming what is wrong: an unknown suite, a missing
     field, a value that is not an exact rational, or a configuration that
-    ``draw_sample`` would have rejected (any period is accepted).
+    ``darboux.chain_problem``, ``point_problem`` or the sampler's square test
+    refuses.
     """
     try:
         suite = dump["suite"]
@@ -459,10 +434,13 @@ def read_dump(dump):
         raise ValueError(f"dump has no field {err}") from err
     except TypeError as err:
         raise ValueError(f"malformed dump: {err}") from err
-    curve, gamma = config.curve, config.gamma
-    problem = _chain_problem(curve, gamma) or _point_problem(curve, gamma, config.z0)
+    curve, gamma, z0 = config.curve, config.gamma, config.z0
+    problem = chain_problem(curve, gamma)
     if problem:
-        raise ValueError(problem)
+        raise ValueError(f"gamma: {problem}")
+    problem = point_problem(curve, gamma, z0) or _square_problem(curve, z0)
+    if problem:
+        raise ValueError(f"z0: {problem}")
     return suite, config
 
 
@@ -483,26 +461,25 @@ def replay_config(dump):
 # Numeric checks: convergence orders and trajectory residuals
 # ---------------------------------------------------------------------------
 
-def rk4_convergence_order(state, flow, t_final, h):
-    """Richardson estimate of the integrator's convergence order."""
-    ends = []
-    for k in (1, 2, 4):
-        traj = rk4_integrate(state, flow, h / k, int(round(t_final / h)) * k)
-        ends.append(traj.states[-1])
+def _richardson_order(ends):
+    """Convergence order from the end states at steps h, h/2 and h/4."""
     e1 = float(np.max(np.abs(ends[0] - ends[1])))
     e2 = float(np.max(np.abs(ends[1] - ends[2])))
     return float(np.log2(e1 / e2))
+
+
+def rk4_convergence_order(state, flow, t_final, h):
+    """Richardson estimate of the integrator's convergence order."""
+    steps = int(round(t_final / h))
+    return _richardson_order(
+        [rk4_integrate(state, flow, h / k, steps * k).states[-1] for k in (1, 2, 4)]
+    )
 
 
 def wp_convergence_order(curve, y_final, h):
     branch = wp_init_bounded(curve)
-    ends = []
-    for k in (1, 2, 4):
-        s = wp_integrate(branch, y_final, h / k)
-        ends.append(np.array([s.wp, s.wp_prime]))
-    e1 = float(np.max(np.abs(ends[0] - ends[1])))
-    e2 = float(np.max(np.abs(ends[1] - ends[2])))
-    return float(np.log2(e1 / e2))
+    ends = [wp_integrate(branch, y_final, h / k) for k in (1, 2, 4)]
+    return _richardson_order([np.array([s.wp, s.wp_prime]) for s in ends])
 
 
 def trajectory_chain_residual(curve, gamma0, x_steps=200, h=1e-3, y_target=0.4):

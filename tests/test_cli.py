@@ -185,6 +185,13 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         (ELLIPTIC + ["--y-max", "far"], "y_max: not a number"),
         (DARBOUX + ["--z0", "7"], "chain.gamma: required for darboux"),
         (["simulate", "--flow", "vw", "--v", "1,2,3"], "chain.v / chain.w: required"),
+        (["simulate", "--flow", "vw", "--v", "1,2", "--w", "1"],
+         "chain.v / chain.w: V and W chains must have equal periods"),
+        (["simulate", "--flow", "vw", "--v", "1", "--w", "1"],
+         "chain.v / chain.w: chain period must be at least 2"),
+        (VERIFY + ["--seed", "-1"], "seed: must be >= 0, got -1"),
+        (VERIFY + ["--seed", str(2**64)], f"seed: must be < {2**64}"),
+        (VERIFY + ["--seed", "-1", "--workers", "2"], "seed: must be >= 0, got -1"),
         (CUSTOM, "commutant.bands: required"),
         (CUSTOM + ["--bands", "{"], "commutant.bands: "),
         (VERIFY + ["--config", UNREADABLE], "config: cannot read"),
@@ -206,6 +213,8 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         "darboux-gamma-equal-wrap-pair", "darboux-gamma-equal-across-site-1",
         "darboux-gamma-equal-across-site-2",
         "not-a-number", "darboux-gamma-missing", "simulate-vw-missing",
+        "simulate-vw-unequal-periods", "simulate-vw-period-1", "verify-seed-negative",
+        "verify-seed-2-64", "verify-seed-negative-workers-2",
         "custom-bands-missing", "custom-bands-bad-json", "config-unreadable",
         "config-no-curve", "replay-unreadable", "verify-unknown-suite",
         "simulate-unknown-flow", "commutant-unknown-variant",
@@ -223,6 +232,63 @@ def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):
     assert field in err
     assert "Traceback" not in err
     assert not out.exists() and not csv_path.exists()
+
+
+# One admissibility rule, two doors: ``darboux`` and a ``--replay`` dump of
+# the same configuration must both refuse it, with the same text after the
+# field name.  Each case: gamma, z0, the field that is refused and the text.
+BAD_CONFIGS = {
+    "period-1": ("2", "7", "gamma", "the lattice stencil needs period >= 3"),
+    "period-2": ("2,3", "7", "gamma", "the lattice stencil needs period >= 3"),
+    "equal-neighbours": ("2,2,4,5", "7", "gamma", "sites 0 and 1 hold the same value 2"),
+    "equal-wrap-pair": ("2,3,4,2", "7", "gamma", "sites 3 and 0 hold the same value 2"),
+    "equal-second-neighbours": (
+        "2,3,2,5", "7", "gamma",
+        "sites 0 and 2 hold the same value 2, so gamma_1' = 0 and b vanishes at site 1",
+    ),
+    "gamma-at-root": ("1,3,4,5", "7", "gamma", "1 at site 0 is a branch point of the curve"),
+    "z0-at-root": ("2,3,4,5", "-1", "z0", "-1 is a branch point of the curve (F(z0) = 0)"),
+    "z0-on-chain": ("2,3,4,5", "4", "z0", "4 lies on the chain (site 2)"),
+}
+DARBOUX_FIELD = {"gamma": "chain.gamma", "z0": "darboux.z0"}
+
+
+def _replay(tmp_path, suite, gamma, z0, curve=CUBIC):
+    """Exit status of replaying a dump of this configuration."""
+    dump = verify_mod.draw_sample(seed=9, index=1).to_dump(suite, 1)
+    dump.update({"curve": curve, "gamma": gamma.split(","), "z0": z0})
+    dump_path = tmp_path / f"{suite}.json"
+    dump_path.write_text(json.dumps(dump))
+    out = tmp_path / f"{suite}-replay.json"
+    return run_cli(["verify", "--replay", str(dump_path), "--out", str(out)])
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_darboux_and_replay_refuse_alike(tmp_path, capsys, case):
+    gamma, z0, field, text = BAD_CONFIGS[case]
+    out = tmp_path / "darboux.json"
+    args = DARBOUX + [f"--gamma={gamma}", f"--z0={z0}", "--out", str(out)]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"config error: {DARBOUX_FIELD[field]}: {text}\n"
+    assert not out.exists()
+    for suite in verify_mod.SUITES:
+        assert _replay(tmp_path, suite, gamma, z0) == 2
+        assert capsys.readouterr().err == f"config error: replay: {field}: {text}\n"
+
+
+def test_darboux_and_replay_accept_equal_sites_three_apart(tmp_path, capsys):
+    """No formula divides by gamma_0 - gamma_3, so a period-6 chain with
+    gamma_0 = gamma_3 is evaluated: the x bracket and the factorization
+    pass, and the chain and y suites report that no tail closes the chain
+    at a period other than 4 (exit 1), as ``darboux`` does."""
+    curve = {"c2": "1/3", "c1": "-2", "c0": "5/7"}
+    gamma, z0 = "2,3,4,2,5,7", "9/2"
+    args = ["darboux", "--curve", "1/3,-2,5/7", "--gamma", gamma, "--z0", z0,
+            "--out", str(tmp_path / "darboux.json")]
+    assert run_cli(args) == 1
+    codes = {suite: _replay(tmp_path, suite, gamma, z0, curve) for suite in verify_mod.SUITES}
+    assert codes == {"chain": 1, "lax-x": 0, "lax-y": 1, "factorization": 0}
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_accepts_equal_second_neighbours(tmp_path):

@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxchain.curves import SpectralCurve
 from laxchain.darboux import (
     DarbouxData,
     SolutionConstants,
+    chain_problem,
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
@@ -16,6 +19,7 @@ from laxchain.darboux import (
     eigenfunction_step,
     factorization_check,
     lax_window,
+    point_problem,
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
@@ -702,6 +706,31 @@ def test_solve_tail_constants_needs_three_probes():
     chain = GammaChain((0.5, 1.25, 2.0, 3.5), SpectralCurve.elliptic(0, 0, -(10**9)))
     with pytest.raises(ValueError, match="fewer than three"):
         solve_tail_constants(chain)
+
+
+SMALL = st.integers(-3, 3)
+
+
+@settings(max_examples=300)
+@given(st.tuples(SMALL, SMALL, SMALL), st.tuples(SMALL, SMALL, SMALL, SMALL))
+def test_chain_problem_at_period_four_is_the_samplers_old_rule(coeffs, values):
+    """At period 4 neighbours and second neighbours are all six pairs, so
+    the rule admits exactly the pairwise-distinct chains off the roots of F:
+    the chains the sampler admitted before it read this rule."""
+    curve = SpectralCurve.elliptic(*coeffs)
+    gamma = tuple(Fraction(v) for v in values)
+    admitted = len(set(gamma)) == 4 and all(curve.eval(g) != 0 for g in gamma)
+    assert (chain_problem(curve, gamma) is None) == admitted
+
+
+def test_point_problem_names_the_value():
+    gamma = CHAIN.values
+    assert point_problem(CURVE, gamma, Fraction(9, 2)) is None
+    assert point_problem(CURVE, gamma, Fraction(3)) == "3 lies on the chain (site 2)"
+    cubic = SpectralCurve.elliptic(0, -1, 0)
+    assert point_problem(cubic, gamma, Fraction(-1)) == (
+        "-1 is a branch point of the curve (F(z0) = 0)"
+    )
 
 
 def _gap_identity_constants(chain):
