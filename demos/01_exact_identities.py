@@ -37,8 +37,9 @@ print("chain:", [str(g) for g in chain.values], " curve point z0 =", z0)
 
 # %% [markdown]
 # The chain carries x-jets along the lattice flow; the curve point carries
-# y-jets along the Weierstrass-type ODE.  Both square-root signs are valid,
-# so serious runs always do both; here we use +w.
+# y-jets along the Weierstrass-type ODE.  Both square-root signs are valid;
+# every result at -w is the conjugate (w -> -w) of the result at +w, so the
+# suites evaluate +w only, as here.
 
 # %%
 jets = prolong_gamma_jets(chain, 3)

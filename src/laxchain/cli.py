@@ -203,10 +203,10 @@ def _cmd_verify(args):
         try:
             with open(args.replay) as fh:
                 dump = json.load(fh)
-            read_dump(dump)  # a JSONDecodeError is a ValueError too
+            suite, config = read_dump(dump)  # a JSONDecodeError is a ValueError too
         except (OSError, ValueError) as err:
             raise ConfigError(f"replay: {err}") from err
-        report = replay_config(dump)
+        report = replay_config(suite, config, dump.get("sample", 0))
         _write_text(args.out, report_to_json(report))
         return 0 if report.passed else 1
 

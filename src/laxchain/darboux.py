@@ -29,6 +29,19 @@ B = T + f.  The Lax residuals (the x and y brackets here, the fourth-order
 one in ``verify``) go through :func:`lax_window`, which takes dL and, cut by
 one jet order, L from one operator.  Both assemble every bracket with
 ``operators.lax_residual``.
+
+Both signs of w are certified from one evaluation.  On the exact path w
+enters only through the curve-point jet, and every formula here is a
+rational expression over Q in the jet coefficients of the chain and of that
+point.  The map sigma: a + b w -> a - b w is a field automorphism of Q(w)
+that fixes Q, so it commutes with every such expression: the results at the
+sign -1 jet are sigma of the results at the sign +1 jet, coefficient by
+coefficient (``Jet.conjugate``).  Every zero test is sigma-invariant, since
+sigma is injective (x = 0 exactly when sigma(x) = 0), so no branch taken
+here depends on the sign.  Code that broke this -- a branch on the sign of
+a component, a float taken before a zero test -- would make the two signs
+disagree; a differential test in the test suite runs both signs in full
+against ``verify``'s evaluators to catch it.
 """
 
 from dataclasses import dataclass
@@ -285,10 +298,11 @@ def chain_problem(curve, gamma):
             )
 
 
-def point_problem(curve, gamma, z0):
+def point_problem(curve, gamma, z0, disc=None):
     """Why ``z0`` cannot be used with ``gamma``, or None: w^2 = F(z0) and
-    every gap z0 - gamma_n are divisors."""
-    if curve.eval(z0) == 0:
+    every gap z0 - gamma_n are divisors.  ``disc`` is F(z0) when the caller
+    has evaluated it already."""
+    if (curve.eval(z0) if disc is None else disc) == 0:
         return f"{z0} is a branch point of the curve (F(z0) = 0)"
     if z0 in gamma:
         return f"{z0} lies on the chain (site {gamma.index(z0)})"

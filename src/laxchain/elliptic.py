@@ -7,8 +7,10 @@ Two complementary views of the same ODE:
 * exact: y-jets at a curve point in the quadratic extension with a formal
   ``w = sqrt(F_1(z0))``, which is all the Darboux identity checks need.
 
-The sign of the derivative at an exact point is the abstract ``w``; callers
-verify with both signs since the branch is not fixed by the curve alone.
+The sign of the derivative at an exact point is the abstract ``w``; the
+branch is not fixed by the curve alone, so both signs are certified.  The
+sign -1 jet is the conjugate (``w -> -w``) of the sign +1 jet, and exact
+callers evaluate sign +1 only and conjugate the results (see ``darboux``).
 """
 
 from dataclasses import dataclass

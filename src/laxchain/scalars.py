@@ -267,7 +267,8 @@ class QuadExt:
         return result
 
     def conjugate(self):
-        return QuadExt(self.a, -self.b, self.disc)
+        """``a - b*w``: the automorphism ``w -> -w``, which fixes the base field."""
+        return QuadExt(self.a, _neg(self.b), self.disc)
 
     def norm(self):
         """Field norm ``a**2 - disc*b**2`` (a base-field element)."""
@@ -300,6 +301,8 @@ _set_a = QuadExt.a.__set__
 _set_b = QuadExt.b.__set__
 _set_disc = QuadExt.disc.__set__
 _EXACT = (int, Fraction)
+# Base-field leaves: the conjugation w -> -w fixes them.
+_BASE = (int, Fraction, float)
 _ZERO_DIVISOR = "division by a zero divisor in the quadratic extension"
 
 
@@ -520,6 +523,18 @@ class Jet:
 
     def __neg__(self):
         return _jet(tuple(-c for c in self.coeffs), self._shape)
+
+    def conjugate(self):
+        """The jet with ``w -> -w`` applied to every coefficient.
+
+        QuadExt and jet coefficients are conjugated; Fraction, int and float
+        coefficients are base-field values and stay as they are.  The map
+        keeps every zero pattern, so the cached shape carries over.
+        """
+        return _jet(
+            tuple(c if type(c) in _BASE else c.conjugate() for c in self.coeffs),
+            self._shape,
+        )
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:

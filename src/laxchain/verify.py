@@ -10,7 +10,12 @@ The exact suites certify rational identities pointwise at random exact
 configurations (numerators bounded by ``max_num``, denominators by
 ``max_den``): an identity that is exactly zero at enough random points is
 true with overwhelming confidence, and a single nonzero value is a proof of
-failure.  Every sample runs with both signs of the extension square root.
+failure.  Every sample is certified for both signs of the extension square
+root ``w`` but evaluated at ``w`` only: the sign -1 results are the Galois
+conjugates (``conjugate()``, ``w -> -w``) of the sign +1 results (see
+``darboux``).  The conjugation is injective, so a zero test of the sign +1
+value decides both signs; it does not keep the reported magnitude
+|a + b sqrt(D)|, so the magnitudes are taken on both values.
 """
 
 import json
@@ -137,9 +142,9 @@ def _draw_fraction(rng, max_num, max_den):
     return Fraction(num, den)
 
 
-def _square_problem(curve, z0):
-    """Why Q(w) would have zero divisors (F(z0) a rational square up to sign), or None."""
-    disc = curve.eval(z0)
+def _square_problem(disc):
+    """Why Q(w) with w^2 = ``disc`` = F(z0) would have zero divisors (``disc`` a
+    rational square up to sign), or None."""
     if is_rational_square(disc) or is_rational_square(-disc):
         return f"F(z0) = {disc} is a rational square up to sign"
 
@@ -171,7 +176,8 @@ def draw_sample(
         if chain_problem(curve, gamma):
             continue
         z0 = _draw_fraction(rng, max_num, max_den)
-        if point_problem(curve, gamma, z0) or _square_problem(curve, z0):
+        disc = curve.eval(z0)
+        if point_problem(curve, gamma, z0, disc) or _square_problem(disc):
             continue
         return SampleConfig(
             curve=curve,
@@ -190,23 +196,29 @@ def draw_sample(
 # ---------------------------------------------------------------------------
 
 def _sample_data(config, chain_order=3):
-    """Configurations for both signs of w, from one prolongation of the chain."""
+    """The configuration at the sign +1 of w, from one prolongation of the
+    chain.  Sign -1 is never evaluated: its results are the conjugates of
+    these (see the module docstring)."""
     jets = prolong_gamma_jets(GammaChain(config.gamma, config.curve), chain_order)
-    return tuple(
-        darboux_data(jets, exact_wp_jet(config.curve, config.z0, order=3, sign=sign))
-        for sign in (1, -1)
-    )
+    return darboux_data(jets, exact_wp_jet(config.curve, config.z0, order=3, sign=1))
+
+
+def _magnitude(x):
+    """Reported magnitude of a sign +1 value over both signs of w: the larger
+    of ``scalar_abs`` of ``x`` and of its conjugate, the sign -1 value."""
+    return max(float(scalar_abs(x)), float(scalar_abs(x.conjugate())))
 
 
 def _windows_zero(windows):
-    """``(ok, worst)`` over residual windows: ok when every window is zero,
-    worst the largest coefficient magnitude among those that are not."""
+    """``(ok, worst)`` over sign +1 residual windows: ok when every window is
+    zero, worst the largest coefficient magnitude over both signs among
+    those that are not."""
     ok = True
     worst = 0.0
     for win in windows:
         if not win.is_zero():
             ok = False
-            worst = max(worst, float(win.max_abs()))
+            worst = max(worst, *(_magnitude(c) for row in win.rows for c in row))
     return ok, worst
 
 
@@ -219,26 +231,25 @@ def _eval_chain_sample(config):
     signs.  The solved constants and the gap magnitude are reported.
     """
     solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
+    data = _sample_data(config, chain_order=2).truncated(1, 1)
+    bare = rank2_solution(data)
+    fixed = rank2_solution(data, solved)
     must_vanish = []
     gap_mag = 0.0
-    per_sign = [data.truncated(1, 1) for data in _sample_data(config, chain_order=2)]
-    for data in per_sign:
-        bare = rank2_solution(data)
-        fixed = rank2_solution(data, solved)
-        for n in range(len(config.gamma)):
-            r1, r2, r3 = chain_residuals(bare, n)
-            must_vanish += [r1, r2, *chain_residuals(fixed, n)]
-            gap_mag = max(gap_mag, float(scalar_abs(r3)))
+    for n in range(len(config.gamma)):
+        r1, r2, r3 = chain_residuals(bare, n)
+        must_vanish += [r1, r2, *chain_residuals(fixed, n)]
+        gap_mag = max(gap_mag, _magnitude(r3))
     nonzero = [r for r in must_vanish if r != 0]
-    worst = max((float(scalar_abs(r)) for r in nonzero), default=0.0)
+    worst = max(map(_magnitude, nonzero), default=0.0)
     info = {
         "solved_constants": {k: format_scalar(getattr(solved, k)) for k in ("s0", "k0", "p0")},
         "gap_magnitude": gap_mag,
     }
     if not config.constants.is_zero():
         # Documented outcome for user-supplied constants: deterministic
-        # residual magnitudes, not a pass criterion.
-        user = rank2_solution(per_sign[0], config.constants)
+        # residual magnitudes at sign +1, not a pass criterion.
+        user = rank2_solution(data, config.constants)
         info["user_constants_residuals"] = [
             [float(scalar_abs(r)) for r in chain_residuals(user, n)]
             for n in range(len(config.gamma))
@@ -247,36 +258,29 @@ def _eval_chain_sample(config):
 
 
 def _eval_factorization_sample(config):
-    def windows():
-        for data in _sample_data(config, chain_order=1):
-            # the factorization and the band cross-check are pointwise identities
-            data = data.truncated(0, 0)
-            yield factorization_check(data)
-            yield transformed_operator(data).crosscheck_window()
-
-    ok, worst = _windows_zero(windows())
+    # the factorization and the band cross-check are pointwise identities
+    data = _sample_data(config, chain_order=1).truncated(0, 0)
+    ok, worst = _windows_zero(
+        [factorization_check(data), transformed_operator(data).crosscheck_window()]
+    )
     return ok, worst, {}
 
 
 def _eval_lax_x_sample(config):
-    ok, worst = _windows_zero(commutator_x_check(data) for data in _sample_data(config))
+    ok, worst = _windows_zero([commutator_x_check(_sample_data(config))])
     return ok, worst, {}
 
 
 def _eval_lax_y_sample(config):
     """Valid curve-point jet with solved tail -> exactly zero; a jet violating
-    the Weierstrass ODE (second derivative bumped by 1) -> nonzero."""
+    the Weierstrass ODE (second derivative bumped by 1) -> nonzero.  Both
+    are rational in the jet, so their sign -1 values are conjugates too."""
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
     jets = prolong_gamma_jets(chain, 3)
-    wps = [exact_wp_jet(config.curve, config.z0, order=3, sign=s) for s in (1, -1)]
-    ok, worst = _windows_zero(
-        commutator_y_check(darboux_data(jets, wp), solved) for wp in wps
-    )
-    control_hit = all(
-        not commutator_y_check(darboux_data(jets, _bump_second(wp)), solved).is_zero()
-        for wp in wps
-    )
+    wp = exact_wp_jet(config.curve, config.z0, order=3, sign=1)
+    ok, worst = _windows_zero([commutator_y_check(darboux_data(jets, wp), solved)])
+    control_hit = not commutator_y_check(darboux_data(jets, _bump_second(wp)), solved).is_zero()
     return ok and control_hit, worst, {"negative_control_nonzero": control_hit}
 
 
@@ -438,20 +442,22 @@ def read_dump(dump):
     problem = chain_problem(curve, gamma)
     if problem:
         raise ValueError(f"gamma: {problem}")
-    problem = point_problem(curve, gamma, z0) or _square_problem(curve, z0)
+    disc = curve.eval(z0)
+    problem = point_problem(curve, gamma, z0, disc) or _square_problem(disc)
     if problem:
         raise ValueError(f"z0: {problem}")
     return suite, config
 
 
-def replay_config(dump):
-    """Re-run the suite named in a failure dump on that exact configuration."""
-    suite, config = read_dump(dump)
+def replay_config(suite, config, sample=0):
+    """Re-run ``suite`` on the exact configuration of a failure dump, as
+    :func:`read_dump` returned them; ``sample`` is the dump's sample index,
+    kept in the failure this replay reports."""
     ok, worst, info = _suite_eval(suite)(config)
     report = SuiteReport(suite=suite, samples=1, passes=1 if ok else 0)
     report.max_residual = worst
     if not ok:
-        report.failures.append(config.to_dump(suite, dump.get("sample", 0), "replay"))
+        report.failures.append(config.to_dump(suite, sample, "replay"))
     if info:
         report.details["samples"] = {"replay": info}
     return report

@@ -60,6 +60,24 @@ def test_verify_replay(tmp_path):
     assert payload["samples"] == 1 and payload["passes"] == 1
 
 
+def test_verify_replay_validates_the_dump_once(tmp_path, monkeypatch):
+    """``read_dump`` checks the dump, and the replay runs on what it returned."""
+    cfg = verify_mod.draw_sample(seed=9, index=1)
+    dump_path = tmp_path / "dump.json"
+    dump_path.write_text(json.dumps(cfg.to_dump("lax-x", 1)))
+    calls = []
+    real = verify_mod.chain_problem
+
+    def counted(curve, gamma):
+        calls.append(gamma)
+        return real(curve, gamma)
+
+    monkeypatch.setattr(verify_mod, "chain_problem", counted)
+    out = tmp_path / "replay.json"
+    assert run_cli(["verify", "--replay", str(dump_path), "--out", str(out)]) == 0
+    assert calls == [cfg.gamma]
+
+
 
 CUBIC = {"c2": "0", "c1": "-1", "c0": "0"}  # F = z^3 - z, roots 0, 1, -1
 

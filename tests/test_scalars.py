@@ -610,3 +610,45 @@ def test_embedded_values_collapse_in_sets():
     assert len({Jet((3, 0)), three, 3}) == 1
     assert len({Jet((QuadExt(three, Fraction(0), disc), QuadExt(0, 0, disc))), 3}) == 1
     assert len({QuadExt(three, Fraction(1), disc), three}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Galois conjugation w -> -w
+# ---------------------------------------------------------------------------
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+def nested_quad_jets(disc, x_order, y_order):
+    """Jet_x(Jet_y(QuadExt)) over Fraction components, many of them zero."""
+    quad = st.builds(QuadExt, sparse_rationals, sparse_rationals, st.just(disc))
+    inner = st.lists(quad, min_size=y_order + 1, max_size=y_order + 1).map(Jet)
+    return st.lists(inner, min_size=x_order + 1, max_size=x_order + 1).map(Jet)
+
+
+def _assert_shapes_fresh(x):
+    """Every cached jet shape in ``x`` equals a fresh scan of its coefficients.
+
+    Shapes left by arithmetic may list a cancelled coefficient as nonzero,
+    so this holds for scanned jets, not for every result."""
+    if isinstance(x, Jet):
+        if x._shape is not None:
+            assert x._shape == Jet(x.coeffs)._scan()
+        for c in x.coeffs:
+            _assert_shapes_fresh(c)
+
+
+@given(st.data(), st.sampled_from(DISCS), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=80)
+def test_conjugation_is_a_ring_homomorphism_on_nested_jets(data, disc, x_order, y_order):
+    x, y = (data.draw(nested_quad_jets(disc, x_order, y_order)) for _ in range(2))
+    for name, (op, _) in OPS.items():
+        got = outcome(op, x, y)
+        want = outcome(op, x.conjugate(), y.conjugate())
+        if isinstance(want, type):
+            assert got is want, name
+            continue
+        assert_same(got.conjugate(), want, (name, x, y))
+    assert deep_key(x.conjugate().conjugate()) == deep_key(x)
+    x._scan()
+    _assert_shapes_fresh(x.conjugate())

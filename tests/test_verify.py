@@ -9,12 +9,13 @@ from laxchain import verify as verify_mod
 from laxchain.darboux import DarbouxData, SolutionConstants
 from laxchain.errors import ConfigError
 from laxchain.flows import GammaChain
-from laxchain.scalars import Jet, is_rational_square
+from laxchain.scalars import Jet, format_scalar, is_rational_square, scalar_abs
 from laxchain.verify import (
     SUITES,
     SampleConfig,
     draw_sample,
     l4_lax_residual_window,
+    read_dump,
     replay_config,
     report_to_json,
     rk4_convergence_order,
@@ -73,6 +74,19 @@ def test_default_run_accepts_every_sample_at_its_first_draw(monkeypatch):
         draw_sample(seed=7, index=i)
 
 
+def test_draw_sample_evaluates_f_at_z0_once(monkeypatch):
+    points = []
+    real = SpectralCurve.eval
+
+    def counted(curve, z):
+        points.append(z)
+        return real(curve, z)
+
+    monkeypatch.setattr(SpectralCurve, "eval", counted)
+    cfg = draw_sample(seed=7, index=0)  # accepted at its first draw
+    assert points.count(cfg.z0) == 1
+
+
 def test_sample_dump_roundtrip():
     cfg = draw_sample(seed=5, index=0, constants=SolutionConstants(s0=Fraction(1, 2)))
     dump = cfg.to_dump("chain", 0)
@@ -119,7 +133,7 @@ def test_workers_produce_identical_reports():
 def test_replay_from_dump():
     cfg = draw_sample(seed=31, index=0)
     for suite in ("factorization", "lax-l4"):
-        report = replay_config(cfg.to_dump(suite, 0))
+        report = replay_config(*read_dump(cfg.to_dump(suite, 0)))
         assert report.suite == suite
         assert report.samples == 1 and report.passed
 
@@ -167,7 +181,9 @@ def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope", samples=1, seed=1)
     with pytest.raises(ValueError):
-        replay_config(draw_sample(seed=31, index=0).to_dump("nope", 0))
+        read_dump(draw_sample(seed=31, index=0).to_dump("nope", 0))
+    with pytest.raises(ValueError):
+        replay_config("nope", draw_sample(seed=31, index=0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +228,183 @@ def _gamma0_prime_plus_one(monkeypatch):
     monkeypatch.setattr(verify_mod, "prolong_gamma_jets", off)
 
 
+def _wp_prime_plus_one(monkeypatch):
+    """The curve-point jet with w' = w + 1: off the curve, and its residuals
+    mix a and b*w, so the two signs of w differ in magnitude when F(z0) > 0."""
+    real = verify_mod.exact_wp_jet
+
+    def off(curve, p, order=2, sign=1):
+        c = real(curve, p, order, sign).coeffs
+        return Jet((c[0], c[1] + 1) + c[2:])
+
+    monkeypatch.setattr(verify_mod, "exact_wp_jet", off)
+
+
+# ---------------------------------------------------------------------------
+# Reference: every suite evaluated in full at both signs of w
+# ---------------------------------------------------------------------------
+# The evaluators in ``verify`` run sign +1 and reach sign -1 by conjugation.
+# These run the formulas at both signs, as the evaluators once did, and read
+# every library function through ``verify_mod`` so that a monkeypatched
+# perturbation reaches them as well.
+
+def _ref_sample_data(config, chain_order=3):
+    jets = verify_mod.prolong_gamma_jets(GammaChain(config.gamma, config.curve), chain_order)
+    return tuple(
+        verify_mod.darboux_data(
+            jets, verify_mod.exact_wp_jet(config.curve, config.z0, order=3, sign=sign)
+        )
+        for sign in (1, -1)
+    )
+
+
+def _ref_windows_zero(windows):
+    ok = True
+    worst = 0.0
+    for win in windows:
+        if not win.is_zero():
+            ok = False
+            worst = max(worst, float(win.max_abs()))
+    return ok, worst
+
+
+def _ref_chain(config):
+    solved = verify_mod.solve_tail_constants(GammaChain(config.gamma, config.curve))
+    must_vanish = []
+    gap_mag = 0.0
+    per_sign = [data.truncated(1, 1) for data in _ref_sample_data(config, chain_order=2)]
+    for data in per_sign:
+        bare = verify_mod.rank2_solution(data)
+        fixed = verify_mod.rank2_solution(data, solved)
+        for n in range(len(config.gamma)):
+            r1, r2, r3 = verify_mod.chain_residuals(bare, n)
+            must_vanish += [r1, r2, *verify_mod.chain_residuals(fixed, n)]
+            gap_mag = max(gap_mag, float(scalar_abs(r3)))
+    nonzero = [r for r in must_vanish if r != 0]
+    worst = max((float(scalar_abs(r)) for r in nonzero), default=0.0)
+    info = {
+        "solved_constants": {k: format_scalar(getattr(solved, k)) for k in ("s0", "k0", "p0")},
+        "gap_magnitude": gap_mag,
+    }
+    if not config.constants.is_zero():
+        user = verify_mod.rank2_solution(per_sign[0], config.constants)
+        info["user_constants_residuals"] = [
+            [float(scalar_abs(r)) for r in verify_mod.chain_residuals(user, n)]
+            for n in range(len(config.gamma))
+        ]
+    return not nonzero, worst, info
+
+
+def _ref_factorization(config):
+    def windows():
+        for data in _ref_sample_data(config, chain_order=1):
+            data = data.truncated(0, 0)
+            yield verify_mod.factorization_check(data)
+            yield verify_mod.transformed_operator(data).crosscheck_window()
+
+    ok, worst = _ref_windows_zero(windows())
+    return ok, worst, {}
+
+
+def _ref_lax_x(config):
+    ok, worst = _ref_windows_zero(
+        verify_mod.commutator_x_check(data) for data in _ref_sample_data(config)
+    )
+    return ok, worst, {}
+
+
+def _ref_lax_y(config):
+    chain = GammaChain(config.gamma, config.curve)
+    solved = verify_mod.solve_tail_constants(chain)
+    jets = verify_mod.prolong_gamma_jets(chain, 3)
+    wps = [verify_mod.exact_wp_jet(config.curve, config.z0, order=3, sign=s) for s in (1, -1)]
+    check = verify_mod.commutator_y_check
+    ok, worst = _ref_windows_zero(
+        check(verify_mod.darboux_data(jets, wp), solved) for wp in wps
+    )
+    control_hit = all(
+        not check(verify_mod.darboux_data(jets, verify_mod._bump_second(wp)), solved).is_zero()
+        for wp in wps
+    )
+    return ok and control_hit, worst, {"negative_control_nonzero": control_hit}
+
+
+def _ref_lax_l4(config):
+    # no w enters the fourth-order bracket: one evaluation is both signs
+    window = verify_mod.l4_lax_residual_window(GammaChain(config.gamma, config.curve))
+    ok, worst = _ref_windows_zero([window])
+    return ok, worst, {}
+
+
+TWO_SIGN_REFERENCE = {
+    "chain": _ref_chain,
+    "factorization": _ref_factorization,
+    "lax-x": _ref_lax_x,
+    "lax-y": _ref_lax_y,
+    "lax-l4": _ref_lax_l4,
+}
+
+WIDE_BOUNDS = (10**9, 10**6)
+
+
+def _assert_same_outcome(got, want, context):
+    """Equal ``(ok, worst, info)`` in value and in the type of every part."""
+    assert got == want, context
+    assert repr(got) == repr(want), context
+
+
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_sign_one_and_its_conjugate_equal_both_signs_in_full(bounds):
+    """Each evaluator returns exactly what the two-sign reference returns,
+    lax-y's control flag and the chain's gap magnitude included, and the
+    user-constants residuals on one draw."""
+    assert TWO_SIGN_REFERENCE.keys() == verify_mod._SUITE_EVALS.keys()
+    for index in range(8):
+        config = draw_sample(7, index, *bounds)
+        for suite, evaluate in verify_mod._SUITE_EVALS.items():
+            context = (suite, bounds, index)
+            _assert_same_outcome(evaluate(config), TWO_SIGN_REFERENCE[suite](config), context)
+    constants = SolutionConstants(s0=Fraction(1, 3), p1=Fraction(2))
+    config = draw_sample(7, 0, *bounds, constants=constants)
+    _assert_same_outcome(verify_mod._eval_chain_sample(config), _ref_chain(config), "user")
+
+
+PERTURBATIONS = {
+    "chain-solved-s0": ("chain", _off_solved_s0),
+    "chain-bare-s1": ("chain", _bare_tail_s1),
+    "chain-wp-prime": ("chain", _wp_prime_plus_one),
+    "factorization-chi2": ("factorization", _chi2_plus_one),
+    "lax-x-gamma-prime": ("lax-x", _gamma0_prime_plus_one),
+    "lax-l4-gamma-prime": ("lax-l4", _gamma0_prime_plus_one),
+    "lax-y-off-constants": ("lax-y", _off_solved_s0),
+    "lax-y-wp-prime": ("lax-y", _wp_prime_plus_one),
+}
+
+# draw_sample(7, 0) has F(z0) < 0.  draw_sample(7, 6) has F(z0) > 0, where
+# |a + b sqrt(D)| and |a - b sqrt(D)| differ: under the w' perturbation the
+# chain's and lax-y's worst residuals are sign -1 magnitudes there.
+NEGATIVE_DISC_DRAW, POSITIVE_DISC_DRAW = 0, 6
+
+
 @pytest.mark.parametrize(
-    "suite, perturb",
+    "suite, perturb, index",
     [
-        ("chain", _off_solved_s0),
-        ("chain", _bare_tail_s1),
-        ("factorization", _chi2_plus_one),
-        ("lax-x", _gamma0_prime_plus_one),
-        ("lax-l4", _gamma0_prime_plus_one),
-        ("lax-y", _off_solved_s0),
+        pytest.param(suite, perturb, index, id=name + suffix)
+        for index, suffix in ((NEGATIVE_DISC_DRAW, ""), (POSITIVE_DISC_DRAW, "-positive-disc"))
+        for name, (suite, perturb) in PERTURBATIONS.items()
     ],
-    ids=["chain-solved-s0", "chain-bare-s1", "factorization-chi2", "lax-x-gamma-prime",
-         "lax-l4-gamma-prime", "lax-y-off-constants"],
 )
-def test_suite_rejects_perturbed_input(monkeypatch, suite, perturb):
-    config = draw_sample(7, 0)
+def test_suite_rejects_perturbed_input(monkeypatch, suite, perturb, index):
+    """Every evaluator fails on a perturbed input, and reports as its worst
+    residual the largest magnitude over both signs of w."""
+    config = draw_sample(7, index)
+    assert (config.curve.eval(config.z0) > 0) == (index == POSITIVE_DISC_DRAW)
     assert verify_mod._SUITE_EVALS[suite](config)[0] is True
     perturb(monkeypatch)
-    ok, worst, _ = verify_mod._SUITE_EVALS[suite](config)
+    ok, worst, info = verify_mod._SUITE_EVALS[suite](config)
     assert ok is False
     assert worst > 0
+    _assert_same_outcome((ok, worst, info), TWO_SIGN_REFERENCE[suite](config), suite)
 
 
 def test_failure_dump_replays_as_failure(monkeypatch):
@@ -240,6 +413,6 @@ def test_failure_dump_replays_as_failure(monkeypatch):
     assert report.passes == 0 and report.max_residual > 0
     (dump,) = report.failures
     assert dump["note"] == "residual nonzero"
-    replayed = replay_config(dump)
+    replayed = replay_config(*read_dump(dump), dump["sample"])
     assert not replayed.passed and replayed.max_residual > 0
     assert [f["note"] for f in replayed.failures] == ["replay"]
