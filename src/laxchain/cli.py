@@ -504,7 +504,8 @@ def _cmd_darboux(args):
     residuals = [
         [format_scalar(r) for r in chain_residuals(sol, n)] for n in range(chain.period)
     ]
-    transformed = transformed_operator(data.truncated(0, 0))
+    flat = data.truncated(0, 0)
+    transformed = transformed_operator(flat)
     payload = {
         "curve": dict(zip(("c0", "c1", "c2"), map(format_scalar, curve.coeffs))),
         "gamma": [format_scalar(g) for g in gamma],
@@ -513,7 +514,7 @@ def _cmd_darboux(args):
         "transformed_operator": transformed.operator.window(
             0, chain.period - 1
         ).to_json_dict(),
-        "factorization_zero": factorization_check(data.truncated(0, 0)).is_zero(),
+        "factorization_zero": factorization_check(flat).is_zero(),
         "crosscheck_zero": transformed.crosscheck_window().is_zero(),
         "lax_x_zero": commutator_x_check(data).is_zero(),
         "lax_y_zero": commutator_y_check(data, solved).is_zero(),

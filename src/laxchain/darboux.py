@@ -47,11 +47,11 @@ against ``verify``'s evaluators to catch it.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import islice
 
 from .curves import SpectralCurve
+from .elliptic import exact_wp_jet
 from .errors import DegenerateConfigurationError, PoleError
-from .flows import prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
+from .flows import GammaChain, prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
 from .scalars import Jet, is_degenerate_pair
 
@@ -101,9 +101,9 @@ class DarbouxData:
 
     ``gamma``/``dgamma`` hold gamma_n and gamma_n' as nested scalars
     Jet_x(Jet_y(base)) of uniform orders (x_order, y_order); ``z0``/``w``
-    hold the curve point and its y-derivative in the same shape.  Site
-    lookups reduce modulo the period, and every per-site formula is a
-    method memoised in ``_site_cache``.
+    hold the curve point and its y-derivative in the same shape, and the
+    orders are read off ``z0``.  Site lookups reduce modulo the period, and
+    every per-site formula is a method memoised in ``_site_cache``.
     """
 
     curve: SpectralCurve
@@ -111,8 +111,6 @@ class DarbouxData:
     dgamma: tuple
     z0: object
     w: object
-    x_order: int
-    y_order: int
 
     def __post_init__(self):
         # per-site memo table; every stored value is immutable
@@ -121,6 +119,14 @@ class DarbouxData:
     @property
     def period(self):
         return len(self.gamma)
+
+    @property
+    def x_order(self):
+        return self.z0.order
+
+    @property
+    def y_order(self):
+        return self.z0.coeffs[0].order
 
     def gamma_at(self, n):
         return self.gamma[n % self.period]
@@ -140,8 +146,6 @@ class DarbouxData:
             dgamma=tuple(cut(g) for g in self.dgamma),
             z0=cut(self.z0),
             w=cut(self.w),
-            x_order=x_order,
-            y_order=y_order,
         )
 
     @cached_property
@@ -267,13 +271,7 @@ def darboux_data(jet_chain, wp_jet):
     w_nested = Jet((Jet(wp_jet.coeffs[1 : y_ord + 2]),) + pad)
 
     return DarbouxData(
-        curve=jet_chain.curve,
-        gamma=gamma,
-        dgamma=dgamma,
-        z0=z0_nested,
-        w=w_nested,
-        x_order=x_ord,
-        y_order=y_ord,
+        curve=jet_chain.curve, gamma=gamma, dgamma=dgamma, z0=z0_nested, w=w_nested
     )
 
 
@@ -550,8 +548,8 @@ def commutator_x_check(data):
     if data.x_order < 1:
         raise ValueError("the x-commutator check needs x-jet order >= 1")
     d_hi = data.truncated(data.x_order, 0)
-    sol = rank2_solution(d_hi.truncated(data.x_order - 1, 0))
-    c_op = DifferenceOperator.from_bands({-1: sol.b, -2: sol.d})
+    d_lo = d_hi.truncated(data.x_order - 1, 0)
+    c_op = DifferenceOperator.from_bands({-1: d_lo.b, -2: d_lo.d})
     return lax_window(transformed_operator(d_hi).operator, "x", c_op, data.period)
 
 
@@ -600,46 +598,28 @@ def solve_tail_constants(chain):
     (s1, k1, p1) must stay zero for a 4-periodic chain: they shift the second
     residual by 2 (-1)^n (s1 z0^2 + k1 z0 + p1) / z0', which nothing cancels.
 
-    The three curve points are the first of max|gamma_n| + 2, + 3, ... that
-    :func:`point_problem` admits (on the float path also F(p) > 0).
+    The three curve points are the first three of the six integers
+    int(max|gamma_n|) + 2, ..., + 7 that :func:`point_problem` admits: each
+    lies past every gamma_n, and F vanishes at no more than three of them.
+    The gap is read from the configuration at orders (1, 1).  A float chain
+    is solved at its exact binary value (its values and the curve's
+    coefficients as Fractions), so the constants are always Fractions.
     """
-    from math import sqrt
-
-    from .elliptic import exact_wp_jet, wp_jet_numeric
-
-    exact = all(isinstance(v, (int, Fraction)) for v in chain.values)
+    curve = SpectralCurve(chain.curve.genus, tuple(map(Fraction, chain.curve.coeffs)))
+    chain = GammaChain(tuple(map(Fraction, chain.values)), curve)
     jets = prolong_gamma_jets(chain, 2)
 
-    if exact:
-        start = int(max(abs(v) for v in chain.values)) + 2
-        candidates = (Fraction(start + i) for i in range(64))
-    else:
-        start = max(abs(float(v)) for v in chain.values) + 2.0
-        candidates = (start + i for i in range(64))
-    admitted = (
-        p for p in candidates
-        if not point_problem(chain.curve, chain.values, p)
-        and (exact or chain.curve.eval(p) > 0)
-    )
-    probes = list(islice(admitted, 3))
-    if len(probes) != 3:
-        raise ValueError("fewer than three of the 64 probe candidates are valid curve points")
+    start = int(max(abs(v) for v in chain.values)) + 2
+    candidates = (Fraction(start + i) for i in range(6))
+    probes = [p for p in candidates if not point_problem(curve, chain.values, p)][:3]
 
     gaps = []
     for p in probes:
-        if exact:
-            wp = exact_wp_jet(chain.curve, p, order=3, sign=1)
-        else:
-            wp = wp_jet_numeric(chain.curve, p, sqrt(float(chain.curve.eval(p))), order=3)
-        data = darboux_data(jets, wp).truncated(1, 1)
-        sol = rank2_solution(data)
-        r3 = chain_residuals(sol, 0)[2]
-        if exact:
-            if r3.a != 0:
-                raise ValueError("unexpected gap structure (even component present)")
-            gaps.append(r3.b * data.curve.eval(p) / 2)
-        else:
-            gaps.append(r3 * sqrt(float(chain.curve.eval(p))) / 2)
+        data = darboux_data(jets, exact_wp_jet(curve, p, order=2, sign=1))
+        r3 = chain_residuals(rank2_solution(data), 0)[2]
+        if r3.a != 0:
+            raise ValueError("unexpected gap structure (even component present)")
+        gaps.append(r3.b * curve.eval(p) / 2)
 
     # Newton divided differences of the quadratic s0 p^2 + k0 p + p0
     (p1, g1), (p2, g2), (p3, g3) = zip(probes, gaps)

@@ -110,11 +110,16 @@ def q_recurrence_residual(q_prev, q_n, q_next2, q_next3, v_n, v_next, v_next2, w
     Zero for every valid family; the leading z-power cancels between the two
     monic middle terms.
     """
+    num = _q_numerator(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next)
+    return poly_sub(num, poly_scale(q_next3.coeffs(), v_next2))
+
+
+def _q_numerator(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next):
+    """The recurrence without its ``Q_{n+3}`` term, which equals ``Q_{n+3} V_{n+2}``."""
     t1 = poly_scale(q_prev.coeffs(), v_n)
     t2 = poly_mul(q_n.coeffs(), (-(v_n + v_next + w_n), 1))
     t3 = poly_mul(q_next2.coeffs(), (-(v_next + v_next2 + w_next), 1))
-    t4 = poly_scale(q_next3.coeffs(), v_next2)
-    return poly_sub(poly_add(t1, t2), poly_add(t3, t4))
+    return poly_sub(poly_add(t1, t2), t3)
 
 
 def propagate_q(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next):
@@ -127,10 +132,7 @@ def propagate_q(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next):
     if v_next2 == 0:
         raise ZeroDivisionError("cannot propagate through a vanishing V_{n+2}")
     g = q_n.genus
-    t1 = poly_scale(q_prev.coeffs(), v_n)
-    t2 = poly_mul(q_n.coeffs(), (-(v_n + v_next + w_n), 1))
-    t3 = poly_mul(q_next2.coeffs(), (-(v_next + v_next2 + w_next), 1))
-    num = poly_sub(poly_add(t1, t2), t3)
+    num = _q_numerator(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next)
     if len(num) > g + 1 and not all(c == 0 for c in num[g + 1 :]):
         raise DegreeError(
             "inconsistent seeds: leading powers do not cancel in the recurrence"

@@ -195,12 +195,13 @@ def draw_sample(
 # Per-sample suite evaluations
 # ---------------------------------------------------------------------------
 
-def _sample_data(config, chain_order=3):
-    """The configuration at the sign +1 of w, from one prolongation of the
-    chain.  Sign -1 is never evaluated: its results are the conjugates of
-    these (see the module docstring)."""
-    jets = prolong_gamma_jets(GammaChain(config.gamma, config.curve), chain_order)
-    return darboux_data(jets, exact_wp_jet(config.curve, config.z0, order=3, sign=1))
+def _sample_data(config, x_order, y_order):
+    """The configuration at the sign +1 of w and at the working jet orders
+    its suite reads.  Sign -1 is never evaluated: its results are the
+    conjugates of these (see the module docstring)."""
+    jets = prolong_gamma_jets(GammaChain(config.gamma, config.curve), x_order + 1)
+    wp = exact_wp_jet(config.curve, config.z0, order=y_order + 1, sign=1)
+    return darboux_data(jets, wp)
 
 
 def _magnitude(x):
@@ -231,7 +232,7 @@ def _eval_chain_sample(config):
     signs.  The solved constants and the gap magnitude are reported.
     """
     solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
-    data = _sample_data(config, chain_order=2).truncated(1, 1)
+    data = _sample_data(config, 1, 1)
     bare = rank2_solution(data)
     fixed = rank2_solution(data, solved)
     must_vanish = []
@@ -259,7 +260,7 @@ def _eval_chain_sample(config):
 
 def _eval_factorization_sample(config):
     # the factorization and the band cross-check are pointwise identities
-    data = _sample_data(config, chain_order=1).truncated(0, 0)
+    data = _sample_data(config, 0, 0)
     ok, worst = _windows_zero(
         [factorization_check(data), transformed_operator(data).crosscheck_window()]
     )
@@ -267,7 +268,7 @@ def _eval_factorization_sample(config):
 
 
 def _eval_lax_x_sample(config):
-    ok, worst = _windows_zero([commutator_x_check(_sample_data(config))])
+    ok, worst = _windows_zero([commutator_x_check(_sample_data(config, 2, 0))])
     return ok, worst, {}
 
 
@@ -277,7 +278,7 @@ def _eval_lax_y_sample(config):
     are rational in the jet, so their sign -1 values are conjugates too."""
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
-    jets = prolong_gamma_jets(chain, 3)
+    jets = prolong_gamma_jets(chain, 1)
     wp = exact_wp_jet(config.curve, config.z0, order=3, sign=1)
     ok, worst = _windows_zero([commutator_y_check(darboux_data(jets, wp), solved)])
     control_hit = not commutator_y_check(darboux_data(jets, _bump_second(wp)), solved).is_zero()
@@ -362,6 +363,21 @@ def report_to_json(reports):
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _collect(suite, results):
+    """The report over ``(key, ok, worst, info, dump)`` sample results, in
+    order: ``dump`` is a failure's dump, ``info`` lands under ``str(key)``."""
+    report = SuiteReport(suite=suite, samples=len(results), passes=0)
+    for key, ok, worst, info, dump in results:
+        report.max_residual = max(report.max_residual, worst)
+        if ok:
+            report.passes += 1
+        else:
+            report.failures.append(dump)
+        if info:
+            report.details.setdefault("samples", {})[str(key)] = info
+    return report
+
+
 def _eval_indexed_sample(task):
     """Worker entry point: evaluate one sample; picklable args and results."""
     suite, seed, index, max_num, max_den, constants = task
@@ -393,19 +409,7 @@ def run_suite(
     else:
         results = [_eval_indexed_sample(t) for t in tasks]
 
-    report = SuiteReport(suite=suite, samples=samples, passes=0)
-    sample_details = {}
-    for index, ok, worst, info, dump in results:
-        report.max_residual = max(report.max_residual, worst)
-        if ok:
-            report.passes += 1
-        else:
-            report.failures.append(dump)
-        if info:
-            sample_details[str(index)] = info
-    if sample_details:
-        report.details["samples"] = sample_details
-    return report
+    return _collect(suite, results)
 
 
 def run_all(
@@ -454,13 +458,8 @@ def replay_config(suite, config, sample=0):
     :func:`read_dump` returned them; ``sample`` is the dump's sample index,
     kept in the failure this replay reports."""
     ok, worst, info = _suite_eval(suite)(config)
-    report = SuiteReport(suite=suite, samples=1, passes=1 if ok else 0)
-    report.max_residual = worst
-    if not ok:
-        report.failures.append(config.to_dump(suite, sample, "replay"))
-    if info:
-        report.details["samples"] = {"replay": info}
-    return report
+    dump = None if ok else config.to_dump(suite, sample, "replay")
+    return _collect(suite, [("replay", ok, worst, info, dump)])
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,6 @@ def test_solution_equal_adjacent_gamma_kills_f_core():
         dgamma=base.dgamma,
         z0=base.z0,
         w=base.w,
-        x_order=base.x_order,
-        y_order=base.y_order,
     )
     sol = rank2_solution(data)
     assert _val(sol.f(0)) == 0
@@ -701,11 +699,21 @@ def test_solve_tail_constants_frozen_case():
     assert solved.s1 == 0 and solved.k1 == 0 and solved.p1 == 0
 
 
-def test_solve_tail_constants_needs_three_probes():
-    # F(z) = z^3 - 10^9 < 0 on every float probe candidate 5.5, 6.5, ..., 68.5
-    chain = GammaChain((0.5, 1.25, 2.0, 3.5), SpectralCurve.elliptic(0, 0, -(10**9)))
-    with pytest.raises(ValueError, match="fewer than three"):
-        solve_tail_constants(chain)
+def test_float_chain_is_solved_at_its_exact_binary_value():
+    """F(z) = z^3 - 10^9 is negative at every probe: no float w exists
+    there, and the chain is solved all the same, exactly.  The constants
+    are those of the exact chain, and with them every chain residual is
+    exactly zero at an admissible exact z0."""
+    curve = SpectralCurve.elliptic(0, 0, -(10**9))
+    solved = solve_tail_constants(GammaChain((0.5, 1.25, 2.0, 3.5), curve))
+    exact = GammaChain((Fraction(1, 2), Fraction(5, 4), Fraction(2), Fraction(7, 2)), curve)
+    assert solved == solve_tail_constants(exact)
+    assert all(type(c) is Fraction for c in solved.as_tuple())
+    z0 = Fraction(9, 2)
+    assert point_problem(curve, exact.values, z0) is None
+    data = darboux_data(prolong_gamma_jets(exact, 2), exact_wp_jet(curve, z0, order=2))
+    sol = rank2_solution(data, solved)
+    assert all(chain_residuals(sol, n) == (0, 0, 0) for n in range(exact.period))
 
 
 SMALL = st.integers(-3, 3)
@@ -784,10 +792,58 @@ def test_tail_constants_match_the_gap_identity_on_draws(max_num, max_den):
         _assert_gap_identity(GammaChain(cfg.gamma, cfg.curve))
 
 
+PINNED_CHAINS = [(1, 2, 3), (1, 2, 3, 5), (1, 2, 3, 5, Fraction(7, 2)),
+                 (1, 2, 3, 5, Fraction(7, 2), -4)]
+
+
 @pytest.mark.parametrize(
-    "gamma", [(1, 2, 3), (1, 2, 3, 5), (1, 2, 3, 5, Fraction(7, 2)),
-              (1, 2, 3, 5, Fraction(7, 2), -4)],
-    ids=["period-3", "period-4", "period-5", "period-6"],
+    "gamma", PINNED_CHAINS, ids=["period-3", "period-4", "period-5", "period-6"]
 )
 def test_tail_constants_match_the_gap_identity_on_pinned_chains(gamma):
     _assert_gap_identity(GammaChain(gamma, CURVE))
+
+
+def _closed_form_tail_constants(chain):
+    """(s0, k0, p0) in closed form from the sites -2..2, with Delta =
+    2 (g_1 - g_{-1}) and V_n from ``vn_from_gamma``:
+
+        s0 = (V_1 - V_{-1}) / Delta - 1/4,
+        k0 = -(c2 + g_1 + g_{-1}) / 2
+             - (V_1 (g_0 - g_1 + g_2 + g_{-1}) - V_{-1} (g_0 + g_1 - g_{-1} + g_{-2})) / Delta,
+        p0 = -(A_1 V_1 + A_{-1} V_{-1}) / Delta
+             - (3 c1 + 2 c2 (g_1 + g_{-1}) + 2 g_1^2 + 2 g_{-1}^2) / 4,
+
+    with A_1 = g0 g1 - g0 g2 - g0 gm1 - g1^2 + g1 g2 + g1 gm1 - g2 gm1 and
+    A_{-1} = g0 g1 - g0 gm1 + g0 gm2 - g1 gm1 + g1 gm2 + gm1^2 - gm1 gm2
+    (gm1, gm2 for g_{-1}, g_{-2}).  No z0, no probe points, and V_0 cancels."""
+    _, c1, c2 = chain.curve.coeffs
+    vs = vn_from_gamma(site_array(chain.values), chain.curve)
+    v1, vm1 = vs[1 % chain.period], vs[-1 % chain.period]
+    gm2, gm1, g0, g1, g2 = (chain.gamma(n) for n in range(-2, 3))
+    delta = 2 * (g1 - gm1)
+    a1 = g0 * g1 - g0 * g2 - g0 * gm1 - g1**2 + g1 * g2 + g1 * gm1 - g2 * gm1
+    am1 = g0 * g1 - g0 * gm1 + g0 * gm2 - g1 * gm1 + g1 * gm2 + gm1**2 - gm1 * gm2
+    s0 = (v1 - vm1) / delta - Fraction(1, 4)
+    k0 = -(c2 + g1 + gm1) / 2 - (
+        v1 * (g0 - g1 + g2 + gm1) - vm1 * (g0 + g1 - gm1 + gm2)
+    ) / delta
+    p0 = -(a1 * v1 + am1 * vm1) / delta - (
+        3 * c1 + 2 * c2 * (g1 + gm1) + 2 * g1**2 + 2 * gm1**2
+    ) / 4
+    return s0, k0, p0
+
+
+def test_closed_form_tail_constants_equal_the_probe_solve():
+    """The closed form equals the probe solve in value and type on 20
+    draws at each bound and on the pinned chains of periods 3-6."""
+    chains = [
+        GammaChain(cfg.gamma, cfg.curve)
+        for bounds in DRAWS.values()
+        for cfg in (draw_sample(7, index, *bounds) for index in range(20))
+    ] + [GammaChain(gamma, CURVE) for gamma in PINNED_CHAINS]
+    assert len(chains) == 44
+    for chain in chains:
+        solved = solve_tail_constants(chain)
+        got = _closed_form_tail_constants(chain)
+        assert got == (solved.s0, solved.k0, solved.p0)
+        assert [type(x) for x in got] == [Fraction] * 3

@@ -619,9 +619,9 @@ def test_embedded_values_collapse_in_sets():
 sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
 
 
-def nested_quad_jets(disc, x_order, y_order):
+def nested_quad_jets(disc, x_order, y_order, parts=sparse_rationals):
     """Jet_x(Jet_y(QuadExt)) over Fraction components, many of them zero."""
-    quad = st.builds(QuadExt, sparse_rationals, sparse_rationals, st.just(disc))
+    quad = st.builds(QuadExt, parts, parts, st.just(disc))
     inner = st.lists(quad, min_size=y_order + 1, max_size=y_order + 1).map(Jet)
     return st.lists(inner, min_size=x_order + 1, max_size=x_order + 1).map(Jet)
 
@@ -652,3 +652,47 @@ def test_conjugation_is_a_ring_homomorphism_on_nested_jets(data, disc, x_order, 
     assert deep_key(x.conjugate().conjugate()) == deep_key(x)
     x._scan()
     _assert_shapes_fresh(x.conjugate())
+
+
+# components from a small pool, so sums and products often cancel to zero
+cancelling_rationals = st.sampled_from((0, 0, 1, -1, 2)).map(Fraction)
+
+
+def _unshaped(x):
+    """``x`` rebuilt with no jet shape cached anywhere in it."""
+    return Jet(tuple(_unshaped(c) for c in x.coeffs)) if isinstance(x, Jet) else x
+
+
+def _assert_shapes_sound(x):
+    """Every jet shape carried in ``x`` is sound: of the kind a fresh scan
+    finds, and listing every coefficient a fresh scan finds nonzero.  It may
+    list a coefficient that cancelled to zero, never leave out a nonzero one:
+    the kernels skip exactly the coefficients a shape leaves out."""
+    if isinstance(x, Jet):
+        if x._shape:
+            fresh = Jet(x.coeffs)._scan()
+            assert fresh and x._shape[0] == fresh[0], (x._shape, fresh)
+            assert set(fresh[1]) <= set(x._shape[1]), (x._shape, fresh)
+        for c in x.coeffs:
+            _assert_shapes_sound(c)
+
+
+@given(st.data(), st.sampled_from(DISCS), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=150)
+def test_carried_zero_patterns_are_sound_on_nested_jets(data, disc, x_order, y_order):
+    """Results of +, -, * and / carry sound shapes, also when their operands
+    are themselves results carrying shapes, and they equal the same
+    operation on operands with no cached shapes in value and type."""
+    jets = nested_quad_jets(disc, x_order, y_order, cancelling_rationals)
+    x, y, z = (data.draw(jets) for _ in range(3))
+    for op, _ in OPS.values():
+        first = outcome(op, x, y)
+        if isinstance(first, type):
+            continue
+        _assert_shapes_sound(first)
+        for op2, _ in OPS.values():
+            got = outcome(op2, first, z)
+            want = outcome(op2, _unshaped(first), _unshaped(z))
+            assert_same(got, want, (x, y, z))
+            if not isinstance(got, type):
+                _assert_shapes_sound(got)
