@@ -43,7 +43,7 @@ print("chain:", [str(g) for g in chain.values], " curve point z0 =", z0)
 
 # %%
 jets = prolong_gamma_jets(chain, 3)
-wp = exact_wp_jet(curve, z0, order=3, sign=1)
+wp = exact_wp_jet(curve, z0, order=3)
 data = darboux_data(jets, wp)
 
 print("factorization residual window is zero:",

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from laxchain import (
     CommutantAnsatz,
+    PolynomialBandOperator,
     commutant_solve_exact,
     commutant_solve_windowed,
     flat_operator,
@@ -28,7 +29,9 @@ from laxchain.spectral import exact_commutator_is_zero
 
 # %%
 shift_pair = {1: (Fraction(1),), -1: (Fraction(1),)}
-res = commutant_solve_exact(shift_pair, CommutantAnsatz(band_m=1, degree=0))
+res = commutant_solve_exact(
+    PolynomialBandOperator(shift_pair), CommutantAnsatz(band_m=1, degree=0)
+)
 print("T + T^-1 commutant dimension:", res.dimension)
 for sol in res.basis:
     print("  basis element bands:", {j: [str(c) for c in p] for j, p in sol.bands.items()})

@@ -39,7 +39,7 @@ z0 = Fraction(13, 6)
 
 # %%
 jets = prolong_gamma_jets(chain, 3)
-wp = exact_wp_jet(curve, z0, order=3, sign=1)
+wp = exact_wp_jet(curve, z0, order=3)
 data = darboux_data(jets, wp)
 print("factorization residual zero:", factorization_check(data.truncated(0, 0)).is_zero())
 

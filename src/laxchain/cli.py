@@ -436,13 +436,16 @@ def _cmd_commutant(args):
             )
         try:
             raw = json.loads(bands_raw)
+            # a string of digits would be read as one coefficient per digit
+            if not isinstance(raw, dict) or not all(isinstance(p, list) for p in raw.values()):
+                raise TypeError("expected a JSON object of coefficient lists")
             bands = {
                 int(j): tuple(rational(c) for c in coeffs)
                 for j, coeffs in raw.items()
             }
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, ZeroDivisionError) as err:
             raise ConfigError(f"commutant.bands: {err}") from err
-        result = _exact_commutant(bands, band, degree, payload)
+        result = _exact_commutant(PolynomialBandOperator(bands), band, degree, payload)
         ok = result.dimension > 0
     else:
         raise ConfigError(f"variant: unknown variant {variant!r} (sharp|flat|custom)")
@@ -496,7 +499,7 @@ def _cmd_darboux(args):
 
     chain = GammaChain(gamma, curve)
     jets = prolong_gamma_jets(chain, 3)
-    wp = exact_wp_jet(curve, z0, order=3, sign=1)
+    wp = exact_wp_jet(curve, z0, order=3)
     data = darboux_data(jets, wp)
 
     solved = solve_tail_constants(chain)

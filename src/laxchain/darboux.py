@@ -615,7 +615,7 @@ def solve_tail_constants(chain):
 
     gaps = []
     for p in probes:
-        data = darboux_data(jets, exact_wp_jet(curve, p, order=2, sign=1))
+        data = darboux_data(jets, exact_wp_jet(curve, p, order=2))
         r3 = chain_residuals(rank2_solution(data), 0)[2]
         if r3.a != 0:
             raise ValueError("unexpected gap structure (even component present)")

@@ -57,7 +57,8 @@ def exact_wp_jet(curve, p, order=2, sign=1):
     Coefficients follow from differentiating the defining ODE (see
     :func:`_curve_jet`) with ``w = sign * sqrt(F(p))`` adjoined formally.
     All derivatives are induced, so the jet satisfies the curve relation and
-    its derivative identically in the extension.
+    its derivative identically in the extension.  The sign -1 jet equals the
+    ``conjugate()`` of the sign +1 jet, so the library asks for sign +1 only.
     """
     if not 0 <= order <= 3:
         raise ValueError(f"jet order must be between 0 and 3, got {order}")

@@ -126,7 +126,8 @@ class DifferenceOperator:
 
 def compose(a, b):
     """Operator product ``a @ b``: coefficient of ``T^k`` at ``n`` is
-    ``sum_j a_j(n) * b_{k-j}(n + j)``.
+    ``sum_j a_j(n) * b_{k-j}(n + j)`` over the ``j`` where both bands are
+    present, summed from the first term (an empty sum is 0).
 
     Results are cached per ``(k, n)``; providers must be pure.
     """
@@ -138,11 +139,13 @@ def compose(a, b):
         hit = cache.get(key)
         if hit is not None:
             return hit
-        acc = 0
-        for j in range(a.lo, a.hi + 1):
-            i = k - j
-            if b.lo <= i <= b.hi:
-                acc = acc + a.coeff(j, n) * b.coeff(i, n + j)
+        terms = (
+            a.coeff(j, n) * b.coeff(k - j, n + j)
+            for j in range(max(a.lo, k - b.hi), min(a.hi, k - b.lo) + 1)
+        )
+        acc = next(terms, 0)
+        for term in terms:
+            acc = acc + term
         cache[key] = acc
         return acc
 

@@ -21,9 +21,10 @@ full formula would give.  Between two jets, terms are skipped only when every
 leaf of both is a Fraction and their coefficients share one *kind*
 (``Fraction``, a QuadExt discriminant, or a jet order over a kind), so a
 skipped term cannot change a result's type: a zero QuadExt slot stays a
-QuadExt and every formatted report is unchanged.  Anything holding a float,
-an int component or mixed kinds takes the full formulas, so floats keep
-their IEEE semantics (``-0.0``, ``inf``, ``nan``) bit for bit.
+QuadExt and every formatted report is unchanged.  Jets holding a float, an
+int component or mixed kinds run the same loops with nothing skipped and
+every binomial multiplied, so floats keep their IEEE semantics (``-0.0``,
+``inf``, ``nan``) bit for bit.
 
 All values are immutable after construction and safe to share between
 threads; a jet's cached zero pattern is a function of its coefficients, so
@@ -56,10 +57,11 @@ def rational(value):
 
     Accepts Fractions, ints, and strings ("3/7", "-2", "1.25").  Floats are
     rejected: their exact binary expansion is rarely what the caller meant.
+    So are bools, which are ints only by inheritance.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -237,13 +239,11 @@ class QuadExt:
         nrm = c * c - disc * d * d
         if nrm == 0:
             raise ZeroDivisionError(_ZERO_DIVISOR)
-        if _is_zero(a) or _is_zero(b):
-            return QuadExt(
-                _div(_sub(_mul(a, c), _mul(_mul(disc, b), d)), nrm),
-                _div(_sub(_mul(b, c), _mul(a, d)), nrm),
-                disc,
-            )
-        return QuadExt((a * c - disc * b * d) / nrm, (b * c - a * d) / nrm, disc)
+        return QuadExt(
+            _div(_sub(_mul(a, c), _mul(_mul(disc, b), d)), nrm),
+            _div(_sub(_mul(b, c), _mul(a, d)), nrm),
+            disc,
+        )
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -340,8 +340,9 @@ class Jet:
 
     Between two jets of one exact kind (see the module docstring) the Leibniz
     sums skip every term with an exact-zero factor and every binomial that is
-    1, and sums pass a coefficient through when the other one is zero.  The
-    zero pattern is scanned on first use and cached on the jet (``_shape``:
+    1, and sums pass a coefficient through when the other one is zero; any
+    other pair of jets runs the same loops with nothing skipped.  The zero
+    pattern is scanned on first use and cached on the jet (``_shape``:
     ``((order, kind), nonzero indices)``, or False when the jet holds a
     float or mixes kinds); results of skipping operations carry theirs.
     """
@@ -374,7 +375,9 @@ class Jet:
         return shape
 
     def _shapes(self, other):
-        """Shapes of both jets when they share an exact kind, else None."""
+        """``(kind, nonzero_self, nonzero_other)``: the cached zero patterns
+        when both jets share an exact kind, else ``kind`` None and every index
+        listed, so that no term is skipped."""
         sa = self._shape
         if sa is None:
             sa = self._scan()
@@ -382,8 +385,9 @@ class Jet:
         if sb is None:
             sb = other._scan()
         if sa and sb and (sa[0] is sb[0] or sa[0] == sb[0]):
-            return sa, sb
-        return None
+            return sa[0], sa[1], sb[1]
+        every = range(len(self.coeffs))
+        return None, every, every
 
     @property
     def order(self):
@@ -428,17 +432,14 @@ class Jet:
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             return _jet((op(a[0], b[0]),))
-        shapes = self._shapes(other)
-        if shapes is None:
-            return _jet(tuple(map(op, a, b)))
-        (kind, nza), (_, nzb) = shapes
+        kind, nza, nzb = self._shapes(other)
         out = tuple(
             a[i] if i not in nzb
             else op(a[i], b[i]) if i in nza
             else -b[i] if negate else b[i]
             for i in range(len(a))
         )
-        return _jet(out, (kind, _union(nza, nzb)))
+        return _jet(out, None if kind is None else (kind, _union(nza, nzb)))
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -465,10 +466,8 @@ class Jet:
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             return _jet((a[0] * b[0],))
-        shapes = self._shapes(other)
-        if shapes is None:
-            return _jet(_leibniz_dense(a, b))
-        (kind, nza), (_, nzb) = shapes
+        kind, nza, nzb = self._shapes(other)
+        exact = kind is not None
         out = []
         nonzero = []
         for k in range(len(a)):
@@ -477,7 +476,8 @@ class Jet:
                 if j > k:
                     break
                 if k - j in nzb:
-                    p = _term(k, j, a[j], b[k - j])
+                    # the full formula leaves a_0 b_k unscaled
+                    p = _term(k, j, a[j], b[k - j], exact or not j)
                     term = p if term is None else term + p
             if term is None:
                 # every term has a zero factor: the coefficient is that zero
@@ -485,7 +485,7 @@ class Jet:
             else:
                 nonzero.append(k)
             out.append(term)
-        return _jet(tuple(out), (kind, tuple(nonzero)))
+        return _jet(tuple(out), (kind, tuple(nonzero)) if exact else None)
 
     __rmul__ = __mul__
 
@@ -498,10 +498,8 @@ class Jet:
             raise ZeroDivisionError("division by a jet with zero value coefficient")
         if len(a) == 1:
             return _jet((a[0] / b[0],))
-        shapes = self._shapes(other)
-        if shapes is None:
-            return _jet(_quotient_dense(a, b))
-        (kind, nza), (_, nzb) = shapes
+        kind, nza, nzb = self._shapes(other)
+        exact = kind is not None
         # h[0] is always formed, so a zero divisor raises as before
         h = [a[0] / b[0]]
         nonzero = [0] if 0 in nza else []
@@ -509,14 +507,14 @@ class Jet:
             acc = a[k] if k in nza else None
             for j in nonzero:
                 if k - j in nzb:
-                    p = _term(k, j, h[j], b[k - j])
+                    p = _term(k, j, h[j], b[k - j], exact)
                     acc = -p if acc is None else acc - p
             if acc is None:
                 h.append(a[k])  # a zero of the shared kind
             else:
                 h.append(acc / b[0])
                 nonzero.append(k)
-        return _jet(tuple(h), (kind, tuple(nonzero)))
+        return _jet(tuple(h), (kind, tuple(nonzero)) if exact else None)
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order) / self
@@ -586,35 +584,17 @@ def _jet(coeffs, shape=None):
     return jet
 
 
-def _term(k, j, x, y):
-    """Leibniz term ``comb(k, j) * (x * y)``, without multiplying by a binomial of 1."""
+def _term(k, j, x, y, skip_unit):
+    """Leibniz term ``comb(k, j) * (x * y)``, skipping a binomial of 1 when
+    ``skip_unit``: ``1 * x`` is not ``x`` for a QuadExt with a float inf or nan
+    ``a`` and a zero ``b``, since the product rebuilds ``b`` as ``a * 0``."""
     p = x * y
     c = comb(k, j)
-    return p if c == 1 else c * p
+    return p if c == 1 and skip_unit else c * p
 
 
 def _union(nza, nzb):
     return nza if nza == nzb else tuple(sorted(set(nza) | set(nzb)))
-
-
-def _leibniz_dense(a, b):
-    out = []
-    for k in range(len(a)):
-        term = a[0] * b[k]
-        for j in range(1, k + 1):
-            term = term + comb(k, j) * (a[j] * b[k - j])
-        out.append(term)
-    return tuple(out)
-
-
-def _quotient_dense(a, b):
-    h = [a[0] / b[0]]
-    for k in range(1, len(a)):
-        acc = a[k]
-        for j in range(k):
-            acc = acc - comb(k, j) * (h[j] * b[k - j])
-        h.append(acc / b[0])
-    return tuple(h)
 
 
 def scalar_value(x):

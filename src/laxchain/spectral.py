@@ -320,20 +320,15 @@ def commutant_columns(l_bands, ansatz):
 def commutant_solve_exact(l_op, ansatz):
     """Exact basis of ``{X in ansatz : [L, X] = 0 identically in n}``.
 
-    ``l_op`` must carry polynomial band data (:class:`PolynomialBandOperator`
-    or a plain ``{band: ascending coefficients}`` mapping).  Each band of the
+    ``l_op`` must be a :class:`PolynomialBandOperator`.  Each band of the
     commutator is a polynomial in n; requiring every n-power of every band to
     vanish yields an exact linear system solved by rational elimination.
     """
-    if isinstance(l_op, PolynomialBandOperator):
-        l_bands = l_op.bands
-    elif isinstance(l_op, dict):
-        l_bands = {j: tuple(Fraction(c) for c in p) for j, p in l_op.items()}
-    else:
+    if not isinstance(l_op, PolynomialBandOperator):
         raise AnsatzError(
-            "exact commutant solving needs polynomial band data "
-            "(PolynomialBandOperator or {band: coefficients} mapping)"
+            "exact commutant solving needs polynomial band data (a PolynomialBandOperator)"
         )
+    l_bands = l_op.bands
     if ansatz.unknowns == 0:
         raise AnsatzError("empty ansatz")
 

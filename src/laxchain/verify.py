@@ -122,6 +122,9 @@ class SampleConfig:
         constants = SolutionConstants(
             *(rational(dump["constants"][k]) for k in ("s0", "k0", "p0", "s1", "k1", "p1"))
         )
+        if not isinstance(dump["gamma"], list):
+            # a string would be read character by character
+            raise TypeError(f"gamma must be a list, got {type(dump['gamma']).__name__}")
         return cls(
             curve=curve,
             gamma=tuple(rational(g) for g in dump["gamma"]),
@@ -200,7 +203,7 @@ def _sample_data(config, x_order, y_order):
     its suite reads.  Sign -1 is never evaluated: its results are the
     conjugates of these (see the module docstring)."""
     jets = prolong_gamma_jets(GammaChain(config.gamma, config.curve), x_order + 1)
-    wp = exact_wp_jet(config.curve, config.z0, order=y_order + 1, sign=1)
+    wp = exact_wp_jet(config.curve, config.z0, order=y_order + 1)
     return darboux_data(jets, wp)
 
 
@@ -279,7 +282,7 @@ def _eval_lax_y_sample(config):
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
     jets = prolong_gamma_jets(chain, 1)
-    wp = exact_wp_jet(config.curve, config.z0, order=3, sign=1)
+    wp = exact_wp_jet(config.curve, config.z0, order=3)
     ok, worst = _windows_zero([commutator_y_check(darboux_data(jets, wp), solved)])
     control_hit = not commutator_y_check(darboux_data(jets, _bump_second(wp)), solved).is_zero()
     return ok and control_hit, worst, {"negative_control_nonzero": control_hit}
@@ -430,7 +433,8 @@ def read_dump(dump):
     """The suite name and the configuration that a failure dump holds.
 
     Raises ``ValueError`` naming what is wrong: an unknown suite, a missing
-    field, a value that is not an exact rational, or a configuration that
+    field, a value that is not an exact rational (a bool, a float, a zero
+    denominator), a ``gamma`` that is not a list, or a configuration that
     ``darboux.chain_problem``, ``point_problem`` or the sampler's square test
     refuses.
     """
@@ -440,7 +444,7 @@ def read_dump(dump):
         config = SampleConfig.from_dump(dump)
     except KeyError as err:
         raise ValueError(f"dump has no field {err}") from err
-    except TypeError as err:
+    except (TypeError, ZeroDivisionError) as err:
         raise ValueError(f"malformed dump: {err}") from err
     curve, gamma, z0 = config.curve, config.gamma, config.z0
     problem = chain_problem(curve, gamma)

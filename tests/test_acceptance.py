@@ -52,6 +52,7 @@ from laxchain.operators import build_l4
 from laxchain.scalars import Jet
 from laxchain.spectral import (
     CommutantAnsatz,
+    PolynomialBandOperator,
     QPolynomial,
     commutant_solve_exact,
     commutant_solve_windowed,
@@ -270,14 +271,14 @@ def test_criterion5_reduction_consistency():
 )
 def test_criterion6_literal_shift_pair_dimension_two():
     tt = {1: (Fraction(1),), -1: (Fraction(1),)}
-    res = commutant_solve_exact(tt, CommutantAnsatz(1, 0))
+    res = commutant_solve_exact(PolynomialBandOperator(tt), CommutantAnsatz(1, 0))
     assert res.dimension == 2
 
 
 def test_criterion6_commutant_searches():
     # shift pair: oracle dimension 3, containing I and L
     tt = {1: (Fraction(1),), -1: (Fraction(1),)}
-    res = commutant_solve_exact(tt, CommutantAnsatz(1, 0))
+    res = commutant_solve_exact(PolynomialBandOperator(tt), CommutantAnsatz(1, 0))
     assert res.dimension == 3
     assert res.spans({0: (Fraction(1),)}) and res.spans(tt)
 

@@ -81,10 +81,15 @@ def test_verify_replay_validates_the_dump_once(tmp_path, monkeypatch):
 
 CUBIC = {"c2": "0", "c1": "-1", "c0": "0"}  # F = z^3 - z, roots 0, 1, -1
 
-# Damage to a valid dump: the edit and what the error line must name.  The
-# last five are configurations that ``draw_sample`` never draws; before they
-# were rejected, three failed inside the suite and a factorization replay at
-# F(z0) = 0 passed.
+CONSTANTS = dict.fromkeys(("s0", "k0", "p0", "s1", "k1", "p1"), "0")
+
+# Damage to a valid dump: the edit and what the error line must name.  Five
+# are configurations that ``draw_sample`` never draws; before they were
+# rejected, three failed inside the suite and a factorization replay at
+# F(z0) = 0 passed.  The last four are values that are not exact rationals
+# or a list of them; before they were rejected, a zero denominator ended in
+# a traceback, a string of digits was read as one site per digit and a bool
+# as 0 or 1.
 DUMP_DAMAGE = {
     "unknown-suite": ({"suite": "nope"}, "'nope'"),
     "missing-field": (None, "'c1'"),
@@ -110,6 +115,15 @@ DUMP_DAMAGE = {
          "z0": "2"},
         "z0: F(z0) = 9 is a rational square",
     ),
+    "z0-zero-denominator": ({"z0": "1/0"}, "malformed dump: Fraction(1, 0)"),
+    "constant-zero-denominator": (
+        {"constants": {**CONSTANTS, "p0": "3/0"}}, "malformed dump: Fraction(3, 0)"
+    ),
+    "gamma-string": (
+        {"curve": CUBIC, "gamma": "2345", "z0": "7"},
+        "malformed dump: gamma must be a list, got str",
+    ),
+    "z0-bool": ({"z0": True}, "malformed dump: cannot coerce bool"),
 }
 
 
@@ -212,6 +226,9 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         (VERIFY + ["--seed", "-1", "--workers", "2"], "seed: must be >= 0, got -1"),
         (CUSTOM, "commutant.bands: required"),
         (CUSTOM + ["--bands", "{"], "commutant.bands: "),
+        (CUSTOM + ["--bands", '{"1": ["1/0"]}'], "commutant.bands: Fraction(1, 0)"),
+        (CUSTOM + ["--bands", "[1]"], "commutant.bands: expected a JSON object"),
+        (CUSTOM + ["--bands", '{"-1": "11"}'], "commutant.bands: expected a JSON object"),
         (VERIFY + ["--config", UNREADABLE], "config: cannot read"),
         (["elliptic", "--config", os.devnull], "curve: missing coefficients c2, c1, c0"),
         (["verify", "--replay", UNREADABLE], "replay: "),
@@ -233,7 +250,8 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         "not-a-number", "darboux-gamma-missing", "simulate-vw-missing",
         "simulate-vw-unequal-periods", "simulate-vw-period-1", "verify-seed-negative",
         "verify-seed-2-64", "verify-seed-negative-workers-2",
-        "custom-bands-missing", "custom-bands-bad-json", "config-unreadable",
+        "custom-bands-missing", "custom-bands-bad-json", "custom-bands-zero-denominator",
+        "custom-bands-not-an-object", "custom-bands-string-coefficients", "config-unreadable",
         "config-no-curve", "replay-unreadable", "verify-unknown-suite",
         "simulate-unknown-flow", "commutant-unknown-variant",
     ],

@@ -33,6 +33,8 @@ def test_rational_parsing():
     assert rational(4) == Fraction(4)
     with pytest.raises(TypeError):
         rational(0.1)
+    with pytest.raises(TypeError):
+        rational(True)
 
 
 def test_rational_square_detection():

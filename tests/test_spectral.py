@@ -338,7 +338,7 @@ def test_commutant_shift_pair_dimension_three():
     solution space is exactly span{I, T, T^-1} -- dimension 3, containing
     both the identity and L itself."""
     tt = {1: (Fraction(1),), -1: (Fraction(1),)}
-    res = commutant_solve_exact(tt, CommutantAnsatz(1, 0))
+    res = commutant_solve_exact(PolynomialBandOperator(tt), CommutantAnsatz(1, 0))
     assert res.dimension == 3
     assert res.spans({0: (Fraction(1),)})  # identity
     assert res.spans(tt)  # L itself
@@ -370,7 +370,7 @@ def test_commutant_spans_rejects_non_members():
     assert not res.spans({3: (Fraction(1),)})
 
     tt = {1: (Fraction(1),), -1: (Fraction(1),)}
-    res = commutant_solve_exact(tt, CommutantAnsatz(1, 1))
+    res = commutant_solve_exact(PolynomialBandOperator(tt), CommutantAnsatz(1, 1))
     assert res.spans({1: (Fraction(2),), 0: (Fraction(-1),)})
     assert not res.spans({0: (Fraction(0), Fraction(1))})  # [L, n] != 0
 
@@ -414,6 +414,8 @@ def test_commutant_errors():
         CommutantAnsatz(-1, 0)
     with pytest.raises(AnsatzError):
         commutant_solve_exact(DifferenceOperator.identity(), CommutantAnsatz(1, 1))
+    with pytest.raises(AnsatzError):
+        commutant_solve_exact(tt, CommutantAnsatz(1, 1))  # bands, not an operator
 
 
 def test_polynomial_band_compose_matches_operator_compose(rng):

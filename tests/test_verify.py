@@ -369,6 +369,28 @@ def test_sign_one_and_its_conjugate_equal_both_signs_in_full(bounds):
     _assert_same_outcome(verify_mod._eval_chain_sample(config), _ref_chain(config), "user")
 
 
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_suites_run_every_jet_operation_on_one_exact_kind(monkeypatch, bounds):
+    """No jet sum, product or quotient of a suite runs with nothing skipped:
+    a float, an int or a second discriminant slipping into the nested jets
+    would give a pair without a shared exact kind, and a slower certify."""
+    real = Jet._shapes
+    calls = {suite: [0, 0] for suite in verify_mod._SUITE_EVALS}  # [shared, unshared]
+
+    def counted(self, other):
+        shapes = real(self, other)
+        calls[suite][shapes[0] is None] += 1
+        return shapes
+
+    monkeypatch.setattr(Jet, "_shapes", counted)
+    for index in range(4):
+        config = draw_sample(7, index, *bounds)
+        for suite, evaluate in verify_mod._SUITE_EVALS.items():
+            assert evaluate(config)[0] is True, (suite, index)
+    assert all(unshared == 0 for _, unshared in calls.values()), calls
+    assert sum(shared for shared, _ in calls.values()) > 0
+
+
 PERTURBATIONS = {
     "chain-solved-s0": ("chain", _off_solved_s0),
     "chain-bare-s1": ("chain", _bare_tail_s1),
