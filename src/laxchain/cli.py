@@ -35,7 +35,7 @@ from .darboux import (
     transformed_operator,
 )
 from .elliptic import exact_wp_jet, wp_init_bounded, wp_trajectory
-from .errors import AnsatzError, ConfigError, LaxchainError
+from .errors import AnsatzError, ConfigError, LaxchainError, UnsupportedCurveError
 from .flows import (
     FLOWS,
     GammaChain,
@@ -130,9 +130,16 @@ def _chain_gamma(settings, purpose, problem):
 
 def _parse_positive_float(text, field):
     value = _parse_float(text, field)
-    if not value > 0:
-        raise ConfigError(f"{field}: must be positive, got {text!r}")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{field}: must be positive and finite, got {text!r}")
     return value
+
+
+def _check_steps(steps, width, field):
+    """Refuse ``steps`` RK4 steps whose ``steps + 1`` states of ``width`` float64s
+    make an array numpy cannot represent (its bytes must fit ``sys.maxsize``)."""
+    if not (steps + 1) * width * 8 <= sys.maxsize:
+        raise ConfigError(f"{field}: {steps:.6g} steps do not fit in one numpy array")
 
 
 class Settings:
@@ -335,6 +342,7 @@ def _cmd_simulate(args):
         except ValueError as err:
             raise ConfigError(f"chain.v / chain.w: {err}") from err
 
+    _check_steps(steps, state.period * (2 if isinstance(state, VWChain) else 1), "steps")
     traj = rk4_integrate(state, flow, h, steps)
     out_csv = args.csv or "trajectory.csv"
     with open(out_csv, "w", newline="") as fh:
@@ -475,7 +483,11 @@ def _cmd_elliptic(args):
     if not 0 <= y_max < math.inf:
         raise ConfigError(f"y_max: must be finite and >= 0, got {y_max}")
     h = _parse_positive_float(settings.get("elliptic", "h", "1e-3"), "h")
-    branch = wp_init_bounded(curve)
+    _check_steps(y_max / h, 2, "h")
+    try:
+        branch = wp_init_bounded(curve)
+    except UnsupportedCurveError as err:
+        raise ConfigError(f"curve: {err}") from err
     ys, wps, wpps, drift = wp_trajectory(branch, y_max, h)
     out_csv = args.csv or "elliptic.csv"
     with open(out_csv, "w", newline="") as fh:

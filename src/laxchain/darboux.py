@@ -229,7 +229,8 @@ def darboux_data(jet_chain, wp_jet):
     Working orders come out one lower than the sources, so gamma and gamma'
     (and z0 and z0') share a uniform shape.  Chain values enter the point's
     field as ``zero + c``, with ``zero`` that field's own zero, so exact
-    stays exact and floats stay floats.
+    stays exact and floats stay floats; a float chain value cannot enter
+    Q(w) and raises ``TypeError``.
 
     Validates that the suites' denominators cannot vanish: adjacent gammas
     distinct, z0 off the chain, and the chain off the curve's branch points

@@ -6,25 +6,24 @@ simulation.  Three kinds of scalars are used:
 
 * exact rationals -- :class:`fractions.Fraction` (always in lowest terms,
   positive denominator, never rounded);
-* :class:`QuadExt` -- elements ``a + b*w`` of a quadratic extension with a
-  formal square root ``w`` of a fixed discriminant ``D``;
+* :class:`QuadExt` -- elements ``a + b*w`` of Q(w), with a formal square
+  root ``w`` of a fixed rational discriminant ``D``;
 * :class:`Jet` -- truncated Taylor data ``(value, f', ..., f^(K))`` propagated
   through arithmetic by the Leibniz rule.  Jets nest: a jet whose coefficients
   are jets in a second variable carries mixed partial derivatives.
 
 Most components in the nested jets are exact zeros (an embedded rational has
 ``b == 0``; padded derivatives vanish), so the kernels skip them.  Only
-*exact* zeros are skipped: a Fraction 0, and a QuadExt or Jet built from
-Fraction zeros.  A skipped Fraction product yields ``Fraction(0)`` and a
-skipped sum passes the other Fraction through -- the value and the type the
-full formula would give.  Between two jets, terms are skipped only when every
-leaf of both is a Fraction and their coefficients share one *kind*
-(``Fraction``, a QuadExt discriminant, or a jet order over a kind), so a
-skipped term cannot change a result's type: a zero QuadExt slot stays a
-QuadExt and every formatted report is unchanged.  Jets holding a float, an
-int component or mixed kinds run the same loops with nothing skipped and
-every binomial multiplied, so floats keep their IEEE semantics (``-0.0``,
-``inf``, ``nan``) bit for bit.
+*exact* zeros are skipped: a Fraction 0, a QuadExt 0, and a Jet built from
+them.  A skipped Fraction product yields ``Fraction(0)`` and a skipped sum
+passes the other Fraction through -- the value and the type the full formula
+would give.  Between two jets, terms are skipped only when their
+coefficients share one *kind* (``Fraction``, a QuadExt discriminant, or a
+jet order over a kind), so a skipped term cannot change a result's type: a
+zero QuadExt slot stays a QuadExt and every formatted report is unchanged.
+Jets holding a float, an int or mixed kinds run the same loops with no zero
+skipped, so floats keep their IEEE semantics (``-0.0``, ``inf``, ``nan``)
+bit for bit.
 
 All values are immutable after construction and safe to share between
 threads; a jet's cached zero pattern is a function of its coefficients, so
@@ -82,11 +81,9 @@ def is_rational_square(q):
 # read the Fraction's own ``_numerator`` slot, which skips the ``numerator``
 # property and ``Fraction.__bool__``.
 _ZERO = Fraction(0)
-
-
-def _is_zero(x):
-    """``x == 0`` with a cheap test for Fractions (the common leaf)."""
-    return not x._numerator if type(x) is Fraction else x == 0
+# Base-field operands of QuadExt arithmetic: ints and Fractions.
+_EXACT = (int, Fraction)
+_new = object.__new__
 
 
 def _add(x, y):
@@ -128,26 +125,30 @@ def _neg(x):
 
 
 class QuadExt:
-    """``a + b*w`` with ``w**2 = disc`` over any base field.
+    """``a + b*w`` in Q(w), ``w**2 = disc``: ``a``, ``b`` and ``disc`` are
+    Fractions, always.  The constructor coerces them with :func:`rational`
+    (floats and bools raise ``TypeError``); operations take ints and
+    Fractions only (a float operand raises ``TypeError``), so they build
+    their results unchecked.
 
     The discriminant is fixed per element; mixing elements with different
     discriminants raises.  Zero testing (``x == 0``) checks both components,
-    which is a sound nonzero certificate whenever ``disc`` is not a square in
-    the base field; callers that need that guarantee should sample
-    discriminants accordingly (see :func:`is_rational_square`).  No
-    simplification is attempted when ``disc`` happens to be a square.
+    which is a sound nonzero certificate whenever ``disc`` is not a rational
+    square; callers that need that guarantee should sample discriminants
+    accordingly (see :func:`is_rational_square`).  No simplification is
+    attempted when ``disc`` happens to be a square.
 
-    A base-field operand (int, Fraction, float) acts on the components
-    directly.  Terms with a Fraction-zero factor are skipped (see the module
-    docstring); an element with ``b == 0`` equals, and hashes as, ``a``.
+    An int or Fraction operand acts on the components directly.  Terms with
+    a zero factor are skipped (see the module docstring); an element with
+    ``b == 0`` equals, and hashes as, ``a``.
     """
 
     __slots__ = ("a", "b", "disc")
 
     def __init__(self, a, b, disc):
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_disc(self, disc)
+        _set_a(self, rational(a))
+        _set_b(self, rational(b))
+        _set_disc(self, rational(disc))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -162,12 +163,9 @@ class QuadExt:
     def __add__(self, other):
         if isinstance(other, QuadExt):
             self._check_disc(other)
-            return QuadExt(_add(self.a, other.a), _add(self.b, other.b), self.disc)
-        if isinstance(other, (int, Fraction, float)):
-            b = self.b
-            return QuadExt(
-                _add(self.a, other), b if type(b) in _EXACT else b + 0, self.disc
-            )
+            return _quad(_add(self.a, other.a), _add(self.b, other.b), self.disc)
+        if isinstance(other, _EXACT):
+            return _quad(_add(self.a, other), self.b, self.disc)
         return NotImplemented
 
     __radd__ = __add__
@@ -175,20 +173,14 @@ class QuadExt:
     def __sub__(self, other):
         if isinstance(other, QuadExt):
             self._check_disc(other)
-            return QuadExt(_sub(self.a, other.a), _sub(self.b, other.b), self.disc)
-        if isinstance(other, (int, Fraction, float)):
-            b = self.b
-            return QuadExt(
-                _sub(self.a, other), b if type(b) in _EXACT else b - 0, self.disc
-            )
+            return _quad(_sub(self.a, other.a), _sub(self.b, other.b), self.disc)
+        if isinstance(other, _EXACT):
+            return _quad(_sub(self.a, other), self.b, self.disc)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            b = self.b
-            return QuadExt(
-                _sub(other, self.a), _neg(b) if type(b) in _EXACT else 0 - b, self.disc
-            )
+        if isinstance(other, _EXACT):
+            return _quad(_sub(other, self.a), _neg(self.b), self.disc)
         return NotImplemented
 
     def __mul__(self, other):
@@ -197,21 +189,19 @@ class QuadExt:
             self._check_disc(other)
             c, d = other.a, other.b
             # zero components are the common case (embedded base-field values)
-            if _is_zero(b):
-                return QuadExt(_mul(a, c), _mul(a, d), self.disc)
-            if _is_zero(d):
-                return QuadExt(_mul(a, c), _mul(b, c), self.disc)
-            return QuadExt(
+            if not b._numerator:
+                return _quad(_mul(a, c), _mul(a, d), self.disc)
+            if not d._numerator:
+                return _quad(_mul(a, c), _mul(b, c), self.disc)
+            return _quad(
                 _add(_mul(a, c), self.disc * b * d),
                 _add(_mul(a, d), _mul(b, c)),
                 self.disc,
             )
-        if isinstance(other, (int, Fraction, float)):
-            if _is_zero(b):
-                return QuadExt(
-                    _mul(a, other), _ZERO if type(a) is Fraction else a * 0, self.disc
-                )
-            return QuadExt(_mul(a, other), _mul(b, other), self.disc)
+        if isinstance(other, _EXACT):
+            if not b._numerator:
+                return _quad(_mul(a, other), _ZERO, self.disc)
+            return _quad(_mul(a, other), _mul(b, other), self.disc)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -220,43 +210,41 @@ class QuadExt:
         if isinstance(other, QuadExt):
             self._check_disc(other)
             c, d = other.a, other.b
-        elif isinstance(other, (int, Fraction, float)):
+        elif isinstance(other, _EXACT):
             c, d = other, 0
         else:
             return NotImplemented
         a, b, disc = self.a, self.b, self.disc
-        if (type(a) is Fraction and type(b) is Fraction and type(disc) is Fraction
-                and type(c) in _EXACT and type(d) in _EXACT):
-            # (a + b w)/c = a/c + (b/c) w;  (a + b w)/(d w) = b/d + (a/(disc d)) w
-            if not d:
-                if not c:
-                    raise ZeroDivisionError(_ZERO_DIVISOR)
-                return QuadExt(_div(a, c), _div(b, c), disc)
+        # (a + b w)/c = a/c + (b/c) w;  (a + b w)/(d w) = b/d + (a/(disc d)) w
+        if not d:
             if not c:
-                if not disc:
-                    raise ZeroDivisionError(_ZERO_DIVISOR)
-                return QuadExt(_div(b, d), _div(a, disc * d), disc)
+                raise ZeroDivisionError(_ZERO_DIVISOR)
+            return _quad(_div(a, c), _div(b, c), disc)
+        if not c:
+            if not disc:
+                raise ZeroDivisionError(_ZERO_DIVISOR)
+            return _quad(_div(b, d), _div(a, disc * d), disc)
         nrm = c * c - disc * d * d
         if nrm == 0:
             raise ZeroDivisionError(_ZERO_DIVISOR)
-        return QuadExt(
+        return _quad(
             _div(_sub(_mul(a, c), _mul(_mul(disc, b), d)), nrm),
             _div(_sub(_mul(b, c), _mul(a, d)), nrm),
             disc,
         )
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, _EXACT):
             return QuadExt(other, 0, self.disc) / self
         return NotImplemented
 
     def __neg__(self):
-        return QuadExt(_neg(self.a), _neg(self.b), self.disc)
+        return _quad(_neg(self.a), _neg(self.b), self.disc)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = QuadExt(self.a * 0 + 1, self.b * 0, self.disc)
+        result = _quad(self.a * 0 + 1, self.b * 0, self.disc)
         base = self
         e = exponent
         while e:
@@ -268,7 +256,7 @@ class QuadExt:
 
     def conjugate(self):
         """``a - b*w``: the automorphism ``w -> -w``, which fixes the base field."""
-        return QuadExt(self.a, _neg(self.b), self.disc)
+        return _quad(self.a, _neg(self.b), self.disc)
 
     def norm(self):
         """Field norm ``a**2 - disc*b**2`` (a base-field element)."""
@@ -300,14 +288,20 @@ class QuadExt:
 _set_a = QuadExt.a.__set__
 _set_b = QuadExt.b.__set__
 _set_disc = QuadExt.disc.__set__
-_EXACT = (int, Fraction)
-# Base-field leaves: the conjugation w -> -w fixes them.
-_BASE = (int, Fraction, float)
 _ZERO_DIVISOR = "division by a zero divisor in the quadratic extension"
 
 
+def _quad(a, b, disc):
+    """QuadExt from Fraction components, unchecked (see :class:`QuadExt`)."""
+    q = _new(QuadExt)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_disc(q, disc)
+    return q
+
+
 def _kind_zero(x):
-    """``(kind, is_zero)`` of a scalar whose leaves are all Fractions, else None.
+    """``(kind, is_zero)`` of a Fraction, QuadExt or jet of one kind, else None.
 
     The kind is ``Fraction``, a QuadExt's discriminant, or ``(order, kind)``
     of a jet whose coefficients share one kind.  Two operands of one kind
@@ -320,10 +314,7 @@ def _kind_zero(x):
             shape = x._scan()
         return (shape[0], not shape[1]) if shape else None
     if t is QuadExt:
-        a, b, disc = x.a, x.b, x.disc
-        if type(a) is Fraction and type(b) is Fraction and type(disc) is Fraction:
-            return disc, not (a._numerator or b._numerator)
-        return None
+        return x.disc, not (x.a._numerator or x.b._numerator)
     if t is Fraction:
         return Fraction, not x._numerator
     return None
@@ -339,12 +330,13 @@ class Jet:
     operands are treated as constants.
 
     Between two jets of one exact kind (see the module docstring) the Leibniz
-    sums skip every term with an exact-zero factor and every binomial that is
-    1, and sums pass a coefficient through when the other one is zero; any
-    other pair of jets runs the same loops with nothing skipped.  The zero
-    pattern is scanned on first use and cached on the jet (``_shape``:
-    ``((order, kind), nonzero indices)``, or False when the jet holds a
-    float or mixes kinds); results of skipping operations carry theirs.
+    sums skip every term with an exact-zero factor, and sums pass a
+    coefficient through when the other one is zero; any other pair of jets
+    runs the same loops with no zero skipped.  Every loop skips binomials of
+    1 (see :func:`_term`).  The zero pattern is scanned on first use and
+    cached on the jet (``_shape``: ``((order, kind), nonzero indices)``, or
+    False when the jet holds a float or an int or mixes kinds); results of
+    skipping operations carry theirs.
     """
 
     __slots__ = ("coeffs", "_shape")
@@ -467,7 +459,6 @@ class Jet:
         if len(a) == 1:
             return _jet((a[0] * b[0],))
         kind, nza, nzb = self._shapes(other)
-        exact = kind is not None
         out = []
         nonzero = []
         for k in range(len(a)):
@@ -476,8 +467,7 @@ class Jet:
                 if j > k:
                     break
                 if k - j in nzb:
-                    # the full formula leaves a_0 b_k unscaled
-                    p = _term(k, j, a[j], b[k - j], exact or not j)
+                    p = _term(k, j, a[j], b[k - j])
                     term = p if term is None else term + p
             if term is None:
                 # every term has a zero factor: the coefficient is that zero
@@ -485,7 +475,7 @@ class Jet:
             else:
                 nonzero.append(k)
             out.append(term)
-        return _jet(tuple(out), (kind, tuple(nonzero)) if exact else None)
+        return _jet(tuple(out), None if kind is None else (kind, tuple(nonzero)))
 
     __rmul__ = __mul__
 
@@ -499,7 +489,6 @@ class Jet:
         if len(a) == 1:
             return _jet((a[0] / b[0],))
         kind, nza, nzb = self._shapes(other)
-        exact = kind is not None
         # h[0] is always formed, so a zero divisor raises as before
         h = [a[0] / b[0]]
         nonzero = [0] if 0 in nza else []
@@ -507,14 +496,14 @@ class Jet:
             acc = a[k] if k in nza else None
             for j in nonzero:
                 if k - j in nzb:
-                    p = _term(k, j, h[j], b[k - j], exact)
+                    p = _term(k, j, h[j], b[k - j])
                     acc = -p if acc is None else acc - p
             if acc is None:
                 h.append(a[k])  # a zero of the shared kind
             else:
                 h.append(acc / b[0])
                 nonzero.append(k)
-        return _jet(tuple(h), (kind, tuple(nonzero)) if exact else None)
+        return _jet(tuple(h), None if kind is None else (kind, tuple(nonzero)))
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order) / self
@@ -526,13 +515,11 @@ class Jet:
         """The jet with ``w -> -w`` applied to every coefficient.
 
         QuadExt and jet coefficients are conjugated; Fraction, int and float
-        coefficients are base-field values and stay as they are.  The map
-        keeps every zero pattern, so the cached shape carries over.
+        coefficients are base-field values, which their own ``conjugate()``
+        returns unchanged.  The map keeps every zero pattern, so the cached
+        shape carries over.
         """
-        return _jet(
-            tuple(c if type(c) in _BASE else c.conjugate() for c in self.coeffs),
-            self._shape,
-        )
+        return _jet(tuple(c.conjugate() for c in self.coeffs), self._shape)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
@@ -573,7 +560,6 @@ class Jet:
 
 _set_coeffs = Jet.coeffs.__set__
 _set_shape = Jet._shape.__set__
-_new = object.__new__
 
 
 def _jet(coeffs, shape=None):
@@ -584,13 +570,13 @@ def _jet(coeffs, shape=None):
     return jet
 
 
-def _term(k, j, x, y, skip_unit):
-    """Leibniz term ``comb(k, j) * (x * y)``, skipping a binomial of 1 when
-    ``skip_unit``: ``1 * x`` is not ``x`` for a QuadExt with a float inf or nan
-    ``a`` and a zero ``b``, since the product rebuilds ``b`` as ``a * 0``."""
+def _term(k, j, x, y):
+    """Leibniz term ``comb(k, j) * (x * y)``.  A binomial of 1 is skipped:
+    ``1 * p`` is ``p`` in value and type for every scalar here, floats bit
+    for bit, since a QuadExt holds Fractions only."""
     p = x * y
     c = comb(k, j)
-    return p if c == 1 and skip_unit else c * p
+    return p if c == 1 else c * p
 
 
 def _union(nza, nzb):
@@ -606,10 +592,7 @@ def scalar_value(x):
 
 def is_exact_scalar(x):
     """True when ``x`` lives on the exact (never-rounded) path."""
-    x = scalar_value(x)
-    if isinstance(x, QuadExt):
-        return is_exact_scalar(x.a) and is_exact_scalar(x.b)
-    return isinstance(x, (int, Fraction))
+    return isinstance(scalar_value(x), (int, Fraction, QuadExt))
 
 
 def scalar_abs(x):
@@ -624,7 +607,7 @@ def scalar_abs(x):
         return max(scalar_abs(c) for c in x.coeffs)
     if isinstance(x, QuadExt):
         if x.a == 0 and x.b == 0:
-            return 0 if is_exact_scalar(x) else 0.0
+            return 0
         a, b, d = float(x.a), float(x.b), float(x.disc)
         if d >= 0:
             return abs(a + b * sqrt(d))

@@ -235,6 +235,13 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         (["verify", "--suite", "nope"], "suite: unknown suite 'nope'"),
         (["simulate", "--flow", "nope"], "flow: unknown flow 'nope'"),
         (["commutant", "--variant", "nope"], "variant: unknown variant 'nope'"),
+        (SIMULATE + ["--steps", "0", "--h", "inf"], "h: must be positive and finite"),
+        (ELLIPTIC + ["--h", "inf"], "h: must be positive and finite"),
+        (ELLIPTIC + ["--y-max", "1", "--h", "1e-300"], "h: 1e+300 steps"),
+        (ELLIPTIC + ["--y-max", "1e300", "--h", "1e-10"], "h: inf steps"),
+        (SIMULATE + ["--steps", "100000000000000000000"], "steps: 1e+20 steps"),
+        (["elliptic", "--curve", "0,0,1"], "curve: bounded branch needs three real roots"),
+        (["elliptic", "--curve", "0,0,0"], "curve: bounded branch needs three distinct"),
     ],
     ids=[
         "verify-samples-0", "verify-workers-0", "verify-max-num-0",
@@ -254,6 +261,8 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         "custom-bands-not-an-object", "custom-bands-string-coefficients", "config-unreadable",
         "config-no-curve", "replay-unreadable", "verify-unknown-suite",
         "simulate-unknown-flow", "commutant-unknown-variant",
+        "simulate-h-inf", "elliptic-h-inf", "elliptic-h-tiny", "elliptic-steps-overflow",
+        "simulate-steps-huge", "elliptic-complex-roots", "elliptic-repeated-root",
     ],
 )
 def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):

@@ -155,6 +155,23 @@ def test_float_branch_point_chain_names_the_site():
         darboux_data(prolong_gamma_jets(chain, 2), wp)
 
 
+FLOAT_CURVE = SpectralCurve.elliptic(0.0, -1.0, 0.0)
+
+
+def test_float_curve_point_is_refused():
+    """F(3) = 24.0 on a float curve: w**2 = 24.0 is not Q(w), and with it the
+    factorization of the chain 1/2, 5/4, 2, 7/2 read a false nonzero."""
+    with pytest.raises(TypeError):
+        exact_wp_jet(FLOAT_CURVE, 3)
+
+
+def test_float_chain_with_an_exact_curve_point_is_refused():
+    jets = prolong_gamma_jets(GammaChain((0.5, 1.25, 2.0, 3.5), FLOAT_CURVE), 3)
+    wp = exact_wp_jet(SpectralCurve.elliptic(0, -1, 0), 3, order=3)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        darboux_data(jets, wp)
+
+
 # the memoised per-site formulas of DarbouxData
 PER_SITE = ("gap", "chi1", "chi2", "a1", "a0", "am1", "d", "b", "f_core")
 
