@@ -1,8 +1,8 @@
-"""Hyperelliptic spectral curves ``w**2 = F_g(z)`` with monic odd-degree F.
+"""Elliptic spectral curves ``w**2 = F(z)`` with F the monic cubic.
 
-``F_g(z) = z^(2g+1) + c_{2g} z^(2g) + ... + c_0``; the leading coefficient is
-implicit.  Evaluation is generic in the scalar so the same curve object serves
-exact rationals, floats, extension elements, and jets.
+``F(z) = z**3 + c2*z**2 + c1*z + c0``; the leading coefficient is implicit.
+Evaluation is generic in the scalar so the same curve object serves exact
+rationals, floats, extension elements, and jets.
 """
 
 from dataclasses import dataclass
@@ -14,32 +14,21 @@ __all__ = ["SpectralCurve"]
 
 @dataclass(frozen=True)
 class SpectralCurve:
-    """Monic polynomial ``F_g`` of degree ``2*genus + 1``.
+    """Monic cubic ``F``; ``coeffs`` lists ``c0, c1, c2`` in ascending order."""
 
-    ``coeffs`` lists ``c_0 .. c_{2g}`` in ascending order.
-    """
-
-    genus: int
     coeffs: tuple
 
     def __post_init__(self):
-        if self.genus < 1:
-            raise UnsupportedCurveError(f"genus must be positive, got {self.genus}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != 2 * self.genus + 1:
+        if len(self.coeffs) != 3:
             raise UnsupportedCurveError(
-                f"genus {self.genus} needs {2 * self.genus + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"the monic cubic needs 3 coefficients c0, c1, c2, got {len(self.coeffs)}"
             )
 
     @classmethod
     def elliptic(cls, c2, c1, c0):
-        """Genus-1 curve ``w**2 = z**3 + c2*z**2 + c1*z + c0``."""
-        return cls(1, (c0, c1, c2))
-
-    @property
-    def degree(self):
-        return 2 * self.genus + 1
+        """The curve ``w**2 = z**3 + c2*z**2 + c1*z + c0``."""
+        return cls((c0, c1, c2))
 
     def to_float(self):
         """The same curve with float coefficients, for float64 site arrays.
@@ -48,27 +37,18 @@ class SpectralCurve:
         a float gives the same bits on both curves; the float copy keeps
         arrays float64 where a Fraction would make them object arrays.
         """
-        return SpectralCurve(self.genus, tuple(float(c) for c in self.coeffs))
+        return SpectralCurve(tuple(float(c) for c in self.coeffs))
 
     def eval(self, z):
-        """Horner evaluation of ``F_g(z)``."""
-        acc = z + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
+        """Horner evaluation of ``F(z)``."""
+        c0, c1, c2 = self.coeffs
+        return ((z + c2) * z + c1) * z + c0
 
     def eval_derivative(self, z, order=1):
-        """First or second derivative of ``F_g`` at ``z``."""
-        if order not in (1, 2):
-            raise ValueError(f"derivative order must be 1 or 2, got {order}")
-        d = self.degree
+        """First or second derivative of ``F`` at ``z``."""
+        _, c1, c2 = self.coeffs
         if order == 1:
-            # F' = d*z^(d-1) + sum_i i*c_i*z^(i-1)
-            acc = d * z + (d - 1) * self.coeffs[d - 1]
-            for i in range(d - 2, 0, -1):
-                acc = acc * z + i * self.coeffs[i]
-            return acc
-        acc = d * (d - 1) * z + (d - 1) * (d - 2) * self.coeffs[d - 1]
-        for i in range(d - 2, 1, -1):
-            acc = acc * z + i * (i - 1) * self.coeffs[i]
-        return acc
+            return (3 * z + 2 * c2) * z + c1
+        if order == 2:
+            return 6 * z + 2 * c2
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")

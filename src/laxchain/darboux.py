@@ -135,10 +135,11 @@ class DarbouxData:
         return self.dgamma[n % self.period]
 
     def truncated(self, x_order, y_order):
-        """Same configuration at lower jet orders (cheap slicing)."""
+        """Same configuration at lower jet orders (cheap slicing); a higher
+        x or y order raises ``ValueError``."""
 
         def cut(s):
-            return Jet(tuple(c.truncate(y_order) for c in s.coeffs[: x_order + 1]))
+            return Jet(tuple(c.truncate(y_order) for c in s.truncate(x_order).coeffs))
 
         return DarbouxData(
             curve=self.curve,
@@ -606,7 +607,7 @@ def solve_tail_constants(chain):
     is solved at its exact binary value (its values and the curve's
     coefficients as Fractions), so the constants are always Fractions.
     """
-    curve = SpectralCurve(chain.curve.genus, tuple(map(Fraction, chain.curve.coeffs)))
+    curve = SpectralCurve(tuple(map(Fraction, chain.curve.coeffs)))
     chain = GammaChain(tuple(map(Fraction, chain.values)), curve)
     jets = prolong_gamma_jets(chain, 2)
 

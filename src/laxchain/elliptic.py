@@ -1,11 +1,11 @@
-"""Weierstrass-type function of ``(p')**2 = F_1(p)`` on a genus-1 curve.
+"""Weierstrass-type function of ``(p')**2 = F(p)`` on the elliptic spectral curve.
 
 Two complementary views of the same ODE:
 
 * numeric: RK4 on the bounded oscillatory real branch between the two lowest
-  real roots of ``F_1`` (pole-free for all real y), with energy monitoring;
+  real roots of ``F`` (pole-free for all real y), with energy monitoring;
 * exact: y-jets at a curve point in the quadratic extension with a formal
-  ``w = sqrt(F_1(z0))``, which is all the Darboux identity checks need.
+  ``w = sqrt(F(z0))``, which is all the Darboux identity checks need.
 
 The sign of the derivative at an exact point is the abstract ``w``; the
 branch is not fixed by the curve alone, so both signs are certified.  The
@@ -88,7 +88,7 @@ class BoundedBranch:
     wp_prime: float
 
     def energy(self):
-        """Conserved quantity ``(wp')**2 - F_1(wp)`` (zero on the branch)."""
+        """Conserved quantity ``(wp')**2 - F(wp)`` (zero on the branch)."""
         return self.wp_prime**2 - float(self.curve.eval(self.wp))
 
 
@@ -119,8 +119,6 @@ def wp_init_bounded(curve):
     ``[e3, e2]`` for all real y.  Curves without three distinct real roots
     are rejected, not silently approximated.
     """
-    if curve.genus != 1:
-        raise UnsupportedCurveError("bounded branch integration needs genus 1")
     e1, e2, e3 = _real_roots_sorted(curve)
     return BoundedBranch(curve=curve, roots=(e1, e2, e3), y=0.0, wp=e3, wp_prime=0.0)
 

@@ -356,8 +356,6 @@ def rk4_integrate(state, flow, h, steps):
     if flow in ("dkn", "reduced_t2"):
         if not isinstance(state, GammaChain):
             raise TypeError(f"flow {flow!r} integrates a GammaChain")
-        if state.curve.genus != 1:
-            raise ValueError("gamma flows need a genus-1 curve")
         fn = dkn_rhs if flow == "dkn" else reduced_flow2_gamma
         fcurve = state.curve.to_float()
         rhs = lambda y: fn(y, fcurve)

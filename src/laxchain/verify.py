@@ -40,7 +40,7 @@ from .darboux import (
     transformed_operator,
 )
 from .elliptic import exact_wp_jet, wp_init_bounded, wp_integrate, wp_jet_numeric
-from .errors import ConfigError
+from .errors import AccuracyError, ConfigError
 from .flows import (
     GammaChain,
     prolong_gamma_jets,
@@ -470,10 +470,19 @@ def replay_config(suite, config, sample=0):
 # Numeric checks: convergence orders and trajectory residuals
 # ---------------------------------------------------------------------------
 
-def _richardson_order(ends):
-    """Convergence order from the end states at steps h, h/2 and h/4."""
+def _richardson_order(ends, h):
+    """Convergence order from the end states at steps h, h/2 and h/4.
+
+    End states at h/2 and h/4 that agree exactly (a stationary chain, say)
+    leave no error to divide by and raise :class:`AccuracyError`.
+    """
     e1 = float(np.max(np.abs(ends[0] - ends[1])))
     e2 = float(np.max(np.abs(ends[1] - ends[2])))
+    if e2 == 0.0:
+        raise AccuracyError(
+            f"end states at steps {h / 2!r} and {h / 4!r} agree exactly; "
+            "no convergence order can be estimated"
+        )
     return float(np.log2(e1 / e2))
 
 
@@ -481,14 +490,14 @@ def rk4_convergence_order(state, flow, t_final, h):
     """Richardson estimate of the integrator's convergence order."""
     steps = int(round(t_final / h))
     return _richardson_order(
-        [rk4_integrate(state, flow, h / k, steps * k).states[-1] for k in (1, 2, 4)]
+        [rk4_integrate(state, flow, h / k, steps * k).states[-1] for k in (1, 2, 4)], h
     )
 
 
 def wp_convergence_order(curve, y_final, h):
     branch = wp_init_bounded(curve)
     ends = [wp_integrate(branch, y_final, h / k) for k in (1, 2, 4)]
-    return _richardson_order([np.array([s.wp, s.wp_prime]) for s in ends])
+    return _richardson_order([np.array([s.wp, s.wp_prime]) for s in ends], h)
 
 
 def trajectory_chain_residual(curve, gamma0, x_steps=200, h=1e-3, y_target=0.4):

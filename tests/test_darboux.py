@@ -73,6 +73,13 @@ def test_data_orders_and_truncation():
     assert cut.gamma_at(0).coeffs[0].coeffs == data.gamma_at(0).coeffs[0].coeffs[:1]
 
 
+def test_truncation_refuses_higher_orders():
+    cut = exact_data().truncated(1, 1)
+    for x_order, y_order in ((3, 1), (2, 1), (1, 2)):
+        with pytest.raises(ValueError, match="cannot extend"):
+            cut.truncated(x_order, y_order)
+
+
 def _leaves(x):
     if isinstance(x, Jet):
         for c in x.coeffs:

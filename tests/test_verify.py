@@ -7,8 +7,8 @@ import pytest
 from laxchain.curves import SpectralCurve
 from laxchain import verify as verify_mod
 from laxchain.darboux import DarbouxData, SolutionConstants
-from laxchain.errors import ConfigError
-from laxchain.flows import GammaChain
+from laxchain.errors import AccuracyError, ConfigError
+from laxchain.flows import GammaChain, VWChain
 from laxchain.scalars import Jet, format_scalar, is_rational_square, scalar_abs
 from laxchain.verify import (
     SUITES,
@@ -167,6 +167,17 @@ def test_numeric_convergence_orders():
     assert 3.8 <= order <= 4.2
     worder = wp_convergence_order(curve, 1.0, 0.02)
     assert 3.8 <= worder <= 4.2
+
+
+def test_convergence_order_of_agreeing_end_states():
+    # a stationary chain (gamma_{n-1} = gamma_{n+1}) and a (V, W) fixed point
+    stationary = (
+        (GammaChain((0.1, 0.5, 0.1, 0.5), SpectralCurve.elliptic(0.0, -1.0, 0.0)), "dkn"),
+        (VWChain((1.0,) * 3, (2.0,) * 3), "vw"),
+    )
+    for state, flow in stationary:
+        with pytest.raises(AccuracyError, match=r"steps 0\.01 and 0\.005 agree exactly"):
+            rk4_convergence_order(state, flow, 0.2, 0.02)
 
 
 def test_trajectory_residual_bounded_by_integration_error():
