@@ -26,9 +26,10 @@ behind one per-site memo, sharing the memoised gaps z0 - gamma_n.
 The chain equations are zero curvature: :func:`chain_residuals` reads them
 from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
 B = T + f.  The Lax residuals (the x and y brackets here, the fourth-order
-one in ``verify``) go through :func:`lax_window`, which takes dL and, cut by
-one jet order, L from one operator.  Both assemble every bracket with
-``operators.lax_residual``.
+one in ``verify``) are built by :func:`lax_operator`, which takes dL and,
+cut by one jet order, L from one operator; :func:`lax_window` reads it on
+one period.  Both :func:`chain_residuals` and :func:`lax_operator` assemble
+their bracket with ``operators.lax_residual``.
 
 Both signs of w are certified from one evaluation.  On the exact path w
 enters only through the curve-point jet, and every formula here is a
@@ -64,9 +65,11 @@ __all__ = [
     "chain_residuals",
     "commutator_x_check",
     "commutator_y_check",
+    "commutator_y_residual",
     "darboux_data",
     "eigenfunction_step",
     "factorization_check",
+    "lax_operator",
     "lax_window",
     "point_problem",
     "rank2_solution",
@@ -516,8 +519,8 @@ _LAX_AXES = {
 }
 
 
-def lax_window(l_op, axis, a_op, period):
-    """Window on sites ``0..period-1`` of the Lax residual ``dL + [L, A]``.
+def lax_operator(l_op, axis, a_op):
+    """The Lax residual ``dL + [L, A]`` as an operator.
 
     ``l_op`` carries one more jet order along ``axis`` than the residual:
     dL is its coefficient-wise derivative, and the L of the bracket is the
@@ -525,7 +528,8 @@ def lax_window(l_op, axis, a_op, period):
     field operations, so this equals L rebuilt at the lower order).
     ``a_op`` is given at the residual's order.  Axis ``"x"`` acts on the
     outer jet (so also on plain jets), ``"y"`` on the inner jets of nested
-    scalars; coefficients that are not jets are constants.
+    scalars; coefficients that are not jets are constants.  Coefficients are
+    evaluated only when read.
     """
     along = _LAX_AXES[axis]
 
@@ -535,9 +539,12 @@ def lax_window(l_op, axis, a_op, period):
     def cut(c):
         return along(c, lambda j: j.truncate(j.order - 1)) if isinstance(c, Jet) else c
 
-    return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op).window(
-        0, period - 1
-    )
+    return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op)
+
+
+def lax_window(l_op, axis, a_op, period):
+    """Window on sites ``0..period-1`` of :func:`lax_operator`."""
+    return lax_operator(l_op, axis, a_op).window(0, period - 1)
 
 
 def commutator_x_check(data):
@@ -555,9 +562,8 @@ def commutator_x_check(data):
     return lax_window(transformed_operator(d_hi).operator, "x", c_op, data.period)
 
 
-def commutator_y_check(data, constants=None):
-    """One-period window of the y-Lax residual
-    ``d/dy(Ltilde) + [Ltilde, T + f]``.
+def commutator_y_residual(data, constants=None):
+    """The y-Lax residual ``d/dy(Ltilde) + [Ltilde, T + f]`` as an operator.
 
     Exactly zero when the curve-point jet satisfies the Weierstrass ODE
     (that is what ties z0'' to F'(z0)/2); a jet violating it is the standard
@@ -568,7 +574,19 @@ def commutator_y_check(data, constants=None):
     d_hi = data.truncated(0, data.y_order)
     sol = rank2_solution(d_hi.truncated(0, data.y_order - 1), constants)
     b_op = DifferenceOperator.from_bands({1: lambda n: 1, 0: sol.f})
-    return lax_window(transformed_operator(d_hi).operator, "y", b_op, data.period)
+    return lax_operator(transformed_operator(d_hi).operator, "y", b_op)
+
+
+def commutator_y_check(data, constants=None):
+    """One-period window of :func:`commutator_y_residual`.
+
+    The check reads every coefficient.  A negative control (the
+    ``lax-y`` suite's bumped z0'') needs only one nonzero coefficient, so it
+    reads the same residual with ``first_nonzero``, which stops there.  That
+    hides no pole: the bump changes z0'' alone, so the control's
+    denominators are the check's, and the check has evaluated all of them.
+    """
+    return commutator_y_residual(data, constants).window(0, data.period - 1)
 
 
 def eigenfunction_step(data, psi_prev, psi_cur, n):

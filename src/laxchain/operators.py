@@ -5,6 +5,9 @@ pure provider functions ``(j, n) -> scalar``; operators never own chain
 trajectories, so one operator definition serves exact jets, numeric samples,
 and periodic chains alike.  Operator equality is only defined on explicit
 site windows (:class:`OperatorWindow`) -- providers are opaque functions.
+``window`` materializes every coefficient on a site range; ``first_nonzero``
+reads the same range in the same order and stops at its first nonzero
+coefficient, for verdicts that need only one witness.
 
 Time derivatives are never taken internally: routines that need a
 coefficient-wise derivative of an operator (Lax residuals) receive it from
@@ -122,6 +125,20 @@ class DifferenceOperator:
     def window(self, n0, n1):
         """Materialize coefficients on sites ``n0..n1`` for comparison/reports."""
         return OperatorWindow.from_operator(self, n0, n1)
+
+    def first_nonzero(self, n0, n1):
+        """First ``(n, j, coefficient)`` on sites ``n0..n1`` that is not zero,
+        in the row-major order of ``window(n0, n1)`` (sites ascending, then
+        shift powers), or None when the whole range is zero.  No coefficient
+        after the hit is evaluated."""
+        if n0 > n1:
+            raise ValueError(f"empty site range [{n0}, {n1}]")
+        for n in range(n0, n1 + 1):
+            for j in range(self.lo, self.hi + 1):
+                c = self.coeff(j, n)
+                if c != 0:
+                    return n, j, c
+        return None
 
 
 def compose(a, b):

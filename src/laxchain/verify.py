@@ -31,6 +31,7 @@ from .darboux import (
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
+    commutator_y_residual,
     darboux_data,
     factorization_check,
     lax_window,
@@ -278,14 +279,28 @@ def _eval_lax_x_sample(config):
 def _eval_lax_y_sample(config):
     """Valid curve-point jet with solved tail -> exactly zero; a jet violating
     the Weierstrass ODE (second derivative bumped by 1) -> nonzero.  Both
-    are rational in the jet, so their sign -1 values are conjugates too."""
+    are rational in the jet, so their sign -1 values are conjugates too.
+
+    The check reads its whole window.  The control's verdict needs one
+    nonzero coefficient, so it stops at the first (:func:`_lax_y_control`);
+    the coefficients it skips divide by the check's denominators, which the
+    check has already evaluated, so no pole goes unseen."""
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
     jets = prolong_gamma_jets(chain, 1)
     wp = exact_wp_jet(config.curve, config.z0, order=3)
     ok, worst = _windows_zero([commutator_y_check(darboux_data(jets, wp), solved)])
-    control_hit = not commutator_y_check(darboux_data(jets, _bump_second(wp)), solved).is_zero()
+    control_hit = _lax_y_control(jets, wp, solved) is not None
     return ok and control_hit, worst, {"negative_control_nonzero": control_hit}
+
+
+def _lax_y_control(jets, wp, solved):
+    """lax-y's negative control: the first nonzero ``(n, j, coefficient)``
+    over one period of the y-Lax residual at the curve-point jet ``wp``
+    with its second derivative bumped by 1, or None if that residual
+    vanishes there."""
+    data = darboux_data(jets, _bump_second(wp))
+    return commutator_y_residual(data, solved).first_nonzero(0, data.period - 1)
 
 
 def _bump_second(wp):
@@ -474,15 +489,18 @@ def _richardson_order(ends, h):
     """Convergence order from the end states at steps h, h/2 and h/4.
 
     End states at h/2 and h/4 that agree exactly (a stationary chain, say)
-    leave no error to divide by and raise :class:`AccuracyError`.
+    leave no error to divide by, and end states at h and h/2 that agree
+    exactly leave no error to take the logarithm of; either raises
+    :class:`AccuracyError` naming the two step sizes.
     """
     e1 = float(np.max(np.abs(ends[0] - ends[1])))
     e2 = float(np.max(np.abs(ends[1] - ends[2])))
-    if e2 == 0.0:
-        raise AccuracyError(
-            f"end states at steps {h / 2!r} and {h / 4!r} agree exactly; "
-            "no convergence order can be estimated"
-        )
+    for err, coarse, fine in ((e2, h / 2, h / 4), (e1, h, h / 2)):
+        if err == 0.0:
+            raise AccuracyError(
+                f"end states at steps {coarse!r} and {fine!r} agree exactly; "
+                "no convergence order can be estimated"
+            )
     return float(np.log2(e1 / e2))
 
 

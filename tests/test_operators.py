@@ -198,3 +198,57 @@ def test_empty_band_rejected():
         DifferenceOperator.from_bands({})
     with pytest.raises(ValueError):
         OperatorWindow.from_operator(DifferenceOperator.identity(), 3, 1)
+
+
+def sparse_operator(rng, density):
+    """Operator on bands -1..1 whose coefficients on sites -3..3 are nonzero
+    with probability ``density`` (an int 0 or a zero Fraction otherwise)."""
+    table = {
+        (j, n): random_fraction(rng, 9, 4, nonzero=True)
+        if rng.random() < density
+        else rng.choice((0, Fraction(0)))
+        for j in range(-1, 2)
+        for n in range(-3, 4)
+    }
+    return DifferenceOperator(-1, 1, lambda j, n: table[j, n])
+
+
+def test_first_nonzero_reads_the_window_in_row_major_order(rng):
+    """None exactly when the window is zero, else the window's first nonzero
+    entry, sites outer and shift powers inner."""
+    seen_none = seen_hit = 0
+    for density in (0.0, 0.05, 0.2, 0.6):
+        for _ in range(25):
+            op = sparse_operator(rng, density)
+            n0 = rng.randint(-3, 3)
+            n1 = rng.randint(n0, 3)
+            win = op.window(n0, n1)
+            hit = op.first_nonzero(n0, n1)
+            entries = [
+                (n, j, win.coeff(j, n))
+                for n in range(n0, n1 + 1)
+                for j in range(win.lo, win.hi + 1)
+            ]
+            assert (hit is None) == win.is_zero()
+            if hit is None:
+                seen_none += 1
+            else:
+                seen_hit += 1
+                assert hit == next(e for e in entries if e[2] != 0)
+    assert seen_none and seen_hit
+
+
+def test_first_nonzero_rejects_a_reversed_range():
+    with pytest.raises(ValueError, match="empty site range"):
+        DifferenceOperator.identity().first_nonzero(3, 1)
+
+
+def test_first_nonzero_evaluates_nothing_past_its_hit():
+    calls = []
+
+    def coeff(j, n):
+        calls.append((j, n))
+        return Fraction(5) if (j, n) == (0, 0) else 0
+
+    assert DifferenceOperator(-1, 1, coeff).first_nonzero(0, 3) == (0, 0, Fraction(5))
+    assert calls == [(-1, 0), (0, 0)]

@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from laxchain.curves import SpectralCurve
@@ -178,6 +179,16 @@ def test_convergence_order_of_agreeing_end_states():
     for state, flow in stationary:
         with pytest.raises(AccuracyError, match=r"steps 0\.01 and 0\.005 agree exactly"):
             rk4_convergence_order(state, flow, 0.2, 0.02)
+
+
+@pytest.mark.filterwarnings("error")
+def test_convergence_order_of_agreeing_coarse_end_states():
+    """End states at h and h/2 that agree while h/4 differs leave a zero
+    error to take the logarithm of: an AccuracyError naming h and h/2, not
+    -inf and a numpy warning."""
+    ends = [np.array([1.0]), np.array([1.0]), np.array([1.5])]
+    with pytest.raises(AccuracyError, match=r"steps 0\.1 and 0\.05 agree exactly"):
+        verify_mod._richardson_order(ends, 0.1)
 
 
 def test_trajectory_residual_bounded_by_integration_error():
@@ -400,6 +411,64 @@ def test_suites_run_every_jet_operation_on_one_exact_kind(monkeypatch, bounds):
             assert evaluate(config)[0] is True, (suite, index)
     assert all(unshared == 0 for _, unshared in calls.values()), calls
     assert sum(shared for shared, _ in calls.values()) > 0
+
+
+def _lax_y_control_inputs(config):
+    """The chain jets, the curve-point jet and the solved tail of lax-y."""
+    chain = GammaChain(config.gamma, config.curve)
+    return (
+        verify_mod.prolong_gamma_jets(chain, 1),
+        verify_mod.exact_wp_jet(config.curve, config.z0, order=3),
+        verify_mod.solve_tail_constants(chain),
+    )
+
+
+def _full_control_window(jets, wp, solved):
+    bumped = verify_mod.darboux_data(jets, verify_mod._bump_second(wp))
+    return verify_mod.commutator_y_check(bumped, solved)
+
+
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_lax_y_control_witness_is_the_first_nonzero_of_its_full_window(bounds):
+    """The control stops at a witness, and that witness is the first nonzero
+    coefficient, sites outer and shift powers inner, of the full window."""
+    for index in range(20):
+        inputs = _lax_y_control_inputs(draw_sample(7, index, *bounds))
+        full = _full_control_window(*inputs)
+        first = next(
+            (n, j, full.coeff(j, n))
+            for n in range(full.n0, full.n1 + 1)
+            for j in range(full.lo, full.hi + 1)
+            if full.coeff(j, n) != 0
+        )
+        witness = verify_mod._lax_y_control(*inputs)
+        assert witness == first, (bounds, index)
+        assert repr(witness) == repr(first), (bounds, index)
+
+
+def test_lax_y_control_costs_a_third_of_its_full_window_at_most(monkeypatch):
+    """A deterministic cost bound instead of a wall clock: over four draws
+    the control multiplies at most a third as many jets as its full window
+    (about a quarter, stopping at site 0), so a control that quietly reads
+    every coefficient again fails here."""
+    real = Jet.__mul__
+    count = [0]
+
+    def counted(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    lazy = full = 0
+    for index in range(4):
+        inputs = _lax_y_control_inputs(draw_sample(7, index))
+        before = count[0]
+        assert verify_mod._lax_y_control(*inputs) is not None
+        lazy += count[0] - before
+        before = count[0]
+        assert not _full_control_window(*inputs).is_zero()
+        full += count[0] - before
+    assert 0 < 3 * lazy <= full, (lazy, full)
 
 
 PERTURBATIONS = {
