@@ -16,6 +16,7 @@ carry no timestamps: identical inputs give byte-identical output.
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -544,7 +545,10 @@ def _cmd_darboux(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="laxchain",
         description="Integrable-chain verification, simulation, and operator search",

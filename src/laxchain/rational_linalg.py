@@ -1,35 +1,80 @@
 """Exact linear algebra over the rationals: RREF and nullspace bases.
 
-Elimination is sparse: a row is a ``{column: Fraction}`` dict of its
-nonzeros, and each column's pivot is the pending row with the fewest
-nonzeros (Markowitz, Management Science 3, 1957), which keeps fill-in low.
-The reduced row echelon form of a matrix is unique, so the pivot order
-changes the work done and never the result.
+Elimination is fraction-free and sparse.  Each row is a ``{column: int}``
+dict of its nonzeros, kept primitive: a rational row is scaled by the lcm
+of its denominators, and every row is divided by the gcd of its entries.
+Clearing column ``c`` of a row against a pivot row cross-multiplies,
+``row := (p/g) row - (f/g) pivot_row`` with ``p`` and ``f`` their column-``c``
+entries and ``g = gcd(p, f)``, so the work stays in plain ints
+(fraction-free elimination, Bareiss, Math. Comp. 22, 1968).  Each column's
+pivot is the pending row with the fewest nonzeros (Markowitz, Management
+Science 3, 1957), which keeps fill-in low.  Only the fully reduced rows are
+divided by their pivots, one ``Fraction`` division per entry.  The reduced
+row echelon form of a matrix is unique, so neither the pivot order nor the
+integer scaling of the rows changes the result.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["nullspace", "rref"]
 
 
-def _subtract_multiple(row, f, pivot_row):
-    """``row -= f * pivot_row`` in place, dropping entries that cancel."""
-    for c, y in pivot_row.items():
-        x = row.get(c)
+def _primitive(row):
+    """Divide the integer row ``{column: int}`` by the gcd of its entries
+    (an empty row stays empty)."""
+    g = gcd(*row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def _integer_row(row):
+    """The nonzero entries of a rational row as a primitive integer row."""
+    # zeros are skipped before any conversion: the commutant system is
+    # mostly zeros, and its entries are ints already
+    entries = {c: x for c, x in enumerate(row) if x}
+    if not all(type(x) is int for x in entries.values()):
+        ratios = [(c, Fraction(x).as_integer_ratio()) for c, x in entries.items()]
+        scale = lcm(*(d for _, (_, d) in ratios))
+        entries = {c: n * (scale // d) for c, (n, d) in ratios if n}
+    _primitive(entries)
+    return entries
+
+
+def _eliminate(row, c, pivot_row):
+    """Clear column ``c`` of ``row`` against ``pivot_row``, in place:
+    ``row := (p/g) row - (f/g) pivot_row`` with ``p = pivot_row[c]``,
+    ``f = row[c]`` and ``g = gcd(p, f)``, then made primitive again.
+    Entries that cancel, column ``c`` among them, are dropped."""
+    p = pivot_row[c]
+    f = row[c]
+    g = gcd(p, f)
+    a = p // g
+    b = f // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, y in pivot_row.items():
+        x = row.get(k)
         if x is None:
-            row[c] = -f * y
+            row[k] = -b * y
         else:
-            x -= f * y
+            x -= b * y
             if x:
-                row[c] = x
+                row[k] = x
             else:
-                del row[c]
+                del row[k]
+    _primitive(row)
 
 
 def rref(matrix):
     """Reduced row echelon form of ``matrix`` (a list of equal-length rows).
 
     Entries may be anything ``Fraction`` accepts; the input is not modified.
+    Every nonzero row becomes a primitive integer row, and elimination
+    cross-multiplies integer rows (see the module docstring); each reduced
+    row is divided by its pivot only at the end.
     Returns ``(rows, pivots)``: ``rows`` holds ``len(matrix)`` dense rows of
     Fractions, the pivot rows first (in pivot order) and then zero rows;
     ``pivots`` lists the pivot columns in ascending order.
@@ -37,53 +82,37 @@ def rref(matrix):
     if not matrix:
         return [], []
     ncols = len(matrix[0])
-    # Zeros are skipped before the Fraction conversion: converting every
-    # entry of the mostly-zero commutant system costs as much as eliminating.
-    pending = []
-    for row in matrix:
-        entries = {}
-        for c, x in enumerate(row):
-            if x:
-                x = Fraction(x)
-                if x:
-                    entries[c] = x
-        if entries:
-            pending.append(entries)
+    pending = [entries for entries in map(_integer_row, matrix) if entries]
 
-    echelon = []  # (pivot column, row with a 1 there), forward-eliminated
+    echelon = []  # (pivot column, row), forward-eliminated
     for c in range(ncols):
         candidates = [row for row in pending if c in row]
         if not candidates:
             continue
         pivot_row = min(candidates, key=len)
-        pv = pivot_row.pop(c)
-        if pv != 1:
-            for k in pivot_row:
-                pivot_row[k] /= pv
         for row in candidates:
             if row is not pivot_row:
-                _subtract_multiple(row, row.pop(c), pivot_row)
+                _eliminate(row, c, pivot_row)
         pending = [row for row in pending if row and row is not pivot_row]
-        pivot_row[c] = Fraction(1)
         echelon.append((c, pivot_row))
         if not pending:
             break
 
     # Back-substitution, bottom-up: each pivot row is already free of the
-    # later pivot columns when it is subtracted from the rows above it.
+    # other pivot columns when it is cleared from the rows above it.
     for j in range(len(echelon) - 1, 0, -1):
         c, pivot_row = echelon[j]
         for _, row in echelon[:j]:
-            f = row.get(c)
-            if f is not None:
-                _subtract_multiple(row, f, pivot_row)
+            if c in row:
+                _eliminate(row, c, pivot_row)
 
     zero = Fraction(0)
     rows = []
-    for _, row in echelon:
+    for c, row in echelon:
+        pv = row[c]
         dense = [zero] * ncols
         for k, x in row.items():
-            dense[k] = x
+            dense[k] = Fraction(x) / pv
         rows.append(dense)
     rows.extend([zero] * ncols for _ in range(len(matrix) - len(echelon)))
     return rows, [c for c, _ in echelon]

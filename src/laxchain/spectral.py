@@ -13,13 +13,13 @@ recurrence on the Q's.  This module verifies the conserved value, evaluates
 the recurrence residual, propagates Q along it, constructs the two explicit
 operator families with polynomial ("sharp") and trigonometric ("flat")
 potentials, and searches for operators commuting with a given one -- exactly
-(polynomial coefficients, rational elimination) or numerically (windowed
-least squares / SVD).
+(polynomial coefficients, elimination over the integers) or numerically
+(windowed least squares / SVD).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, cos, sin
+from math import comb, cos, lcm, sin
 
 import numpy as np
 
@@ -288,6 +288,15 @@ class ExactCommutantResult:
         return len(self.basis) not in pivots
 
 
+def _integer_bands(bands):
+    """The band table ``{j: coefficients}`` times the lcm of all its
+    coefficients' denominators: the same table up to a nonzero integer
+    factor, with int coefficients."""
+    ratios = {j: [x.as_integer_ratio() for x in p] for j, p in bands.items()}
+    scale = lcm(*(d for p in ratios.values() for _, d in p))
+    return {j: tuple(n * (scale // d) for n, d in p) for j, p in ratios.items()}
+
+
 def commutant_columns(l_bands, ansatz):
     """Columns of the exact commutant system, one per unknown ``(j, d)`` of
     the ansatz in ``(band, degree)`` order: the nonzero coefficients
@@ -322,13 +331,15 @@ def commutant_solve_exact(l_op, ansatz):
 
     ``l_op`` must be a :class:`PolynomialBandOperator`.  Each band of the
     commutator is a polynomial in n; requiring every n-power of every band to
-    vanish yields an exact linear system solved by rational elimination.
+    vanish yields an exact linear system solved by fraction-free elimination.
+    The system is built from ``c L`` with integer bands (``c`` the lcm of
+    the band denominators): ``[c L, X] = c [L, X]``, so its nullspace is the
+    commutant of ``L`` itself, and its matrix holds only ints.
     """
     if not isinstance(l_op, PolynomialBandOperator):
         raise AnsatzError(
             "exact commutant solving needs polynomial band data (a PolynomialBandOperator)"
         )
-    l_bands = l_op.bands
     if ansatz.unknowns == 0:
         raise AnsatzError("empty ansatz")
 
@@ -337,13 +348,13 @@ def commutant_solve_exact(l_op, ansatz):
         for j in range(-ansatz.band_m, ansatz.band_m + 1)
         for d in range(ansatz.degree + 1)
     ]
-    columns = commutant_columns(l_bands, ansatz)
+    columns = commutant_columns(_integer_bands(l_op.bands), ansatz)
     row_keys = {}
     for entries in columns:
         for key in entries:
             row_keys.setdefault(key, len(row_keys))
 
-    matrix = [[Fraction(0)] * len(unknowns) for _ in range(len(row_keys))]
+    matrix = [[0] * len(unknowns) for _ in range(len(row_keys))]
     for col, entries in enumerate(columns):
         for key, c in entries.items():
             matrix[row_keys[key]][col] = c
@@ -366,8 +377,16 @@ def commutant_solve_exact(l_op, ansatz):
 
 
 def exact_commutator_is_zero(l_op, x_op):
-    """Exact check that ``[L, X] = 0`` identically (polynomial band data)."""
-    comm = commutator_polynomial_bands(l_op.bands, x_op.bands)
+    """Exact check that ``[L, X] = 0`` identically (polynomial band data).
+
+    Every coefficient of every band is tested, on integer bands:
+    ``[c L, d X] = c d [L, X]`` for the nonzero integers ``c`` and ``d``
+    that clear the denominators of ``L`` and ``X``, so it vanishes exactly
+    when ``[L, X]`` does.
+    """
+    comm = commutator_polynomial_bands(
+        _integer_bands(l_op.bands), _integer_bands(x_op.bands)
+    )
     return all(poly_is_zero(p) for p in comm.values())
 
 

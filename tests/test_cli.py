@@ -543,3 +543,44 @@ def test_bad_config_file(tmp_path, capsys):
     code = run_cli(["verify", "--config", str(cfg)])
     assert code == 2
     assert "config" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    """``main`` builds its parser once per process.  A run of commands
+    through it writes the bytes that a parser built per call writes, and no
+    option given to one call (``--out``, ``--suite``) carries over to the
+    next: the last ``verify`` runs every suite and reports to stdout."""
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["verify", "--suite", "lax-x", "--samples", "1", "--seed", "3",
+         "--out", "verify.json"],
+        ["simulate", "--flow", "dkn", "--curve", "0,-1,0",
+         "--gamma=-0.82,-0.31,0.28,0.77", "--h", "1e-3", "--steps", "5",
+         "--csv", "traj.csv", "--out", "simulate.json"],
+        ["commutant", "--variant", "sharp", "--band", "2", "--degree", "6",
+         "--out", "commutant.json"],
+        ["verify", "--samples", "1", "--seed", "3"],
+    ]
+
+    def run_calls(name):
+        d = tmp_path / name
+        d.mkdir()
+        monkeypatch.chdir(d)
+        codes, stdout = [], []
+        for argv in calls:
+            codes.append(run_cli(argv))
+            stdout.append(capsys.readouterr().out)
+        files = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+        return codes, stdout, files
+
+    cached = run_calls("cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_calls("fresh")
+    assert cached == fresh
+    codes, stdout, files = cached
+    assert codes == [0, 0, 0, 0]
+    assert stdout[:3] == ["", "", ""]
+    assert [s["suite"] for s in json.loads(stdout[3])["suites"]] == [
+        "chain", "lax-x", "lax-y", "factorization"
+    ]
+    assert sorted(files) == ["commutant.json", "simulate.json", "traj.csv", "verify.json"]

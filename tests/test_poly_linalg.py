@@ -161,3 +161,16 @@ def test_rref_edge_inputs():
     assert rref([[]]) == dense_rref([[]])
     assert rref([[0, 0], [0, 0]]) == dense_rref([[0, 0], [0, 0]])
     assert rref([["0", "1/2"], [2, 1.5]]) == dense_rref([["0", "1/2"], [2, 1.5]])
+    edge = [
+        [[-3, 1, 4], [0, -5, 2], [-6, -3, 1]],  # negative pivots
+        [[2, -4, 6, 0], [-6, 12, -18, 0], [0, 1, 1, 7]],  # an integer multiple
+        [[10**400, 3, 0], [1, Fraction(1, 10**400), 2], [0, 7, 10**400 + 1]],
+        [[0.1, 1], [1, 0.1], [0.1, 0.1]],  # the exact binary value of 0.1
+        [["-3/7", 2, 0], [1, "-3/7", "0"], ["-3/7", "-3/7", 5]],
+    ]
+    for m in edge:
+        snapshot = [list(row) for row in m]
+        got = rref(m)
+        assert got == dense_rref(m)
+        assert m == snapshot
+        assert all(type(x) is Fraction for row in got[0] for x in row)

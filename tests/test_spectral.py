@@ -27,6 +27,7 @@ from laxchain.spectral import (
 )
 
 from conftest import random_chain, random_fraction
+from test_poly_linalg import dense_rref
 
 CUBIC = SpectralCurve.elliptic(0, 0, 0)
 
@@ -416,6 +417,92 @@ def test_commutant_errors():
         commutant_solve_exact(DifferenceOperator.identity(), CommutantAnsatz(1, 1))
     with pytest.raises(AnsatzError):
         commutant_solve_exact(tt, CommutantAnsatz(1, 1))  # bands, not an operator
+
+
+def band_vector(bands, ansatz):
+    """The ansatz coordinates ``(band, degree)`` of a band table."""
+    return [
+        Fraction(bands[j][d]) if j in bands and d < len(bands[j]) else Fraction(0)
+        for j in range(-ansatz.band_m, ansatz.band_m + 1)
+        for d in range(ansatz.degree + 1)
+    ]
+
+
+def reference_commutant(l_bands, ansatz):
+    """Commutant basis vectors from the Fraction columns of the unscaled
+    bands, reduced by the dense reference elimination."""
+    columns = commutant_columns(l_bands, ansatz)
+    keys = sorted({key for entries in columns for key in entries})
+    matrix = [[entries.get(key, Fraction(0)) for entries in columns] for key in keys]
+    rows, pivots = dense_rref(matrix)
+    basis = []
+    for fc in (c for c in range(ansatz.unknowns) if c not in pivots):
+        v = [Fraction(0)] * ansatz.unknowns
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+RATIONAL_OPERATORS = {
+    "sharp": (
+        sharp_operator((Fraction(-7, 3), Fraction(5, 11), Fraction(1, 10), Fraction(-13, 17))),
+        CommutantAnsatz(3, 9),
+    ),
+    "sharp-genus2": (
+        sharp_operator((Fraction(1, 2), 3, Fraction(-4, 5), 2), genus=2),
+        CommutantAnsatz(3, 9),
+    ),
+    "custom": (
+        PolynomialBandOperator({
+            1: (Fraction(1, 3),),
+            0: (Fraction(2, 9), Fraction(1), Fraction(-5, 4)),
+            -1: (Fraction(0), Fraction(5, 7)),
+        }),
+        CommutantAnsatz(2, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RATIONAL_OPERATORS))
+def test_exact_commutant_of_rational_operators(name):
+    """Band tables with denominators: the solve (on integer bands) gives the
+    basis that the Fraction system of the unscaled bands gives, the exact
+    check passes every basis element, and it fails once a coefficient is
+    bumped by 1/7 (negative control)."""
+    op, ansatz = RATIONAL_OPERATORS[name]
+    res = commutant_solve_exact(op, ansatz)
+    assert res.dimension >= 2  # at least the identity and L itself
+    assert [band_vector(sol.bands, ansatz) for sol in res.basis] == (
+        reference_commutant(op.bands, ansatz)
+    )
+    for sol in res.basis:
+        assert exact_commutator_is_zero(op, sol)
+        # [L, n] = sum_i i L_i T^i is nonzero, so bumping the n T^0
+        # coefficient by 1/7 breaks every basis element
+        p = list(sol.bands.get(0, ())) + [Fraction(0)] * 2
+        p[1] += Fraction(1, 7)
+        bumped = PolynomialBandOperator({**sol.bands, 0: tuple(p)})
+        assert not exact_commutator_is_zero(op, bumped)
+
+
+def test_exact_commutant_fraction_cost_guard(monkeypatch):
+    """The sharp band-3/degree-9 solve and its three exact checks run on
+    ints: at most 1,000 Fraction arithmetic calls in all (a Fraction
+    elimination makes over 15,000)."""
+    op = sharp_operator((3, -2, 5, 4))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        real = Fraction.__dict__[name]
+        monkeypatch.setattr(
+            Fraction, name, lambda a, b, real=real: calls.append(1) or real(a, b)
+        )
+    res = commutant_solve_exact(op, CommutantAnsatz(3, 9))
+    assert [exact_commutator_is_zero(op, sol) for sol in res.basis] == [True] * 3
+    monkeypatch.undo()
+    assert len(calls) <= 1000
 
 
 def test_polynomial_band_compose_matches_operator_compose(rng):
