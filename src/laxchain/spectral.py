@@ -479,7 +479,9 @@ def commutant_solve_windowed(l_op, band_m, n0, n1):
             "widen the site range"
         )
     a = np.array(rows)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    # rows >= columns, so the thin factorization gives s and vh of the same
+    # shapes; only U, which is never read, shrinks to rows x columns
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     smax = float(s[0])
     threshold = NULLITY_THRESHOLD * smax
     rank = int(np.sum(s >= threshold))

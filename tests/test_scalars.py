@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laxchain import scalars, verify
 from laxchain.scalars import (
     Jet,
     QuadExt,
@@ -713,3 +714,129 @@ def test_carried_zero_patterns_are_sound_on_nested_jets(data, disc, x_order, y_o
             assert_same(got, want, (x, y, z))
             if not isinstance(got, type):
                 _assert_shapes_sound(got)
+
+
+# ---------------------------------------------------------------------------
+# The exact helpers against the stdlib operators
+# ---------------------------------------------------------------------------
+
+HELPERS = {
+    "+": (scalars._add, operator.add),
+    "-": (scalars._sub, operator.sub),
+    "*": (scalars._mul, operator.mul),
+    "/": (scalars._div, operator.truediv),
+}
+
+
+def _differential_operands(rng):
+    """Fractions and ints at the draw bounds, the wide bounds and far past
+    them, of either sign, zero included."""
+    ints = [0, 1, -1, 7, -12, 2**200, -(2**200) + 3]
+    ints += [rng.randint(-1000, 1000) for _ in range(4)]
+    ints += [rng.randint(-10**9, 10**9) for _ in range(4)]
+    fractions = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2**200, 3),
+                 Fraction(-5, 2**200 + 1)]
+    fractions += [Fraction(rng.randint(-1000, 1000), rng.randint(1, 8)) for _ in range(8)]
+    fractions += [Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+                  for _ in range(8)]
+    return fractions, ints
+
+
+def _same_fraction(got, want, context):
+    assert type(got) is type(want) is Fraction, context
+    assert got == want and hash(got) == hash(want), context
+    n, d = got._numerator, got._denominator
+    assert type(n) is int and type(d) is int, context
+    assert d > 0 and math.gcd(n, d) == 1, context
+    assert (n, d) == (want.numerator, want.denominator), context
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_helpers_match_the_stdlib_operators_on_fractions_and_ints(seed):
+    fractions, ints = _differential_operands(random.Random(seed))
+    pairs = [(x, y) for x in fractions for y in fractions]
+    pairs += [(x, n) for x in fractions for n in ints]
+    pairs += [(n, x) for x in fractions for n in ints]
+    for name, (helper, plain) in HELPERS.items():
+        for x, y in pairs:
+            want = outcome(plain, x, y)
+            got = outcome(helper, x, y)
+            if isinstance(want, type):
+                assert got is want, (name, x, y)
+            else:
+                _same_fraction(got, want, (name, x, y))
+
+
+def test_helpers_give_floats_and_bools_the_plain_operator():
+    values = (Fraction(1, 3), Fraction(0), 3, 0)
+    others = (0.0, -0.0, 2.5, math.inf, -math.inf, math.nan, True, False)
+    for name, (helper, plain) in HELPERS.items():
+        for x in values:
+            for y in others:
+                for a, b in ((x, y), (y, x)):
+                    want = outcome(plain, a, b)
+                    got = outcome(helper, a, b)
+                    if isinstance(want, type):
+                        assert got is want, (name, a, b)
+                    else:
+                        assert type(got) is type(want), (name, a, b)
+                        assert deep_key(got) == deep_key(want), (name, a, b)
+
+
+def test_helpers_give_fraction_subclasses_the_plain_operator():
+    class Tagged(Fraction):
+        def _tag(self, other):
+            return "plain operator"
+
+        __add__ = __radd__ = __sub__ = __rsub__ = _tag
+        __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _tag
+
+    for name, (helper, _) in HELPERS.items():
+        for other in (Fraction(2, 3), 5):
+            assert helper(Tagged(1, 2), other) == "plain operator", name
+            assert helper(other, Tagged(1, 2)) == "plain operator", name
+
+
+def test_division_by_zero_raises_before_the_zero_dividend_shortcut():
+    for x in (Fraction(0), Fraction(3, 4), 0, 5):
+        with pytest.raises(ZeroDivisionError):
+            scalars._div(x, Fraction(0))
+    for x in (Fraction(0), Fraction(-3, 4)):
+        with pytest.raises(ZeroDivisionError):
+            scalars._div(x, 0)
+    assert scalars._div(Fraction(0), Fraction(-2, 3)) == 0
+    disc = Fraction(-7, 3)
+    for x in (QuadExt(0, 0, disc), QuadExt(1, 2, disc)):
+        for zero in (QuadExt(0, 0, disc), Fraction(0), 0):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+    for x in (Jet((Fraction(0), Fraction(0))), Jet((Fraction(2), Fraction(1)))):
+        for zero in (Jet((Fraction(0), Fraction(0))), Fraction(0), 0):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+    q0 = QuadExt(0, 0, disc)
+    for x in (Jet((q0, q0)), Jet((Jet((q0, q0)), Jet((q0, q0))))):
+        with pytest.raises(ZeroDivisionError):
+            x / x
+
+
+STDLIB_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_lax_y_runs_its_rationals_through_the_helpers(monkeypatch):
+    """A deterministic cost bound instead of a wall clock: over four lax-y
+    samples at most 3,000 stdlib Fraction arithmetic calls (the kernels
+    calling the operators make over 13,000), so a kernel that quietly falls
+    back to the stdlib dispatch fails here."""
+    configs = [verify.draw_sample(7, index) for index in range(4)]
+    calls = []
+    for name in STDLIB_ARITHMETIC:
+        real = Fraction.__dict__[name]
+        monkeypatch.setattr(
+            Fraction, name, lambda a, b, real=real: calls.append(1) or real(a, b)
+        )
+    results = [verify._eval_lax_y_sample(config) for config in configs]
+    monkeypatch.undo()
+    assert all(ok for ok, _, _ in results)
+    assert len(calls) <= 3000, len(calls)
