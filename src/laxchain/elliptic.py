@@ -14,12 +14,13 @@ callers evaluate sign +1 only and conjugate the results (see ``darboux``).
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .curves import SpectralCurve
 from .errors import AccuracyError, UnsupportedCurveError
-from .flows import rk4_run
+from .flows import _check_step, rk4_run
 from .scalars import Fraction, Jet, QuadExt, rational
 
 __all__ = [
@@ -124,9 +125,17 @@ def wp_init_bounded(curve):
 
 
 def _wp_rhs(curve):
-    """Vector field ``(wp, wp') -> (wp', F'(wp)/2)`` on the float curve."""
+    """Vector field ``(wp, wp') -> (wp', F'(wp)/2)`` on the float curve,
+    for the two-component list state that :func:`rk4_run` steps."""
     fcurve = curve.to_float()
-    return lambda vec: np.array((vec[1], fcurve.eval_derivative(vec[0], 1) / 2.0))
+    return lambda vec: [vec[1], fcurve.eval_derivative(vec[0], 1) / 2.0]
+
+
+def _check_target(name, value, start):
+    if not (isfinite(value) and value >= start):
+        raise ValueError(
+            f"{name}: must be finite and not behind the start y = {start}, got {value}"
+        )
 
 
 def wp_integrate(state, y, h):
@@ -135,10 +144,10 @@ def wp_integrate(state, y, h):
     Raises :class:`AccuracyError` if the energy drift exceeds the budget
     (the run is then untrustworthy, not merely imprecise).
     """
-    if y < state.y:
-        raise ValueError("target y must not be behind the current state")
+    _check_step(h)
+    _check_target("y", y, state.y)
     rhs = _wp_rhs(state.curve)
-    vec = np.array([state.wp, state.wp_prime], dtype=float)
+    vec = (state.wp, state.wp_prime)
     e0 = state.energy()
     remaining = y - state.y
     nsteps = int(remaining // h)
@@ -166,7 +175,9 @@ def wp_trajectory(state, y_max, h):
 
     Returns arrays ``(y, wp, wp_prime, energy_drift)`` ready for CSV output.
     """
-    steps = int(round(y_max / h))
+    _check_step(h)
+    _check_target("y_max", y_max, state.y)
+    steps = int(round((y_max - state.y) / h))
     states = np.empty((steps + 1, 2))
     states[0] = (state.wp, state.wp_prime)
     rk4_run(_wp_rhs(state.curve), states[0], h, steps, states)

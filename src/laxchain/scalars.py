@@ -51,6 +51,7 @@ __all__ = [
     "Fraction",
     "Jet",
     "QuadExt",
+    "floats_collide",
     "format_scalar",
     "is_degenerate_pair",
     "is_exact_scalar",
@@ -741,5 +742,20 @@ def is_degenerate_pair(a, b):
     b = scalar_value(b)
     if is_exact_scalar(a) and is_exact_scalar(b):
         return a == b
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) < NUMERIC_DEGENERACY_RTOL * max(1.0, abs(fa), abs(fb))
+    return floats_collide(float(a), float(b))
+
+
+def floats_collide(a, b):
+    """The float collision rule ``|a - b| < RTOL * max(1, |a|, |b|)``.
+
+    Written as three comparisons, so it holds for two floats and
+    elementwise for two float64 arrays alike.  Rounding ``RTOL * x`` is
+    monotone in ``x``, so the disjunction decides exactly as the max does;
+    a NaN gap collides with nothing.
+    """
+    gap = abs(a - b)
+    return (
+        (gap < NUMERIC_DEGENERACY_RTOL)
+        | (gap < NUMERIC_DEGENERACY_RTOL * abs(a))
+        | (gap < NUMERIC_DEGENERACY_RTOL * abs(b))
+    )

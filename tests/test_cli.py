@@ -400,6 +400,20 @@ def test_simulate_blowup_names_step_x_and_components(tmp_path, capsys):
     assert "in components [0, 2, 3, 4]" in err
 
 
+def test_simulate_readme_chain_past_its_pole(tmp_path, capsys):
+    # the README chain leaves the float range at step 1295 (a pole of gamma)
+    code = run_cli(
+        ["simulate", "--flow", "dkn", "--curve", "0,-1,0",
+         "--gamma=-0.82,-0.31,0.28,0.77", "--h", "1e-3", "--steps", "2000",
+         "--csv", str(tmp_path / "t.csv"), "--out", str(tmp_path / "s.json")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: non-finite state at integration step 1295 (x = 1.295) "
+        "in components [0, 1, 2, 3]\n"
+    )
+
+
 def test_commutant_sharp(tmp_path):
     out = tmp_path / "commutant.json"
     code = run_cli(

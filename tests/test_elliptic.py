@@ -198,3 +198,34 @@ def test_curve_jets_match_the_separate_formulas(rng):
                         assert [_deep_key(v) for v in got] == [
                             _deep_key(v) for v in want
                         ]
+
+
+BAD_STEPS = [0.0, -1e-3, float("nan"), float("inf")]
+BAD_TARGETS = [float("nan"), float("inf"), -0.5]
+
+
+@pytest.mark.parametrize("h", BAD_STEPS)
+def test_bad_step_size_is_refused(h):
+    branch = wp_init_bounded(THREE_ROOTS)
+    with pytest.raises(ValueError, match="^h: step size must be finite and positive"):
+        wp_integrate(branch, 0.5, h)
+    with pytest.raises(ValueError, match="^h: step size must be finite and positive"):
+        wp_trajectory(branch, 0.5, h)
+
+
+@pytest.mark.parametrize("target", BAD_TARGETS)
+def test_bad_target_is_refused(target):
+    branch = wp_init_bounded(THREE_ROOTS)
+    with pytest.raises(ValueError, match="^y: must be finite and not behind"):
+        wp_integrate(branch, target, 1e-3)
+    with pytest.raises(ValueError, match="^y_max: must be finite and not behind"):
+        wp_trajectory(branch, target, 1e-3)
+
+
+def test_trajectory_runs_from_the_branch_state_to_y_max():
+    forward = wp_integrate(wp_init_bounded(THREE_ROOTS), 0.25, 1e-3)
+    ys, wps, wpps, drift = wp_trajectory(forward, 0.5, 1e-3)
+    assert len(ys) == 251 and ys[0] == 0.25 and ys[-1] == pytest.approx(0.5)
+    assert (wps[0], wpps[0]) == (forward.wp, forward.wp_prime)
+    with pytest.raises(ValueError, match="^y_max"):
+        wp_trajectory(forward, 0.2, 1e-3)

@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from laxchain import elliptic, flows
 from laxchain.curves import SpectralCurve
-from laxchain.errors import DegenerateConfigurationError
+from laxchain.errors import AccuracyError, DegenerateConfigurationError
 from laxchain.flows import (
+    FLOWS,
+    SMALL_STATE_MAX,
     GammaChain,
     VWChain,
     chain_vw_rhs,
@@ -15,6 +19,7 @@ from laxchain.flows import (
     q_flow_rhs,
     reduced_flow2_gamma,
     rk4_integrate,
+    rk4_run,
     site_array,
     vn_from_gamma,
     vw_chain_from_gamma,
@@ -341,3 +346,140 @@ def test_trajectory_chain_roundtrip():
     c0 = traj.chain_at(0)
     assert c0.values == (2.0, 3.0, 5.0, 7.0)
     assert traj.x_at(10) == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_rk4_rejects_a_bad_step_size(h):
+    chain = GammaChain((1.0, 2.0, 3.0, 4.0), CUBIC)
+    with pytest.raises(ValueError, match="^h: step size must be finite and positive"):
+        rk4_integrate(chain, "dkn", h, 5)
+
+
+# ---------------------------------------------------------------------------
+# The list stepper (at most SMALL_STATE_MAX components) against the array one
+# ---------------------------------------------------------------------------
+
+README_CURVE = SpectralCurve.elliptic(0, -1, 0)
+
+
+def _stepped(monkeypatch, path, run):
+    """``run()`` with every state forced onto one stepper: its trajectory
+    states, or the type and text of the error it raised."""
+    monkeypatch.setattr(flows, "SMALL_STATE_MAX", 10**9 if path == "list" else 0)
+    try:
+        return run()
+    except (AccuracyError, DegenerateConfigurationError) as err:
+        return type(err), str(err), getattr(err, "sites", None)
+
+
+def _assert_same_outcome(monkeypatch, run):
+    on_list = _stepped(monkeypatch, "list", run)
+    on_array = _stepped(monkeypatch, "array", run)
+    if isinstance(on_list, np.ndarray):
+        assert isinstance(on_array, np.ndarray) and on_array.dtype == np.float64
+        assert np.array_equal(on_list, on_array)
+    else:
+        assert on_list == on_array
+    return on_list
+
+
+def _float_state(rng, flow, period):
+    """Sites spread evenly over [-1.5, 1.5), each moved by a random fifth of
+    the spacing, so that V stays moderate."""
+    gap = 3.0 / period
+    values = (-1.5 + gap * (n + rng.uniform(-0.2, 0.2)) for n in range(period))
+    chain = GammaChain(tuple(values), README_CURVE)
+    return chain if flow in ("dkn", "reduced_t2") else vw_chain_from_gamma(chain)
+
+
+@pytest.mark.parametrize("flow", FLOWS)
+def test_list_and_array_steppers_agree_bit_for_bit(rng, monkeypatch, flow):
+    """Periods 3 to SMALL_STATE_MAX + 1, each at a step size that the run
+    survives and at a coarse one that may end in a non-finite state."""
+    outcomes = []
+    for period in range(3, SMALL_STATE_MAX + 2):
+        state = _float_state(rng, flow, period)
+        for h in (1e-3 / period**2, 2e-2):
+            outcomes.append(_assert_same_outcome(
+                monkeypatch, lambda: rk4_integrate(state, flow, h, 40).states
+            ))
+    finished = [isinstance(x, np.ndarray) for x in outcomes]
+    assert all(finished[::2])
+    assert not all(finished[1::2])
+
+
+def test_wp_field_steppers_agree_bit_for_bit(monkeypatch):
+    """The two-component field (wp, wp') -> (wp', F'(wp)/2) on both steppers;
+    the array side converts the field's list to an array."""
+    branch = elliptic.wp_init_bounded(README_CURVE)
+    field = elliptic._wp_rhs(README_CURVE)
+    start = np.array([branch.wp, branch.wp_prime])
+
+    def run():
+        small = flows.SMALL_STATE_MAX > 2
+        rhs = field if small else (lambda y: np.array(field(y)))
+        out = np.empty((501, 2))
+        out[0] = start
+        rk4_run(rhs, start, 1e-2, 500, out)
+        return out
+
+    _assert_same_outcome(monkeypatch, run)
+
+
+def test_collision_at_a_later_stage_two_is_named_alike(monkeypatch):
+    """On F = z^3 - z the chain (0, a, 1, -3) keeps sites 0 and 2 on roots,
+    and site 1 obeys a' = a + 1 exactly, so RK4 gives a_i + 1 = (a_0 + 1) R^i.
+    a_0 is chosen so that the second stage of step 7 lands on site 2."""
+    h, step = 0.01, 7
+    growth = 1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
+    a0 = 2 / (1 + h / 2) / growth**step - 1
+    chain = GammaChain((0.0, a0, 1.0, -3.0), README_CURVE)
+    calls = []
+
+    def counted(gamma, curve):
+        calls.append(len(gamma))
+        return dkn_rhs(gamma, curve)
+
+    monkeypatch.setattr(flows, "dkn_rhs", counted)
+    outcome = _assert_same_outcome(
+        monkeypatch, lambda: rk4_integrate(chain, "dkn", h, 20).states
+    )
+    assert outcome == (
+        DegenerateConfigurationError,
+        f"at integration step {step}: gamma collision between sites 1 and 2",
+        (1, 2),
+    )
+    assert len(calls) == 2 * (4 * step + 2)  # both runs stop in stage 2
+
+
+def test_overflowing_flow2_squares_fail_alike(monkeypatch):
+    """|V| ~ 1e155 squares past the float range: a Python float's ``**``
+    would raise OverflowError, the stepper reports a non-finite state."""
+    state = VWChain((1e155, 2e155, -1.5e155, 1e155), (1.0, -1.0, 0.5, 0.0))
+    outcome = _assert_same_outcome(
+        monkeypatch, lambda: rk4_integrate(state, "flow2", 1e-3, 5).states
+    )
+    assert outcome[0] is AccuracyError
+    assert outcome[1].startswith("non-finite state at integration step 1 (x = 0.001)")
+
+
+def test_small_chains_step_without_numpy_in_the_loop(monkeypatch):
+    """A period-4 chain takes the list stepper: no ``np.isfinite`` call
+    inside the step loop, where the array stepper makes one per step."""
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    chain = GammaChain((-0.82, -0.31, 0.28, 0.77), README_CURVE)
+    rk4_integrate(chain, "dkn", 1e-3, 50)
+    assert calls == []
+    long_chain = GammaChain(
+        tuple(-0.9 + 1.8 * n / SMALL_STATE_MAX for n in range(SMALL_STATE_MAX + 1)),
+        README_CURVE,
+    )
+    rk4_integrate(long_chain, "dkn", 1e-5, 3)
+    assert len(calls) == 3

@@ -5,6 +5,7 @@ import struct
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from laxchain import scalars, verify
 from laxchain.scalars import (
     Jet,
     QuadExt,
+    floats_collide,
     format_scalar,
     is_degenerate_pair,
     is_exact_scalar,
@@ -255,6 +257,31 @@ def test_degeneracy_guard():
     assert not is_degenerate_pair(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
     assert is_degenerate_pair(1.0, 1.0 + 1e-16)
     assert not is_degenerate_pair(1.0, 1.0 + 1e-9)
+
+
+def _collide_by_max(a, b):
+    return abs(a - b) < scalars.NUMERIC_DEGENERACY_RTOL * max(1.0, abs(a), abs(b))
+
+
+def test_float_collision_rule_matches_the_max_form_on_floats_and_arrays():
+    """Gaps a few ulps either side of the threshold, at scales below, at and
+    above 1, signs mixed, plus zero, infinities and NaN."""
+    rtol = scalars.NUMERIC_DEGENERACY_RTOL
+    pairs = []
+    for base in (0.0, 0.3, -0.7, 1.0, -1.0, 1.5, 3.0e6, -2.5e-3, 7.0e200):
+        scale = max(1.0, abs(base))
+        for sign in (1.0, -1.0):
+            edge = base + sign * rtol * scale
+            for k in range(-3, 4):
+                pairs.append((base, edge + k * math.ulp(edge)))
+    inf, nan = math.inf, math.nan
+    pairs += [(inf, inf), (inf, 1.0), (-inf, inf), (nan, 1.0), (nan, nan), (0.0, -0.0)]
+    expected = [_collide_by_max(a, b) for a, b in pairs]
+    assert [floats_collide(a, b) for a, b in pairs] == expected
+    assert any(expected) and not all(expected)
+    a, b = (np.array(x) for x in zip(*pairs))
+    with np.errstate(invalid="ignore"):
+        assert floats_collide(a, b).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
