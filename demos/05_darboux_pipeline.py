@@ -17,6 +17,7 @@ from laxchain import (
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
+    crosscheck_window,
     darboux_data,
     eigenfunction_step,
     exact_wp_jet,
@@ -49,9 +50,9 @@ print("factorization residual zero:", factorization_check(data.truncated(0, 0)).
 # must reproduce exactly.
 
 # %%
-t_op = transformed_operator(data.truncated(0, 0))
-print("cross-check (formulas vs swapped product):", t_op.crosscheck_window().is_zero())
-win = t_op.operator.window(0, 3)
+flat = data.truncated(0, 0)
+print("cross-check (formulas vs swapped product):", crosscheck_window(flat).is_zero())
+win = transformed_operator(flat).window(0, 3)
 print("transformed-operator window (site 0 row):")
 for j in range(win.hi, win.lo - 1, -1):
     print(f"  T^{j:+d}:", format_scalar(win.coeff(j, 0)))

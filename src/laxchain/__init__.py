@@ -15,10 +15,10 @@ from .darboux import (
     ChainSolution,
     DarbouxData,
     SolutionConstants,
-    TransformedOperator,
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
+    crosscheck_window,
     darboux_data,
     eigenfunction_step,
     factorization_check,
@@ -47,7 +47,6 @@ from .errors import (
 from .flows import (
     FLOWS,
     GammaChain,
-    GammaJetChain,
     Trajectory,
     VWChain,
     chain_vw_rhs,

@@ -28,6 +28,7 @@ from .darboux import (
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
+    crosscheck_window,
     darboux_data,
     factorization_check,
     point_problem,
@@ -80,6 +81,16 @@ def _parse_rational(text, field):
         raise ConfigError(f"{field}: not a rational: {text!r}") from err
 
 
+def _parse_float_rational(text, field):
+    """A rational that a float can hold, returned exact (float commands)."""
+    value = _parse_rational(text, field)
+    try:
+        float(value)
+    except OverflowError as err:
+        raise ConfigError(f"{field}: {text!r} is beyond the float range") from err
+    return value
+
+
 def _parse_list(text, field, expect=None, parse=_parse_rational):
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
     if expect is not None and len(parts) != expect:
@@ -117,12 +128,12 @@ def _flow_problem(gamma):
             return f"sites {site} and {after} hold the same value {g}"
 
 
-def _chain_gamma(settings, purpose, problem):
+def _chain_gamma(settings, purpose, problem, parse=_parse_rational):
     """The ``chain.gamma`` values, refused with the message ``problem`` gives."""
     gamma_raw = settings.get("chain", "gamma")
     if gamma_raw is None:
         raise ConfigError(f"chain.gamma: required for {purpose}")
-    gamma = _parse_list(gamma_raw, "chain.gamma")
+    gamma = _parse_list(gamma_raw, "chain.gamma", parse=parse)
     message = problem(gamma)
     if message:
         raise ConfigError(f"chain.gamma: {message}")
@@ -167,10 +178,10 @@ class Settings:
             return self.file.get(section, key)
         return default
 
-    def curve(self):
+    def curve(self, parse=_parse_rational):
         raw = self.get("curve", "curve")
         if raw is not None:
-            coeffs = _parse_list(raw, "curve", expect=3)
+            coeffs = _parse_list(raw, "curve", expect=3, parse=parse)
         else:
             missing = [k for k in ("c2", "c1", "c0") if not self.file.has_option("curve", k)]
             if missing:
@@ -179,7 +190,7 @@ class Settings:
                     "(need exactly c2, c1, c0 for genus 1)"
                 )
             coeffs = tuple(
-                _parse_rational(self.file.get("curve", k), f"curve.{k}")
+                parse(self.file.get("curve", k), f"curve.{k}")
                 for k in ("c2", "c1", "c0")
             )
         return SpectralCurve.elliptic(*coeffs)
@@ -222,8 +233,9 @@ def _cmd_verify(args):
     samples = _parse_int(settings.get("verify", "samples", DEFAULT_SAMPLES), "samples", least=1)
     seed = _parse_int(settings.get("verify", "seed", DEFAULT_SEED), "seed", 0, 2**64)
     workers = _parse_int(settings.get("verify", "workers", 1), "workers", least=1)
-    max_num = _parse_int(settings.get("verify", "max_num", DEFAULT_MAX_NUM), "max_num", least=1)
-    max_den = _parse_int(settings.get("verify", "max_den", DEFAULT_MAX_DEN), "max_den", least=1)
+    # numpy draws the bounds as int64
+    max_num = _parse_int(settings.get("verify", "max_num", DEFAULT_MAX_NUM), "max_num", 1, 2**63)
+    max_den = _parse_int(settings.get("verify", "max_den", DEFAULT_MAX_DEN), "max_den", 1, 2**63)
     constants = settings.constants()
 
     if suite == "all":
@@ -331,7 +343,8 @@ def _cmd_simulate(args):
 
     if flow in ("dkn", "reduced_t2"):
         state = GammaChain(
-            _chain_gamma(settings, "gamma flows", _flow_problem), settings.curve()
+            _chain_gamma(settings, "gamma flows", _flow_problem, _parse_float_rational),
+            settings.curve(_parse_float_rational),
         )
     else:
         v_raw = settings.get("chain", "v")
@@ -339,7 +352,10 @@ def _cmd_simulate(args):
         if v_raw is None or w_raw is None:
             raise ConfigError("chain.v / chain.w: required for coupled flows")
         try:
-            state = VWChain(_parse_list(v_raw, "chain.v"), _parse_list(w_raw, "chain.w"))
+            state = VWChain(
+                _parse_list(v_raw, "chain.v", parse=_parse_float_rational),
+                _parse_list(w_raw, "chain.w", parse=_parse_float_rational),
+            )
         except ValueError as err:
             raise ConfigError(f"chain.v / chain.w: {err}") from err
 
@@ -421,7 +437,7 @@ def _cmd_commutant(args):
         )
         ok = result.dimension > 0 and verified
     elif variant == "flat":
-        r = _parse_list(settings.get("commutant", "r", "0,1"), "r", expect=2)
+        r = _parse_list(settings.get("commutant", "r", "0,1"), "r", 2, _parse_float_rational)
         try:
             op = flat_operator(r, genus)
         except AnsatzError as err:
@@ -479,7 +495,7 @@ def _elliptic_csv(ys, wps, wpps, drift):
 
 def _cmd_elliptic(args):
     settings = Settings(args)
-    curve = settings.curve()
+    curve = settings.curve(_parse_float_rational)
     y_max = _parse_float(settings.get("elliptic", "y_max", 20.0), "y_max")
     if not 0 <= y_max < math.inf:
         raise ConfigError(f"y_max: must be finite and >= 0, got {y_max}")
@@ -521,17 +537,16 @@ def _cmd_darboux(args):
         [format_scalar(r) for r in chain_residuals(sol, n)] for n in range(chain.period)
     ]
     flat = data.truncated(0, 0)
-    transformed = transformed_operator(flat)
     payload = {
         "curve": dict(zip(("c0", "c1", "c2"), map(format_scalar, curve.coeffs))),
         "gamma": [format_scalar(g) for g in gamma],
         "z0": format_scalar(z0),
         "solved_constants": {k: format_scalar(getattr(solved, k)) for k in ("s0", "k0", "p0")},
-        "transformed_operator": transformed.operator.window(
+        "transformed_operator": transformed_operator(flat).window(
             0, chain.period - 1
         ).to_json_dict(),
         "factorization_zero": factorization_check(flat).is_zero(),
-        "crosscheck_zero": transformed.crosscheck_window().is_zero(),
+        "crosscheck_zero": crosscheck_window(flat).is_zero(),
         "lax_x_zero": commutator_x_check(data).is_zero(),
         "lax_y_zero": commutator_y_check(data, solved).is_zero(),
         "chain_residuals": residuals,

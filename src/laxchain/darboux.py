@@ -18,8 +18,8 @@ The factorization being transformed is
 
 with chi1(n) = -V_n (z0 - gamma_{n+1})/(z0 - gamma_n) and
 chi2(n) = w/(z0 - gamma_n), w^2 = F(z0).  Swapping the factors and adding
-z0 yields the transformed operator, whose four explicit band formulas are
-cross-checked against the swapped product on every run.  chi1, chi2, those
+z0 yields the transformed operator; :func:`crosscheck_window` checks its
+four explicit band formulas against the swapped product.  chi1, chi2, those
 bands, b_n and f_n without its tail are ``DarbouxData`` methods
 behind one per-site memo, sharing the memoised gaps z0 - gamma_n.
 
@@ -27,9 +27,9 @@ The chain equations are zero curvature: :func:`chain_residuals` reads them
 from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
 B = T + f.  The Lax residuals (the x and y brackets here, the fourth-order
 one in ``verify``) are built by :func:`lax_operator`, which takes dL and,
-cut by one jet order, L from one operator; :func:`lax_window` reads it on
-one period.  Both :func:`chain_residuals` and :func:`lax_operator` assemble
-their bracket with ``operators.lax_residual``.
+cut by one jet order, L from one operator; the checks read it on one period
+with ``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
+assemble their bracket with ``operators.lax_residual``.
 
 Both signs of w are certified from one evaluation.  On the exact path w
 enters only through the curve-point jet, and every formula here is a
@@ -60,17 +60,16 @@ __all__ = [
     "ChainSolution",
     "DarbouxData",
     "SolutionConstants",
-    "TransformedOperator",
     "chain_problem",
     "chain_residuals",
     "commutator_x_check",
     "commutator_y_check",
     "commutator_y_residual",
+    "crosscheck_window",
     "darboux_data",
     "eigenfunction_step",
     "factorization_check",
     "lax_operator",
-    "lax_window",
     "point_problem",
     "rank2_solution",
     "solve_tail_constants",
@@ -240,17 +239,17 @@ def darboux_data(jet_chain, wp_jet):
     distinct, z0 off the chain, and the chain off the curve's branch points
     (V_n must be invertible for the factor coefficients).
     """
-    if jet_chain.order < 1:
+    x_ord = jet_chain.values[0].order - 1
+    if x_ord < 0:
         raise ValueError("gamma jets must carry at least one derivative")
     if wp_jet.order < 1:
         raise ValueError("the curve-point jet must carry at least one derivative")
-    x_ord = jet_chain.order - 1
     y_ord = wp_jet.order - 1
     base = wp_jet.coeffs[0]
     zero = base - base
     period = jet_chain.period
 
-    raw = [jet_chain.jets[n].coeffs for n in range(period)]
+    raw = [j.coeffs for j in jet_chain.values]
     for n in range(period):
         after = (n + 1) % period
         if is_degenerate_pair(raw[n][0], raw[after][0]):
@@ -363,12 +362,9 @@ def factorization_check(data):
     return residual.window(0, data.period - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedOperator:
-    """The Darboux-transformed operator, in explicit band form.
-
-    ``operator`` has bands ``T^2 + A1 T + A0 + A_{-1} T^{-1} + A_{-2} T^{-2}``
-    with
+def transformed_operator(data):
+    """The Darboux-transformed operator, in explicit band form:
+    ``T^2 + A1 T + A0 + A_{-1} T^{-1} + A_{-2} T^{-2}`` with
 
         A1   = (gamma_{n+2} - gamma_n) z0' / ((z0 - gamma_n)(z0 - gamma_{n+2})),
         A0   = (V_n (z0 - gamma_{n+1})^2 + V_{n+1} (z0 - gamma_n)^2 - F(z0))
@@ -379,25 +375,19 @@ class TransformedOperator:
 
     where z0' is the y-derivative jet of the curve point (w on the exact
     path); the bands are the memoised ``DarbouxData`` methods ``a1``,
-    ``a0``, ``am1`` and ``d``.  ``crosscheck_window`` compares these
-    formulas against the swapped factor product plus z0 over one period,
-    which must agree exactly.
+    ``a0``, ``am1`` and ``d``.
     """
-
-    operator: DifferenceOperator
-    data: DarbouxData
-
-    def crosscheck_window(self):
-        swapped = compose(_right_factor(self.data), _left_factor(self.data))
-        z_term = DifferenceOperator.from_bands({0: lambda n: self.data.z0})
-        return (self.operator - (swapped + z_term)).window(0, self.data.period - 1)
-
-
-def transformed_operator(data):
-    op = DifferenceOperator.from_bands(
+    return DifferenceOperator.from_bands(
         {2: lambda n: 1, 1: data.a1, 0: data.a0, -1: data.am1, -2: data.d}
     )
-    return TransformedOperator(operator=op, data=data)
+
+
+def crosscheck_window(data):
+    """One-period window of :func:`transformed_operator` minus the swapped
+    factor product plus z0; exactly zero when the band formulas hold."""
+    swapped = compose(_right_factor(data), _left_factor(data))
+    z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
+    return (transformed_operator(data) - (swapped + z_term)).window(0, data.period - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +532,6 @@ def lax_operator(l_op, axis, a_op):
     return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op)
 
 
-def lax_window(l_op, axis, a_op, period):
-    """Window on sites ``0..period-1`` of :func:`lax_operator`."""
-    return lax_operator(l_op, axis, a_op).window(0, period - 1)
-
-
 def commutator_x_check(data):
     """One-period window of the x-Lax residual
     ``d/dx(Ltilde) + [Ltilde, b T^{-1} + d T^{-2}]``.
@@ -559,7 +544,7 @@ def commutator_x_check(data):
     d_hi = data.truncated(data.x_order, 0)
     d_lo = d_hi.truncated(data.x_order - 1, 0)
     c_op = DifferenceOperator.from_bands({-1: d_lo.b, -2: d_lo.d})
-    return lax_window(transformed_operator(d_hi).operator, "x", c_op, data.period)
+    return lax_operator(transformed_operator(d_hi), "x", c_op).window(0, data.period - 1)
 
 
 def commutator_y_residual(data, constants=None):
@@ -574,7 +559,7 @@ def commutator_y_residual(data, constants=None):
     d_hi = data.truncated(0, data.y_order)
     sol = rank2_solution(d_hi.truncated(0, data.y_order - 1), constants)
     b_op = DifferenceOperator.from_bands({1: lambda n: 1, 0: sol.f})
-    return lax_operator(transformed_operator(d_hi).operator, "y", b_op)
+    return lax_operator(transformed_operator(d_hi), "y", b_op)
 
 
 def commutator_y_check(data, constants=None):

@@ -72,7 +72,6 @@ __all__ = [
     "FLOWS",
     "SMALL_STATE_MAX",
     "GammaChain",
-    "GammaJetChain",
     "Trajectory",
     "VWChain",
     "chain_vw_rhs",
@@ -96,7 +95,7 @@ def _normalize_value(v):
 
 @dataclass(frozen=True)
 class GammaChain:
-    """N-periodic site values gamma_0..gamma_{N-1} tied to a genus-1 curve."""
+    """N-periodic site values gamma_0..gamma_{N-1} (numbers or x-jets) on a curve."""
 
     values: tuple
     curve: SpectralCurve
@@ -114,25 +113,6 @@ class GammaChain:
 
     def gamma(self, n):
         return self.values[n % self.period]
-
-
-@dataclass(frozen=True)
-class GammaJetChain:
-    """Chain whose sites carry jets (value and x-derivatives) of gamma_n."""
-
-    jets: tuple
-    curve: SpectralCurve
-
-    @property
-    def period(self):
-        return len(self.jets)
-
-    @property
-    def order(self):
-        return self.jets[0].order
-
-    def gamma(self, n):
-        return self.jets[n % self.period]
 
 
 @dataclass(frozen=True)
@@ -356,7 +336,7 @@ def q_flow_rhs(q_prev, q_next, v_n):
 
 
 def prolong_gamma_jets(chain, order=2):
-    """Taylor jets of every gamma_n along the dKN flow, to ``order`` <= 3.
+    """The chain of Taylor jets of gamma_n along the dKN flow, to ``order`` <= 3.
 
     The k-th pass evaluates the right-hand side in jet arithmetic at the
     current order-(k-1) jets, which yields all derivatives through order k in
@@ -369,7 +349,7 @@ def prolong_gamma_jets(chain, order=2):
     for _ in range(order):
         rhs = dkn_rhs(site_array(jets), chain.curve)
         jets = [Jet((v,) + d.coeffs) for v, d in zip(chain.values, rhs)]
-    return GammaJetChain(tuple(jets), chain.curve)
+    return GammaChain(tuple(jets), chain.curve)
 
 
 # ---------------------------------------------------------------------------

@@ -64,20 +64,6 @@ class DifferenceOperator:
         table = dict(bands)
         return cls.from_bands({j: (lambda n, c=c: c) for j, c in table.items()})
 
-    @classmethod
-    def identity(cls):
-        return cls.from_constant_bands({0: 1})
-
-    @classmethod
-    def shift(cls, power=1):
-        """``T**power`` (negative powers shift backwards)."""
-        return cls.from_constant_bands({power: 1})
-
-    @classmethod
-    def diagonal(cls, provider):
-        """Multiplication operator ``u(n) * I``."""
-        return cls.from_bands({0: provider})
-
     def band_coeff(self, j, n):
         """Coefficient with out-of-band lookups returning 0."""
         if j < self.lo or j > self.hi:
@@ -102,14 +88,6 @@ class DifferenceOperator:
 
     def __neg__(self):
         return DifferenceOperator(self.lo, self.hi, lambda j, n: -self.coeff(j, n))
-
-    def scaled(self, factor):
-        return DifferenceOperator(
-            self.lo, self.hi, lambda j, n: factor * self.coeff(j, n)
-        )
-
-    def __matmul__(self, other):
-        return compose(self, other)
 
     def map_coeffs(self, fn):
         """New operator with ``fn`` applied to every coefficient."""
@@ -142,7 +120,7 @@ class DifferenceOperator:
 
 
 def compose(a, b):
-    """Operator product ``a @ b``: coefficient of ``T^k`` at ``n`` is
+    """Operator product ``a b``: coefficient of ``T^k`` at ``n`` is
     ``sum_j a_j(n) * b_{k-j}(n + j)`` over the ``j`` where both bands are
     present, summed from the first term (an empty sum is 0).
 
@@ -170,7 +148,7 @@ def compose(a, b):
 
 
 def commutator(a, b):
-    """``[a, b] = a@b - b@a``."""
+    """``[a, b] = a b - b a``."""
     return compose(a, b) - compose(b, a)
 
 
@@ -196,7 +174,7 @@ def build_l4(v_provider, w_provider):
     band formulas, so the expansion itself is exercised.
     """
     factor = DifferenceOperator.from_bands({1: lambda n: 1, -1: v_provider})
-    return compose(factor, factor) + DifferenceOperator.diagonal(w_provider)
+    return compose(factor, factor) + DifferenceOperator.from_bands({0: w_provider})
 
 
 @dataclass(frozen=True, eq=False)

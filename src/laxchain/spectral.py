@@ -261,7 +261,10 @@ class CommutantAnsatz:
 class ExactCommutantResult:
     ansatz: CommutantAnsatz
     basis: tuple  # PolynomialBandOperator per nullspace vector
-    dimension: int
+
+    @property
+    def dimension(self):
+        return len(self.basis)
 
     def spans(self, candidate_bands):
         """True if the candidate ``{band: coefficients}`` lies in the span
@@ -371,9 +374,7 @@ def commutant_solve_exact(l_op, ansatz):
                 cur[d] = c
                 bands[j] = tuple(cur)
         basis.append(PolynomialBandOperator(bands))
-    return ExactCommutantResult(
-        ansatz=ansatz, basis=tuple(basis), dimension=len(basis)
-    )
+    return ExactCommutantResult(ansatz=ansatz, basis=tuple(basis))
 
 
 def exact_commutator_is_zero(l_op, x_op):

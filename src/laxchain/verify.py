@@ -32,13 +32,14 @@ from .darboux import (
     commutator_x_check,
     commutator_y_check,
     commutator_y_residual,
+    crosscheck_window,
     darboux_data,
     factorization_check,
-    lax_window,
+    lax_operator,
     point_problem,
     rank2_solution,
     solve_tail_constants,
-    transformed_operator,
+    transformed_operator,  # unused here; bench/tracing.py wraps this binding
 )
 from .elliptic import exact_wp_jet, wp_init_bounded, wp_integrate, wp_jet_numeric
 from .errors import AccuracyError, ConfigError
@@ -265,9 +266,7 @@ def _eval_chain_sample(config):
 def _eval_factorization_sample(config):
     # the factorization and the band cross-check are pointwise identities
     data = _sample_data(config, 0, 0)
-    ok, worst = _windows_zero(
-        [factorization_check(data), transformed_operator(data).crosscheck_window()]
-    )
+    ok, worst = _windows_zero([factorization_check(data), crosscheck_window(data)])
     return ok, worst, {}
 
 
@@ -314,12 +313,12 @@ def l4_lax_residual_window(chain):
     derivative taken from order-2 jets.  Exactly zero when the chain follows
     the lattice flow.
     """
-    sites = site_array(prolong_gamma_jets(chain, 2).jets)
+    sites = site_array(prolong_gamma_jets(chain, 2).values)
     vs, ws = vn_from_gamma(sites, chain.curve), wn_from_gamma(sites, chain.curve)
     v = lambda n: vs[n % chain.period]
     w = lambda n: ws[n % chain.period]
     a_op = DifferenceOperator.from_bands({-2: lambda n: (v(n - 1) * v(n)).truncate(1)})
-    return lax_window(build_l4(v, w), "x", a_op, chain.period)
+    return lax_operator(build_l4(v, w), "x", a_op).window(0, chain.period - 1)
 
 
 def _eval_lax_l4_sample(config):
@@ -416,9 +415,11 @@ def run_suite(
 ):
     """Run one exact suite; samples are independent, so ``workers > 1`` farms
     them out to a process pool and a single collector assembles the report
-    (identical output regardless of worker count)."""
+    (identical output regardless of worker count).  The pool is no wider
+    than ``samples``: a fork-based pool starts all its workers at once."""
     _suite_eval(suite)
     tasks = [(suite, seed, i, max_num, max_den, constants) for i in range(samples)]
+    workers = min(workers, samples)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

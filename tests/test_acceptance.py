@@ -178,8 +178,8 @@ def test_criterion4_spectral_conservation():
     for cfg in _configs():
         chain = GammaChain(cfg.gamma, cfg.curve)
         jets = prolong_gamma_jets(chain, 2)
-        v_jets = vn_from_gamma(site_array(jets.jets), chain.curve)
-        w_jets = wn_from_gamma(site_array(jets.jets), chain.curve)
+        v_jets = vn_from_gamma(site_array(jets.values), chain.curve)
+        w_jets = wn_from_gamma(site_array(jets.values), chain.curve)
         v = vn_from_gamma(site_array(chain.values), chain.curve)
         w = wn_from_gamma(site_array(chain.values), chain.curve)
         p = chain.period
@@ -229,7 +229,7 @@ def test_criterion5_reduction_consistency():
         vw = vw_chain_from_gamma(chain)
         v_sites, w_sites = site_array(vw.v), site_array(vw.w)
         gamma = site_array(chain.values)
-        jets1 = site_array(prolong_gamma_jets(chain, 1).jets)
+        jets1 = site_array(prolong_gamma_jets(chain, 1).values)
         v1, w1 = vn_from_gamma(jets1, chain.curve), wn_from_gamma(jets1, chain.curve)
         v = vn_from_gamma(gamma, chain.curve)
         dgamma = dkn_rhs(gamma, chain.curve)

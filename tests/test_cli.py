@@ -242,6 +242,17 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         (SIMULATE + ["--steps", "100000000000000000000"], "steps: 1e+20 steps"),
         (["elliptic", "--curve", "0,0,1"], "curve: bounded branch needs three real roots"),
         (["elliptic", "--curve", "0,0,0"], "curve: bounded branch needs three distinct"),
+        (["simulate", "--flow", "dkn", "--curve", "0,-1,0", "--gamma=1e400,2,3,4"],
+         "chain.gamma[0]: '1e400' is beyond the float range"),
+        (["simulate", "--flow", "dkn", "--curve", "1e400,-1,0", "--gamma=1,2,3,4"],
+         "curve[0]: '1e400' is beyond the float range"),
+        (["simulate", "--flow", "vw", "--v=1e400,1,1", "--w=1,2,3"],
+         "chain.v[0]: '1e400' is beyond the float range"),
+        (["elliptic", "--curve", "1e400,-1,0"], "curve[0]: '1e400' is beyond the float range"),
+        (["commutant", "--variant", "flat", "--r", "1e400,1"],
+         "r[0]: '1e400' is beyond the float range"),
+        (VERIFY + ["--max-num", str(2**63)], f"max_num: must be < {2**63}"),
+        (VERIFY + ["--max-den", str(2**63)], f"max_den: must be < {2**63}"),
     ],
     ids=[
         "verify-samples-0", "verify-workers-0", "verify-max-num-0",
@@ -263,6 +274,9 @@ UNREADABLE = os.path.join(os.devnull, "missing")
         "simulate-unknown-flow", "commutant-unknown-variant",
         "simulate-h-inf", "elliptic-h-inf", "elliptic-h-tiny", "elliptic-steps-overflow",
         "simulate-steps-huge", "elliptic-complex-roots", "elliptic-repeated-root",
+        "simulate-gamma-beyond-float", "simulate-curve-beyond-float",
+        "simulate-vw-beyond-float", "elliptic-curve-beyond-float", "flat-r-beyond-float",
+        "verify-max-num-2-63", "verify-max-den-2-63",
     ],
 )
 def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):
@@ -277,6 +291,14 @@ def test_out_of_range_input_is_config_error(tmp_path, capsys, args, field):
     assert field in err
     assert "Traceback" not in err
     assert not out.exists() and not csv_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-num", "--max-den"])
+def test_draw_bound_just_below_2_63_is_accepted(tmp_path, flag):
+    """numpy draws the bounds as int64, so 2**63 - 1 is the largest bound."""
+    out = tmp_path / "report.json"
+    assert run_cli(VERIFY + [flag, str(2**63 - 1), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passes"] == 1
 
 
 # One admissibility rule, two doors: ``darboux`` and a ``--replay`` dump of

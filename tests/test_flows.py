@@ -151,7 +151,7 @@ def test_first_flow_reduction_consistency(rng):
     coupled-system right-hand side, exactly."""
     for _ in range(10):
         chain = random_chain(rng)
-        jets = site_array(prolong_gamma_jets(chain, 1).jets)
+        jets = site_array(prolong_gamma_jets(chain, 1).values)
         vw = vw_chain_from_gamma(chain)
         v_jets = vn_from_gamma(jets, chain.curve)
         w_jets = wn_from_gamma(jets, chain.curve)
@@ -206,9 +206,9 @@ def test_prolong_first_coefficients_match_rhs(rng):
     jets = prolong_gamma_jets(chain, 2)
     rhs = dkn_rhs(site_array(chain.values), chain.curve)
     for n in range(chain.period):
-        assert jets.jets[n].coeffs[1] == rhs[n]
-    assert jets.order == 2
-    assert tuple(j.value() for j in jets.jets) == chain.values
+        assert jets.values[n].coeffs[1] == rhs[n]
+    assert jets.values[0].order == 2
+    assert tuple(j.value() for j in jets.values) == chain.values
 
 
 def test_prolong_rejects_bad_order():
@@ -222,7 +222,7 @@ def test_prolong_rejects_bad_order():
 def test_prolong_fixed_point_has_zero_derivatives():
     chain = GammaChain((1, 3, 1, 3), CUBIC)
     jets = prolong_gamma_jets(chain, 2)
-    for jet in jets.jets:
+    for jet in jets.values:
         assert jet.coeffs[1] == 0
         assert jet.coeffs[2] == 0
 
@@ -238,7 +238,7 @@ def test_prolong_second_coefficient_vs_finite_difference():
     rhs_plus = dkn_rhs(site_array(traj.chain_at(2).values), curve)
     for n in range(4):
         fd = (rhs_plus[n] - rhs_minus[n]) / (2 * h)
-        assert jets.jets[n].coeffs[2] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        assert jets.values[n].coeffs[2] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_spectral_value_constant_under_jets(rng):
@@ -251,8 +251,8 @@ def test_spectral_value_constant_under_jets(rng):
         q = [
             QPolynomial.from_gamma(jets.gamma(n)) for n in range(chain.period)
         ]
-        v = vn_from_gamma(site_array(jets.jets), chain.curve)
-        w = wn_from_gamma(site_array(jets.jets), chain.curve)
+        v = vn_from_gamma(site_array(jets.values), chain.curve)
+        w = wn_from_gamma(site_array(jets.values), chain.curve)
         val = q_conserved_value(
             q[-1 % chain.period],
             q[0],

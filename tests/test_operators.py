@@ -34,8 +34,8 @@ def random_small_operator(rng, max_band=1):
 
 def test_compose_identity():
     b = const_op({1: Fraction(2), 0: Fraction(-1), -1: Fraction(3)})
-    assert compose(DifferenceOperator.identity(), b).window(-3, 3) == b.window(-3, 3)
-    assert compose(b, DifferenceOperator.identity()).window(-3, 3) == b.window(-3, 3)
+    assert compose(const_op({0: 1}), b).window(-3, 3) == b.window(-3, 3)
+    assert compose(b, const_op({0: 1})).window(-3, 3) == b.window(-3, 3)
 
 
 def test_compose_shift_squared():
@@ -46,8 +46,8 @@ def test_compose_shift_squared():
 
 
 def test_compose_shift_acts_on_coefficient_argument():
-    u = DifferenceOperator.diagonal(lambda n: Fraction(n))
-    shifted = compose(DifferenceOperator.shift(1), u)
+    u = DifferenceOperator.from_bands({0: lambda n: Fraction(n)})
+    shifted = compose(const_op({1: 1}), u)
     # T u(n) = u(n+1) T
     for n in range(-3, 4):
         assert shifted.coeff(1, n) == n + 1
@@ -55,16 +55,16 @@ def test_compose_shift_acts_on_coefficient_argument():
 
 
 def test_commutator_basics():
-    t = DifferenceOperator.shift(1)
-    t_inv = DifferenceOperator.shift(-1)
+    t = const_op({1: 1})
+    t_inv = const_op({-1: 1})
     assert commutator(t, t_inv).window(-3, 3).is_zero()
     a = const_op({1: Fraction(2), -1: Fraction(5)})
     assert commutator(a, a).window(-3, 3).is_zero()
 
 
 def test_commutator_with_site_diagonal():
-    t = DifferenceOperator.shift(1)
-    n_diag = DifferenceOperator.diagonal(lambda n: Fraction(n))
+    t = const_op({1: 1})
+    n_diag = DifferenceOperator.from_bands({0: lambda n: Fraction(n)})
     c = commutator(t, n_diag)
     # [T, n I] = ((n+1) - n) T = T
     for n in range(-5, 6):
@@ -78,7 +78,7 @@ def test_lax_residual_trivial_and_derivative_only():
     zero_a = const_op({0: Fraction(0)})
     assert lax_residual(l_op, zero_t, zero_a).window(-2, 2).is_zero()
 
-    l_t = DifferenceOperator.diagonal(lambda n: Fraction(n))
+    l_t = DifferenceOperator.from_bands({0: lambda n: Fraction(n)})
     res = lax_residual(l_op, l_t, zero_a)
     assert res.window(0, 5).max_abs() == l_t.window(0, 5).max_abs() == 5
 
@@ -111,10 +111,10 @@ def test_build_l4_matches_hand_bands(rng):
 
 def test_apply():
     psi = lambda n: Fraction(n)
-    assert DifferenceOperator.identity().apply(psi, 4) == 4
+    assert const_op({0: 1}).apply(psi, 4) == 4
     t_pair = const_op({1: 1, -1: 1})
     assert t_pair.apply(lambda n: Fraction(3), 0) == 6
-    assert DifferenceOperator.shift(2).apply(psi, 3) == 5
+    assert const_op({2: 1}).apply(psi, 3) == 5
 
 
 def test_max_band_norm():
@@ -186,9 +186,6 @@ def test_operator_arithmetic():
     assert d.coeff(1, 0) == -2
     n = -b
     assert n.coeff(1, 5) == -2
-    scaled = b.scaled(Fraction(1, 2))
-    assert scaled.coeff(1, 0) == 1
-    assert (a @ b).coeff(1, 0) == 2
 
 
 def test_empty_band_rejected():
@@ -197,7 +194,7 @@ def test_empty_band_rejected():
     with pytest.raises(ValueError):
         DifferenceOperator.from_bands({})
     with pytest.raises(ValueError):
-        OperatorWindow.from_operator(DifferenceOperator.identity(), 3, 1)
+        OperatorWindow.from_operator(const_op({0: 1}), 3, 1)
 
 
 def sparse_operator(rng, density):
@@ -240,7 +237,7 @@ def test_first_nonzero_reads_the_window_in_row_major_order(rng):
 
 def test_first_nonzero_rejects_a_reversed_range():
     with pytest.raises(ValueError, match="empty site range"):
-        DifferenceOperator.identity().first_nonzero(3, 1)
+        const_op({0: 1}).first_nonzero(3, 1)
 
 
 def test_first_nonzero_evaluates_nothing_past_its_hit():

@@ -414,7 +414,7 @@ def test_commutant_errors():
     with pytest.raises(AnsatzError):
         CommutantAnsatz(-1, 0)
     with pytest.raises(AnsatzError):
-        commutant_solve_exact(DifferenceOperator.identity(), CommutantAnsatz(1, 1))
+        commutant_solve_exact(DifferenceOperator.from_constant_bands({0: 1}), CommutantAnsatz(1, 1))
     with pytest.raises(AnsatzError):
         commutant_solve_exact(tt, CommutantAnsatz(1, 1))  # bands, not an operator
 

@@ -131,6 +131,37 @@ def test_workers_produce_identical_reports():
         assert serial == parallel
 
 
+def test_pool_is_never_wider_than_the_samples(monkeypatch):
+    """A fork-based pool starts all its workers at its first task, so a run
+    asks for at most one worker per sample, and for no pool when that is
+    one; the reports are the serial ones."""
+    import concurrent.futures
+
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for samples, workers, width in ((3, 8, 3), (3, 2, 2), (1, 8, None)):
+        widths.clear()
+        serial = run_all(samples=samples, seed=4)
+        assert widths == []
+        pooled = run_all(samples=samples, seed=4, workers=workers)
+        assert widths == ([width] * len(SUITES) if width else [])
+        assert report_to_json(pooled) == report_to_json(serial)
+
+
 def test_replay_from_dump():
     cfg = draw_sample(seed=31, index=0)
     for suite in ("factorization", "lax-l4"):
@@ -149,16 +180,16 @@ def test_l4_lax_exact(rng):
 
 def test_l4_lax_requires_flow():
     # without the V_{n-1} V_n T^{-2} term the bracket cannot cancel dL/dx
-    from laxchain.darboux import lax_window
+    from laxchain.darboux import lax_operator
     from laxchain.flows import prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
     from laxchain.operators import build_l4, DifferenceOperator
 
     chain = GammaChain((1, 2, 3, 5), SpectralCurve.elliptic(0, 0, 0))
-    jets = site_array(prolong_gamma_jets(chain, 2).jets)
+    jets = site_array(prolong_gamma_jets(chain, 2).values)
     vs, ws = vn_from_gamma(jets, chain.curve), wn_from_gamma(jets, chain.curve)
     l4 = build_l4(lambda n: vs[n % 4], lambda n: ws[n % 4])
     zero_a = DifferenceOperator.from_constant_bands({0: 0})
-    assert not lax_window(l4, "x", zero_a, chain.period).is_zero()
+    assert not lax_operator(l4, "x", zero_a).window(0, chain.period - 1).is_zero()
 
 
 def test_numeric_convergence_orders():
@@ -244,8 +275,8 @@ def _gamma0_prime_plus_one(monkeypatch):
 
     def off(chain, order=2):
         jets = real(chain, order)
-        c = jets.jets[0].coeffs
-        return replace(jets, jets=(Jet((c[0], c[1] + 1) + c[2:]),) + jets.jets[1:])
+        c = jets.values[0].coeffs
+        return replace(jets, values=(Jet((c[0], c[1] + 1) + c[2:]),) + jets.values[1:])
 
     monkeypatch.setattr(verify_mod, "prolong_gamma_jets", off)
 
@@ -322,7 +353,7 @@ def _ref_factorization(config):
         for data in _ref_sample_data(config, chain_order=1):
             data = data.truncated(0, 0)
             yield verify_mod.factorization_check(data)
-            yield verify_mod.transformed_operator(data).crosscheck_window()
+            yield verify_mod.crosscheck_window(data)
 
     ok, worst = _ref_windows_zero(windows())
     return ok, worst, {}
