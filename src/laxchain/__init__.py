@@ -31,7 +31,6 @@ from .elliptic import (
     exact_wp_jet,
     wp_init_bounded,
     wp_integrate,
-    wp_jet_numeric,
     wp_trajectory,
 )
 from .errors import (

@@ -3,8 +3,8 @@
 Everything here evaluates identities pointwise in (x, y) at jet-equipped
 sample configurations: gamma carries x-jets along the lattice flow, the curve
 point z0 carries y-jets along the Weierstrass-type ODE, and all site
-quantities live in the nested jet field Jet_x(Jet_y(base)) whose base is the
-quadratic extension Q(w) (exact path) or floats (numeric path).  Chain
+quantities live in the nested jet field Jet_x(Jet_y(base)) whose base is
+the quadratic extension Q(w), or Q itself for a rational curve point.  Chain
 values enter that field by arithmetic, as ``zero + c`` with ``zero`` the
 point's own zero, so no code path switches on the scalar type.  A rational
 identity that evaluates to exactly zero at random rational configurations is
@@ -31,16 +31,16 @@ cut by one jet order, L from one operator; the checks read it on one period
 with ``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
 assemble their bracket with ``operators.lax_residual``.
 
-Both signs of w are certified from one evaluation.  On the exact path w
-enters only through the curve-point jet, and every formula here is a
-rational expression over Q in the jet coefficients of the chain and of that
-point.  The map sigma: a + b w -> a - b w is a field automorphism of Q(w)
-that fixes Q, so it commutes with every such expression: the results at the
-sign -1 jet are sigma of the results at the sign +1 jet, coefficient by
-coefficient (``Jet.conjugate``).  Every zero test is sigma-invariant, since
-sigma is injective (x = 0 exactly when sigma(x) = 0), so no branch taken
-here depends on the sign.  Code that broke this -- a branch on the sign of
-a component, a float taken before a zero test -- would make the two signs
+Both signs of w are certified from one evaluation.  w enters only through
+the curve-point jet, and every formula here is a rational expression over Q
+in the jet coefficients of the chain and of that point.  The map
+sigma: a + b w -> a - b w is a field automorphism of Q(w) that fixes Q, so
+it commutes with every such expression: the results at the sign -1 jet are
+sigma of the results at the sign +1 jet, coefficient by coefficient
+(``Jet.conjugate``).  Every zero test is sigma-invariant, since sigma is
+injective (x = 0 exactly when sigma(x) = 0), so no branch taken here
+depends on the sign.  Code that broke this -- a branch on the sign of a
+component, a float taken before a zero test -- would make the two signs
 disagree; a differential test in the test suite runs both signs in full
 against ``verify``'s evaluators to catch it.
 """
@@ -54,7 +54,7 @@ from .elliptic import exact_wp_jet
 from .errors import DegenerateConfigurationError, PoleError
 from .flows import GammaChain, prolong_gamma_jets, site_array, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
-from .scalars import Jet, is_degenerate_pair
+from .scalars import Jet
 
 __all__ = [
     "ChainSolution",
@@ -227,17 +227,16 @@ class DarbouxData:
 def darboux_data(jet_chain, wp_jet):
     """Assemble the nested-jet configuration from source jets.
 
-    ``jet_chain`` carries x-jets of gamma (order K >= 1); ``wp_jet`` carries
-    the y-jet of the curve point (order >= 1), exact (QuadExt base) or float.
-    Working orders come out one lower than the sources, so gamma and gamma'
-    (and z0 and z0') share a uniform shape.  Chain values enter the point's
-    field as ``zero + c``, with ``zero`` that field's own zero, so exact
-    stays exact and floats stay floats; a float chain value cannot enter
-    Q(w) and raises ``TypeError``.
+    ``jet_chain`` carries exact x-jets of gamma (order K >= 1); ``wp_jet``
+    carries the exact y-jet of the curve point (order >= 1), over Q(w) or
+    Q.  Working orders come out one lower than the sources, so gamma and
+    gamma' (and z0 and z0') share a uniform shape.  Chain values enter the
+    point's field as ``zero + c``, with ``zero`` that field's own zero; a
+    float chain value cannot enter Q(w) and raises ``TypeError``.
 
-    Validates that the suites' denominators cannot vanish: adjacent gammas
-    distinct, z0 off the chain, and the chain off the curve's branch points
-    (V_n must be invertible for the factor coefficients).
+    Validates by exact ``==`` that the suites' denominators cannot vanish:
+    adjacent gammas distinct, z0 off the chain, and the chain off the
+    curve's branch points (V_n must be invertible for the factors).
     """
     x_ord = jet_chain.values[0].order - 1
     if x_ord < 0:
@@ -252,11 +251,11 @@ def darboux_data(jet_chain, wp_jet):
     raw = [j.coeffs for j in jet_chain.values]
     for n in range(period):
         after = (n + 1) % period
-        if is_degenerate_pair(raw[n][0], raw[after][0]):
+        if raw[n][0] == raw[after][0]:
             raise DegenerateConfigurationError(
                 (n, after), f"gamma collision between sites {n} and {after}"
             )
-        if is_degenerate_pair(zero + raw[n][0], base):
+        if raw[n][0] == base:
             raise PoleError(f"z0 collides with gamma at site {n}")
         if jet_chain.curve.eval(raw[n][0]) == 0:
             raise PoleError(
@@ -373,8 +372,8 @@ def transformed_operator(data):
         A_{-2} = V_{n-1} V_n (z0 - gamma_{n-2})(z0 - gamma_{n+1})
                / ((z0 - gamma_{n-1})(z0 - gamma_n)),
 
-    where z0' is the y-derivative jet of the curve point (w on the exact
-    path); the bands are the memoised ``DarbouxData`` methods ``a1``,
+    where z0' is the y-derivative jet of the curve point (w at the point);
+    the bands are the memoised ``DarbouxData`` methods ``a1``,
     ``a0``, ``am1`` and ``d``.
     """
     return DifferenceOperator.from_bands(
@@ -481,7 +480,7 @@ def chain_residuals(sol, n):
     ``lax_residual(A, A_y - B_x, B)``, has the bands T^0 = -R1,
     T^{-1} = b_n R3 and T^{-2} = d_n R2 at site n, and no others.
 
-    Returned as base-field elements (exact extension scalars or floats).
+    Returned as base-field elements (exact extension scalars).
     Requires working jet orders >= (1, 1).
     """
     data = sol.data
@@ -606,9 +605,9 @@ def solve_tail_constants(chain):
     The three curve points are the first three of the six integers
     int(max|gamma_n|) + 2, ..., + 7 that :func:`point_problem` admits: each
     lies past every gamma_n, and F vanishes at no more than three of them.
-    The gap is read from the configuration at orders (1, 1).  A float chain
-    is solved at its exact binary value (its values and the curve's
-    coefficients as Fractions), so the constants are always Fractions.
+    The gap is read from the configuration at orders (1, 1).  The chain and
+    the curve are read as Fractions, so a float chain is solved at its exact
+    binary value and the constants are always Fractions.
     """
     curve = SpectralCurve(tuple(map(Fraction, chain.curve.coeffs)))
     chain = GammaChain(tuple(map(Fraction, chain.values)), curve)

@@ -28,7 +28,6 @@ __all__ = [
     "exact_wp_jet",
     "wp_init_bounded",
     "wp_integrate",
-    "wp_jet_numeric",
     "wp_trajectory",
 ]
 
@@ -36,29 +35,13 @@ ROOT_RESIDUAL_TOL = 1e-12
 ENERGY_DRIFT_TOL = 1e-8
 
 
-def _curve_jet(curve, p, w, lift, order):
-    """The y-jet ``(p, w, F'(p)/2, F''(p) w / 2)`` of ``(p')**2 = F(p)``.
-
-    ``p`` is a base-field value and ``w`` its derivative; ``lift`` maps the
-    base field into the field of ``w``, so one formula serves the exact
-    extension and floats.
-    """
-    coeffs = (
-        lift(p),
-        w,
-        lift(curve.eval_derivative(p, 1)) / 2,
-        lift(curve.eval_derivative(p, 2)) * w / 2,
-    )
-    return Jet(coeffs[: order + 1])
-
-
 def exact_wp_jet(curve, p, order=2, sign=1):
-    """Exact y-jet of the Weierstrass-type function at value ``p``.
+    """Exact y-jet ``(p, w, F'(p)/2, F''(p) w / 2)`` of ``(p')**2 = F(p)``.
 
-    Coefficients follow from differentiating the defining ODE (see
-    :func:`_curve_jet`) with ``w = sign * sqrt(F(p))`` adjoined formally.
-    All derivatives are induced, so the jet satisfies the curve relation and
-    its derivative identically in the extension.  The sign -1 jet equals the
+    The coefficients follow from differentiating the defining ODE, with
+    ``w = sign * sqrt(F(p))`` adjoined formally.  All derivatives are
+    induced, so the jet satisfies the curve relation and its derivative
+    identically in the extension.  The sign -1 jet equals the
     ``conjugate()`` of the sign +1 jet, so the library asks for sign +1 only.
     """
     if not 0 <= order <= 3:
@@ -70,12 +53,13 @@ def exact_wp_jet(curve, p, order=2, sign=1):
         return QuadExt(x, Fraction(0), disc)
 
     w = QuadExt(Fraction(0), Fraction(sign), disc)
-    return _curve_jet(curve, p, w, lift, order)
-
-
-def wp_jet_numeric(curve, wp, wp_prime, order=3):
-    """Float jet at a numeric trajectory point, derivatives from the ODE."""
-    return _curve_jet(curve, wp, float(wp_prime), float, order)
+    coeffs = (
+        lift(p),
+        w,
+        lift(curve.eval_derivative(p, 1)) / 2,
+        lift(curve.eval_derivative(p, 2)) * w / 2,
+    )
+    return Jet(coeffs[: order + 1])
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,13 @@ simulation.  Three kinds of scalars are used:
   are jets in a second variable carries mixed partial derivatives.
 
 Most components in the nested jets are exact zeros (an embedded rational has
-``b == 0``; padded derivatives vanish), so the kernels skip them.  Only
-*exact* zeros are skipped: a Fraction 0, a QuadExt 0, and a Jet built from
-them.  A skipped Fraction product yields ``Fraction(0)`` and a skipped sum
-passes the other Fraction through -- the value and the type the full formula
-would give.  Between two jets, terms are skipped only when their
-coefficients share one *kind* (``Fraction``, a QuadExt discriminant, or a
-jet order over a kind), so a skipped term cannot change a result's type: a
-zero QuadExt slot stays a QuadExt and every formatted report is unchanged.
-Jets holding a float, an int or mixed kinds run the same loops with no zero
-skipped, so floats keep their IEEE semantics (``-0.0``, ``inf``, ``nan``)
-bit for bit.
+``b == 0``; padded derivatives vanish), so the kernels skip them: a skipped
+Fraction product yields ``Fraction(0)`` and a skipped sum passes the other
+Fraction through -- the value and the type the full formula would give.  Two
+jets of order >= 1 combine only when their coefficients share one exact
+*kind* (``Fraction``, a QuadExt discriminant, or a jet order over a kind),
+so a skipped term cannot change a result's type and every formatted report
+is unchanged; jets of floats, of ints or of mixed kinds raise ``TypeError``.
 
 Every component of a QuadExt sum, product or quotient, and every
 coefficient sum, Leibniz term and quotient between two jets, goes through
@@ -37,7 +33,7 @@ the operator would give, equal in value, type and hash; what is skipped is
 the operator's dispatch (``Fraction``'s fallback wrappers, its isinstance
 tests, the ``numerator`` properties and ``Fraction.__new__``).  Any other
 pair -- a float, a bool, a Fraction subclass, a QuadExt or a jet -- takes
-the plain operator, so floats again keep their bits.
+the plain operator.
 
 All values are immutable after construction and safe to share between
 threads; a jet's cached zero pattern is a function of its coefficients, so
@@ -396,12 +392,9 @@ def _quad(a, b, disc):
 
 
 def _kind_zero(x):
-    """``(kind, is_zero)`` of a Fraction, QuadExt or jet of one kind, else None.
-
-    The kind is ``Fraction``, a QuadExt's discriminant, or ``(order, kind)``
-    of a jet whose coefficients share one kind.  Two operands of one kind
-    combine to that kind, so a skipped zero term cannot change a result's type.
-    """
+    """``(kind, is_zero)`` of a Fraction, QuadExt or jet of one kind, else
+    None.  The kind is ``Fraction``, a QuadExt's discriminant, or
+    ``(order, kind)`` of a jet whose coefficients share one kind."""
     t = type(x)
     if t is Jet:
         shape = x._shape
@@ -424,14 +417,13 @@ class Jet:
     always a bug, so it raises instead of silently truncating.  Non-jet
     operands are treated as constants.
 
-    Between two jets of one exact kind (see the module docstring) the Leibniz
-    sums skip every term with an exact-zero factor, and sums pass a
-    coefficient through when the other one is zero; any other pair of jets
-    runs the same loops with no zero skipped.  Every loop skips binomials of
-    1 (see :func:`_term`).  The zero pattern is scanned on first use and
-    cached on the jet (``_shape``: ``((order, kind), nonzero indices)``, or
-    False when the jet holds a float or an int or mixes kinds); results of
-    skipping operations carry theirs.
+    Two jets of order >= 1 must share one exact kind (see the module
+    docstring), else ``TypeError``.  The Leibniz sums skip every term with an
+    exact-zero factor, sums pass a coefficient through when the other one is
+    zero, and every loop skips binomials of 1 (see :func:`_term`).  The zero
+    pattern is scanned on first use and cached on the jet (``_shape``:
+    ``((order, kind), nonzero indices)``, or False for a jet of no exact
+    kind); results carry theirs.
     """
 
     __slots__ = ("coeffs", "_shape")
@@ -462,9 +454,8 @@ class Jet:
         return shape
 
     def _shapes(self, other):
-        """``(kind, nonzero_self, nonzero_other)``: the cached zero patterns
-        when both jets share an exact kind, else ``kind`` None and every index
-        listed, so that no term is skipped."""
+        """``(kind, nonzero_self, nonzero_other)``: the shared exact kind and
+        the cached zero patterns; ``TypeError`` when there is no shared kind."""
         sa = self._shape
         if sa is None:
             sa = self._scan()
@@ -473,8 +464,9 @@ class Jet:
             sb = other._scan()
         if sa and sb and (sa[0] is sb[0] or sa[0] == sb[0]):
             return sa[0], sa[1], sb[1]
-        every = range(len(self.coeffs))
-        return None, every, every
+        raise TypeError(
+            f"jets share no exact kind: {_kind_name(self)} and {_kind_name(other)}"
+        )
 
     @property
     def order(self):
@@ -526,7 +518,7 @@ class Jet:
             else _neg(b[i]) if negate else b[i]
             for i in range(len(a))
         )
-        return _jet(out, None if kind is None else (kind, _union(nza, nzb)))
+        return _jet(out, (kind, _union(nza, nzb)))
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -570,7 +562,7 @@ class Jet:
             else:
                 nonzero.append(k)
             out.append(term)
-        return _jet(tuple(out), None if kind is None else (kind, tuple(nonzero)))
+        return _jet(tuple(out), (kind, tuple(nonzero)))
 
     __rmul__ = __mul__
 
@@ -598,10 +590,10 @@ class Jet:
             else:
                 h.append(_div(acc, b[0]))
                 nonzero.append(k)
-        return _jet(tuple(h), None if kind is None else (kind, tuple(nonzero)))
+        return _jet(tuple(h), (kind, tuple(nonzero)))
 
     def __rtruediv__(self, other):
-        return Jet.constant(other, self.order) / self
+        return Jet.constant(self.coeffs[0] * 0 + other, self.order) / self
 
     def __neg__(self):
         return _jet(tuple(-c for c in self.coeffs), self._shape)
@@ -609,7 +601,7 @@ class Jet:
     def conjugate(self):
         """The jet with ``w -> -w`` applied to every coefficient.
 
-        QuadExt and jet coefficients are conjugated; Fraction, int and float
+        QuadExt and jet coefficients are conjugated; Fraction and int
         coefficients are base-field values, which their own ``conjugate()``
         returns unchanged.  The map keeps every zero pattern, so the cached
         shape carries over.
@@ -667,11 +659,18 @@ def _jet(coeffs, shape=None):
 
 def _term(k, j, x, y):
     """Leibniz term ``comb(k, j) * (x * y)``.  A binomial of 1 is skipped:
-    ``1 * p`` is ``p`` in value and type for every scalar here, floats bit
-    for bit, since a QuadExt holds Fractions only."""
+    ``1 * p`` is ``p`` in value and type for every exact scalar."""
     p = _mul(x, y)
     c = comb(k, j)
     return p if c == 1 else _mul(c, p)
+
+
+def _kind_name(x):
+    """``x``'s type for an error message; a jet's names its order and kinds."""
+    if type(x) is Jet:
+        kinds = " | ".join(dict.fromkeys(map(_kind_name, x.coeffs)))
+        return f"Jet(order {x.order} over {kinds})"
+    return f"QuadExt(w^2 = {x.disc})" if type(x) is QuadExt else type(x).__name__
 
 
 def _union(nza, nzb):

@@ -41,7 +41,7 @@ from .darboux import (
     solve_tail_constants,
     transformed_operator,  # unused here; bench/tracing.py wraps this binding
 )
-from .elliptic import exact_wp_jet, wp_init_bounded, wp_integrate, wp_jet_numeric
+from .elliptic import exact_wp_jet, wp_init_bounded, wp_integrate
 from .errors import AccuracyError, ConfigError
 from .flows import (
     GammaChain,
@@ -462,7 +462,13 @@ def read_dump(dump):
         raise ValueError(f"dump has no field {err}") from err
     except (TypeError, ZeroDivisionError) as err:
         raise ValueError(f"malformed dump: {err}") from err
-    curve, gamma, z0 = config.curve, config.gamma, config.z0
+    _check_admissible(config.curve, config.gamma, config.z0)
+    return suite, config
+
+
+def _check_admissible(curve, gamma, z0):
+    """Raise ``ValueError`` naming what ``darboux.chain_problem``,
+    ``point_problem`` or the sampler's square test finds wrong."""
     problem = chain_problem(curve, gamma)
     if problem:
         raise ValueError(f"gamma: {problem}")
@@ -470,7 +476,6 @@ def read_dump(dump):
     problem = point_problem(curve, gamma, z0, disc) or _square_problem(disc)
     if problem:
         raise ValueError(f"z0: {problem}")
-    return suite, config
 
 
 def replay_config(suite, config, sample=0):
@@ -520,28 +525,23 @@ def wp_convergence_order(curve, y_final, h):
 
 
 def trajectory_chain_residual(curve, gamma0, x_steps=200, h=1e-3, y_target=0.4):
-    """Max |residual| of the chain equations along integrated trajectories.
+    """Max |residual| of the chain equations at the end of integrated
+    trajectories, certified exactly.
 
-    The chain is advanced by RK4 in x, the curve point by RK4 in y along the
-    bounded branch, jets are reconstructed numerically, the tail constants
-    are solved from the integrated chain, and the three residuals are
-    evaluated at every site.  Bounded by the integration error (the exact
-    identities hold, so only the energy drift of the y-integration enters).
+    The chain is advanced by RK4 in x and the curve point by RK4 in y along
+    the bounded branch.  At the end point's exact binary values (the chain
+    and the curve as Fractions, z0 = Fraction(wp), w adjoined through
+    ``exact_wp_jet``) the residuals with the solved tail are evaluated at
+    every site in Q(w), over both signs of w as in the suites.  The
+    identities hold at every admissible point, so the result is exactly 0;
+    ``wp_integrate`` bounds the y-drift itself.  An end point that
+    :func:`_check_admissible` refuses raises ``ValueError``.
     """
-    chain0 = GammaChain(tuple(float(g) for g in gamma0), curve)
-    traj = rk4_integrate(chain0, "dkn", h, x_steps)
-    chain = traj.chain_at(traj.steps)
-
-    branch = wp_init_bounded(curve)
-    state = wp_integrate(branch, y_target, h)
-    wp = wp_jet_numeric(curve, state.wp, state.wp_prime, order=3)
-
-    jets = prolong_gamma_jets(chain, 2)
-    data = darboux_data(jets, wp)
-    solved = solve_tail_constants(chain)
-    sol = rank2_solution(data, solved)
-    worst = 0.0
-    for n in range(chain.period):
-        for r in chain_residuals(sol, n):
-            worst = max(worst, abs(float(r)))
-    return worst
+    traj = rk4_integrate(GammaChain(tuple(map(float, gamma0)), curve), "dkn", h, x_steps)
+    z0 = Fraction(wp_integrate(wp_init_bounded(curve), y_target, h).wp)
+    exact = SpectralCurve(tuple(map(Fraction, curve.coeffs)))
+    chain = GammaChain(tuple(map(Fraction, traj.chain_at(traj.steps).values)), exact)
+    _check_admissible(exact, chain.values, z0)
+    data = darboux_data(prolong_gamma_jets(chain, 2), exact_wp_jet(exact, z0))
+    sol = rank2_solution(data, solve_tail_constants(chain))
+    return max(_magnitude(r) for n in range(chain.period) for r in chain_residuals(sol, n))

@@ -23,7 +23,9 @@ import numpy as np
 import pytest
 
 from laxchain.curves import SpectralCurve
+from laxchain import verify as verify_mod
 from laxchain.darboux import (
+    SolutionConstants,
     chain_residuals,
     commutator_x_check,
     commutator_y_check,
@@ -311,7 +313,7 @@ def test_criterion6_commutant_searches():
 # Criterion 7: numerics
 # ---------------------------------------------------------------------------
 
-def test_criterion7_numerics():
+def test_criterion7_numerics(monkeypatch):
     curve = SpectralCurve.elliptic(0.0, -1.0, 0.0)
     chain = GammaChain((-0.82, -0.31, 0.28, 0.77), curve)
     dkn_order = rk4_convergence_order(chain, "dkn", 0.2, 0.02)
@@ -324,14 +326,21 @@ def test_criterion7_numerics():
     drift = abs(state.energy() - branch.energy())
     assert drift < 1e-8
 
-    worst = trajectory_chain_residual(
+    # the chain residuals at the integrated end point, read exactly; the
+    # control is the bare solution (no tail) at the same point
+    run = lambda: trajectory_chain_residual(
         curve, (-0.82, -0.31, 0.28, 0.77), x_steps=300, h=1e-3, y_target=0.4
     )
-    assert worst < 1e-6
+    worst = run()
+    assert worst == 0
+    monkeypatch.setattr(verify_mod, "solve_tail_constants", lambda chain: SolutionConstants())
+    bare = run()
+    assert bare > 0
     print(
         f"\nACCEPTANCE 7 PASS: RK4 orders {dkn_order:.2f} (lattice) / "
         f"{wp_order:.2f} (elliptic) in 4.0 +/- 0.2; energy drift "
-        f"{drift:.2e} < 1e-8; trajectory chain residuals {worst:.2e} < 1e-6"
+        f"{drift:.2e} < 1e-8; trajectory chain residuals exactly {worst}, "
+        f"bare solution {bare:.2e} > 0"
     )
 
 

@@ -1,7 +1,5 @@
 import random
-import struct
 from fractions import Fraction
-from math import sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +26,7 @@ from laxchain.darboux import (
     _dy,
     _val,
 )
-from laxchain.elliptic import exact_wp_jet, wp_jet_numeric
+from laxchain.elliptic import exact_wp_jet
 from laxchain.errors import DegenerateConfigurationError, PoleError
 from laxchain.flows import (
     GammaChain,
@@ -97,26 +95,22 @@ def _old_embed(base):
     if isinstance(base, QuadExt):
         zero = base.a * 0
         return lambda c: QuadExt(c, zero, base.disc)
-    if isinstance(base, float):
-        return float
     return lambda c: c
 
 
 def _same_leaf(a, b):
-    if isinstance(a, float):
-        return type(b) is float and struct.pack("<d", a) == struct.pack("<d", b)
     return type(a) is type(b) and a == b
 
 
 def _assert_lift_matches_old_embed(chain, wp):
     """gamma, gamma', z0, w and the x-padding hold the leaves the old
-    per-type embedding gave, equal in value and type (floats bit for bit)."""
+    per-type embedding gave, equal in value and type."""
     jets = prolong_gamma_jets(chain, 3)
     data = darboux_data(jets, wp)
     base = wp.coeffs[0]
     embed = _old_embed(base)
     field = base.a if isinstance(base, QuadExt) else base
-    pad = (Jet.constant(embed(0.0 if isinstance(field, float) else field * 0), 2),) * 2
+    pad = (Jet.constant(embed(field * 0), 2),) * 2
 
     def site_jets(coeffs, offset):
         return Jet(tuple(Jet.constant(embed(coeffs[i + offset]), 2) for i in range(3)))
@@ -134,9 +128,9 @@ def _assert_lift_matches_old_embed(chain, wp):
 def test_rational_curve_point_stays_exact():
     """A curve-point jet over Q (w**2 = z**3 + 1 at (2, 3)) gives an exact
     configuration: the x-padding of z0 and w holds Fraction zeros, not 0.0,
-    so the three identities read exactly zero.  Over Q, over Q(w) and over
-    floats the chain values and the padding enter the point's field as the
-    old per-type embedding put them."""
+    so the three identities read exactly zero.  Over Q and over Q(w) the
+    chain values and the padding enter the point's field as the old
+    per-type embedding put them."""
     curve = SpectralCurve.elliptic(0, 0, 1)
     chain = GammaChain((0, 1, 3, 5), curve)
     wp = Jet(tuple(Fraction(c) for c in (2, 3, 6, 18)))
@@ -148,16 +142,12 @@ def test_rational_curve_point_stays_exact():
     assert commutator_y_check(data, solve_tail_constants(chain)).is_zero()
     _assert_lift_matches_old_embed(chain, wp)
     _assert_lift_matches_old_embed(CHAIN, exact_wp_jet(CURVE, Fraction(9, 2), order=3))
-    float_chain = GammaChain((0.5, 1.25, 2.0, 3.5), curve)
-    _assert_lift_matches_old_embed(
-        float_chain, wp_jet_numeric(curve, 5.0, sqrt(curve.eval(5.0)), order=3)
-    )
 
 
-def test_float_branch_point_chain_names_the_site():
+def test_branch_point_chain_names_the_site():
     curve = SpectralCurve.elliptic(0, -1, 0)  # roots 0, 1, -1
-    chain = GammaChain((2.5, 3.0, -1.0, 4.5), curve)
-    wp = wp_jet_numeric(curve, 5.0, sqrt(curve.eval(5.0)), order=3)
+    chain = GammaChain((Fraction(5, 2), Fraction(3), Fraction(-1), Fraction(9, 2)), curve)
+    wp = exact_wp_jet(curve, Fraction(5), order=3)
     with pytest.raises(PoleError, match="gamma at site 2 is a branch point"):
         darboux_data(prolong_gamma_jets(chain, 2), wp)
 
@@ -173,7 +163,12 @@ def test_float_curve_point_is_refused():
 
 
 def test_float_chain_with_an_exact_curve_point_is_refused():
-    jets = prolong_gamma_jets(GammaChain((0.5, 1.25, 2.0, 3.5), FLOAT_CURVE), 3)
+    """Float jets share no exact kind, so a float chain is not prolonged;
+    float jets built by hand cannot enter Q(w)."""
+    gamma = (0.5, 1.25, 2.0, 3.5)
+    with pytest.raises(TypeError, match="jets share no exact kind"):
+        prolong_gamma_jets(GammaChain(gamma, FLOAT_CURVE), 3)
+    jets = GammaChain(tuple(Jet((g, 0.0, 0.0, 0.0)) for g in gamma), FLOAT_CURVE)
     wp = exact_wp_jet(SpectralCurve.elliptic(0, -1, 0), 3, order=3)
     with pytest.raises(TypeError, match="unsupported operand"):
         darboux_data(jets, wp)

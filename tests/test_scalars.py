@@ -542,49 +542,83 @@ def test_kernels_match_dense_formulas_on_zero_value_coefficients():
     assert isinstance(prod.coeffs[1], QuadExt)
 
 
+def _share_kind(x, y):
+    sx, sy = Jet(x.coeffs)._scan(), Jet(y.coeffs)._scan()
+    return bool(sx and sy and sx[0] == sy[0])
+
+
+def check_all_ops_or_refused(x, y):
+    """Two jets of order >= 1 with no shared exact kind are refused with
+    ``TypeError`` (a zero divisor raises ``ZeroDivisionError`` first); any
+    other pair matches the dense formulas."""
+    if not (isinstance(x, Jet) and isinstance(y, Jet) and x.order) or _share_kind(x, y):
+        check_all_ops(x, y)
+        return
+    for name, (new, _) in OPS.items():
+        with pytest.raises((TypeError, ZeroDivisionError)) as err:
+            new(x, y)
+        zero_divisor = name == "/" and y.coeffs[0] == 0
+        assert err.type is (ZeroDivisionError if zero_divisor else TypeError), (name, x, y)
+
+
 def test_kernels_match_dense_formulas_on_mixed_coefficients():
     rng = random.Random(5)
     for _ in range(60):
         def leaf():
-            r = rng.random()
-            if r < 0.3:
+            if rng.random() < 0.3:
                 return sparse_fraction(rng, 0.4)
-            if r < 0.4:
-                return rng.choice((0, 1, -3))
             return sparse_quad(rng, DISC, 0.4)
 
         order = rng.randint(0, 3)
         x = Jet(tuple(leaf() for _ in range(order + 1)))
         y = Jet(tuple(leaf() for _ in range(order + 1)))
-        check_all_ops(x, y)
+        check_all_ops_or_refused(x, y)
         check_all_ops(leaf(), leaf())
         # int components and int discriminants
         ix = QuadExt(rng.randint(-3, 3), rng.randint(-1, 1), rng.choice((5, DISC)))
         check_all_ops(ix, leaf())
         check_all_ops(leaf(), ix)
         nested = Jet((Jet((leaf(), leaf())), Jet((leaf(), leaf()))))
-        check_all_ops(nested, nested * 0)
-        check_all_ops(nested, Jet((Jet((leaf(), leaf())), Jet((leaf(), leaf())))))
+        check_all_ops_or_refused(nested, nested * 0)
+        check_all_ops_or_refused(nested, Jet((Jet((leaf(), leaf())), Jet((leaf(), leaf())))))
 
 
-FLOATS = (0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 1e308)
+def _refused_pairs(order):
+    """Pairs of order-``order`` jets with nonzero values and no shared exact
+    kind: floats, ints, Fraction against QuadExt, and two discriminants."""
+    def jet(value, slope):
+        return Jet((value,) + (slope,) * order)
+
+    quad = lambda disc: jet(QuadExt(Fraction(3, 2), Fraction(-1, 5), disc), QuadExt(1, 2, disc))
+    fraction = jet(Fraction(3, 2), Fraction(1, 3))
+    return [
+        (jet(1.5, 0.25), jet(-2.0, 0.5)),
+        (jet(3, 1), jet(-2, 5)),
+        (fraction, quad(DISC)),
+        (quad(DISC), fraction),
+        (quad(DISC), quad(Fraction(5))),
+    ]
 
 
-def test_kernels_match_dense_formulas_bit_for_bit_on_floats():
-    rng = random.Random(3)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_jets_of_no_shared_exact_kind_raise(order):
+    for x, y in _refused_pairs(order):
+        for name, (op, _) in OPS.items():
+            with pytest.raises(TypeError, match="jets share no exact kind"):
+                op(x, y)
 
-    def leaf():
-        if rng.random() < 0.75:
-            return rng.choice(FLOATS)
-        return rng.choice((0, Fraction(0), Fraction(1, 3)))
 
-    for _ in range(300):
-        check_all_ops(leaf(), leaf())
-        order = rng.randint(0, 2)
-        x = Jet(tuple(leaf() for _ in range(order + 1)))
-        y = Jet(tuple(leaf() for _ in range(order + 1)))
-        check_all_ops(x, y)
-        check_all_ops(x, leaf())
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_constants_and_powers_keep_the_jet_kind(order):
+    """``1 / x``, ``Fraction(3, 4) - x`` and ``x ** 0`` of an exact nested
+    jet are jets of x's kind: their zeros equal x's zero component by
+    component, in type and discriminant."""
+    rng = random.Random(order)
+    x = sparse_jet(rng, (order, 2), lambda: sparse_quad(rng, DISC, 0.0), 0.0)
+    for got in (1 / x, Fraction(3, 4) - x, x**0):
+        assert deep_key(got * 0) == deep_key(x * 0)
+    assert_same(1 / x, ref_div(1, x), "1 / x")
+    assert_same(Fraction(3, 4) - x, ref_sub(Fraction(3, 4), x), "3/4 - x")
 
 
 @pytest.mark.parametrize("orders", [(2, 2), (3,), (1, 1), (0, 0)])

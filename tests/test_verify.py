@@ -222,12 +222,26 @@ def test_convergence_order_of_agreeing_coarse_end_states():
         verify_mod._richardson_order(ends, 0.1)
 
 
-def test_trajectory_residual_bounded_by_integration_error():
+def test_trajectory_residual_bounded_by_integration_error(monkeypatch):
+    """The chain residuals at the integrated end point's exact values are
+    exactly zero; the control, the bare solution with no tail at the same
+    point, is not."""
     curve = SpectralCurve.elliptic(0.0, -1.0, 0.0)
-    worst = trajectory_chain_residual(
+    run = lambda: trajectory_chain_residual(
         curve, (-0.82, -0.31, 0.28, 0.77), x_steps=300, h=1e-3, y_target=0.4
     )
-    assert worst < 1e-6
+    assert run() == 0
+    monkeypatch.setattr(verify_mod, "solve_tail_constants", lambda chain: SolutionConstants())
+    assert run() > 0
+
+
+def test_trajectory_residual_refuses_an_inadmissible_end_point():
+    curve = SpectralCurve.elliptic(0.0, -1.0, 0.0)  # roots 0, 1, -1
+    with pytest.raises(ValueError, match="gamma: 0 at site 1 is a branch point"):
+        trajectory_chain_residual(curve, (-0.82, 0.0, 0.28, 0.77), x_steps=0)
+    wp = verify_mod.wp_integrate(verify_mod.wp_init_bounded(curve), 0.4, 1e-3).wp
+    with pytest.raises(ValueError, match=r"z0: \S+ lies on the chain \(site 2\)"):
+        trajectory_chain_residual(curve, (-0.82, -0.31, wp, 0.77), x_steps=0, y_target=0.4)
 
 
 def test_unknown_suite_rejected():
