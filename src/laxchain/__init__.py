@@ -72,7 +72,6 @@ from .scalars import (
     Jet,
     QuadExt,
     format_scalar,
-    is_exact_scalar,
     is_rational_square,
     rational,
     scalar_abs,

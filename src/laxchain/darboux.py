@@ -52,7 +52,7 @@ from functools import cached_property, wraps
 from .curves import SpectralCurve
 from .elliptic import exact_wp_jet
 from .errors import DegenerateConfigurationError, PoleError
-from .flows import GammaChain, prolong_gamma_jets, vn_from_gamma, wn_from_gamma
+from .flows import prolong_gamma_jets, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
 from .scalars import Jet
 
@@ -605,12 +605,10 @@ def solve_tail_constants(chain):
     The three curve points are the first three of the six integers
     int(max|gamma_n|) + 2, ..., + 7 that :func:`point_problem` admits: each
     lies past every gamma_n, and F vanishes at no more than three of them.
-    The gap is read from the configuration at orders (1, 1).  The chain and
-    the curve are read as Fractions, so a float chain is solved at its exact
-    binary value and the constants are always Fractions.
+    The gap is read from the configuration at orders (1, 1).  The chain must
+    be exact (:func:`prolong_gamma_jets` refuses any other).
     """
-    curve = SpectralCurve(tuple(map(Fraction, chain.curve.coeffs)))
-    chain = GammaChain(tuple(map(Fraction, chain.values)), curve)
+    curve = chain.curve
     jets = prolong_gamma_jets(chain, 2)
 
     start = int(max(abs(v) for v in chain.values)) + 2

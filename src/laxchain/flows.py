@@ -27,6 +27,11 @@ chains, the neighbour n+k is a periodic shift and numpy broadcasts the
 expression over the whole period.  Both evaluations run the same float
 operations in the same order, so they give the same bits.
 
+Colliding neighbours are refused before anything divides by their gap
+(:func:`_check_gaps`): exact values when equal, floats by the relative
+rule :func:`floats_collide`, which lives here since the scalar layer is
+exact only.
+
 Microseconds per RK4 step, list stepper / float64-array stepper, by number
 of state components (the period N for dkn and reduced_t2, 2N for vw and
 flow2); best of 15 to 25 runs of 40 steps on tiled README chains, one core
@@ -51,13 +56,7 @@ import numpy as np
 from .curves import SpectralCurve
 from .errors import AccuracyError, DegenerateConfigurationError
 from .poly import poly_scale, poly_sub
-from .scalars import (
-    NUMERIC_DEGENERACY_RTOL,
-    Fraction,
-    Jet,
-    floats_collide,
-    is_degenerate_pair,
-)
+from .scalars import Fraction, Jet, QuadExt, scalar_value
 
 try:
     from operator import call
@@ -69,12 +68,14 @@ except ImportError:  # Python 3.10
 
 __all__ = [
     "FLOWS",
+    "NUMERIC_DEGENERACY_RTOL",
     "SMALL_STATE_MAX",
     "GammaChain",
     "Trajectory",
     "VWChain",
     "chain_vw_rhs",
     "dkn_rhs",
+    "floats_collide",
     "flow2_rhs",
     "prolong_gamma_jets",
     "q_flow_rhs",
@@ -167,12 +168,40 @@ def _site_ops(sites):
     return (_rotated, _mapped) if isinstance(sites, list) else (_shifted, call)
 
 
+# Relative threshold below which two floats count as a degenerate collision.
+NUMERIC_DEGENERACY_RTOL = 1e-12
+
+
+def floats_collide(a, b):
+    """The float collision rule ``|a - b| < RTOL * max(1, |a|, |b|)``.
+
+    Written as three comparisons, so it holds for two floats and
+    elementwise for two float64 arrays alike.  Rounding ``RTOL * x`` is
+    monotone in ``x``, so the disjunction decides exactly as the max does;
+    a NaN gap collides with nothing.
+    """
+    gap = abs(a - b)
+    return (
+        (gap < NUMERIC_DEGENERACY_RTOL)
+        | (gap < NUMERIC_DEGENERACY_RTOL * abs(a))
+        | (gap < NUMERIC_DEGENERACY_RTOL * abs(b))
+    )
+
+
+def _values_equal(a, b):
+    return scalar_value(a) == scalar_value(b)
+
+
 def _check_gaps(gamma, gp):
-    """Raise on the first colliding pair gamma_n, gamma_{n+1} (period-reduced):
-    exact lists by :func:`is_degenerate_pair`, float lists site by site and
-    float64 arrays elementwise by its float rule :func:`floats_collide`."""
+    """Raise on the first colliding pair gamma_n, gamma_{n+1} (period-reduced).
+
+    One rule per kind: exact lists (rationals or jets of them) collide only
+    on equal values, whatever their derivatives; float lists, site by site,
+    and float64 arrays, elementwise, collide by :func:`floats_collide`.  A
+    list whose first entry is a float (numpy's float64 scalars included)
+    takes the float rule."""
     if isinstance(gamma, list):
-        collide = floats_collide if type(gamma[0]) is float else is_degenerate_pair
+        collide = floats_collide if isinstance(gamma[0], float) else _values_equal
         if not any(map(collide, gamma, gp)):
             return
         hits = [n for n, hit in enumerate(map(collide, gamma, gp)) if hit]
@@ -324,9 +353,14 @@ def prolong_gamma_jets(chain, order=2):
     current order-(k-1) jets, which yields all derivatives through order k in
     one sweep (the derivative at a site only needs lower-order data at its
     neighbors, closed because every first derivative is given by the flow).
+    The chain values must be exact (Fractions or QuadExts): any other value
+    raises ``TypeError`` naming its site.
     """
     if not 1 <= order <= 3:
         raise ValueError(f"jet order must be between 1 and 3, got {order}")
+    for n, v in enumerate(chain.values):
+        if not isinstance(v, (Fraction, QuadExt)):
+            raise TypeError(f"gamma at site {n} is a {type(v).__name__}, not exact: {v!r}")
     jets = [Jet((v,)) for v in chain.values]
     for _ in range(order):
         rhs = dkn_rhs(jets, chain.curve)

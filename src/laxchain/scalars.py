@@ -1,8 +1,10 @@
-"""Scalar arithmetic kernels: exact rationals, quadratic extensions, truncated jets.
+"""Exact scalar kernels: rationals, quadratic extensions, truncated jets.
 
 Everything downstream (operators, flows, Darboux residuals) is generic in the
 scalar, so one code path serves exact identity verification and floating-point
-simulation.  Three kinds of scalars are used:
+simulation; this module holds the exact kinds only.  Floats take Python's and
+numpy's own arithmetic, and their collision rule lives in :mod:`laxchain.flows`,
+its only user.  Three exact kinds are used:
 
 * exact rationals -- :class:`fractions.Fraction` (always in lowest terms,
   positive denominator, never rounded);
@@ -47,18 +49,12 @@ __all__ = [
     "Fraction",
     "Jet",
     "QuadExt",
-    "floats_collide",
     "format_scalar",
-    "is_degenerate_pair",
-    "is_exact_scalar",
     "is_rational_square",
     "rational",
     "scalar_abs",
     "scalar_value",
 ]
-
-# Relative threshold below which two floats count as a degenerate collision.
-NUMERIC_DEGENERACY_RTOL = 1e-12
 
 
 def rational(value):
@@ -78,8 +74,9 @@ def rational(value):
 
 
 def is_rational_square(q):
-    """True when the rational ``q`` is the square of a rational."""
-    q = Fraction(q)
+    """True when the rational ``q`` is the square of a rational; ``q`` is
+    read by :func:`rational`, so a float raises ``TypeError``."""
+    q = rational(q)
     if q < 0:
         return False
     n, d = q.numerator, q.denominator
@@ -356,7 +353,7 @@ class QuadExt:
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             return self.disc == other.disc and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, _EXACT):
             return self.b == 0 and self.a == other
         return NotImplemented
 
@@ -703,11 +700,6 @@ def scalar_value(x):
     return x
 
 
-def is_exact_scalar(x):
-    """True when ``x`` lives on the exact (never-rounded) path."""
-    return isinstance(scalar_value(x), (int, Fraction, QuadExt))
-
-
 def scalar_abs(x):
     """Magnitude used for residual reporting.
 
@@ -747,33 +739,3 @@ def format_scalar(x):
         q = Fraction(x)
         return f"{q.numerator}/{q.denominator}"
     return repr(float(x))
-
-
-def is_degenerate_pair(a, b):
-    """Collision test used by flow evaluation guards.
-
-    Exact scalars collide only on literal equality; floats collide below a
-    relative threshold so near-singular configurations fail fast instead of
-    overflowing.
-    """
-    a = scalar_value(a)
-    b = scalar_value(b)
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        return a == b
-    return floats_collide(float(a), float(b))
-
-
-def floats_collide(a, b):
-    """The float collision rule ``|a - b| < RTOL * max(1, |a|, |b|)``.
-
-    Written as three comparisons, so it holds for two floats and
-    elementwise for two float64 arrays alike.  Rounding ``RTOL * x`` is
-    monotone in ``x``, so the disjunction decides exactly as the max does;
-    a NaN gap collides with nothing.
-    """
-    gap = abs(a - b)
-    return (
-        (gap < NUMERIC_DEGENERACY_RTOL)
-        | (gap < NUMERIC_DEGENERACY_RTOL * abs(a))
-        | (gap < NUMERIC_DEGENERACY_RTOL * abs(b))
-    )

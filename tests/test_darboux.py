@@ -188,11 +188,10 @@ def test_float_curve_point_is_refused():
 
 
 def test_float_chain_with_an_exact_curve_point_is_refused():
-    """Float jets have no exact kind, so a float chain is not prolonged (the
-    float curve's first coefficient is refused as a constant); float jets
-    built by hand cannot enter Q(w)."""
+    """A float chain is not prolonged (its first float site is refused);
+    float jets built by hand cannot enter Q(w)."""
     gamma = (0.5, 1.25, 2.0, 3.5)
-    with pytest.raises(TypeError, match=r"a float constant does not fit Jet\(order 0 over float\)"):
+    with pytest.raises(TypeError, match="gamma at site 0 is a float"):
         prolong_gamma_jets(GammaChain(gamma, FLOAT_CURVE), 3)
     jets = GammaChain(tuple(Jet((g, 0.0, 0.0, 0.0)) for g in gamma), FLOAT_CURVE)
     wp = exact_wp_jet(SpectralCurve.elliptic(0, -1, 0), 3, order=3)
@@ -744,15 +743,16 @@ def test_solve_tail_constants_frozen_case():
     assert solved.s1 == 0 and solved.k1 == 0 and solved.p1 == 0
 
 
-def test_float_chain_is_solved_at_its_exact_binary_value():
-    """F(z) = z^3 - 10^9 is negative at every probe: no float w exists
-    there, and the chain is solved all the same, exactly.  The constants
-    are those of the exact chain, and with them every chain residual is
+def test_float_chain_is_refused_by_the_tail_solve():
+    """The tail solve takes its chain as given: a float chain raises where
+    it is prolonged.  Its exact values solve, though F(z) = z^3 - 10^9 is
+    negative at every probe, and with the constants every chain residual is
     exactly zero at an admissible exact z0."""
     curve = SpectralCurve.elliptic(0, 0, -(10**9))
-    solved = solve_tail_constants(GammaChain((0.5, 1.25, 2.0, 3.5), curve))
+    with pytest.raises(TypeError, match="gamma at site 0 is a float"):
+        solve_tail_constants(GammaChain((0.5, 1.25, 2.0, 3.5), curve))
     exact = GammaChain((Fraction(1, 2), Fraction(5, 4), Fraction(2), Fraction(7, 2)), curve)
-    assert solved == solve_tail_constants(exact)
+    solved = solve_tail_constants(exact)
     assert all(type(c) is Fraction for c in solved.as_tuple())
     z0 = Fraction(9, 2)
     assert point_problem(curve, exact.values, z0) is None

@@ -7,11 +7,17 @@ float inputs (float64 arrays) must give the same bits, with either the exact cur
 rounds through ``float(c)``) or its float copy.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import laxchain
 from laxchain.curves import SpectralCurve
 from laxchain.errors import DegenerateConfigurationError
 from laxchain.flows import (
@@ -24,7 +30,8 @@ from laxchain.flows import (
     vn_from_gamma,
     wn_from_gamma,
 )
-from laxchain.scalars import NUMERIC_DEGENERACY_RTOL, Jet, is_degenerate_pair
+from laxchain.flows import NUMERIC_DEGENERACY_RTOL, floats_collide
+from laxchain.scalars import Jet
 
 from conftest import random_fraction
 
@@ -221,12 +228,39 @@ def test_float_guard_threshold(base):
     curve = CUBIC.to_float()
     near = base + 0.5 * NUMERIC_DEGENERACY_RTOL * scale
     apart = base + 2.0 * NUMERIC_DEGENERACY_RTOL * scale
-    assert is_degenerate_pair(base, near) and not is_degenerate_pair(base, apart)
-    for fn in (dkn_rhs, vn_from_gamma):
+    assert floats_collide(base, near) and not floats_collide(base, apart)
+    # a float64 array, a list of floats and a list of numpy float64 scalars
+    # all take the float rule
+    for sites in (
+        lambda g: np.array(g, dtype=float),
+        list,
+        lambda g: list(map(np.float64, g)),
+    ):
+        for fn in (dkn_rhs, vn_from_gamma):
+            with pytest.raises(DegenerateConfigurationError) as err:
+                fn(sites([base, near] + far), curve)
+            assert err.value.sites == (0, 1)
+            assert np.all(np.isfinite(fn(sites([base, apart] + far), curve)))
+
+
+def test_exact_guard_collides_on_equal_values_only():
+    """Exact sites collide when their values are equal, even when their
+    derivatives differ; values 10^-30 apart, which the float rule would
+    call a collision, do not."""
+    third = Fraction(1, 3)
+    far = [Fraction(5), Fraction(9)]
+    jets = [Jet((third, Fraction(1))), Jet((third, Fraction(-2)))]
+    jets += [Jet((v, Fraction(0))) for v in far]
+    for gamma in (jets, [third, third] + far):
         with pytest.raises(DegenerateConfigurationError) as err:
-            fn(np.array([base, near] + far, dtype=float), curve)
+            dkn_rhs(gamma, CUBIC)
         assert err.value.sites == (0, 1)
-        assert np.all(np.isfinite(fn(np.array([base, apart] + far, dtype=float), curve)))
+        assert "between sites 0 and 1" in str(err.value)
+    near = third + Fraction(1, 10**30)
+    assert floats_collide(float(third), float(near))
+    assert dkn_rhs([third, near] + far, CUBIC)[0] == ref_dkn([third, near] + far, CUBIC, 0)
+    apart = [Jet((third, Fraction(1))), Jet((near, Fraction(1)))] + jets[2:]
+    assert dkn_rhs(apart, CUBIC)[1].coeffs[0] == ref_dkn([third, near] + far, CUBIC, 1)
 
 
 @pytest.mark.parametrize("period", [3, 4, 5])
@@ -265,3 +299,39 @@ def test_reduced_t2_hits_the_collision_guard():
         rk4_integrate(chain, "reduced_t2", 1e-3, 5)
     assert err.value.sites == (0, 1)
     assert "step 0" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Python 3.10: no operator.call
+# ---------------------------------------------------------------------------
+
+FALLBACK_GAMMA = [-0.82, -0.31, 0.28, 0.77, 1.9]
+FALLBACK_CURVE = (0.5, -1.0, 0.25)
+
+
+def test_array_path_without_operator_call_gives_the_list_paths_bits():
+    """Python 3.10 has no ``operator.call``, so ``flows`` defines its own.
+    A fresh interpreter with ``operator.call`` deleted before the import
+    runs that fallback on a float64 array; it gives the bits of the list
+    path in this interpreter."""
+    script = textwrap.dedent(f"""
+        import operator
+        del operator.call
+        import numpy as np
+        from laxchain import flows
+        from laxchain.curves import SpectralCurve
+        assert flows.call.__module__ == "laxchain.flows", flows.call
+        curve = SpectralCurve({FALLBACK_CURVE!r})
+        result = flows.dkn_rhs(np.array({FALLBACK_GAMMA!r}, dtype=float), curve)
+        assert result.dtype == np.float64
+        print(" ".join(x.hex() for x in result.tolist()))
+    """)
+    src = str(Path(laxchain.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.returncode == 0, run.stderr
+    listed = dkn_rhs(list(FALLBACK_GAMMA), SpectralCurve(FALLBACK_CURVE))
+    assert run.stdout.split() == [x.hex() for x in listed]

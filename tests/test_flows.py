@@ -218,6 +218,20 @@ def test_prolong_rejects_bad_order():
         prolong_gamma_jets(chain, 0)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_prolong_refuses_a_float_chain_at_its_first_float_site(order):
+    """A float chain on an exact curve used to prolong silently at order 1
+    (a float jet) and fail deep in jet arithmetic at order 2; it is refused
+    where it enters, naming the site."""
+    curve = SpectralCurve.elliptic(Fraction(0), Fraction(-1), Fraction(0))
+    for values, site in (
+        ((-0.82, -0.31, 0.28, 0.77), 0),
+        ((Fraction(-1), Fraction(1, 3), np.float64(0.28), Fraction(2)), 2),
+    ):
+        with pytest.raises(TypeError, match=rf"gamma at site {site} is a (float|float64), not exact"):
+            prolong_gamma_jets(GammaChain(values, curve), order)
+
+
 def test_prolong_fixed_point_has_zero_derivatives():
     chain = GammaChain((1, 3, 1, 3), CUBIC)
     jets = prolong_gamma_jets(chain, 2)
