@@ -418,7 +418,7 @@ def _cmd_commutant(args):
             {
                 "verified_exact": verified,
                 "basis_windows": [
-                    sol.window(0, 7).to_json_dict() for sol in result.basis
+                    sol.operator.window(0, 7).to_json_dict() for sol in result.basis
                 ],
                 # an exactly zero commutator has norm 0.0 on any window
                 "residual_norms": [
@@ -428,7 +428,7 @@ def _cmd_commutant(args):
                         PolynomialBandOperator(
                             commutator_polynomial_bands(op.bands, sol.bands)
                         )
-                        .window(0, 7)
+                        .operator.window(0, 7)
                         .max_abs()
                     )
                     for sol, is_zero in zip(result.basis, zero)

@@ -14,7 +14,8 @@ __all__ = ["SpectralCurve"]
 
 @dataclass(frozen=True)
 class SpectralCurve:
-    """Monic cubic ``F``; ``coeffs`` lists ``c0, c1, c2`` in ascending order."""
+    """Monic cubic ``F``; ``coeffs`` lists ``c0, c1, c2`` in ascending order.
+    A bool coefficient, an int only by inheritance, raises ``TypeError``."""
 
     coeffs: tuple
 
@@ -24,6 +25,9 @@ class SpectralCurve:
             raise UnsupportedCurveError(
                 f"the monic cubic needs 3 coefficients c0, c1, c2, got {len(self.coeffs)}"
             )
+        for name, c in zip(("c0", "c1", "c2"), self.coeffs):
+            if isinstance(c, bool):
+                raise TypeError(f"curve coefficient {name} is a bool ({c!r}), not a number")
 
     @classmethod
     def elliptic(cls, c2, c1, c0):

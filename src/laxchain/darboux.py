@@ -19,9 +19,10 @@ The factorization being transformed is
 with chi1(n) = -V_n (z0 - gamma_{n+1})/(z0 - gamma_n) and
 chi2(n) = w/(z0 - gamma_n), w^2 = F(z0).  Swapping the factors and adding
 z0 yields the transformed operator; :func:`crosscheck_window` checks its
-four explicit band formulas against the swapped product.  chi1, chi2, those
-bands, b_n and f_n without its tail are ``DarbouxData`` methods
-behind one per-site memo, sharing the memoised gaps z0 - gamma_n.
+four explicit band formulas against the swapped product.  chi1, chi2, the
+left factor's T^{-1} band, the transformed bands, b_n and f_n without its
+tail are ``DarbouxData`` methods behind one per-site memo, sharing the
+memoised gaps z0 - gamma_n, so each is evaluated once per site.
 
 The chain equations are zero curvature: :func:`chain_residuals` reads them
 from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
@@ -183,6 +184,14 @@ class DarbouxData:
         return self.w / self.gap(m)
 
     @_per_site
+    def left_lower(self, m):
+        """``-V_{m-1} V_m / chi1(m-1)``, the ``T^{-1}`` band of the left factor."""
+        chi = self.chi1(m - 1)
+        if _val(chi) == 0:
+            raise PoleError(f"chi1 vanishes at site {(m - 1) % self.period}")
+        return -(self.v_at(m - 1) * self.v_at(m) / chi)
+
+    @_per_site
     def a1(self, m):
         g = self.gamma_at
         return (g(m + 2) - g(m)) * self.w / (self.gap(m) * self.gap(m + 2))
@@ -331,15 +340,8 @@ def _dy(s):
 
 def _left_factor(data):
     """``T + chi2(n+1) - (V_{n-1} V_n / chi1(n-1)) T^{-1}``."""
-
-    def lower(n):
-        chi = data.chi1(n - 1)
-        if _val(chi) == 0:
-            raise PoleError(f"chi1 vanishes at site {n - 1}")
-        return -(data.v_at(n - 1) * data.v_at(n) / chi)
-
     return DifferenceOperator.from_bands(
-        {1: lambda n: 1, 0: lambda n: data.chi2(n + 1), -1: lower}
+        {1: lambda n: 1, 0: lambda n: data.chi2(n + 1), -1: data.left_lower}
     )
 
 
@@ -405,10 +407,7 @@ class SolutionConstants:
     p1: Fraction = Fraction(0)
 
     def is_zero(self):
-        return not any(self.as_tuple())
-
-    def as_tuple(self):
-        return (self.s0, self.k0, self.p0, self.s1, self.k1, self.p1)
+        return self == SolutionConstants()
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,15 +534,18 @@ def commutator_x_check(data):
     """One-period window of the x-Lax residual
     ``d/dx(Ltilde) + [Ltilde, b T^{-1} + d T^{-2}]``.
 
-    Exactly zero when gamma follows the lattice flow; the constants play no
-    role (b and d do not contain them).  Requires x-jets of order >= 1.
+    The partner's bands are read from the same configuration as Ltilde (d
+    is Ltilde's own ``T^{-2}`` band, behind the same memo) and cut by one
+    x-order, as :func:`lax_operator` cuts Ltilde.  Exactly zero when gamma
+    follows the lattice flow; the constants play no role (b and d do not
+    contain them).  Requires x-jets of order >= 1.
     """
     if data.x_order < 1:
         raise ValueError("the x-commutator check needs x-jet order >= 1")
     d_hi = data.truncated(data.x_order, 0)
-    d_lo = d_hi.truncated(data.x_order - 1, 0)
-    c_op = DifferenceOperator.from_bands({-1: d_lo.b, -2: d_lo.d})
-    return lax_operator(transformed_operator(d_hi), "x", c_op).window(0, data.period - 1)
+    a_op = DifferenceOperator.from_bands({-1: d_hi.b, -2: d_hi.d})
+    a_op = a_op.map_coeffs(lambda c: c.truncate(c.order - 1))
+    return lax_operator(transformed_operator(d_hi), "x", a_op).window(0, data.period - 1)
 
 
 def commutator_y_residual(data, constants=None):

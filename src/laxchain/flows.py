@@ -56,7 +56,7 @@ import numpy as np
 from .curves import SpectralCurve
 from .errors import AccuracyError, DegenerateConfigurationError
 from .poly import poly_scale, poly_sub
-from .scalars import Fraction, Jet, QuadExt, scalar_value
+from .scalars import Fraction, Jet, QuadExt, rational, scalar_value
 
 try:
     from operator import call
@@ -88,8 +88,18 @@ __all__ = [
 ]
 
 
-def _normalize_value(v):
-    return Fraction(v) if isinstance(v, int) else v
+def _site_values(values, name):
+    """``values`` as a tuple, each int read as a Fraction by ``rational``,
+    which refuses a bool: the ``TypeError`` names ``name`` and the site."""
+    out = []
+    for n, v in enumerate(values):
+        if isinstance(v, int):
+            try:
+                v = rational(v)
+            except TypeError as err:
+                raise TypeError(f"{name} at site {n}: {err}") from None
+        out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -100,9 +110,7 @@ class GammaChain:
     curve: SpectralCurve
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(_normalize_value(v) for v in self.values)
-        )
+        object.__setattr__(self, "values", _site_values(self.values, "gamma"))
         if len(self.values) < 2:
             raise ValueError("chain period must be at least 2")
 
@@ -122,8 +130,8 @@ class VWChain:
     w: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(_normalize_value(x) for x in self.v))
-        object.__setattr__(self, "w", tuple(_normalize_value(x) for x in self.w))
+        object.__setattr__(self, "v", _site_values(self.v, "V"))
+        object.__setattr__(self, "w", _site_values(self.w, "W"))
         if len(self.v) != len(self.w):
             raise ValueError("V and W chains must have equal periods")
         if len(self.v) < 2:

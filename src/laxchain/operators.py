@@ -11,7 +11,7 @@ coefficient, for verdicts that need only one witness.
 
 Time derivatives are never taken internally: routines that need a
 coefficient-wise derivative of an operator (Lax residuals) receive it from
-the caller, built from jets or an explicit finite-difference helper.
+the caller, who reads it off jet coefficients.
 """
 
 from dataclasses import dataclass
@@ -57,12 +57,6 @@ class DifferenceOperator:
             return 0 if f is None else f(n)
 
         return cls(lo, hi, coeff)
-
-    @classmethod
-    def from_constant_bands(cls, bands):
-        """Build from ``{shift power: constant scalar}``."""
-        table = dict(bands)
-        return cls.from_bands({j: (lambda n, c=c: c) for j, c in table.items()})
 
     def band_coeff(self, j, n):
         """Coefficient with out-of-band lookups returning 0."""

@@ -496,9 +496,6 @@ class Jet:
         zero = value * 0
         return cls((value, one) + (zero,) * (order - 1))
 
-    def value(self):
-        return self.coeffs[0]
-
     def derivative(self):
         """Jet of ``f'`` (one order lower)."""
         if self.order == 0:

@@ -152,8 +152,9 @@ def propagate_q(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next):
 class PolynomialBandOperator:
     """Difference operator whose band coefficients are polynomials in n.
 
-    The band polynomials are the only table: ``coeff``, ``operator`` (the
-    provider form, for generic operator algebra) and ``window`` all read it.
+    The band polynomials are the only table: ``coeff`` and ``operator``
+    (the provider form, for generic operator algebra and its ``window``)
+    both read it.
     """
 
     def __init__(self, bands):
@@ -166,9 +167,6 @@ class PolynomialBandOperator:
 
     def coeff(self, j, n):
         return poly_eval(self.bands.get(j, (Fraction(0),)), n)
-
-    def window(self, n0, n1):
-        return self.operator.window(n0, n1)
 
 
 def compose_polynomial_bands(a, b):
@@ -343,9 +341,6 @@ def commutant_solve_exact(l_op, ansatz):
         raise AnsatzError(
             "exact commutant solving needs polynomial band data (a PolynomialBandOperator)"
         )
-    if ansatz.unknowns == 0:
-        raise AnsatzError("empty ansatz")
-
     unknowns = [
         (j, d)
         for j in range(-ansatz.band_m, ansatz.band_m + 1)

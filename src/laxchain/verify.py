@@ -19,7 +19,7 @@ value decides both signs; it does not keep the reported magnitude
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -106,8 +106,7 @@ class SampleConfig:
             "constants": {
                 k: format_scalar(v)
                 for k, v in zip(
-                    ("s0", "k0", "p0", "s1", "k1", "p1"),
-                    self.constants.as_tuple(),
+                    ("s0", "k0", "p0", "s1", "k1", "p1"), astuple(self.constants)
                 )
             },
             "note": note,
@@ -528,19 +527,19 @@ def trajectory_chain_residual(curve, gamma0, x_steps=200, h=1e-3, y_target=0.4):
     trajectories, certified exactly.
 
     The chain is advanced by RK4 in x and the curve point by RK4 in y along
-    the bounded branch.  At the end point's exact binary values (the chain
-    and the curve as Fractions, z0 = Fraction(wp), w adjoined through
-    ``exact_wp_jet``) the residuals with the solved tail are evaluated at
-    every site in Q(w), over both signs of w as in the suites.  The
-    identities hold at every admissible point, so the result is exactly 0;
+    the bounded branch.  The end point's exact binary values (the chain and
+    the curve as Fractions, z0 = Fraction(wp)) make a :class:`SampleConfig`
+    with zero constants, and the result is the ``worst`` of the chain
+    suite's evaluation there: the residuals, bare and with the solved tail,
+    at every site in Q(w), over both signs of w.  With zero n-linear
+    constants the bare R1 and R2 are the solved ones.  The identities hold
+    at every admissible point, so the result is exactly 0;
     ``wp_integrate`` bounds the y-drift itself.  An end point that
     :func:`_check_admissible` refuses raises ``ValueError``.
     """
     traj = rk4_integrate(GammaChain(tuple(map(float, gamma0)), curve), "dkn", h, x_steps)
     z0 = Fraction(wp_integrate(wp_init_bounded(curve), y_target, h).wp)
     exact = SpectralCurve(tuple(map(Fraction, curve.coeffs)))
-    chain = GammaChain(tuple(map(Fraction, traj.chain_at(traj.steps).values)), exact)
-    _check_admissible(exact, chain.values, z0)
-    data = darboux_data(prolong_gamma_jets(chain, 2), exact_wp_jet(exact, z0))
-    sol = rank2_solution(data, solve_tail_constants(chain))
-    return max(_magnitude(r) for n in range(chain.period) for r in chain_residuals(sol, n))
+    gamma = tuple(map(Fraction, traj.chain_at(traj.steps).values))
+    _check_admissible(exact, gamma, z0)
+    return _eval_chain_sample(SampleConfig(exact, gamma, z0, SolutionConstants()))[1]

@@ -102,6 +102,18 @@ def test_validation():
     assert SpectralCurve.elliptic(3, 2, 1).coeffs == (1, 2, 3)
 
 
+@pytest.mark.parametrize("position", range(3))
+def test_a_bool_coefficient_is_refused_by_name(position):
+    """``elliptic(True, -2, 0)`` used to keep ``True`` as c2 and evaluate F
+    with c2 = 1."""
+    coeffs = [Fraction(1, 2), -2, 0.5]
+    coeffs[position] = True
+    with pytest.raises(TypeError, match=f"^curve coefficient c{position} is a bool"):
+        SpectralCurve(tuple(coeffs))
+    with pytest.raises(TypeError, match=f"^curve coefficient c{position} is a bool"):
+        SpectralCurve.elliptic(*reversed(coeffs))
+
+
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.5, 1e-310, -3e-320, 1e150, -2.5e200, 1e308, float("inf")]
 
 

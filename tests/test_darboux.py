@@ -1,10 +1,13 @@
 import random
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laxchain import verify
 from laxchain.curves import SpectralCurve
 from laxchain.darboux import (
     DarbouxData,
@@ -234,6 +237,55 @@ def test_truncated_copy_starts_with_an_empty_memo():
     assert cut._site_cache == {}
     assert cut.chi1(0) is not data.chi1(0)
     assert cut.chi1(0) == data.truncated(1, 1).chi1(0)
+
+
+@pytest.fixture
+def memo_stores(monkeypatch):
+    """Counts of the stores into every ``DarbouxData`` memo built while the
+    test runs, by ``(formula, site)``: a formula evaluated twice at one site,
+    on one configuration or on two, stores twice."""
+    counts = Counter()
+
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            counts[key] += 1
+            super().__setitem__(key, value)
+
+    def post_init(data):
+        object.__setattr__(data, "_site_cache", CountingMemo())
+
+    monkeypatch.setattr(DarbouxData, "__post_init__", post_init)
+    return counts
+
+
+def test_lax_x_sample_evaluates_each_site_formula_once(memo_stores):
+    """The x-bracket's partner reads b and d from the memo of the
+    configuration Ltilde is built from, so one lax-x sample evaluates every
+    formula it needs once per site; d is Ltilde's own T^-2 band."""
+    assert verify._eval_lax_x_sample(draw_sample(7, 0))[0]
+    assert {name for name, _ in memo_stores} == {"gap", "a1", "a0", "am1", "d", "b"}
+    assert sorted(memo_stores.values()) == [1] * (6 * verify.PERIOD)
+
+
+def test_factorization_sample_evaluates_the_left_factor_band_once(memo_stores):
+    """The left factor's T^-1 band is the memoised ``left_lower``: the
+    factorization and the swapped product read it from one evaluation per
+    site, as they read chi1 and chi2."""
+    assert verify._eval_factorization_sample(draw_sample(7, 0))[0]
+    assert [memo_stores["left_lower", n] for n in range(verify.PERIOD)] == [1] * 4
+    assert set(memo_stores.values()) == {1}
+
+
+def test_left_factor_pole_names_the_site_modulo_the_period():
+    """chi1 vanishes where V does (gamma_3 = 5 is a root of z^3 - 125): the
+    left factor's T^-1 band at site 0 divides by chi1(-1), which the error
+    names as site 3."""
+    data = exact_data(order=1)
+    on_root = DarbouxData(
+        SpectralCurve.elliptic(0, 0, -125), data.gamma, data.dgamma, data.z0, data.w
+    )
+    with pytest.raises(PoleError, match="^chi1 vanishes at site 3$"):
+        factorization_check(on_root)
 
 
 def test_data_rejects_z0_on_chain():
@@ -619,6 +671,45 @@ def test_commutator_x_needs_lower_bands(rng):
     assert not lax_operator(l_hi, "x", c_op).window(0, data.period - 1).is_zero()
 
 
+def _rebuilt_x_check(data):
+    """The x-bracket with its partner built from a second configuration one
+    x-order lower: the reference for reading it from Ltilde's and cutting."""
+    d_hi = data.truncated(data.x_order, 0)
+    d_lo = d_hi.truncated(data.x_order - 1, 0)
+    a_op = DifferenceOperator.from_bands({-1: d_lo.b, -2: d_lo.d})
+    return lax_operator(transformed_operator(d_hi), "x", a_op).window(0, data.period - 1)
+
+
+def _bump_slope(chain, site):
+    """``chain``'s jets with gamma' at ``site`` bumped by 1: off the flow."""
+    jets = list(chain.values)
+    c = jets[site].coeffs
+    jets[site] = Jet((c[0], c[1] + 1) + c[2:])
+    return GammaChain(tuple(jets), chain.curve)
+
+
+@pytest.mark.parametrize("x_order", [1, 2])
+@pytest.mark.parametrize("max_num, max_den", [(1000, 8), (10**9, 10**6)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_commutator_x_partner_cut_equals_the_lower_order_build(
+    x_order, max_num, max_den, sign
+):
+    """Every coefficient of the x-bracket, on the flow (zero) and off it (a
+    bumped gamma'), equals the reference's in value and in ``repr``."""
+    for index in range(2):
+        config = draw_sample(11, index, max_num, max_den)
+        chain = prolong_gamma_jets(GammaChain(config.gamma, config.curve), x_order + 1)
+        wp = exact_wp_jet(config.curve, config.z0, order=1, sign=sign)
+        for jets, zero in ((chain, True), (_bump_slope(chain, index), False)):
+            data = darboux_data(jets, wp)
+            got, want = commutator_x_check(data), _rebuilt_x_check(data)
+            assert got.is_zero() is zero
+            assert got == want
+            assert [list(map(repr, row)) for row in got.rows] == [
+                list(map(repr, row)) for row in want.rows
+            ]
+
+
 def _x_cut(c):
     return c.truncate(c.order - 1) if isinstance(c, Jet) else c
 
@@ -753,7 +844,7 @@ def test_float_chain_is_refused_by_the_tail_solve():
         solve_tail_constants(GammaChain((0.5, 1.25, 2.0, 3.5), curve))
     exact = GammaChain((Fraction(1, 2), Fraction(5, 4), Fraction(2), Fraction(7, 2)), curve)
     solved = solve_tail_constants(exact)
-    assert all(type(c) is Fraction for c in solved.as_tuple())
+    assert all(type(c) is Fraction for c in astuple(solved))
     z0 = Fraction(9, 2)
     assert point_problem(curve, exact.values, z0) is None
     data = darboux_data(prolong_gamma_jets(exact, 2), exact_wp_jet(curve, z0, order=2))

@@ -24,12 +24,49 @@ from laxchain.flows import (
     vw_chain_from_gamma,
     wn_from_gamma,
 )
-from laxchain.scalars import Jet
+from laxchain.scalars import Jet, QuadExt
 from laxchain.spectral import QPolynomial, q_conserved_value
 
 from conftest import random_chain
 
 CUBIC = SpectralCurve.elliptic(0, 0, 0)  # z^3
+
+
+@pytest.mark.parametrize("site", range(4))
+def test_gamma_chain_refuses_a_bool_at_each_site(site):
+    """A bool is an int only by inheritance: it used to enter as Fraction(1)
+    and be prolonged like any exact value."""
+    values = [Fraction(1, 2), 2, 3.5, Fraction(5)]
+    values[site] = True
+    with pytest.raises(TypeError, match=rf"^gamma at site {site}: cannot coerce bool"):
+        GammaChain(tuple(values), CUBIC)
+
+
+@pytest.mark.parametrize("name, site", [("V", 0), ("V", 1), ("W", 0), ("W", 1)])
+def test_vw_chain_refuses_a_bool_at_each_site(name, site):
+    chain = {"V": [Fraction(2), 1.0], "W": [0, 1]}
+    chain[name][site] = False
+    with pytest.raises(TypeError, match=rf"^{name} at site {site}: cannot coerce bool"):
+        VWChain(tuple(chain["V"]), tuple(chain["W"]))
+
+
+def test_chain_values_keep_their_kinds():
+    """Ints become Fractions; floats, Fractions, QuadExts and jets are kept."""
+    quad = QuadExt(Fraction(1), Fraction(2), Fraction(3))
+    jet = Jet.variable(Fraction(1, 3), 1)
+    chain = GammaChain((7, 2.5, Fraction(1, 3), quad, jet), CUBIC)
+    assert [type(v) for v in chain.values] == [Fraction, float, Fraction, QuadExt, Jet]
+    assert chain.values == (Fraction(7), 2.5, Fraction(1, 3), quad, jet)
+    vw = VWChain((3, 0.5), (Fraction(1, 2), -4))
+    assert [type(v) for v in vw.v + vw.w] == [Fraction, float, Fraction, Fraction]
+    assert vw.v + vw.w == (3, 0.5, Fraction(1, 2), -4)
+
+
+def test_chains_need_two_sites():
+    with pytest.raises(ValueError, match="period must be at least 2"):
+        VWChain((Fraction(1),), (Fraction(0),))
+    with pytest.raises(ValueError, match="period must be at least 2"):
+        GammaChain((Fraction(1),), CUBIC)
 
 
 def test_dkn_rhs_hand_value():
@@ -207,7 +244,7 @@ def test_prolong_first_coefficients_match_rhs(rng):
     for n in range(chain.period):
         assert jets.values[n].coeffs[1] == rhs[n]
     assert jets.values[0].order == 2
-    assert tuple(j.value() for j in jets.values) == chain.values
+    assert tuple(j.coeffs[0] for j in jets.values) == chain.values
 
 
 def test_prolong_rejects_bad_order():
@@ -309,6 +346,11 @@ def test_rk4_validation():
     with pytest.raises(ValueError, match="step count"):
         rk4_integrate(chain, "dkn", 1e-3, -2)
     assert rk4_integrate(chain, "dkn", 1e-3, 0).states.shape == (1, 4)
+
+
+def test_rk4_refuses_a_flow_of_the_other_chain_kind():
+    with pytest.raises(TypeError, match="flow 'dkn' integrates a GammaChain"):
+        rk4_integrate(VWChain((1.0, 2.0), (0.0, 1.0)), "dkn", 1e-3, 5)
 
 
 def test_rk4_self_convergence_order():

@@ -15,7 +15,7 @@ from conftest import random_fraction
 
 
 def const_op(bands):
-    return DifferenceOperator.from_constant_bands(bands)
+    return DifferenceOperator.from_bands({j: (lambda n, c=c: c) for j, c in bands.items()})
 
 
 def random_small_operator(rng, max_band=1):
@@ -186,6 +186,19 @@ def test_operator_arithmetic():
     assert d.coeff(1, 0) == -2
     n = -b
     assert n.coeff(1, 5) == -2
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), "op", None])
+def test_operators_and_windows_do_not_mix_with_other_types(other):
+    op = const_op({0: Fraction(1)})
+    for x in (op, op.window(0, 1)):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            x - other
+        assert (x == other) is False
+    with pytest.raises(TypeError):
+        op - op.window(0, 1)
 
 
 def test_empty_band_rejected():

@@ -28,6 +28,12 @@ def test_poly_basics():
     assert poly_eval(p, Fraction(3)) == 7
     assert poly_degree(q) == 2
     assert poly_degree((0, 0)) == -1
+
+
+def test_empty_polynomial_is_zero():
+    p = (Fraction(1), Fraction(2))
+    assert poly_mul((), p) == poly_mul(p, ()) == ()
+    assert poly_eval((), Fraction(3)) == 0
     assert poly_is_zero((0, Fraction(0)))
     assert not poly_is_zero(p)
 

@@ -122,6 +122,11 @@ def test_quadext_formatting():
     assert format_scalar(x) == "1/2 + -3/1*w | w^2 = 8/1"
 
 
+def test_quadext_str_is_its_report_form():
+    x = QuadExt(Fraction(1, 2), Fraction(-3), Fraction(8))
+    assert str(x) == format_scalar(x)
+
+
 # ---------------------------------------------------------------------------
 # Jets
 # ---------------------------------------------------------------------------
@@ -136,6 +141,21 @@ def test_jet_variable_square():
     x = Jet.variable(Fraction(5), 1)
     assert x.coeffs == (Fraction(5), Fraction(1))
     assert (x * x).coeffs == (Fraction(25), Fraction(10))
+
+
+def test_order_zero_variable_is_its_value():
+    assert Jet.variable(Fraction(5), 0).coeffs == (Fraction(5),)
+
+
+def test_jet_truth_value_reads_every_coefficient():
+    zero = Fraction(0)
+    quad_zero = QuadExt(zero, zero, Fraction(2))
+    assert not Jet((zero, zero))
+    assert Jet((zero, Fraction(1, 3)))
+    assert not Jet((quad_zero, quad_zero))
+    assert Jet((quad_zero, QuadExt(zero, Fraction(1), Fraction(2))))
+    assert not Jet((Jet((zero, zero)), Jet((zero, zero))))
+    assert Jet((Jet((zero, zero)), Jet((zero, Fraction(-1)))))
 
 
 def test_jet_quotient_by_hand():

@@ -196,6 +196,23 @@ def test_propagate_constant_continuation():
     assert out == q
 
 
+def test_q_polynomial_validation():
+    with pytest.raises(ValueError, match="genus must be positive"):
+        QPolynomial(0, ())
+    with pytest.raises(ValueError, match="genus 2 needs 2 free coefficients, got 1"):
+        QPolynomial(2, (Fraction(1),))
+
+
+def test_propagate_refuses_seeds_whose_leading_powers_do_not_cancel():
+    """A genus-2 seed among genus-1 ones leaves a z^3 term nothing cancels."""
+    q = QPolynomial(1, (Fraction(-2),))
+    with pytest.raises(DegreeError, match="leading powers do not cancel"):
+        propagate_q(
+            q, q, QPolynomial(2, (Fraction(0), Fraction(0))),
+            Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(7),
+        )
+
+
 def test_propagate_errors():
     q = QPolynomial(1, (Fraction(-2),))
     with pytest.raises(ZeroDivisionError):
@@ -241,7 +258,7 @@ def test_sharp_polynomial_bands_match_operator():
         for j in range(-2, 3):
             assert op.coeff(j, n) == ref.band_coeff(j, n)
             assert op.operator.band_coeff(j, n) == ref.band_coeff(j, n)
-    assert op.window(-5, 5) == ref.window(-5, 5)
+    assert op.operator.window(-5, 5) == ref.window(-5, 5)
 
 
 @pytest.mark.parametrize("r", [(0, 0, 0, 1), (3, -2, 5, 4)])
@@ -259,7 +276,7 @@ def test_band_commutator_norm_matches_provider_route(r):
     for x in (x_bad,) + found.basis:
         band_route = PolynomialBandOperator(
             commutator_polynomial_bands(op.bands, x.bands)
-        ).window(0, 7).max_abs()
+        ).operator.window(0, 7).max_abs()
         provider_route = commutator(op.operator, x.operator).window(0, 7).max_abs()
         assert band_route == provider_route
         assert float(band_route) == float(provider_route)
@@ -414,7 +431,7 @@ def test_commutant_errors():
     with pytest.raises(AnsatzError):
         CommutantAnsatz(-1, 0)
     with pytest.raises(AnsatzError):
-        commutant_solve_exact(DifferenceOperator.from_constant_bands({0: 1}), CommutantAnsatz(1, 1))
+        commutant_solve_exact(DifferenceOperator.from_bands({0: lambda n: 1}), CommutantAnsatz(1, 1))
     with pytest.raises(AnsatzError):
         commutant_solve_exact(tt, CommutantAnsatz(1, 1))  # bands, not an operator
 
@@ -524,7 +541,7 @@ def test_polynomial_band_compose_matches_operator_compose(rng):
 # ---------------------------------------------------------------------------
 
 def test_windowed_shift_pair():
-    tt = DifferenceOperator.from_constant_bands({1: 1.0, -1: 1.0})
+    tt = DifferenceOperator.from_bands({1: lambda n: 1.0, -1: lambda n: 1.0})
     res = commutant_solve_windowed(tt, 1, 0, 39)
     assert res.nullity >= 2  # contains I and L (in fact 3: T and T^-1 separately)
     assert res.nullity == 3
@@ -554,7 +571,7 @@ def test_windowed_random_operator_trivial_commutant():
 
 
 def test_windowed_ill_posed_window():
-    tt = DifferenceOperator.from_constant_bands({1: 1.0, -1: 1.0})
+    tt = DifferenceOperator.from_bands({1: lambda n: 1.0, -1: lambda n: 1.0})
     with pytest.raises(AnsatzError):
         commutant_solve_windowed(tt, 3, 0, 3)
     with pytest.raises(AnsatzError, match="band_m = -1"):
@@ -563,8 +580,32 @@ def test_windowed_ill_posed_window():
         commutant_solve_windowed(tt, 1, 40, 0)
 
 
+def test_windowed_zero_operator_has_no_gap():
+    """Every singular value of the zero operator's system is 0, so there is
+    no kept value to separate from a discarded one: the gap reads inf."""
+    zero = DifferenceOperator.from_bands({0: lambda n: 0.0})
+    res = commutant_solve_windowed(zero, 1, 0, 9)
+    assert res.singular_max == 0.0
+    assert res.gap == float("inf")
+    assert res.residual == 0.0
+
+
+def test_flat_window_reports_in_floats():
+    """The flat family's window holds floats in its T^-2, T^-1 and T^0 bands,
+    beside the int T^1 and T^2 bands of ``build_l4``: its magnitude and JSON
+    take the float branches of ``scalar_abs`` and ``format_scalar``."""
+    win = flat_operator((0, 3)).window(0, 1)
+    assert [type(c) for c in win.rows[0]] == [float, float, float, int, int]
+    assert win.max_abs() == (3 * cos(0)) * (3 * cos(-1))  # V_0 V_{-1}, T^-2 at site 0
+    assert isinstance(win.max_abs(), float)
+    coeffs = win.to_json_dict()["coeffs"]
+    assert coeffs == [repr(c) for c in win.rows[0][:3]] + ["0/1", "1/1"] + [
+        repr(c) for c in win.rows[1][:3]
+    ] + ["0/1", "1/1"]
+
+
 def test_windowed_report_serializes():
-    tt = DifferenceOperator.from_constant_bands({1: 1.0, -1: 1.0})
+    tt = DifferenceOperator.from_bands({1: lambda n: 1.0, -1: lambda n: 1.0})
     res = commutant_solve_windowed(tt, 1, 0, 29)
     payload = res.to_json_dict()
     assert payload["window"] == [0, 29]
