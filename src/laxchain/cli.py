@@ -444,8 +444,6 @@ def _cmd_commutant(args):
             raise ConfigError(f"r: {err}") from err
         window = settings.get("commutant", "window", "0,40")
         n0, n1 = _parse_list(window, "window", expect=2, parse=_parse_int)
-        if n0 > n1:
-            raise ConfigError(f"window: empty site range {n0},{n1}")
         try:
             result = commutant_solve_windowed(op, band, n0, n1)
         except AnsatzError as err:

@@ -244,6 +244,7 @@ def darboux_data(jet_chain, wp_jet):
     float chain value cannot enter Q(w) and raises ``TypeError``.
 
     Validates by exact ``==`` that the suites' denominators cannot vanish:
+    z0 off the curve's branch points (w, with w^2 = F(z0), is a divisor),
     adjacent gammas distinct, z0 off the chain, and the chain off the
     curve's branch points (V_n must be invertible for the factors).
     """
@@ -257,6 +258,8 @@ def darboux_data(jet_chain, wp_jet):
     zero = base - base
     period = jet_chain.period
 
+    if jet_chain.curve.eval(base) == 0:
+        raise PoleError("z0 is a branch point of the curve (F(z0) = 0)")
     raw = [j.coeffs for j in jet_chain.values]
     for n in range(period):
         after = (n + 1) % period

@@ -121,18 +121,13 @@ def rref(matrix):
 def nullspace(matrix, ncols=None):
     """Basis of ``{x : matrix @ x = 0}`` as a list of exact coefficient vectors.
 
-    ``ncols`` must be given when ``matrix`` has no rows (everything is free).
+    ``ncols`` must be given when ``matrix`` has no rows: ``rref([])`` has no
+    pivots, so every column is free and the basis is the unit vectors.
     """
-    if not matrix:
-        if ncols is None:
-            raise ValueError("ncols required for an empty system")
-        basis = []
-        for i in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[i] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(matrix[0])
+    if matrix:
+        ncols = len(matrix[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty system")
     rows, pivots = rref(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -341,33 +341,23 @@ def commutant_solve_exact(l_op, ansatz):
         raise AnsatzError(
             "exact commutant solving needs polynomial band data (a PolynomialBandOperator)"
         )
-    unknowns = [
-        (j, d)
-        for j in range(-ansatz.band_m, ansatz.band_m + 1)
-        for d in range(ansatz.degree + 1)
-    ]
     columns = commutant_columns(_integer_bands(l_op.bands), ansatz)
-    row_keys = {}
-    for entries in columns:
-        for key in entries:
-            row_keys.setdefault(key, len(row_keys))
-
-    matrix = [[0] * len(unknowns) for _ in range(len(row_keys))]
+    rows = {}  # (band, n-power) -> dense row, in order of first appearance
     for col, entries in enumerate(columns):
         for key, c in entries.items():
-            matrix[row_keys[key]][col] = c
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [0] * len(columns)
+            row[col] = c
 
-    basis_vectors = nullspace(matrix, ncols=len(unknowns))
+    # a nullspace vector is band-major, then degree: commutant_columns' order
+    width = ansatz.degree + 1
     basis = []
-    for vec in basis_vectors:
+    for vec in nullspace(list(rows.values()), ncols=len(columns)):
         bands = {}
-        for (j, d), c in zip(unknowns, vec):
-            if c != 0:
-                cur = list(bands.get(j, ()))
-                while len(cur) <= d:
-                    cur.append(Fraction(0))
-                cur[d] = c
-                bands[j] = tuple(cur)
+        for b, j in enumerate(range(-ansatz.band_m, ansatz.band_m + 1)):
+            p = vec[b * width : (b + 1) * width]
+            bands[j] = p[: poly_degree(p) + 1]
         basis.append(PolynomialBandOperator(bands))
     return ExactCommutantResult(ansatz=ansatz, basis=tuple(basis))
 
@@ -424,13 +414,22 @@ NULLITY_THRESHOLD = 1e-8
 def commutant_solve_windowed(l_op, band_m, n0, n1):
     """Numeric analogue for operators without polynomial structure.
 
-    Unknowns are free coefficient values ``x_j(n)`` on the window; equations
-    are all commutator coefficients whose stencil stays inside the window
-    (boundary unknowns are free, interior equations are complete).  The
-    numerical nullity is counted at ``NULLITY_THRESHOLD * sigma_max``; ``gap``
-    is the ratio between the smallest kept and the largest discarded singular
-    value (commutant candidates should be separated by many orders of
-    magnitude from the generic spectrum).
+    Unknowns are free coefficient values ``x_i(n)`` on the window sites
+    ``n0..n1``, band-major; each equation is one coefficient of
+
+        [L, X]_k(n) = sum_j L_j(n) x_{k-j}(n+j) - sum_i x_i(n) L_{k-i}(n+i),
+
+    the first sum over the bands ``j`` of ``L`` with ``|k - j| <= band_m``,
+    the second over ``|i| <= band_m`` with ``k - i`` a band of ``L``; both
+    are non-empty for every ``k`` from ``lo - band_m`` to ``hi + band_m``.
+    Row ``(k, n)`` is kept when every site it reads, ``n + j`` for each
+    ``j`` of the first sum and ``n`` itself, lies in the window (boundary
+    unknowns are free, interior equations are complete).  The rank counts
+    the singular values strictly above ``NULLITY_THRESHOLD * sigma_max``,
+    so an all-zero system has rank 0 and full nullity; ``gap`` is the ratio
+    between the smallest kept and the largest discarded singular value, inf
+    when either side is empty (commutant candidates should be separated by
+    many orders of magnitude from the generic spectrum).
     """
     if band_m < 0 or n0 > n1:
         raise AnsatzError(
@@ -438,36 +437,25 @@ def commutant_solve_windowed(l_op, band_m, n0, n1):
             f"{band_m} and window {n0},{n1}"
         )
     sites = list(range(n0, n1 + 1))
+    x_bands = range(-band_m, band_m + 1)
     col_index = {}
-    for j in range(-band_m, band_m + 1):
+    for i in x_bands:
         for n in sites:
-            col_index[(j, n)] = len(col_index)
+            col_index[(i, n)] = len(col_index)
     ncols = len(col_index)
 
     rows = []
     for k in range(l_op.lo - band_m, l_op.hi + band_m + 1):
-        for n in sites:
-            needed = [n]
-            lx_terms = []
-            for j in range(l_op.lo, l_op.hi + 1):
-                i = k - j
-                if -band_m <= i <= band_m:
-                    needed.append(n + j)
-                    lx_terms.append((j, i))
-            if any(m < n0 or m > n1 for m in needed):
-                continue
+        lx = [j for j in range(l_op.lo, l_op.hi + 1) if abs(k - j) <= band_m]
+        xl = [i for i in x_bands if l_op.lo <= k - i <= l_op.hi]
+        reach = lx + [0]  # offsets of the sites that row (k, n) reads
+        for n in range(n0 - min(reach), n1 - max(reach) + 1):
             row = np.zeros(ncols)
-            hit = False
-            for j, i in lx_terms:
-                row[col_index[(i, n + j)]] += float(l_op.coeff(j, n))
-                hit = True
-            for j2 in range(-band_m, band_m + 1):
-                i = k - j2
-                if l_op.lo <= i <= l_op.hi:
-                    row[col_index[(j2, n)]] -= float(l_op.coeff(i, n + j2))
-                    hit = True
-            if hit:
-                rows.append(row)
+            for j in lx:
+                row[col_index[(k - j, n + j)]] += float(l_op.coeff(j, n))
+            for i in xl:
+                row[col_index[(i, n)]] -= float(l_op.coeff(k - i, n + i))
+            rows.append(row)
 
     if len(rows) < ncols:
         raise AnsatzError(
@@ -480,7 +468,7 @@ def commutant_solve_windowed(l_op, band_m, n0, n1):
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     smax = float(s[0])
     threshold = NULLITY_THRESHOLD * smax
-    rank = int(np.sum(s >= threshold))
+    rank = int(np.sum(s > threshold))
     nullity = ncols - rank
     if 0 < rank < len(s):
         gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else float("inf")
@@ -489,11 +477,10 @@ def commutant_solve_windowed(l_op, band_m, n0, n1):
 
     rep_vec = vh[-1]
     representative = {
-        j: [float(rep_vec[col_index[(j, n)]]) for n in sites]
-        for j in range(-band_m, band_m + 1)
+        i: [float(rep_vec[col_index[(i, n)]]) for n in sites] for i in x_bands
     }
-    residual = float(np.max(np.abs(a @ rep_vec))) if len(rows) else 0.0
-    tail = tuple(float(x) for x in sorted(s)[: min(8, len(s))])
+    residual = float(np.max(np.abs(a @ rep_vec)))
+    tail = tuple(float(x) for x in sorted(s)[:8])
     return WindowedCommutantResult(
         band_m=band_m,
         n0=n0,

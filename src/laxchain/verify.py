@@ -414,8 +414,15 @@ def run_suite(
     """Run one exact suite; samples are independent, so ``workers > 1`` farms
     them out to a process pool and a single collector assembles the report
     (identical output regardless of worker count).  The pool is no wider
-    than ``samples``: a fork-based pool starts all its workers at once."""
+    than ``samples``: a fork-based pool starts all its workers at once.
+    ``samples`` and ``workers`` must be at least 1, since a report over no
+    samples would read as a pass."""
     _suite_eval(suite)
+    if samples < 1 or workers < 1:
+        raise ValueError(
+            f"run_suite needs samples >= 1 and workers >= 1, got samples = "
+            f"{samples} and workers = {workers}"
+        )
     tasks = [(suite, seed, i, max_num, max_den, constants) for i in range(samples)]
     workers = min(workers, samples)
     if workers > 1:

@@ -301,6 +301,18 @@ def test_draw_bound_just_below_2_63_is_accepted(tmp_path, flag):
     assert json.loads(out.read_text())["passes"] == 1
 
 
+def test_reversed_flat_window_is_the_solvers_config_error(tmp_path, capsys):
+    """The solver refuses an empty site range itself; the CLI reports its
+    message under the window field."""
+    out = tmp_path / "report.json"
+    assert run_cli(FLAT + ["--band", "3", "--window", "5,2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: window: windowed ansatz needs band_m >= 0 and n0 <= n1, "
+        "got band_m = 3 and window 5,2\n"
+    )
+    assert not out.exists()
+
+
 # One admissibility rule, two doors: ``darboux`` and a ``--replay`` dump of
 # the same configuration must both refuse it, with the same text after the
 # field name.  Each case: gamma, z0, the field that is refused and the text.

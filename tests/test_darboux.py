@@ -295,6 +295,18 @@ def test_data_rejects_z0_on_chain():
         darboux_data(jets, wp)
 
 
+def test_data_rejects_z0_at_a_root_of_f():
+    """At a root of F, w^2 = F(z0) = 0, and the chain and Lax formulas
+    divide by w: the data refuses the point by name, not with a bare
+    division error."""
+    curve = SpectralCurve.elliptic(0, -1, 0)  # F = z^3 - z, roots 0, 1, -1
+    chain = GammaChain((Fraction(2), Fraction(3), Fraction(5), Fraction(7)), curve)
+    wp = exact_wp_jet(curve, Fraction(1), order=3)
+    message = r"^z0 is a branch point of the curve \(F\(z0\) = 0\)$"
+    with pytest.raises(PoleError, match=message):
+        darboux_data(prolong_gamma_jets(chain, 2), wp)
+
+
 def test_data_rejects_adjacent_collision():
     chain = GammaChain((1, 1, 2, 3), CURVE)
     with pytest.raises(DegenerateConfigurationError):

@@ -127,6 +127,32 @@ def test_quadext_str_is_its_report_form():
     assert str(x) == format_scalar(x)
 
 
+def test_quadext_is_immutable():
+    x = QuadExt(Fraction(1), Fraction(2), Fraction(3))
+    for name in ("a", "b", "disc"):
+        with pytest.raises(AttributeError, match="^QuadExt is immutable$"):
+            setattr(x, name, Fraction(0))
+    assert (x.a, x.b, x.disc) == (1, 2, 3)
+
+
+@pytest.mark.parametrize("exponent", [-1, 2.0, Fraction(1, 2)])
+def test_quadext_powers_take_non_negative_ints_only(exponent):
+    with pytest.raises(TypeError):
+        QuadExt(Fraction(1), Fraction(2), Fraction(3)) ** exponent
+
+
+def test_a_float_over_a_quadext_is_refused():
+    with pytest.raises(TypeError):
+        2.5 / QuadExt(Fraction(1), Fraction(2), Fraction(3))
+
+
+def test_division_by_a_pure_w_element_needs_a_nonzero_disc():
+    """With disc = 0, w^2 = 0, so a multiple of w is a zero divisor."""
+    x = QuadExt(Fraction(1), Fraction(2), Fraction(0))
+    with pytest.raises(ZeroDivisionError):
+        x / QuadExt(Fraction(0), Fraction(3), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # Jets
 # ---------------------------------------------------------------------------
@@ -156,6 +182,25 @@ def test_jet_truth_value_reads_every_coefficient():
     assert Jet((quad_zero, QuadExt(zero, Fraction(1), Fraction(2))))
     assert not Jet((Jet((zero, zero)), Jet((zero, zero))))
     assert Jet((Jet((zero, zero)), Jet((zero, Fraction(-1)))))
+
+
+def test_jet_is_immutable():
+    jet = Jet((Fraction(1), Fraction(2)))
+    for name in ("coeffs", "_shape"):
+        with pytest.raises(AttributeError, match="^Jet is immutable$"):
+            setattr(jet, name, ())
+    assert jet.coeffs == (1, 2)
+
+
+def test_a_jet_needs_a_value_coefficient():
+    with pytest.raises(ValueError, match="at least a value coefficient"):
+        Jet(())
+
+
+@pytest.mark.parametrize("exponent", [-1, 2.0, Fraction(1, 2)])
+def test_jet_powers_take_non_negative_ints_only(exponent):
+    with pytest.raises(TypeError):
+        Jet((Fraction(1), Fraction(2))) ** exponent
 
 
 def test_jet_quotient_by_hand():

@@ -540,6 +540,85 @@ def test_polynomial_band_compose_matches_operator_compose(rng):
 # Windowed numeric commutant
 # ---------------------------------------------------------------------------
 
+def reference_windowed_system(l_op, band_m, n0, n1):
+    """The windowed commutant matrix and its ``(band, site)`` column index,
+    assembled site by site as a reference: for each band k and site n, the
+    row is kept when every site it needs lies in the window and some term
+    of [L, X]_k(n) hits it."""
+    sites = list(range(n0, n1 + 1))
+    col_index = {}
+    for j in range(-band_m, band_m + 1):
+        for n in sites:
+            col_index[(j, n)] = len(col_index)
+    rows = []
+    for k in range(l_op.lo - band_m, l_op.hi + band_m + 1):
+        for n in sites:
+            needed = [n]
+            lx_terms = []
+            for j in range(l_op.lo, l_op.hi + 1):
+                i = k - j
+                if -band_m <= i <= band_m:
+                    needed.append(n + j)
+                    lx_terms.append((j, i))
+            if any(m < n0 or m > n1 for m in needed):
+                continue
+            row = np.zeros(len(col_index))
+            hit = False
+            for j, i in lx_terms:
+                row[col_index[(i, n + j)]] += float(l_op.coeff(j, n))
+                hit = True
+            for j2 in range(-band_m, band_m + 1):
+                i = k - j2
+                if l_op.lo <= i <= l_op.hi:
+                    row[col_index[(j2, n)]] -= float(l_op.coeff(i, n + j2))
+                    hit = True
+            if hit:
+                rows.append(row)
+    return np.array(rows), col_index
+
+
+def _random_band_operator(seed):
+    rng = np.random.default_rng(seed)
+    vals = {j: rng.uniform(0.5, 2.0, size=200) for j in (-1, 0, 1)}
+    return DifferenceOperator.from_bands(
+        {j: (lambda n, jj=j: vals[jj][n % 200]) for j in (-1, 0, 1)}
+    )
+
+
+WINDOWED_CASES = {
+    "flat": (lambda: flat_operator((0, 1)), 3, 0, 40),
+    "random": (lambda: _random_band_operator(3), 1, 0, 39),
+    "shift-pair": (
+        lambda: DifferenceOperator.from_bands({1: lambda n: 1.0, -1: lambda n: 1.0}),
+        1,
+        0,
+        39,
+    ),
+    "zero": (lambda: DifferenceOperator.from_bands({0: lambda n: 0.0}), 1, 0, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWED_CASES))
+def test_windowed_system_equals_the_reference_assembly(monkeypatch, case):
+    """The matrix handed to the SVD equals the site-by-site reference in
+    shape, row order and every entry."""
+    make, band_m, n0, n1 = WINDOWED_CASES[case]
+    op = make()
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.append(np.array(a, copy=True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    commutant_solve_windowed(op, band_m, n0, n1)
+    expected, _ = reference_windowed_system(op, band_m, n0, n1)
+    assert len(seen) == 1
+    assert seen[0].shape == expected.shape
+    assert np.array_equal(seen[0], expected)
+
+
 def test_windowed_shift_pair():
     tt = DifferenceOperator.from_bands({1: lambda n: 1.0, -1: lambda n: 1.0})
     res = commutant_solve_windowed(tt, 1, 0, 39)
@@ -581,11 +660,13 @@ def test_windowed_ill_posed_window():
 
 
 def test_windowed_zero_operator_has_no_gap():
-    """Every singular value of the zero operator's system is 0, so there is
-    no kept value to separate from a discarded one: the gap reads inf."""
+    """Every singular value of the zero operator's system is 0, so none is
+    kept: every X commutes with 0, the nullity is the full unknown count
+    (3 bands x 10 sites), and with no kept value the gap reads inf."""
     zero = DifferenceOperator.from_bands({0: lambda n: 0.0})
     res = commutant_solve_windowed(zero, 1, 0, 9)
     assert res.singular_max == 0.0
+    assert res.nullity == 30
     assert res.gap == float("inf")
     assert res.residual == 0.0
 
@@ -623,38 +704,11 @@ def test_windowed_system_agrees_with_exact_partner():
     partner = next(s for s in found.basis if 3 in s.bands or -3 in s.bands)
 
     n0, n1 = 2, 21
-    sites = list(range(n0, n1 + 1))
-    col_index = {}
-    for j in range(-3, 4):
-        for n in sites:
-            col_index[(j, n)] = len(col_index)
+    a, col_index = reference_windowed_system(op.operator, 3, n0, n1)
     vec = np.zeros(len(col_index))
     for (j, n), idx in col_index.items():
         vec[idx] = float(partner.coeff(j, n))
     scale = np.max(np.abs(vec))
-
-    rows = []
-    l_op = op.operator
-    for k in range(l_op.lo - 3, l_op.hi + 3 + 1):
-        for n in sites:
-            needed = [n]
-            terms = []
-            for j in range(l_op.lo, l_op.hi + 1):
-                i = k - j
-                if -3 <= i <= 3:
-                    needed.append(n + j)
-                    terms.append((j, i))
-            if any(m < n0 or m > n1 for m in needed):
-                continue
-            row = np.zeros(len(col_index))
-            for j, i in terms:
-                row[col_index[(i, n + j)]] += float(l_op.coeff(j, n))
-            for j2 in range(-3, 4):
-                i = k - j2
-                if l_op.lo <= i <= l_op.hi:
-                    row[col_index[(j2, n)]] -= float(l_op.coeff(i, n + j2))
-            rows.append(row)
-    a = np.array(rows)
     assert np.max(np.abs(a @ vec)) / scale < 1e-9
 
     bad = vec.copy()

@@ -186,6 +186,17 @@ def test_pool_is_never_wider_than_the_samples(monkeypatch):
         assert report_to_json(pooled) == report_to_json(serial)
 
 
+@pytest.mark.parametrize("samples, workers", [(0, 1), (-3, 1), (1, 0), (2, -1)])
+def test_runs_refuse_no_samples_or_no_workers(samples, workers):
+    """A report over zero samples would read as a pass, and a run with no
+    worker runs nothing: both entry points refuse such values by name."""
+    message = f"got samples = {samples} and workers = {workers}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite("chain", samples, workers=workers)
+    with pytest.raises(ValueError, match=message):
+        run_all(samples, workers=workers)
+
+
 def test_replay_from_dump():
     cfg = draw_sample(seed=31, index=0)
     for suite in ("factorization", "lax-l4"):
