@@ -2,14 +2,18 @@
 
 Everything here evaluates identities pointwise in (x, y) at jet-equipped
 sample configurations: gamma carries x-jets along the lattice flow, the curve
-point z0 carries y-jets along the Weierstrass-type ODE, and all site
-quantities live in the nested jet field Jet_x(Jet_y(base)) whose base is
-the quadratic extension Q(w), or Q itself for a rational curve point.  Chain
-values enter that field by arithmetic, as ``zero + c`` with ``zero`` the
-point's own zero, so no code path switches on the scalar type.  A rational
-identity that evaluates to exactly zero at random rational configurations is
-certified with overwhelming confidence (Schwartz-Zippel style), without any
-symbolic engine.
+point z0 carries y-jets along the Weierstrass-type ODE, and site quantities
+live in the nested jet field Jet_x(Jet_y(base)) whose base is the quadratic
+extension Q(w), or Q itself for a rational curve point.  Only the chain
+residuals read both derivatives; every other check runs in the smallest
+tower it reads (``DarbouxData.flat``): base values at orders (0, 0), one
+jet over the base along the live variable otherwise (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13).  Chain values enter by
+arithmetic, as ``zero + c`` with ``zero`` the point's own zero, so no code
+path switches on the scalar type; V_n and W_n are computed over Q first.
+A rational identity that evaluates to exactly zero at random rational
+configurations is certified with overwhelming confidence (Schwartz-Zippel
+style), without any symbolic engine.
 
 The factorization being transformed is
 
@@ -28,8 +32,8 @@ The chain equations are zero curvature: :func:`chain_residuals` reads them
 from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
 B = T + f.  The Lax residuals (the x and y brackets here, the fourth-order
 one in ``verify``) are built by :func:`lax_operator`, which takes dL and,
-cut by one jet order, L from one operator; the checks read it on one period
-with ``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
+cut by one order, L from one operator's outer jet; the checks read it on
+one period with ``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
 assemble their bracket with ``operators.lax_residual``.
 
 Both signs of w are certified from one evaluation.  w enters only through
@@ -46,16 +50,17 @@ disagree; a differential test in the test suite runs both signs in full
 against ``verify``'s evaluators to catch it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, wraps
+from operator import itemgetter
 
 from .curves import SpectralCurve
 from .elliptic import exact_wp_jet
 from .errors import DegenerateConfigurationError, PoleError
 from .flows import prolong_gamma_jets, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
-from .scalars import Jet
+from .scalars import Jet, QuadExt, scalar_value
 
 __all__ = [
     "ChainSolution",
@@ -102,18 +107,20 @@ def _per_site(formula):
 class DarbouxData:
     """Jet-equipped sample configuration shared by all residual suites.
 
-    ``gamma``/``dgamma`` hold gamma_n and gamma_n' as nested scalars
-    Jet_x(Jet_y(base)) of uniform orders (x_order, y_order); ``z0``/``w``
-    hold the curve point and its y-derivative in the same shape, and the
-    orders are read off ``z0``.  Site lookups reduce modulo the period, and
-    every per-site formula is a method memoised in ``_site_cache``.
+    ``chain`` holds the exact x-jets of gamma_n and ``point`` the exact
+    y-jet of the curve point, one order above the working orders.  They
+    enter the tower Jet_x(Jet_y(base)) as ``gamma``/``dgamma`` and
+    ``z0``/``w`` (chain values as ``zero + c``); the view ``flat`` drops the
+    layer of an order-0 variable.  Site lookups reduce modulo the period,
+    and every per-site formula is a method memoised in ``_site_cache``.
     """
 
     curve: SpectralCurve
-    gamma: tuple
-    dgamma: tuple
-    z0: object
-    w: object
+    chain: tuple
+    point: Jet
+    x_order: int
+    y_order: int
+    nested: bool = True
 
     def __post_init__(self):
         # per-site memo table; every stored value is immutable
@@ -121,15 +128,7 @@ class DarbouxData:
 
     @property
     def period(self):
-        return len(self.gamma)
-
-    @property
-    def x_order(self):
-        return self.z0.order
-
-    @property
-    def y_order(self):
-        return self.z0.coeffs[0].order
+        return len(self.chain)
 
     def gamma_at(self, n):
         return self.gamma[n % self.period]
@@ -138,27 +137,56 @@ class DarbouxData:
         return self.dgamma[n % self.period]
 
     def truncated(self, x_order, y_order):
-        """Same configuration at lower jet orders (cheap slicing); a higher
-        x or y order raises ``ValueError``."""
-
-        def cut(s):
-            return Jet(tuple(c.truncate(y_order) for c in s.truncate(x_order).coeffs))
-
-        return DarbouxData(
-            curve=self.curve,
-            gamma=tuple(cut(g) for g in self.gamma),
-            dgamma=tuple(cut(g) for g in self.dgamma),
-            z0=cut(self.z0),
-            w=cut(self.w),
-        )
+        """Same configuration at lower jet orders, with an empty memo; a
+        higher x or y order raises ``ValueError``."""
+        if x_order > self.x_order or y_order > self.y_order:
+            have = (self.x_order, self.y_order)
+            raise ValueError(f"cannot extend orders {have} to {(x_order, y_order)}")
+        return replace(self, x_order=x_order, y_order=y_order)
 
     @cached_property
-    def _v(self):
-        return vn_from_gamma(list(self.gamma), self.curve)
+    def flat(self):
+        """The view the checks evaluate on: this configuration without the
+        jet layer of a variable of order 0, so Q(w) values at orders (0, 0)
+        and one jet over Q(w) along the live variable otherwise.  With both
+        orders >= 1 it is the configuration itself."""
+        if not self.nested or (self.x_order and self.y_order):
+            return self
+        return replace(self, nested=False)
 
-    @cached_property
-    def _w(self):
-        return wn_from_gamma(list(self.gamma), self.curve)
+    def _tower(self, rows):
+        """The tower element whose x-coefficient k has the y-coefficients
+        ``rows[k]``; a flat view drops the layer of an order-0 variable."""
+        y_layer = Jet if self.nested or self.y_order else itemgetter(0)
+        x_layer = Jet if self.nested or self.x_order else itemgetter(0)
+        return x_layer(tuple(y_layer(tuple(r)) for r in rows))
+
+    _zero = cached_property(lambda self: self.point.coeffs[0] * 0)
+
+    def _lift_x(self, coeffs):
+        """Exact x-coefficients as a tower element constant in y."""
+        pad = (self._zero,) * self.y_order
+        return self._tower([(self._zero + c,) + pad for c in coeffs[: self.x_order + 1]])
+
+    def _lift_y(self, coeffs):
+        """y-coefficients of the point's field as a tower element constant in x."""
+        pad = [(self._zero,) * (self.y_order + 1)] * self.x_order
+        return self._tower([coeffs[: self.y_order + 1]] + pad)
+
+    # the sources in the tower, lifted on first use
+    gamma = cached_property(lambda self: tuple(self._lift_x(j.coeffs) for j in self.chain))
+    dgamma = cached_property(lambda self: tuple(self._lift_x(j.coeffs[1:]) for j in self.chain))
+    z0 = cached_property(lambda self: self._lift_y(self.point.coeffs))
+    w = cached_property(lambda self: self._lift_y(self.point.coeffs[1:]))
+
+    def _couplings(self, of_gamma):
+        """``of_gamma`` (V_n or W_n) evaluated over Q on the exact x-jets at
+        the working x-order, then lifted into the tower."""
+        sites = [j.truncate(self.x_order) for j in self.chain]
+        return tuple(self._lift_x(c.coeffs) for c in of_gamma(sites, self.curve))
+
+    _v = cached_property(lambda self: self._couplings(vn_from_gamma))
+    _w = cached_property(lambda self: self._couplings(wn_from_gamma))
 
     @cached_property
     def _f_z0(self):
@@ -187,7 +215,7 @@ class DarbouxData:
     def left_lower(self, m):
         """``-V_{m-1} V_m / chi1(m-1)``, the ``T^{-1}`` band of the left factor."""
         chi = self.chi1(m - 1)
-        if _val(chi) == 0:
+        if scalar_value(chi) == 0:
             raise PoleError(f"chi1 vanishes at site {(m - 1) % self.period}")
         return -(self.v_at(m - 1) * self.v_at(m) / chi)
 
@@ -241,7 +269,8 @@ def darboux_data(jet_chain, wp_jet):
     Q.  Working orders come out one lower than the sources, so gamma and
     gamma' (and z0 and z0') share a uniform shape.  Chain values enter the
     point's field as ``zero + c``, with ``zero`` that field's own zero; a
-    float chain value cannot enter Q(w) and raises ``TypeError``.
+    chain jet with a coefficient that is not a Fraction or a QuadExt (a
+    float) raises ``TypeError`` naming its site.
 
     Validates by exact ``==`` that the suites' denominators cannot vanish:
     z0 off the curve's branch points (w, with w^2 = F(z0), is a divisor),
@@ -253,9 +282,7 @@ def darboux_data(jet_chain, wp_jet):
         raise ValueError("gamma jets must carry at least one derivative")
     if wp_jet.order < 1:
         raise ValueError("the curve-point jet must carry at least one derivative")
-    y_ord = wp_jet.order - 1
     base = wp_jet.coeffs[0]
-    zero = base - base
     period = jet_chain.period
 
     if jet_chain.curve.eval(base) == 0:
@@ -263,6 +290,8 @@ def darboux_data(jet_chain, wp_jet):
     raw = [j.coeffs for j in jet_chain.values]
     for n in range(period):
         after = (n + 1) % period
+        if not all(isinstance(c, (Fraction, QuadExt)) for c in raw[n]):
+            raise TypeError(f"gamma jet at site {n} is not exact: {jet_chain.values[n]!r}")
         if raw[n][0] == raw[after][0]:
             raise DegenerateConfigurationError(
                 (n, after), f"gamma collision between sites {n} and {after}"
@@ -273,20 +302,8 @@ def darboux_data(jet_chain, wp_jet):
             raise PoleError(
                 f"gamma at site {n} is a branch point of the curve (V_n = 0)"
             )
-
-    def site_jets(coeffs, offset):
-        lifted = (zero + coeffs[i + offset] for i in range(x_ord + 1))
-        return Jet(tuple(Jet.constant(c, y_ord) for c in lifted))
-
-    gamma = tuple(site_jets(raw[n], 0) for n in range(period))
-    dgamma = tuple(site_jets(raw[n], 1) for n in range(period))
-
-    pad = (Jet.constant(zero, y_ord),) * x_ord
-    z0_nested = Jet((Jet(wp_jet.coeffs[: y_ord + 1]),) + pad)
-    w_nested = Jet((Jet(wp_jet.coeffs[1 : y_ord + 2]),) + pad)
-
     return DarbouxData(
-        curve=jet_chain.curve, gamma=gamma, dgamma=dgamma, z0=z0_nested, w=w_nested
+        jet_chain.curve, tuple(jet_chain.values), wp_jet, x_ord, wp_jet.order - 1
     )
 
 
@@ -358,8 +375,9 @@ def _right_factor(data):
 def factorization_check(data):
     """One-period window of ``(left factor)(right factor) - (L4 - z0)``;
     exactly zero whenever the conserved-curve relation holds (any
-    distinct-neighbor chain).
+    distinct-neighbor chain).  Evaluated on the view ``data.flat``.
     """
+    data = data.flat
     l4 = build_l4(data.v_at, data.w_site)
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     residual = compose(_left_factor(data), _right_factor(data)) - (l4 - z_term)
@@ -388,7 +406,9 @@ def transformed_operator(data):
 
 def crosscheck_window(data):
     """One-period window of :func:`transformed_operator` minus the swapped
-    factor product plus z0; exactly zero when the band formulas hold."""
+    factor product plus z0; exactly zero when the band formulas hold.
+    Evaluated on the view ``data.flat``, as :func:`factorization_check`."""
+    data = data.flat
     swapped = compose(_right_factor(data), _left_factor(data))
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     return (transformed_operator(data) - (swapped + z_term)).window(0, data.period - 1)
@@ -440,17 +460,20 @@ class ChainSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "_f_cache", {})
+        object.__setattr__(self, "_g_cache", {})
 
     def g(self, n):
         c = self.constants
         if c.is_zero():
             return self.data.z0 * 0
-        sgn = -1 if n % 2 else 1
-        z0 = self.data.z0
-        quad = (n * c.s1 + c.s0) * z0**2 + (n * c.k1 + c.k0) * z0 + (
-            n * c.p1 + c.p0
-        )
-        return sgn * quad / self.data.w
+        if not (c.s1 or c.k1 or c.p1):
+            n %= 2  # then g_n is (-1)^n times one quotient: one value per parity
+        hit = self._g_cache.get(n)
+        if hit is None:
+            z0 = self.data.z0
+            quad = (n * c.s1 + c.s0) * z0**2 + (n * c.k1 + c.k0) * z0 + (n * c.p1 + c.p0)
+            hit = self._g_cache[n] = (-1 if n % 2 else 1) * quad / self.data.w
+        return hit
 
     def f(self, n):
         hit = self._f_cache.get(n)
@@ -503,32 +526,24 @@ def chain_residuals(sol, n):
     return -bands(0, n), bands(-2, n) / d_val, bands(-1, n) / b_val
 
 
-# axis -> how a map of single jets acts on a nested scalar along that axis
-_LAX_AXES = {
-    "x": lambda c, fn: fn(c),
-    "y": lambda c, fn: Jet(tuple(fn(inner) for inner in c.coeffs)),
-}
-
-
-def lax_operator(l_op, axis, a_op):
+def lax_operator(l_op, a_op):
     """The Lax residual ``dL + [L, A]`` as an operator.
 
-    ``l_op`` carries one more jet order along ``axis`` than the residual:
-    dL is its coefficient-wise derivative, and the L of the bracket is the
+    ``l_op`` carries one more order of its outer jet than the residual: dL
+    is its coefficient-wise derivative, and the L of the bracket is the
     same coefficients truncated by one order (truncation commutes with the
     field operations, so this equals L rebuilt at the lower order).
-    ``a_op`` is given at the residual's order.  Axis ``"x"`` acts on the
-    outer jet (so also on plain jets), ``"y"`` on the inner jets of nested
-    scalars; coefficients that are not jets are constants.  Coefficients are
-    evaluated only when read.
+    ``a_op`` is given at the residual's order.  The checks differentiate
+    along the one live variable of a flat view (``DarbouxData.flat``), so
+    that is the outer jet; coefficients that are not jets are constants.
+    Coefficients are evaluated only when read.
     """
-    along = _LAX_AXES[axis]
 
     def derive(c):
-        return along(c, Jet.derivative) if isinstance(c, Jet) else 0
+        return c.derivative() if isinstance(c, Jet) else 0
 
     def cut(c):
-        return along(c, lambda j: j.truncate(j.order - 1)) if isinstance(c, Jet) else c
+        return c.truncate(c.order - 1) if isinstance(c, Jet) else c
 
     return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op)
 
@@ -541,14 +556,14 @@ def commutator_x_check(data):
     is Ltilde's own ``T^{-2}`` band, behind the same memo) and cut by one
     x-order, as :func:`lax_operator` cuts Ltilde.  Exactly zero when gamma
     follows the lattice flow; the constants play no role (b and d do not
-    contain them).  Requires x-jets of order >= 1.
+    contain them).  Runs on the view's x-jets.  Requires x-order >= 1.
     """
     if data.x_order < 1:
         raise ValueError("the x-commutator check needs x-jet order >= 1")
-    d_hi = data.truncated(data.x_order, 0)
+    d_hi = data.truncated(data.x_order, 0).flat
     a_op = DifferenceOperator.from_bands({-1: d_hi.b, -2: d_hi.d})
     a_op = a_op.map_coeffs(lambda c: c.truncate(c.order - 1))
-    return lax_operator(transformed_operator(d_hi), "x", a_op).window(0, data.period - 1)
+    return lax_operator(transformed_operator(d_hi), a_op).window(0, data.period - 1)
 
 
 def commutator_y_residual(data, constants=None):
@@ -556,14 +571,14 @@ def commutator_y_residual(data, constants=None):
 
     Exactly zero when the curve-point jet satisfies the Weierstrass ODE
     (that is what ties z0'' to F'(z0)/2); a jet violating it is the standard
-    negative control.  Requires y-jets of order >= 1.
+    negative control.  Runs on the view's y-jets.  Requires y-order >= 1.
     """
     if data.y_order < 1:
         raise ValueError("the y-commutator check needs y-jet order >= 1")
-    d_hi = data.truncated(0, data.y_order)
+    d_hi = data.truncated(0, data.y_order).flat
     sol = rank2_solution(d_hi.truncated(0, data.y_order - 1), constants)
     b_op = DifferenceOperator.from_bands({1: lambda n: 1, 0: sol.f})
-    return lax_operator(transformed_operator(d_hi), "y", b_op)
+    return lax_operator(transformed_operator(d_hi), b_op)
 
 
 def commutator_y_check(data, constants=None):

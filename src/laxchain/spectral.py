@@ -152,9 +152,8 @@ def propagate_q(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next):
 class PolynomialBandOperator:
     """Difference operator whose band coefficients are polynomials in n.
 
-    The band polynomials are the only table: ``coeff`` and ``operator``
-    (the provider form, for generic operator algebra and its ``window``)
-    both read it.
+    The band polynomials are the only table: ``coeff``, ``operator`` (the
+    provider form, for generic operator algebra) and ``window`` read it.
     """
 
     def __init__(self, bands):
@@ -167,6 +166,13 @@ class PolynomialBandOperator:
 
     def coeff(self, j, n):
         return poly_eval(self.bands.get(j, (Fraction(0),)), n)
+
+    def window(self, n0, n1):
+        """``operator.window(n0, n1)`` in equal values, evaluated on the
+        integer bands with one division by their scale per coefficient."""
+        bands, scale = _integer_bands(self.bands)
+        coeff = lambda j, n: Fraction(poly_eval(bands.get(j, ()), n), scale)
+        return DifferenceOperator(self.lo, self.hi, coeff).window(n0, n1)
 
 
 def compose_polynomial_bands(a, b):
@@ -269,19 +275,17 @@ class ExactCommutantResult:
         of the found solutions (as band polynomials)."""
         m = self.ansatz.band_m
         d = self.ansatz.degree
-        keys = [(j, e) for j in range(-m, m + 1) for e in range(d + 1)]
-
-        def vec(bands):
-            out = []
-            for j, e in keys:
-                p = bands.get(j, ())
-                out.append(Fraction(p[e]) if e < len(p) else Fraction(0))
-            return out
-
         cand = {j: tuple(Fraction(c) for c in p) for j, p in candidate_bands.items()}
         for j, p in cand.items():
             if abs(j) > m or poly_degree(p) > d:
                 return False
+
+        def vec(bands):  # the solver's slicing, read backwards
+            out = [Fraction(0)] * ((2 * m + 1) * (d + 1))
+            for j, part in _band_slices(self.ansatz):
+                p = bands.get(j, ())[: d + 1]
+                out[part.start : part.start + len(p)] = p
+            return out
         cols = [vec(sol.bands) for sol in self.basis] + [vec(cand)]
         # the basis is independent, so the candidate (last column) lies in
         # its span exactly when that column gets no pivot
@@ -289,13 +293,21 @@ class ExactCommutantResult:
         return len(self.basis) not in pivots
 
 
+def _band_slices(ansatz):
+    """``(band, slice)`` of each band's coefficients in a vector of the
+    ansatz's unknowns, which is band-major, then degree: the order of
+    ``commutant_columns``."""
+    m, width = ansatz.band_m, ansatz.degree + 1
+    return [(j, slice((j + m) * width, (j + m + 1) * width)) for j in range(-m, m + 1)]
+
+
 def _integer_bands(bands):
-    """The band table ``{j: coefficients}`` times the lcm of all its
-    coefficients' denominators: the same table up to a nonzero integer
-    factor, with int coefficients."""
+    """``(table, scale)``: the band table ``{j: coefficients}`` times
+    ``scale``, the lcm of all its coefficients' denominators, so the same
+    table up to a nonzero integer factor, with int coefficients."""
     ratios = {j: [x.as_integer_ratio() for x in p] for j, p in bands.items()}
     scale = lcm(*(d for p in ratios.values() for _, d in p))
-    return {j: tuple(n * (scale // d) for n, d in p) for j, p in ratios.items()}
+    return {j: tuple(n * (scale // d) for n, d in p) for j, p in ratios.items()}, scale
 
 
 def commutant_columns(l_bands, ansatz):
@@ -341,7 +353,7 @@ def commutant_solve_exact(l_op, ansatz):
         raise AnsatzError(
             "exact commutant solving needs polynomial band data (a PolynomialBandOperator)"
         )
-    columns = commutant_columns(_integer_bands(l_op.bands), ansatz)
+    columns = commutant_columns(_integer_bands(l_op.bands)[0], ansatz)
     rows = {}  # (band, n-power) -> dense row, in order of first appearance
     for col, entries in enumerate(columns):
         for key, c in entries.items():
@@ -350,13 +362,11 @@ def commutant_solve_exact(l_op, ansatz):
                 row = rows[key] = [0] * len(columns)
             row[col] = c
 
-    # a nullspace vector is band-major, then degree: commutant_columns' order
-    width = ansatz.degree + 1
     basis = []
     for vec in nullspace(list(rows.values()), ncols=len(columns)):
         bands = {}
-        for b, j in enumerate(range(-ansatz.band_m, ansatz.band_m + 1)):
-            p = vec[b * width : (b + 1) * width]
+        for j, part in _band_slices(ansatz):
+            p = vec[part]
             bands[j] = p[: poly_degree(p) + 1]
         basis.append(PolynomialBandOperator(bands))
     return ExactCommutantResult(ansatz=ansatz, basis=tuple(basis))
@@ -371,7 +381,7 @@ def exact_commutator_is_zero(l_op, x_op):
     when ``[L, X]`` does.
     """
     comm = commutator_polynomial_bands(
-        _integer_bands(l_op.bands), _integer_bands(x_op.bands)
+        _integer_bands(l_op.bands)[0], _integer_bands(x_op.bands)[0]
     )
     return all(poly_is_zero(p) for p in comm.values())
 

@@ -316,7 +316,7 @@ def l4_lax_residual_window(chain):
     v = lambda n: vs[n % chain.period]
     w = lambda n: ws[n % chain.period]
     a_op = DifferenceOperator.from_bands({-2: lambda n: (v(n - 1) * v(n)).truncate(1)})
-    return lax_operator(build_l4(v, w), "x", a_op).window(0, chain.period - 1)
+    return lax_operator(build_l4(v, w), a_op).window(0, chain.period - 1)
 
 
 def _eval_lax_l4_sample(config):

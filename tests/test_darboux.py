@@ -1,13 +1,13 @@
 import random
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxchain import verify
+from laxchain import darboux, verify
 from laxchain.curves import SpectralCurve
 from laxchain.darboux import (
     DarbouxData,
@@ -37,6 +37,7 @@ from laxchain.flows import (
     dkn_rhs,
     prolong_gamma_jets,
     vn_from_gamma,
+    wn_from_gamma,
 )
 from laxchain.operators import DifferenceOperator, build_l4, compose, lax_residual
 from laxchain.scalars import Jet, QuadExt, format_scalar
@@ -202,6 +203,16 @@ def test_float_chain_with_an_exact_curve_point_is_refused():
         darboux_data(jets, wp)
 
 
+def test_float_chain_jet_is_refused_by_name_on_an_exact_curve():
+    """On an exact curve the float values pass the collision and branch
+    checks; the configuration refuses the first inexact jet by its site."""
+    curve = SpectralCurve.elliptic(0, -1, 0)
+    exact = prolong_gamma_jets(GammaChain((2, 3, 5, 7), curve), 2).values
+    jets = GammaChain(exact[:2] + (Jet((Fraction(5), 1.5, 0.0)),) + exact[3:], curve)
+    with pytest.raises(TypeError, match="^gamma jet at site 2 is not exact"):
+        darboux_data(jets, exact_wp_jet(curve, Fraction(11), order=3))
+
+
 # the memoised per-site formulas of DarbouxData
 PER_SITE = ("gap", "chi1", "chi2", "a1", "a0", "am1", "d", "b", "f_core")
 
@@ -276,14 +287,176 @@ def test_factorization_sample_evaluates_the_left_factor_band_once(memo_stores):
     assert set(memo_stores.values()) == {1}
 
 
+def test_lax_y_check_evaluates_each_site_formula_once_per_order(memo_stores):
+    """The y-bracket reads Ltilde's bands from the view at y-order 2 and f
+    from the view at y-order 1: each formula is evaluated once per site on
+    each, so the gaps, which both read, twice."""
+    config = draw_sample(7, 0)
+    chain = GammaChain(config.gamma, config.curve)
+    solved = solve_tail_constants(chain)
+    memo_stores.clear()
+    wp = exact_wp_jet(config.curve, config.z0, order=3)
+    assert commutator_y_check(darboux_data(prolong_gamma_jets(chain, 1), wp), solved).is_zero()
+    names = {"gap": 2, "a1": 1, "a0": 1, "am1": 1, "d": 1, "f_core": 1}
+    assert {name for name, _ in memo_stores} == set(names)
+    for (name, _), count in memo_stores.items():
+        assert count == names[name], name
+    assert len(memo_stores) == len(names) * verify.PERIOD
+
+
+def _strip(c):
+    """``c`` without its order-0 jet layers: a nested value in the
+    single-layer tower."""
+    if not isinstance(c, Jet):
+        return c
+    if c.order == 0:
+        return _strip(c.coeffs[0])
+    return Jet(tuple(_strip(inner) for inner in c.coeffs))
+
+
+def _single_layer(c):
+    """True for a Q(w) value or a jet over Q(w) (no jet inside a jet)."""
+    inner = c.coeffs if isinstance(c, Jet) else (c,)
+    return not any(isinstance(x, Jet) for x in inner)
+
+
+def _y_cut(c):
+    """``c`` cut by one order of its inner (y) jets; a constant as it is."""
+    if isinstance(c, Jet):
+        return Jet(tuple(inner.truncate(inner.order - 1) for inner in c.coeffs))
+    return c
+
+
+def _y_derivative(c):
+    """The y-derivative of a nested scalar; a constant's is 0."""
+    return Jet(tuple(inner.derivative() for inner in c.coeffs)) if isinstance(c, Jet) else 0
+
+
+def _nested_windows(data, solved):
+    """The four checks' windows evaluated on the nested tower
+    Jet_x(Jet_y(Q(w))), as they ran before the single-layer view: the
+    factorization pair at orders (0, 0), the x-bracket at (2, 0) and the
+    y-bracket at (0, 2), differentiating and cutting the inner jets."""
+    period = data.period
+    nested = data.truncated(0, 0)
+    l4 = build_l4(nested.v_at, nested.w_site)
+    z_term = DifferenceOperator.from_bands({0: lambda n: nested.z0})
+    left, right = darboux._left_factor(nested), darboux._right_factor(nested)
+    factorization = compose(left, right) - (l4 - z_term)
+    crosscheck = transformed_operator(nested) - (compose(right, left) + z_term)
+
+    x_hi = data.truncated(2, 0)
+    a_op = DifferenceOperator.from_bands({-1: x_hi.b, -2: x_hi.d})
+    a_op = a_op.map_coeffs(lambda c: c.truncate(c.order - 1))
+    l_x = transformed_operator(x_hi)
+    x_bracket = lax_residual(
+        l_x.map_coeffs(_cut), l_x.map_coeffs(_derivative), a_op
+    )
+
+    y_hi = data.truncated(0, 2)
+    b_op = DifferenceOperator.from_bands(
+        {1: lambda n: 1, 0: rank2_solution(data.truncated(0, 1), solved).f}
+    )
+    l_y = transformed_operator(y_hi)
+    y_bracket = lax_residual(
+        l_y.map_coeffs(_y_cut), l_y.map_coeffs(_y_derivative), b_op
+    )
+    return [op.window(0, period - 1)
+            for op in (factorization, crosscheck, x_bracket, y_bracket)]
+
+
+@pytest.mark.parametrize("max_num, max_den", [(1000, 8), (10**9, 10**6)])
+@pytest.mark.parametrize("index", range(4))
+def test_checks_run_in_the_single_layer_tower(index, max_num, max_den):
+    """Each check's window holds Q(w) values (factorization, crosscheck)
+    or jets over Q(w) (the x- and y-brackets), equal to the nested
+    evaluation's with its order-0 layers stripped, in value and ``repr``."""
+    config = draw_sample(7, index, max_num, max_den)
+    chain = GammaChain(config.gamma, config.curve)
+    solved = solve_tail_constants(chain)
+    wp = exact_wp_jet(config.curve, config.z0, order=3)
+    data = darboux_data(prolong_gamma_jets(chain, 3), wp)
+    flat = data.truncated(0, 0)
+    got = [
+        factorization_check(flat),
+        crosscheck_window(flat),
+        commutator_x_check(data),
+        commutator_y_check(data, solved),
+    ]
+    # the brackets are read at one order below their jets' order 2
+    jet_orders = (set(), set(), {1}, {1})
+    for win, want, orders in zip(got, _nested_windows(data, solved), jet_orders):
+        coeffs = [c for row in win.rows for c in row]
+        assert all(map(_single_layer, coeffs))
+        assert {c.order for c in coeffs if isinstance(c, Jet)} == orders
+        stripped = [_strip(c) for row in want.rows for c in row]
+        assert coeffs == stripped
+        assert list(map(repr, coeffs)) == list(map(repr, stripped))
+        assert win.is_zero()
+
+
+def test_view_is_memoised_and_kept_out_of_the_site_memo():
+    """One view per configuration, built once and not stored in the
+    per-site memo; with both orders >= 1 the view is the configuration."""
+    data = exact_data().truncated(0, 0)
+    view = data.flat
+    assert view is data.flat and view is not data and view.flat is view
+    assert not view.nested and data._site_cache == {}
+    both = exact_data().truncated(1, 1)
+    assert both.flat is both
+
+
+@pytest.mark.parametrize("x_order, y_order", [(0, 0), (2, 0), (0, 2)])
+def test_view_drops_only_the_order_0_layers(x_order, y_order):
+    """The view's gamma, gamma', z0, w, V and W are the nested values with
+    their order-0 layers stripped."""
+    data = exact_data().truncated(x_order, y_order)
+    view = data.flat
+    for name in ("gamma", "dgamma", "_v", "_w"):
+        assert list(getattr(view, name)) == [_strip(c) for c in getattr(data, name)]
+    for name in ("z0", "w"):
+        assert getattr(view, name) == _strip(getattr(data, name))
+    assert all(map(_single_layer, view.gamma + (view.z0, view.w)))
+
+
+def test_couplings_are_the_tower_evaluation():
+    """V_n and W_n, evaluated over Q on the x-jets and lifted, equal the
+    same formulas evaluated on the nested tower's gamma."""
+    data = exact_data()
+    assert data._v == tuple(vn_from_gamma(list(data.gamma), data.curve))
+    assert data._w == tuple(wn_from_gamma(list(data.gamma), data.curve))
+
+
+def test_tail_is_evaluated_once_per_parity():
+    """With s1 = k1 = p1 = 0, g_n is (-1)^n times one quotient: each parity
+    is evaluated once.  With s1 != 0 each site is its own."""
+    data = exact_data().truncated(1, 1)
+    z0, w = data.z0, data.w
+
+    def direct(c, n):
+        quad = (n * c.s1 + c.s0) * z0**2 + (n * c.k1 + c.k0) * z0 + (n * c.p1 + c.p0)
+        return (-1 if n % 2 else 1) * quad / w
+
+    even = SolutionConstants(s0=Fraction(3), k0=Fraction(-1, 2), p0=Fraction(7))
+    sol = rank2_solution(data, even)
+    for n in range(-3, 7):
+        assert sol.g(n) is sol.g(n % 2)
+        assert sol.g(n) == direct(even, n)
+    assert sol.g(0) == -sol.g(1)
+
+    linear = SolutionConstants(s0=Fraction(3), p0=Fraction(7), s1=Fraction(2))
+    sol = rank2_solution(data, linear)
+    values = [sol.g(n) for n in range(-3, 7)]
+    assert values == [direct(linear, n) for n in range(-3, 7)]
+    assert len(set(map(repr, values))) == len(values)
+    assert sol.g(2) is sol.g(2) and sol.g(2) != sol.g(0)
+
+
 def test_left_factor_pole_names_the_site_modulo_the_period():
     """chi1 vanishes where V does (gamma_3 = 5 is a root of z^3 - 125): the
     left factor's T^-1 band at site 0 divides by chi1(-1), which the error
     names as site 3."""
-    data = exact_data(order=1)
-    on_root = DarbouxData(
-        SpectralCurve.elliptic(0, 0, -125), data.gamma, data.dgamma, data.z0, data.w
-    )
+    on_root = replace(exact_data(order=1), curve=SpectralCurve.elliptic(0, 0, -125))
     with pytest.raises(PoleError, match="^chi1 vanishes at site 3$"):
         factorization_check(on_root)
 
@@ -443,14 +616,8 @@ def test_solution_equal_adjacent_gamma_kills_f_core():
     # kills the rational part (constructed directly; such data fails the
     # chain-validity checks so it cannot come from darboux_data)
     base = exact_data()
-    g0 = base.gamma_at(0)
-    data = DarbouxData(
-        curve=base.curve,
-        gamma=(g0, g0, base.gamma_at(2), base.gamma_at(3)),
-        dgamma=base.dgamma,
-        z0=base.z0,
-        w=base.w,
-    )
+    c0, _, c2, c3 = base.chain
+    data = replace(base, chain=(c0, c0, c2, c3))
     sol = rank2_solution(data)
     assert _val(sol.f(0)) == 0
 
@@ -680,16 +847,17 @@ def test_commutator_x_needs_lower_bands(rng):
     # drop the T^-2 coefficient: the bracket must notice
     c_op = DifferenceOperator.from_bands({-1: sol.b})
     l_hi = transformed_operator(d_hi)
-    assert not lax_operator(l_hi, "x", c_op).window(0, data.period - 1).is_zero()
+    assert not lax_operator(l_hi, c_op).window(0, data.period - 1).is_zero()
 
 
 def _rebuilt_x_check(data):
     """The x-bracket with its partner built from a second configuration one
-    x-order lower: the reference for reading it from Ltilde's and cutting."""
-    d_hi = data.truncated(data.x_order, 0)
+    x-order lower: the reference for reading it from Ltilde's and cutting.
+    Both are the single-layer x-jet views the check evaluates on."""
+    d_hi = data.truncated(data.x_order, 0).flat
     d_lo = d_hi.truncated(data.x_order - 1, 0)
     a_op = DifferenceOperator.from_bands({-1: d_lo.b, -2: d_lo.d})
-    return lax_operator(transformed_operator(d_hi), "x", a_op).window(0, data.period - 1)
+    return lax_operator(transformed_operator(d_hi), a_op).window(0, data.period - 1)
 
 
 def _bump_slope(chain, site):
@@ -722,22 +890,12 @@ def test_commutator_x_partner_cut_equals_the_lower_order_build(
             ]
 
 
-def _x_cut(c):
+def _cut(c):
     return c.truncate(c.order - 1) if isinstance(c, Jet) else c
 
 
-def _y_cut(c):
-    if isinstance(c, Jet):
-        return Jet(tuple(inner.truncate(inner.order - 1) for inner in c.coeffs))
-    return c
-
-
-def _x_derivative(c):
+def _derivative(c):
     return c.derivative() if isinstance(c, Jet) else 0
-
-
-def _y_derivative(c):
-    return Jet(tuple(inner.derivative() for inner in c.coeffs)) if isinstance(c, Jet) else 0
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -745,30 +903,29 @@ def _y_derivative(c):
 def test_lax_window_truncation_equals_rebuild(rng, axis, sign):
     """The transformed operator cut by one jet order equals the operator
     rebuilt from the lower-order configuration (the reference), and so does
-    every bracket ``lax_operator`` assembles from it."""
+    every bracket ``lax_operator`` assembles from it.  Both live in the
+    single-layer view along ``axis``, whose jet is the outer one."""
     for max_num, max_den in ((50, 8), (10**9, 10**6), (50, 8)):
         chain = random_chain(rng, max_num=max_num, max_den=max_den)
         z0 = random_point_off_chain(rng, chain, max_num, max_den)
         wp = exact_wp_jet(chain.curve, z0, order=3, sign=sign)
         data = darboux_data(prolong_gamma_jets(chain, 3), wp)
         if axis == "x":
-            d_hi = data.truncated(data.x_order, 0)
+            d_hi = data.truncated(data.x_order, 0).flat
             d_lo = d_hi.truncated(data.x_order - 1, 0)
-            cut, derive = _x_cut, _x_derivative
             # deficient A (no T^-2 band), so the residual is nonzero
             a_op = DifferenceOperator.from_bands({-1: rank2_solution(d_lo).b})
         else:
-            d_hi = data.truncated(0, data.y_order)
+            d_hi = data.truncated(0, data.y_order).flat
             d_lo = d_hi.truncated(0, data.y_order - 1)
-            cut, derive = _y_cut, _y_derivative
             a_op = DifferenceOperator.from_bands({0: rank2_solution(d_lo).f})
         l_hi = transformed_operator(d_hi)
         rebuilt = transformed_operator(d_lo)
-        assert l_hi.map_coeffs(cut).window(0, 3) == rebuilt.window(0, 3)
+        assert l_hi.map_coeffs(_cut).window(0, 3) == rebuilt.window(0, 3)
 
-        reference = lax_residual(rebuilt, l_hi.map_coeffs(derive), a_op).window(0, 3)
+        reference = lax_residual(rebuilt, l_hi.map_coeffs(_derivative), a_op).window(0, 3)
         assert not reference.is_zero()
-        assert lax_operator(l_hi, axis, a_op).window(0, chain.period - 1) == reference
+        assert lax_operator(l_hi, a_op).window(0, chain.period - 1) == reference
 
 
 @pytest.mark.parametrize("sign", [1, -1])

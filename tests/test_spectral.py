@@ -393,6 +393,38 @@ def test_commutant_spans_rejects_non_members():
     assert not res.spans({0: (Fraction(0), Fraction(1))})  # [L, n] != 0
 
 
+def test_commutant_spans_reads_candidates_by_band_and_degree():
+    """A candidate's coefficients land at their (band, degree) unknown: one
+    padded with zeros past the degree bound still lies in the span, and
+    the same coefficient moved to another band or degree does not."""
+    op = sharp_operator((0, 0, 0, 1))
+    res = commutant_solve_exact(op, CommutantAnsatz(2, 6))
+    padded = {j: p + (Fraction(0),) * 5 for j, p in op.bands.items()}
+    assert res.spans(padded)
+    assert res.spans({0: (Fraction(-2),) + (Fraction(0),) * 8})
+    for j, p in op.bands.items():
+        assert not res.spans({**op.bands, j: (Fraction(0),) + p})
+    assert not res.spans({-j: p for j, p in op.bands.items() if j})
+
+
+@pytest.mark.parametrize("r", [(0, 0, 0, 1), (3, -2, 5, 4), (123456, -654321, 999999, -7)])
+def test_band_window_equals_the_operator_window(r):
+    """``window`` evaluates the integer-scaled bands and divides once per
+    coefficient: the values and the reprs of ``operator.window``, on the
+    basis of a sharp solve and on a band table with unequal denominators."""
+    res = commutant_solve_exact(sharp_operator(r), CommutantAnsatz(3, 9))
+    mixed = PolynomialBandOperator(
+        {-2: (Fraction(1, 3), Fraction(-5, 4)), 0: (Fraction(0),), 1: (Fraction(7, 6), 2)}
+    )
+    for op in (*res.basis, mixed):
+        got, want = op.window(-3, 7), op.operator.window(-3, 7)
+        assert got == want
+        assert [list(map(repr, row)) for row in got.rows] == [
+            list(map(repr, row)) for row in want.rows
+        ]
+        assert got.to_json_dict() == want.to_json_dict()
+
+
 def test_commutant_sharp_band3_partner():
     op = sharp_operator((0, 0, 0, 1))
     res = commutant_solve_exact(op, CommutantAnsatz(3, 9))
