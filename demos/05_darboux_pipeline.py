@@ -27,7 +27,7 @@ from laxchain import (
     solve_tail_constants,
     transformed_operator,
 )
-from laxchain.scalars import format_scalar
+from laxchain.scalars import Jet, format_scalar
 
 curve = SpectralCurve.elliptic(Fraction(0), Fraction(-1), Fraction(0))
 chain = GammaChain((Fraction(3), Fraction(7, 2), Fraction(5), Fraction(8)), curve)
@@ -53,9 +53,11 @@ print("factorization residual zero:", factorization_check(data.truncated(0, 0)).
 flat = data.truncated(0, 0)
 print("cross-check (formulas vs swapped product):", crosscheck_window(flat).is_zero())
 win = transformed_operator(flat).window(0, 3)
+# band values at orders (0, 0) are printed as the nested jets jet(jet(c))
+nest = lambda c: c if isinstance(c, int) else Jet((Jet((c,)),))
 print("transformed-operator window (site 0 row):")
 for j in range(win.hi, win.lo - 1, -1):
-    print(f"  T^{j:+d}:", format_scalar(win.coeff(j, 0)))
+    print(f"  T^{j:+d}:", format_scalar(nest(win.coeff(j, 0))))
 
 # %% [markdown]
 # Step 3: the solution family.  The tail constants are pinned by the chain

@@ -47,7 +47,7 @@ from .flows import (
     vn_from_gamma,
     wn_from_gamma,
 )
-from .scalars import format_scalar, rational
+from .scalars import Jet, format_scalar, rational
 from .spectral import (
     CommutantAnsatz,
     PolynomialBandOperator,
@@ -418,7 +418,7 @@ def _cmd_commutant(args):
             {
                 "verified_exact": verified,
                 "basis_windows": [
-                    sol.window(0, 7).to_json_dict() for sol in result.basis
+                    sol.operator.window(0, 7).to_json_dict() for sol in result.basis
                 ],
                 # an exactly zero commutator has norm 0.0 on any window
                 "residual_norms": [
@@ -428,7 +428,7 @@ def _cmd_commutant(args):
                         PolynomialBandOperator(
                             commutator_polynomial_bands(op.bands, sol.bands)
                         )
-                        .window(0, 7)
+                        .operator.window(0, 7)
                         .max_abs()
                     )
                     for sol, is_zero in zip(result.basis, zero)
@@ -535,12 +535,14 @@ def _cmd_darboux(args):
         [format_scalar(r) for r in chain_residuals(sol, n)] for n in range(chain.period)
     ]
     flat = data.truncated(0, 0)
+    # the report prints the order-(0, 0) bands as the nested jets jet(jet(c))
+    nest = lambda c: c if isinstance(c, int) else Jet((Jet((c,)),))
     payload = {
         "curve": dict(zip(("c0", "c1", "c2"), map(format_scalar, curve.coeffs))),
         "gamma": [format_scalar(g) for g in gamma],
         "z0": format_scalar(z0),
         "solved_constants": {k: format_scalar(getattr(solved, k)) for k in ("s0", "k0", "p0")},
-        "transformed_operator": transformed_operator(flat).window(
+        "transformed_operator": transformed_operator(flat).map_coeffs(nest).window(
             0, chain.period - 1
         ).to_json_dict(),
         "factorization_zero": factorization_check(flat).is_zero(),

@@ -3,12 +3,13 @@
 Everything here evaluates identities pointwise in (x, y) at jet-equipped
 sample configurations: gamma carries x-jets along the lattice flow, the curve
 point z0 carries y-jets along the Weierstrass-type ODE, and site quantities
-live in the nested jet field Jet_x(Jet_y(base)) whose base is the quadratic
-extension Q(w), or Q itself for a rational curve point.  Only the chain
-residuals read both derivatives; every other check runs in the smallest
-tower it reads (``DarbouxData.flat``): base values at orders (0, 0), one
-jet over the base along the live variable otherwise (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13).  Chain values enter by
+live in the smallest jet tower over a base field that the configuration's
+orders need: the quadratic extension Q(w), or Q itself for a rational curve
+point.  With both orders >= 1 (the chain residuals read both derivatives)
+that is the nested field Jet_x(Jet_y(base)); otherwise the jet layer of an
+order-0 variable is dropped, leaving base values at orders (0, 0) and one
+jet over the base along the live variable (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13).  Chain values enter by
 arithmetic, as ``zero + c`` with ``zero`` the point's own zero, so no code
 path switches on the scalar type; V_n and W_n are computed over Q first.
 A rational identity that evaluates to exactly zero at random rational
@@ -84,7 +85,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Nested-jet scene construction
+# Sample configurations
 # ---------------------------------------------------------------------------
 
 def _per_site(formula):
@@ -109,9 +110,9 @@ class DarbouxData:
 
     ``chain`` holds the exact x-jets of gamma_n and ``point`` the exact
     y-jet of the curve point, one order above the working orders.  They
-    enter the tower Jet_x(Jet_y(base)) as ``gamma``/``dgamma`` and
-    ``z0``/``w`` (chain values as ``zero + c``); the view ``flat`` drops the
-    layer of an order-0 variable.  Site lookups reduce modulo the period,
+    enter the tower Jet_x(Jet_y(base)), without the layer of an order-0
+    variable, as ``gamma``/``dgamma`` and ``z0``/``w`` (chain values as
+    ``zero + c``).  Site lookups reduce modulo the period,
     and every per-site formula is a method memoised in ``_site_cache``.
     """
 
@@ -120,7 +121,6 @@ class DarbouxData:
     point: Jet
     x_order: int
     y_order: int
-    nested: bool = True
 
     def __post_init__(self):
         # per-site memo table; every stored value is immutable
@@ -144,21 +144,11 @@ class DarbouxData:
             raise ValueError(f"cannot extend orders {have} to {(x_order, y_order)}")
         return replace(self, x_order=x_order, y_order=y_order)
 
-    @cached_property
-    def flat(self):
-        """The view the checks evaluate on: this configuration without the
-        jet layer of a variable of order 0, so Q(w) values at orders (0, 0)
-        and one jet over Q(w) along the live variable otherwise.  With both
-        orders >= 1 it is the configuration itself."""
-        if not self.nested or (self.x_order and self.y_order):
-            return self
-        return replace(self, nested=False)
-
     def _tower(self, rows):
         """The tower element whose x-coefficient k has the y-coefficients
-        ``rows[k]``; a flat view drops the layer of an order-0 variable."""
-        y_layer = Jet if self.nested or self.y_order else itemgetter(0)
-        x_layer = Jet if self.nested or self.x_order else itemgetter(0)
+        ``rows[k]``, without the layer of an order-0 variable."""
+        y_layer = Jet if self.y_order else itemgetter(0)
+        x_layer = Jet if self.x_order else itemgetter(0)
         return x_layer(tuple(y_layer(tuple(r)) for r in rows))
 
     _zero = cached_property(lambda self: self.point.coeffs[0] * 0)
@@ -262,7 +252,7 @@ class DarbouxData:
 
 
 def darboux_data(jet_chain, wp_jet):
-    """Assemble the nested-jet configuration from source jets.
+    """Assemble the jet-equipped configuration from source jets.
 
     ``jet_chain`` carries exact x-jets of gamma (order K >= 1); ``wp_jet``
     carries the exact y-jet of the curve point (order >= 1), over Q(w) or
@@ -375,9 +365,8 @@ def _right_factor(data):
 def factorization_check(data):
     """One-period window of ``(left factor)(right factor) - (L4 - z0)``;
     exactly zero whenever the conserved-curve relation holds (any
-    distinct-neighbor chain).  Evaluated on the view ``data.flat``.
+    distinct-neighbor chain).
     """
-    data = data.flat
     l4 = build_l4(data.v_at, data.w_site)
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     residual = compose(_left_factor(data), _right_factor(data)) - (l4 - z_term)
@@ -406,9 +395,7 @@ def transformed_operator(data):
 
 def crosscheck_window(data):
     """One-period window of :func:`transformed_operator` minus the swapped
-    factor product plus z0; exactly zero when the band formulas hold.
-    Evaluated on the view ``data.flat``, as :func:`factorization_check`."""
-    data = data.flat
+    factor product plus z0; exactly zero when the band formulas hold."""
     swapped = compose(_right_factor(data), _left_factor(data))
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     return (transformed_operator(data) - (swapped + z_term)).window(0, data.period - 1)
@@ -534,8 +521,8 @@ def lax_operator(l_op, a_op):
     same coefficients truncated by one order (truncation commutes with the
     field operations, so this equals L rebuilt at the lower order).
     ``a_op`` is given at the residual's order.  The checks differentiate
-    along the one live variable of a flat view (``DarbouxData.flat``), so
-    that is the outer jet; coefficients that are not jets are constants.
+    along the one live variable of a configuration whose other order is 0,
+    so that is the outer jet; coefficients that are not jets are constants.
     Coefficients are evaluated only when read.
     """
 
@@ -556,11 +543,11 @@ def commutator_x_check(data):
     is Ltilde's own ``T^{-2}`` band, behind the same memo) and cut by one
     x-order, as :func:`lax_operator` cuts Ltilde.  Exactly zero when gamma
     follows the lattice flow; the constants play no role (b and d do not
-    contain them).  Runs on the view's x-jets.  Requires x-order >= 1.
+    contain them).  Runs on x-jets over the base.  Requires x-order >= 1.
     """
     if data.x_order < 1:
         raise ValueError("the x-commutator check needs x-jet order >= 1")
-    d_hi = data.truncated(data.x_order, 0).flat
+    d_hi = data.truncated(data.x_order, 0)
     a_op = DifferenceOperator.from_bands({-1: d_hi.b, -2: d_hi.d})
     a_op = a_op.map_coeffs(lambda c: c.truncate(c.order - 1))
     return lax_operator(transformed_operator(d_hi), a_op).window(0, data.period - 1)
@@ -571,11 +558,11 @@ def commutator_y_residual(data, constants=None):
 
     Exactly zero when the curve-point jet satisfies the Weierstrass ODE
     (that is what ties z0'' to F'(z0)/2); a jet violating it is the standard
-    negative control.  Runs on the view's y-jets.  Requires y-order >= 1.
+    negative control.  Runs on y-jets over the base.  Requires y-order >= 1.
     """
     if data.y_order < 1:
         raise ValueError("the y-commutator check needs y-jet order >= 1")
-    d_hi = data.truncated(0, data.y_order).flat
+    d_hi = data.truncated(0, data.y_order)
     sol = rank2_solution(d_hi.truncated(0, data.y_order - 1), constants)
     b_op = DifferenceOperator.from_bands({1: lambda n: 1, 0: sol.f})
     return lax_operator(transformed_operator(d_hi), b_op)

@@ -20,12 +20,12 @@ derivative at site n from the values at its neighbours n+k (``_dkn_site``
 and its siblings).  It is evaluated at every site in one of two ways (see
 :func:`_site_ops`).  On a list of Python scalars (exact rationals and jets
 to verify identities and prolong jets, or floats) it is mapped site by
-site; :func:`rk4_run` steps a float state of at most its flow's
-``LIST_STEPPER_MAX`` components that way, because below that size numpy's
-per-call overhead, not the arithmetic, sets the cost of a step.  On a
-float64 array, for long chains, the neighbour n+k is a periodic shift and
-numpy broadcasts the expression over the whole period.  Both evaluations
-run the same float operations in the same order, so they give the same bits.
+site; :func:`rk4_run` steps a float state of at most ``SMALL_STATE_MAX`` =
+20 components that way, because below that size numpy's per-call overhead,
+not the arithmetic, sets the cost of a step.  On a float64 array, for long
+chains, the neighbour n+k is a periodic shift and numpy broadcasts the
+expression over the whole period.  Both evaluations run the same float
+operations in the same order, so they give the same bits.
 
 Colliding neighbours are refused before anything divides by their gap
 (:func:`_check_gaps`): exact values when equal, floats by the relative
@@ -44,7 +44,7 @@ of a 2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6:
     flow2       30/123  40/117  51/118  60/123  67/122  82/122  97/123 129/123
 
 dkn and reduced_t2 break even near 20 components, vw near 30 and flow2 near
-52: those are the entries of ``LIST_STEPPER_MAX``.
+52; ``SMALL_STATE_MAX`` is the smallest of these.
 """
 
 from dataclasses import dataclass
@@ -69,8 +69,8 @@ except ImportError:  # Python 3.10
 __all__ = [
     "FLOWS",
     "NUMERIC_DEGENERACY_RTOL",
+    "SMALL_STATE_MAX",
     "GammaChain",
-    "LIST_STEPPER_MAX",
     "Trajectory",
     "VWChain",
     "chain_vw_rhs",
@@ -382,9 +382,9 @@ def prolong_gamma_jets(chain, order=2):
 
 FLOWS = ("dkn", "vw", "flow2", "reduced_t2")
 
-# Per flow, states up to this many components are stepped as lists of Python
-# floats, longer ones as float64 arrays: the module docstring's break-evens.
-LIST_STEPPER_MAX = {"dkn": 20, "reduced_t2": 20, "vw": 30, "flow2": 52}
+# States up to this many components are stepped as lists of Python floats,
+# longer ones as float64 arrays (see rk4_run and the module docstring).
+SMALL_STATE_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -426,14 +426,12 @@ def _concat(a, b):
     return a + b if isinstance(a, list) else np.concatenate((a, b))
 
 
-def rk4_run(rhs, vec, h, steps, out=None, list_max=2):
+def rk4_run(rhs, vec, h, steps, out=None):
     """Advance ``vec`` by ``steps`` classical RK4 steps of size ``h``.
 
-    A state of at most ``list_max`` components is stepped as a list of
-    Python floats, a longer one as a float64 array; the default serves the
-    two-component wp field, and :func:`rk4_integrate` passes its flow's
-    :data:`LIST_STEPPER_MAX`.  ``rhs`` maps the state to its derivative in
-    the same representation.  The stage
+    A state of at most :data:`SMALL_STATE_MAX` components is stepped as a
+    list of Python floats, a longer one as a float64 array; ``rhs`` maps the
+    state to its derivative in the same representation.  The stage
     arithmetic is written for each: the same operations in the same order,
     so the two give the same bits, and neither shares code with the other
     in the loop.  ``out[i + 1]``, if given, receives the state after step
@@ -444,7 +442,7 @@ def rk4_run(rhs, vec, h, steps, out=None, list_max=2):
     """
     vec = np.asarray(vec, dtype=float)
     half, sixth = 0.5 * h, h / 6.0
-    if vec.size <= list_max:
+    if vec.size <= SMALL_STATE_MAX:
         vec = vec.tolist()
 
         def advance(y, c, k):
@@ -523,5 +521,5 @@ def rk4_integrate(state, flow, h, steps):
 
     out = np.empty((steps + 1, vec.size), dtype=float)
     out[0] = vec
-    rk4_run(rhs, vec, h, steps, out, LIST_STEPPER_MAX[flow])
+    rk4_run(rhs, vec, h, steps, out)
     return Trajectory(flow, float(h), out, kind, period, curve)

@@ -152,8 +152,10 @@ def propagate_q(q_prev, q_n, q_next2, v_n, v_next, v_next2, w_n, w_next):
 class PolynomialBandOperator:
     """Difference operator whose band coefficients are polynomials in n.
 
-    The band polynomials are the only table: ``coeff``, ``operator`` (the
-    provider form, for generic operator algebra) and ``window`` read it.
+    The band polynomials are the only table: ``coeff`` and ``operator``
+    (the provider form, for generic operator algebra and its ``window``)
+    both read it, evaluating the table scaled to integers and dividing once
+    by the scale per coefficient.
     """
 
     def __init__(self, bands):
@@ -162,17 +164,12 @@ class PolynomialBandOperator:
             self.bands = {0: (Fraction(0),)}
         self.lo = min(self.bands)
         self.hi = max(self.bands)
+        self._scaled = _integer_bands(self.bands)
         self.operator = DifferenceOperator(self.lo, self.hi, self.coeff)
 
     def coeff(self, j, n):
-        return poly_eval(self.bands.get(j, (Fraction(0),)), n)
-
-    def window(self, n0, n1):
-        """``operator.window(n0, n1)`` in equal values, evaluated on the
-        integer bands with one division by their scale per coefficient."""
-        bands, scale = _integer_bands(self.bands)
-        coeff = lambda j, n: Fraction(poly_eval(bands.get(j, ()), n), scale)
-        return DifferenceOperator(self.lo, self.hi, coeff).window(n0, n1)
+        bands, scale = self._scaled
+        return Fraction(poly_eval(bands.get(j, ()), n), scale)
 
 
 def compose_polynomial_bands(a, b):
@@ -353,7 +350,7 @@ def commutant_solve_exact(l_op, ansatz):
         raise AnsatzError(
             "exact commutant solving needs polynomial band data (a PolynomialBandOperator)"
         )
-    columns = commutant_columns(_integer_bands(l_op.bands)[0], ansatz)
+    columns = commutant_columns(l_op._scaled[0], ansatz)
     rows = {}  # (band, n-power) -> dense row, in order of first appearance
     for col, entries in enumerate(columns):
         for key, c in entries.items():
@@ -380,9 +377,7 @@ def exact_commutator_is_zero(l_op, x_op):
     that clear the denominators of ``L`` and ``X``, so it vanishes exactly
     when ``[L, X]`` does.
     """
-    comm = commutator_polynomial_bands(
-        _integer_bands(l_op.bands)[0], _integer_bands(x_op.bands)[0]
-    )
+    comm = commutator_polynomial_bands(l_op._scaled[0], x_op._scaled[0])
     return all(poly_is_zero(p) for p in comm.values())
 
 

@@ -72,7 +72,8 @@ def test_data_orders_and_truncation():
     assert (data.x_order, data.y_order) == (2, 2)
     cut = data.truncated(1, 0)
     assert (cut.x_order, cut.y_order) == (1, 0)
-    assert cut.gamma_at(0).coeffs[0].coeffs == data.gamma_at(0).coeffs[0].coeffs[:1]
+    # an order-0 variable has no jet layer: gamma is an x-jet over the base
+    assert cut.gamma_at(0).coeffs == tuple(c.coeffs[0] for c in data.gamma_at(0).coeffs[:2])
 
 
 def test_truncation_refuses_higher_orders():
@@ -305,13 +306,20 @@ def test_lax_y_check_evaluates_each_site_formula_once_per_order(memo_stores):
 
 
 def _strip(c):
-    """``c`` without its order-0 jet layers: a nested value in the
-    single-layer tower."""
+    """``c`` without its order-0 jet layers."""
     if not isinstance(c, Jet):
         return c
     if c.order == 0:
         return _strip(c.coeffs[0])
     return Jet(tuple(_strip(inner) for inner in c.coeffs))
+
+
+def _cut_to(c, x_order, y_order):
+    """A nested value Jet_x(Jet_y(Q(w))) cut to orders (x_order, y_order),
+    without the layer of an order-0 variable; a constant as it is."""
+    if not isinstance(c, Jet):
+        return c
+    return _strip(Jet(tuple(inner.truncate(y_order) for inner in c.truncate(x_order).coeffs)))
 
 
 def _single_layer(c):
@@ -334,18 +342,20 @@ def _y_derivative(c):
 
 def _nested_windows(data, solved):
     """The four checks' windows evaluated on the nested tower
-    Jet_x(Jet_y(Q(w))), as they ran before the single-layer view: the
-    factorization pair at orders (0, 0), the x-bracket at (2, 0) and the
-    y-bracket at (0, 2), differentiating and cutting the inner jets."""
+    Jet_x(Jet_y(Q(w))), one order up in each variable the check does not
+    read, then cut to the check's orders: the factorization pair from
+    (1, 1) to (0, 0), the x-bracket from (2, 1) to (1, 0), and the
+    y-bracket, differentiating and cutting the inner jets, from (1, 2) to
+    (0, 1)."""
     period = data.period
-    nested = data.truncated(0, 0)
+    nested = data.truncated(1, 1)
     l4 = build_l4(nested.v_at, nested.w_site)
     z_term = DifferenceOperator.from_bands({0: lambda n: nested.z0})
     left, right = darboux._left_factor(nested), darboux._right_factor(nested)
     factorization = compose(left, right) - (l4 - z_term)
     crosscheck = transformed_operator(nested) - (compose(right, left) + z_term)
 
-    x_hi = data.truncated(2, 0)
+    x_hi = data.truncated(2, 1)
     a_op = DifferenceOperator.from_bands({-1: x_hi.b, -2: x_hi.d})
     a_op = a_op.map_coeffs(lambda c: c.truncate(c.order - 1))
     l_x = transformed_operator(x_hi)
@@ -353,24 +363,28 @@ def _nested_windows(data, solved):
         l_x.map_coeffs(_cut), l_x.map_coeffs(_derivative), a_op
     )
 
-    y_hi = data.truncated(0, 2)
+    y_hi = data.truncated(1, 2)
     b_op = DifferenceOperator.from_bands(
-        {1: lambda n: 1, 0: rank2_solution(data.truncated(0, 1), solved).f}
+        {1: lambda n: 1, 0: rank2_solution(data.truncated(1, 1), solved).f}
     )
     l_y = transformed_operator(y_hi)
     y_bracket = lax_residual(
         l_y.map_coeffs(_y_cut), l_y.map_coeffs(_y_derivative), b_op
     )
-    return [op.window(0, period - 1)
-            for op in (factorization, crosscheck, x_bracket, y_bracket)]
+    ops = (factorization, crosscheck, x_bracket, y_bracket)
+    orders = ((0, 0), (0, 0), (1, 0), (0, 1))
+    return [
+        op.map_coeffs(lambda c, o=o: _cut_to(c, *o)).window(0, period - 1)
+        for op, o in zip(ops, orders)
+    ]
 
 
 @pytest.mark.parametrize("max_num, max_den", [(1000, 8), (10**9, 10**6)])
 @pytest.mark.parametrize("index", range(4))
 def test_checks_run_in_the_single_layer_tower(index, max_num, max_den):
     """Each check's window holds Q(w) values (factorization, crosscheck)
-    or jets over Q(w) (the x- and y-brackets), equal to the nested
-    evaluation's with its order-0 layers stripped, in value and ``repr``."""
+    or jets over Q(w) (the x- and y-brackets), equal in value and ``repr``
+    to the nested evaluation's cut to the check's orders."""
     config = draw_sample(7, index, max_num, max_den)
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
@@ -389,34 +403,27 @@ def test_checks_run_in_the_single_layer_tower(index, max_num, max_den):
         coeffs = [c for row in win.rows for c in row]
         assert all(map(_single_layer, coeffs))
         assert {c.order for c in coeffs if isinstance(c, Jet)} == orders
-        stripped = [_strip(c) for row in want.rows for c in row]
-        assert coeffs == stripped
-        assert list(map(repr, coeffs)) == list(map(repr, stripped))
+        cut = [c for row in want.rows for c in row]
+        assert coeffs == cut
+        assert list(map(repr, coeffs)) == list(map(repr, cut))
         assert win.is_zero()
 
 
-def test_view_is_memoised_and_kept_out_of_the_site_memo():
-    """One view per configuration, built once and not stored in the
-    per-site memo; with both orders >= 1 the view is the configuration."""
-    data = exact_data().truncated(0, 0)
-    view = data.flat
-    assert view is data.flat and view is not data and view.flat is view
-    assert not view.nested and data._site_cache == {}
-    both = exact_data().truncated(1, 1)
-    assert both.flat is both
-
-
 @pytest.mark.parametrize("x_order, y_order", [(0, 0), (2, 0), (0, 2)])
-def test_view_drops_only_the_order_0_layers(x_order, y_order):
-    """The view's gamma, gamma', z0, w, V and W are the nested values with
-    their order-0 layers stripped."""
-    data = exact_data().truncated(x_order, y_order)
-    view = data.flat
+def test_order_0_variables_have_no_jet_layer(x_order, y_order):
+    """At orders with a 0, gamma, gamma', z0, w, V and W are the nested
+    values at orders (2, 2) cut down, with no layer for the order-0
+    variable; at orders (1, 1) they stay nested."""
+    full = exact_data()
+    data = full.truncated(x_order, y_order)
     for name in ("gamma", "dgamma", "_v", "_w"):
-        assert list(getattr(view, name)) == [_strip(c) for c in getattr(data, name)]
+        want = [_cut_to(c, x_order, y_order) for c in getattr(full, name)]
+        assert list(getattr(data, name)) == want
     for name in ("z0", "w"):
-        assert getattr(view, name) == _strip(getattr(data, name))
-    assert all(map(_single_layer, view.gamma + (view.z0, view.w)))
+        assert getattr(data, name) == _cut_to(getattr(full, name), x_order, y_order)
+    assert all(map(_single_layer, data.gamma + (data.z0, data.w)))
+    both = full.truncated(1, 1)
+    assert all(isinstance(c, Jet) for c in both.z0.coeffs + both.gamma_at(0).coeffs)
 
 
 def test_couplings_are_the_tower_evaluation():
@@ -567,7 +574,7 @@ def test_transform_band_formula_hand_value():
     data = darboux_data(jets, wp)
     t_op = transformed_operator(data)
     a1 = t_op.coeff(1, 0)
-    assert _val(a1) == Fraction(1, 6)
+    assert a1 == Fraction(1, 6)  # orders (0, 0): a value of the base Q
 
 
 def test_transform_alternating_chain_kills_a1():
@@ -577,7 +584,7 @@ def test_transform_alternating_chain_kills_a1():
     data = darboux_data(jets, wp)
     t_op = transformed_operator(data)
     for n in range(4):
-        assert _val(t_op.coeff(1, n)) == 0
+        assert t_op.coeff(1, n) == 0
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -853,8 +860,8 @@ def test_commutator_x_needs_lower_bands(rng):
 def _rebuilt_x_check(data):
     """The x-bracket with its partner built from a second configuration one
     x-order lower: the reference for reading it from Ltilde's and cutting.
-    Both are the single-layer x-jet views the check evaluates on."""
-    d_hi = data.truncated(data.x_order, 0).flat
+    Both are x-jets over the base, as the check evaluates them."""
+    d_hi = data.truncated(data.x_order, 0)
     d_lo = d_hi.truncated(data.x_order - 1, 0)
     a_op = DifferenceOperator.from_bands({-1: d_lo.b, -2: d_lo.d})
     return lax_operator(transformed_operator(d_hi), a_op).window(0, data.period - 1)
@@ -903,20 +910,20 @@ def _derivative(c):
 def test_lax_window_truncation_equals_rebuild(rng, axis, sign):
     """The transformed operator cut by one jet order equals the operator
     rebuilt from the lower-order configuration (the reference), and so does
-    every bracket ``lax_operator`` assembles from it.  Both live in the
-    single-layer view along ``axis``, whose jet is the outer one."""
+    every bracket ``lax_operator`` assembles from it.  Both are jets over
+    the base along ``axis``, with no layer for the other, order-0 variable."""
     for max_num, max_den in ((50, 8), (10**9, 10**6), (50, 8)):
         chain = random_chain(rng, max_num=max_num, max_den=max_den)
         z0 = random_point_off_chain(rng, chain, max_num, max_den)
         wp = exact_wp_jet(chain.curve, z0, order=3, sign=sign)
         data = darboux_data(prolong_gamma_jets(chain, 3), wp)
         if axis == "x":
-            d_hi = data.truncated(data.x_order, 0).flat
+            d_hi = data.truncated(data.x_order, 0)
             d_lo = d_hi.truncated(data.x_order - 1, 0)
             # deficient A (no T^-2 band), so the residual is nonzero
             a_op = DifferenceOperator.from_bands({-1: rank2_solution(d_lo).b})
         else:
-            d_hi = data.truncated(0, data.y_order).flat
+            d_hi = data.truncated(0, data.y_order)
             d_lo = d_hi.truncated(0, data.y_order - 1)
             a_op = DifferenceOperator.from_bands({0: rank2_solution(d_lo).f})
         l_hi = transformed_operator(d_hi)

@@ -9,7 +9,7 @@ from laxchain.curves import SpectralCurve
 from laxchain.errors import AccuracyError, DegenerateConfigurationError
 from laxchain.flows import (
     FLOWS,
-    LIST_STEPPER_MAX,
+    SMALL_STATE_MAX,
     GammaChain,
     VWChain,
     chain_vw_rhs,
@@ -414,7 +414,7 @@ def test_rk4_rejects_a_bad_step_size(h):
 
 
 # ---------------------------------------------------------------------------
-# The list stepper (at most LIST_STEPPER_MAX[flow] components) against the array one
+# The list stepper (at most SMALL_STATE_MAX components) against the array one
 # ---------------------------------------------------------------------------
 
 README_CURVE = SpectralCurve.elliptic(0, -1, 0)
@@ -423,8 +423,7 @@ README_CURVE = SpectralCurve.elliptic(0, -1, 0)
 def _stepped(monkeypatch, path, run):
     """``run()`` with every state forced onto one stepper: its trajectory
     states, or the type and text of the error it raised."""
-    limit = 10**9 if path == "list" else 0
-    monkeypatch.setattr(flows, "LIST_STEPPER_MAX", dict.fromkeys(FLOWS, limit))
+    monkeypatch.setattr(flows, "SMALL_STATE_MAX", 10**9 if path == "list" else 0)
     try:
         return run()
     except (AccuracyError, DegenerateConfigurationError) as err:
@@ -453,12 +452,10 @@ def _float_state(rng, flow, period):
 
 @pytest.mark.parametrize("flow", FLOWS)
 def test_list_and_array_steppers_agree_bit_for_bit(rng, monkeypatch, flow):
-    """Periods 3 to one past the flow's list-stepper size, each at a step
-    size that the run survives and at a coarse one that may end in a
-    non-finite state."""
+    """Periods 3 to SMALL_STATE_MAX + 1, each at a step size that the run
+    survives and at a coarse one that may end in a non-finite state."""
     outcomes = []
-    width = 1 if flow in ("dkn", "reduced_t2") else 2  # components per site
-    for period in range(3, LIST_STEPPER_MAX[flow] // width + 2):
+    for period in range(3, SMALL_STATE_MAX + 2):
         state = _float_state(rng, flow, period)
         for h in (1e-3 / period**2, 2e-2):
             outcomes.append(_assert_same_outcome(
@@ -477,11 +474,11 @@ def test_wp_field_steppers_agree_bit_for_bit(monkeypatch):
     start = np.array([branch.wp, branch.wp_prime])
 
     def run():
-        limit = flows.LIST_STEPPER_MAX["dkn"]  # the stepper _stepped forces
-        rhs = field if limit else (lambda y: np.array(field(y)))
+        small = flows.SMALL_STATE_MAX > 2
+        rhs = field if small else (lambda y: np.array(field(y)))
         out = np.empty((501, 2))
         out[0] = start
-        rk4_run(rhs, start, 1e-2, 500, out, limit)
+        rk4_run(rhs, start, 1e-2, 500, out)
         return out
 
     _assert_same_outcome(monkeypatch, run)
@@ -538,36 +535,9 @@ def test_small_chains_step_without_numpy_in_the_loop(monkeypatch):
     chain = GammaChain((-0.82, -0.31, 0.28, 0.77), README_CURVE)
     rk4_integrate(chain, "dkn", 1e-3, 50)
     assert calls == []
-    size = LIST_STEPPER_MAX["dkn"] + 1
-    long_chain = GammaChain(tuple(-0.9 + 1.8 * n / size for n in range(size)), README_CURVE)
+    long_chain = GammaChain(
+        tuple(-0.9 + 1.8 * n / SMALL_STATE_MAX for n in range(SMALL_STATE_MAX + 1)),
+        README_CURVE,
+    )
     rk4_integrate(long_chain, "dkn", 1e-5, 3)
     assert len(calls) == 3
-
-
-@pytest.mark.parametrize("flow, components", [("vw", 24), ("flow2", 48)])
-def test_vw_and_flow2_step_on_lists_up_to_their_own_break_even(
-    rng, monkeypatch, flow, components
-):
-    """vw at 24 components and flow2 at 48 lie past dkn's break-even (20)
-    and below their own (30 and 52): they take the list stepper, with no
-    ``np.isfinite`` call in the step loop, and give the array stepper's
-    bits."""
-    assert LIST_STEPPER_MAX["dkn"] < components <= LIST_STEPPER_MAX[flow]
-    calls = []
-    isfinite = np.isfinite
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return isfinite(*args, **kwargs)
-
-    monkeypatch.setattr(np, "isfinite", counted)
-    period = components // 2
-    state = _float_state(rng, flow, period)
-    h = 1e-3 / period**2
-    on_list = rk4_integrate(state, flow, h, 40).states
-    assert calls == []
-    monkeypatch.setitem(flows.LIST_STEPPER_MAX, flow, 0)
-    on_array = rk4_integrate(state, flow, h, 40).states
-    assert len(calls) == 40
-    assert on_list.dtype == on_array.dtype == np.float64
-    assert np.array_equal(on_list, on_array)

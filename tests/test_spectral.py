@@ -408,16 +408,20 @@ def test_commutant_spans_reads_candidates_by_band_and_degree():
 
 
 @pytest.mark.parametrize("r", [(0, 0, 0, 1), (3, -2, 5, 4), (123456, -654321, 999999, -7)])
-def test_band_window_equals_the_operator_window(r):
-    """``window`` evaluates the integer-scaled bands and divides once per
-    coefficient: the values and the reprs of ``operator.window``, on the
-    basis of a sharp solve and on a band table with unequal denominators."""
+def test_operator_window_equals_the_fraction_band_evaluation(r):
+    """``operator`` evaluates the integer-scaled bands and divides once per
+    coefficient: the values and the reprs of the Fraction bands evaluated
+    site by site, on the basis of a sharp solve and on a band table with
+    unequal denominators."""
     res = commutant_solve_exact(sharp_operator(r), CommutantAnsatz(3, 9))
     mixed = PolynomialBandOperator(
         {-2: (Fraction(1, 3), Fraction(-5, 4)), 0: (Fraction(0),), 1: (Fraction(7, 6), 2)}
     )
     for op in (*res.basis, mixed):
-        got, want = op.window(-3, 7), op.operator.window(-3, 7)
+        by_fractions = DifferenceOperator(
+            op.lo, op.hi, lambda j, n: poly_eval(op.bands.get(j, (Fraction(0),)), n)
+        )
+        got, want = op.operator.window(-3, 7), by_fractions.window(-3, 7)
         assert got == want
         assert [list(map(repr, row)) for row in got.rows] == [
             list(map(repr, row)) for row in want.rows
