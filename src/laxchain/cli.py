@@ -530,7 +530,7 @@ def _cmd_darboux(args):
     data = darboux_data(jets, wp)
 
     solved = solve_tail_constants(chain)
-    sol = rank2_solution(data.truncated(1, 1), solved)
+    sol = rank2_solution(data, solved)
     residuals = [
         [format_scalar(r) for r in chain_residuals(sol, n)] for n in range(chain.period)
     ]
@@ -545,8 +545,8 @@ def _cmd_darboux(args):
         "transformed_operator": transformed_operator(flat).map_coeffs(nest).window(
             0, chain.period - 1
         ).to_json_dict(),
-        "factorization_zero": factorization_check(flat).is_zero(),
-        "crosscheck_zero": crosscheck_window(flat).is_zero(),
+        "factorization_zero": factorization_check(data).is_zero(),
+        "crosscheck_zero": crosscheck_window(data).is_zero(),
         "lax_x_zero": commutator_x_check(data).is_zero(),
         "lax_y_zero": commutator_y_check(data, solved).is_zero(),
         "chain_residuals": residuals,

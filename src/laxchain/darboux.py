@@ -5,13 +5,13 @@ sample configurations: gamma carries x-jets along the lattice flow, the curve
 point z0 carries y-jets along the Weierstrass-type ODE, and site quantities
 live in the smallest jet tower over a base field that the configuration's
 orders need: the quadratic extension Q(w), or Q itself for a rational curve
-point.  With both orders >= 1 (the chain residuals read both derivatives)
-that is the nested field Jet_x(Jet_y(base)); otherwise the jet layer of an
-order-0 variable is dropped, leaving base values at orders (0, 0) and one
-jet over the base along the live variable (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 13).  Chain values enter by
-arithmetic, as ``zero + c`` with ``zero`` the point's own zero, so no code
-path switches on the scalar type; V_n and W_n are computed over Q first.
+point.  An order-0 variable has no jet layer: base values at orders (0, 0),
+one jet over the base along the live variable otherwise (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13).  Each check reads its own orders
+through ``DarbouxData.truncated`` from any configuration at or above them,
+so none evaluates a formula in the nested Jet_x(Jet_y(base)).  Chain values
+enter by arithmetic, as ``zero + c`` with ``zero`` the point's own zero, so
+no code path switches on the scalar type; V_n and W_n are computed over Q.
 A rational identity that evaluates to exactly zero at random rational
 configurations is certified with overwhelming confidence (Schwartz-Zippel
 style), without any symbolic engine.
@@ -51,7 +51,7 @@ disagree; a differential test in the test suite runs both signs in full
 against ``verify``'s evaluators to catch it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, wraps
 from operator import itemgetter
@@ -61,7 +61,7 @@ from .elliptic import exact_wp_jet
 from .errors import DegenerateConfigurationError, PoleError
 from .flows import prolong_gamma_jets, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
-from .scalars import Jet, QuadExt, scalar_value
+from .scalars import Jet, QuadExt, rational, scalar_value
 
 __all__ = [
     "ChainSolution",
@@ -112,9 +112,9 @@ class DarbouxData:
     y-jet of the curve point, one order above the working orders.  They
     enter the tower Jet_x(Jet_y(base)), without the layer of an order-0
     variable, as ``gamma``/``dgamma`` and ``z0``/``w`` (chain values as
-    ``zero + c``).  Site lookups reduce modulo the period,
-    and every per-site formula is a method memoised in ``_site_cache``.
-    """
+    ``zero + c``).  Site lookups reduce modulo the period, every per-site
+    formula is a method memoised in ``_site_cache``, and ``_copies`` holds
+    the shared copies of :meth:`truncated`."""
 
     curve: SpectralCurve
     chain: tuple
@@ -123,8 +123,9 @@ class DarbouxData:
     y_order: int
 
     def __post_init__(self):
-        # per-site memo table; every stored value is immutable
+        # per-site memo table and lower-order copies; nothing stored changes
         object.__setattr__(self, "_site_cache", {})
+        object.__setattr__(self, "_copies", {})
 
     @property
     def period(self):
@@ -137,12 +138,19 @@ class DarbouxData:
         return self.dgamma[n % self.period]
 
     def truncated(self, x_order, y_order):
-        """Same configuration at lower jet orders, with an empty memo; a
-        higher x or y order raises ``ValueError``."""
+        """The configuration at orders (x_order, y_order): itself at its own
+        orders, else one copy per lower pair, shared with its copies, whose
+        memo starts empty; a higher x or y order raises ``ValueError``."""
+        orders = (x_order, y_order)
+        if orders == (self.x_order, self.y_order):
+            return self
         if x_order > self.x_order or y_order > self.y_order:
-            have = (self.x_order, self.y_order)
-            raise ValueError(f"cannot extend orders {have} to {(x_order, y_order)}")
-        return replace(self, x_order=x_order, y_order=y_order)
+            raise ValueError(f"cannot extend orders {(self.x_order, self.y_order)} to {orders}")
+        copy = self._copies.get(orders)
+        if copy is None:
+            copy = self._copies[orders] = replace(self, x_order=x_order, y_order=y_order)
+            object.__setattr__(copy, "_copies", self._copies)
+        return copy
 
     def _tower(self, rows):
         """The tower element whose x-coefficient k has the y-coefficients
@@ -329,22 +337,6 @@ def point_problem(curve, gamma, z0, disc=None):
 
 
 # ---------------------------------------------------------------------------
-# Component extraction from nested scalars
-# ---------------------------------------------------------------------------
-
-def _val(s):
-    return s.coeffs[0].coeffs[0]
-
-
-def _dx(s):
-    return s.coeffs[1].coeffs[0]
-
-
-def _dy(s):
-    return s.coeffs[0].coeffs[1]
-
-
-# ---------------------------------------------------------------------------
 # Factorization and the transformed operator
 # ---------------------------------------------------------------------------
 
@@ -365,8 +357,9 @@ def _right_factor(data):
 def factorization_check(data):
     """One-period window of ``(left factor)(right factor) - (L4 - z0)``;
     exactly zero whenever the conserved-curve relation holds (any
-    distinct-neighbor chain).
+    distinct-neighbor chain).  Read at orders (0, 0).
     """
+    data = data.truncated(0, 0)
     l4 = build_l4(data.v_at, data.w_site)
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     residual = compose(_left_factor(data), _right_factor(data)) - (l4 - z_term)
@@ -395,7 +388,9 @@ def transformed_operator(data):
 
 def crosscheck_window(data):
     """One-period window of :func:`transformed_operator` minus the swapped
-    factor product plus z0; exactly zero when the band formulas hold."""
+    factor product plus z0, at orders (0, 0); exactly zero when the band
+    formulas hold."""
+    data = data.truncated(0, 0)
     swapped = compose(_right_factor(data), _left_factor(data))
     z_term = DifferenceOperator.from_bands({0: lambda n: data.z0})
     return (transformed_operator(data) - (swapped + z_term)).window(0, data.period - 1)
@@ -407,7 +402,9 @@ def crosscheck_window(data):
 
 @dataclass(frozen=True)
 class SolutionConstants:
-    """Free constants of the oscillating tail g_n; order matches the CLI."""
+    """Free constants of the oscillating tail g_n; order matches the CLI.
+    Each is read by :func:`scalars.rational`: a bool or a float raises
+    ``TypeError``, a malformed string ``ValueError``, naming the field."""
 
     s0: Fraction = Fraction(0)
     k0: Fraction = Fraction(0)
@@ -416,8 +413,15 @@ class SolutionConstants:
     k1: Fraction = Fraction(0)
     p1: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            try:
+                object.__setattr__(self, name, rational(getattr(self, name)))
+            except (TypeError, ValueError) as err:
+                raise type(err)(f"tail constant {name}: {err}") from None
+
     def is_zero(self):
-        return self == SolutionConstants()
+        return not (self.s0 or self.k0 or self.p0 or self.s1 or self.k1 or self.p1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,6 +479,10 @@ class ChainSolution:
     def d(self, n):
         return self.data.d(n)
 
+    def truncated(self, x_order, y_order):
+        """The same solution on ``data.truncated(x_order, y_order)``."""
+        return ChainSolution(self.data.truncated(x_order, y_order), self.constants)
+
 
 def rank2_solution(data, constants=None):
     return ChainSolution(data=data, constants=constants or SolutionConstants())
@@ -492,22 +500,24 @@ def chain_residuals(sol, n):
     ``lax_residual(A, A_y - B_x, B)``, has the bands T^0 = -R1,
     T^{-1} = b_n R3 and T^{-2} = d_n R2 at site n, and no others.
 
-    Returned as base-field elements (exact extension scalars).
-    Requires working jet orders >= (1, 1).
+    Returned as base-field elements (exact extension scalars).  No mixed
+    derivative enters: values and y-derivatives are read at orders (0, 1),
+    f_{n,x} at (1, 0).  Requires working jet orders >= (1, 1).
     """
     data = sol.data
     if data.x_order < 1 or data.y_order < 1:
         raise ValueError("chain residuals need jet orders >= (1, 1)")
-    d_val, b_val = _val(sol.d(n)), _val(sol.b(n))
+    on_x, on_y = sol.truncated(1, 0), sol.truncated(0, 1)
+    part = lambda site, k: lambda m: site(m).coeffs[k]  # value k = 0, slope k = 1
+    d_val, b_val = on_y.d(n).coeffs[0], on_y.b(n).coeffs[0]
     for name, val in (("d", d_val), ("b", b_val)):
         if val == 0:
             raise PoleError(f"{name} vanishes at site {n}")
     band = DifferenceOperator.from_bands
-    a_op = band({-1: lambda m: _val(sol.b(m)), -2: lambda m: _val(sol.d(m))})
-    b_op = band({1: lambda m: 1, 0: lambda m: _val(sol.f(m))})
+    a_op = band({-1: part(on_y.b, 0), -2: part(on_y.d, 0)})
+    b_op = band({1: lambda m: 1, 0: part(on_y.f, 0)})
     a_y_minus_b_x = band(
-        {0: lambda m: -_dx(sol.f(m)), -1: lambda m: _dy(sol.b(m)),
-         -2: lambda m: _dy(sol.d(m))}
+        {0: lambda m: -on_x.f(m).coeffs[1], -1: part(on_y.b, 1), -2: part(on_y.d, 1)}
     )
     bands = lax_residual(a_op, a_y_minus_b_x, b_op).coeff
     return -bands(0, n), bands(-2, n) / d_val, bands(-1, n) / b_val

@@ -19,7 +19,7 @@ value decides both signs; it does not keep the reported magnitude
 """
 
 import json
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -282,22 +282,21 @@ def _eval_lax_y_sample(config):
     nonzero coefficient, so it stops at the first (:func:`_lax_y_control`);
     the coefficients it skips divide by the check's denominators, which the
     check has already evaluated, so no pole goes unseen."""
-    chain = GammaChain(config.gamma, config.curve)
-    solved = solve_tail_constants(chain)
-    jets = prolong_gamma_jets(chain, 1)
-    wp = exact_wp_jet(config.curve, config.z0, order=3)
-    ok, worst = _windows_zero([commutator_y_check(darboux_data(jets, wp), solved)])
-    control_hit = _lax_y_control(jets, wp, solved) is not None
+    solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
+    data = _sample_data(config, 0, 2)
+    ok, worst = _windows_zero([commutator_y_check(data, solved)])
+    control_hit = _lax_y_control(data, solved) is not None
     return ok and control_hit, worst, {"negative_control_nonzero": control_hit}
 
 
-def _lax_y_control(jets, wp, solved):
+def _lax_y_control(data, solved):
     """lax-y's negative control: the first nonzero ``(n, j, coefficient)``
-    over one period of the y-Lax residual at the curve-point jet ``wp``
-    with its second derivative bumped by 1, or None if that residual
-    vanishes there."""
-    data = darboux_data(jets, _bump_second(wp))
-    return commutator_y_residual(data, solved).first_nonzero(0, data.period - 1)
+    over one period of the y-Lax residual on ``data`` with the second
+    derivative of its curve-point jet bumped by 1, or None if that residual
+    vanishes there.  The bumped configuration differs from ``data`` in z0''
+    alone."""
+    bumped = replace(data, point=_bump_second(data.point))
+    return commutator_y_residual(bumped, solved).first_nonzero(0, data.period - 1)
 
 
 def _bump_second(wp):
@@ -416,13 +415,20 @@ def run_suite(
     (identical output regardless of worker count).  The pool is no wider
     than ``samples``: a fork-based pool starts all its workers at once.
     ``samples`` and ``workers`` must be at least 1, since a report over no
-    samples would read as a pass."""
+    samples would read as a pass; the draw bounds must lie in
+    1 <= bound < 2**63 and the seed in 0 <= seed < 2**64, the ranges of the
+    generator's integers and key."""
     _suite_eval(suite)
     if samples < 1 or workers < 1:
         raise ValueError(
             f"run_suite needs samples >= 1 and workers >= 1, got samples = "
             f"{samples} and workers = {workers}"
         )
+    for name, value in (("max_num", max_num), ("max_den", max_den)):
+        if not 1 <= value < 2**63:
+            raise ValueError(f"run_suite needs 1 <= {name} < 2**63, got {name} = {value}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"run_suite needs 0 <= seed < 2**64, got seed = {seed}")
     tasks = [(suite, seed, i, max_num, max_den, constants) for i in range(samples)]
     workers = min(workers, samples)
     if workers > 1:

@@ -26,9 +26,6 @@ from laxchain.darboux import (
     rank2_solution,
     solve_tail_constants,
     transformed_operator,
-    _dx,
-    _dy,
-    _val,
 )
 from laxchain.elliptic import exact_wp_jet
 from laxchain.errors import DegenerateConfigurationError, PoleError
@@ -47,6 +44,18 @@ from conftest import random_chain, random_point_off_chain
 
 CURVE = SpectralCurve.elliptic(Fraction(1, 3), Fraction(-2), Fraction(5, 7))
 CHAIN = GammaChain((Fraction(1), Fraction(2), Fraction(3), Fraction(5)), CURVE)
+
+
+def _val(s):
+    return s.coeffs[0].coeffs[0]
+
+
+def _dx(s):
+    return s.coeffs[1].coeffs[0]
+
+
+def _dy(s):
+    return s.coeffs[0].coeffs[1]
 
 
 def exact_data(chain=CHAIN, z0=Fraction(9, 2), sign=1, order=3):
@@ -251,12 +260,52 @@ def test_truncated_copy_starts_with_an_empty_memo():
     assert cut.chi1(0) == data.truncated(1, 1).chi1(0)
 
 
+def test_truncated_shares_one_copy_per_lower_pair_of_orders():
+    """At its own orders a configuration is its own truncation.  Each lower
+    pair of orders has one copy, whose memo starts empty, and the copies'
+    truncations are the same copies.  A replace starts with none."""
+    data = exact_data()
+    assert data.truncated(2, 2) is data
+    for orders in ((1, 1), (1, 0), (0, 1), (0, 0), (2, 0), (0, 2)):
+        copy = data.truncated(*orders)
+        assert (copy.x_order, copy.y_order) == orders
+        assert copy._site_cache == {}
+        copy.gap(0)
+        assert data.truncated(*orders) is copy
+        assert copy.truncated(*orders) is copy
+    assert data.truncated(1, 1).truncated(0, 1) is data.truncated(0, 1)
+    fresh = replace(data, point=data.point)
+    assert fresh._copies == {} and fresh._site_cache == {}
+    assert fresh.truncated(0, 1) is not data.truncated(0, 1)
+
+
+@pytest.mark.parametrize("value, error", [(True, TypeError), (0.5, TypeError), ("1/2 x", ValueError)])
+def test_solution_constants_refuse_inexact_fields_by_name(value, error):
+    """A bool read as 1 and a float met deep in the jets: both are refused
+    when the constants are built, naming the field."""
+    with pytest.raises(error, match="^tail constant k1: "):
+        SolutionConstants(k1=value)
+
+
+def test_solution_constants_are_fractions():
+    """Ints and strings are read as Fractions, so constants built from them
+    equal and behave as those built from Fractions."""
+    read = SolutionConstants(1, "1/2", Fraction(3, 4), -2, " 5 ", 0)
+    want = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(-2), Fraction(5), Fraction(0))
+    assert [(type(c), c) for c in astuple(read)] == [(Fraction, c) for c in want]
+    assert read == SolutionConstants(*want)
+    assert SolutionConstants(0, "0", Fraction(0)).is_zero()
+    for name in ("s0", "k0", "p0", "s1", "k1", "p1"):
+        assert not SolutionConstants(**{name: "-1/3"}).is_zero()
+
+
 @pytest.fixture
 def memo_stores(monkeypatch):
     """Counts of the stores into every ``DarbouxData`` memo built while the
     test runs, by ``(formula, site)``: a formula evaluated twice at one site,
     on one configuration or on two, stores twice."""
     counts = Counter()
+    real = DarbouxData.__post_init__
 
     class CountingMemo(dict):
         def __setitem__(self, key, value):
@@ -264,6 +313,7 @@ def memo_stores(monkeypatch):
             super().__setitem__(key, value)
 
     def post_init(data):
+        real(data)
         object.__setattr__(data, "_site_cache", CountingMemo())
 
     monkeypatch.setattr(DarbouxData, "__post_init__", post_init)
@@ -299,6 +349,24 @@ def test_lax_y_check_evaluates_each_site_formula_once_per_order(memo_stores):
     wp = exact_wp_jet(config.curve, config.z0, order=3)
     assert commutator_y_check(darboux_data(prolong_gamma_jets(chain, 1), wp), solved).is_zero()
     names = {"gap": 2, "a1": 1, "a0": 1, "am1": 1, "d": 1, "f_core": 1}
+    assert {name for name, _ in memo_stores} == set(names)
+    for (name, _), count in memo_stores.items():
+        assert count == names[name], name
+    assert len(memo_stores) == len(names) * verify.PERIOD
+
+
+def test_chain_sample_evaluates_each_site_formula_once_per_copy(monkeypatch, memo_stores):
+    """The chain residuals read b, d and the values of f from the shared
+    copy at orders (0, 1) and f_x from the one at (1, 0).  Across the bare
+    and the solved residuals at every site, each formula is evaluated once
+    per site on each copy that reads it, and none on the configuration at
+    (1, 1): so the gaps and f twice, b and d once."""
+    config = draw_sample(7, 0)
+    solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
+    monkeypatch.setattr(verify, "solve_tail_constants", lambda chain: solved)
+    memo_stores.clear()
+    assert verify._eval_chain_sample(config)[0]
+    names = {"gap": 2, "f_core": 2, "b": 1, "d": 1}
     assert {name for name, _ in memo_stores} == set(names)
     for (name, _), count in memo_stores.items():
         assert count == names[name], name
@@ -707,6 +775,9 @@ class Bumped:
 
     def g(self, n):
         return self._base.g(n)
+
+    def truncated(self, x_order, y_order):
+        return Bumped(self._base.truncated(x_order, y_order), self._name)
 
 
 def test_chain_residuals_f_perturbation_moves_known_slots():

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -195,6 +196,44 @@ def test_runs_refuse_no_samples_or_no_workers(samples, workers):
         run_suite("chain", samples, workers=workers)
     with pytest.raises(ValueError, match=message):
         run_all(samples, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"max_den": 0},
+        {"max_num": 0},
+        {"max_num": -5},
+        {"max_num": 2**63},
+        {"max_den": 2**63},
+        {"seed": -1},
+        {"seed": 2**64},
+    ],
+)
+def test_runs_refuse_out_of_range_bounds_and_seeds(monkeypatch, bounds):
+    """Draw bounds outside 1 <= bound < 2**63 and seeds outside
+    0 <= seed < 2**64 are refused by name before any draw, where numpy
+    would raise its own errors and a zero numerator bound would reject
+    every draw."""
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(verify_mod, "draw_sample", no_draw)
+    ((name, value),) = bounds.items()
+    message = rf"< 2\*\*(63|64), got {name} = {value}$"
+    with pytest.raises(ValueError, match=message):
+        run_suite("chain", 1, **bounds)
+    with pytest.raises(ValueError, match=message):
+        run_all(1, **bounds)
+
+
+def test_runs_accept_the_edges_of_the_bound_and_seed_ranges():
+    """The largest bounds and seed, and the smallest seed and denominator
+    bound, still draw and certify."""
+    widest = {"seed": 2**64 - 1, "max_num": 2**63 - 1, "max_den": 2**63 - 1}
+    assert run_suite("factorization", 1, **widest).passed
+    assert run_suite("factorization", 1, seed=0, max_den=1).passed
 
 
 def test_replay_from_dump():
@@ -493,18 +532,44 @@ def test_suites_run_every_jet_operation_on_one_exact_kind(monkeypatch, bounds):
     assert sum(shared for shared, _ in calls.values()) > 0
 
 
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_no_suite_evaluates_in_the_nested_tower(monkeypatch, bounds):
+    """Every check runs in a single-layer tower: while any suite evaluates a
+    sample, the tail probes included, no jet whose coefficients are jets is
+    added, subtracted, multiplied or divided."""
+    nested = Counter()
+    current = [None]
+
+    def is_nested(x):
+        return isinstance(x, Jet) and isinstance(x.coeffs[0], Jet)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(self, other, real=getattr(Jet, name), name=name):
+            if is_nested(self) or is_nested(other):
+                nested[current[0], name] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(Jet, name, counted)
+    for index in range(4):
+        config = draw_sample(7, index, *bounds)
+        for suite, evaluate in verify_mod._SUITE_EVALS.items():
+            current[0] = suite
+            assert evaluate(config)[0] is True, (suite, index)
+    assert not nested, nested
+
+
 def _lax_y_control_inputs(config):
-    """The chain jets, the curve-point jet and the solved tail of lax-y."""
+    """The configuration and the solved tail of lax-y."""
     chain = GammaChain(config.gamma, config.curve)
-    return (
-        verify_mod.prolong_gamma_jets(chain, 1),
-        verify_mod.exact_wp_jet(config.curve, config.z0, order=3),
-        verify_mod.solve_tail_constants(chain),
-    )
+    return verify_mod._sample_data(config, 0, 2), verify_mod.solve_tail_constants(chain)
 
 
-def _full_control_window(jets, wp, solved):
-    bumped = verify_mod.darboux_data(jets, verify_mod._bump_second(wp))
+def _full_control_window(data, solved):
+    """The control's full window on a configuration built anew from the
+    bumped curve-point jet: the independent reference."""
+    jets = GammaChain(data.chain, data.curve)
+    bumped = verify_mod.darboux_data(jets, verify_mod._bump_second(data.point))
     return verify_mod.commutator_y_check(bumped, solved)
 
 
