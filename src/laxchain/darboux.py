@@ -179,9 +179,10 @@ class DarbouxData:
 
     def _couplings(self, of_gamma):
         """``of_gamma`` (V_n or W_n) evaluated over Q on the exact x-jets at
-        the working x-order, then lifted into the tower."""
-        sites = [j.truncate(self.x_order) for j in self.chain]
-        return tuple(self._lift_x(c.coeffs) for c in of_gamma(sites, self.curve))
+        the working x-order (values at x-order 0), then lifted into the tower."""
+        x = self.x_order
+        sites = [j.truncate(x) if x else j.coeffs[0] for j in self.chain]
+        return tuple(self._lift_x(c.coeffs if x else (c,)) for c in of_gamma(sites, self.curve))
 
     _v = cached_property(lambda self: self._couplings(vn_from_gamma))
     _w = cached_property(lambda self: self._couplings(wn_from_gamma))

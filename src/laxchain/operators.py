@@ -118,16 +118,12 @@ def compose(a, b):
     ``sum_j a_j(n) * b_{k-j}(n + j)`` over the ``j`` where both bands are
     present, summed from the first term (an empty sum is 0).
 
-    Results are cached per ``(k, n)``; providers must be pure.
+    The product keeps no memo: every read evaluates the factors' providers
+    anew, so a reader that reads a coefficient more than once takes a
+    :meth:`DifferenceOperator.window` first and reads that.
     """
-    lo, hi = a.lo + b.lo, a.hi + b.hi
-    cache = {}
 
     def coeff(k, n):
-        key = (k, n)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
         terms = (
             a.coeff(j, n) * b.coeff(k - j, n + j)
             for j in range(max(a.lo, k - b.hi), min(a.hi, k - b.lo) + 1)
@@ -135,10 +131,9 @@ def compose(a, b):
         acc = next(terms, 0)
         for term in terms:
             acc = acc + term
-        cache[key] = acc
         return acc
 
-    return DifferenceOperator(lo, hi, coeff)
+    return DifferenceOperator(a.lo + b.lo, a.hi + b.hi, coeff)
 
 
 def commutator(a, b):
@@ -196,6 +191,13 @@ class OperatorWindow:
         return cls(op.lo, op.hi, n0, n1, rows)
 
     def coeff(self, j, n):
+        """The coefficient of ``T^j`` at site ``n``; ``IndexError`` outside
+        the window's bands or sites."""
+        if not (self.lo <= j <= self.hi and self.n0 <= n <= self.n1):
+            raise IndexError(
+                f"coefficient {(j, n)} is outside the window's bands "
+                f"{self.lo}..{self.hi} and sites {self.n0}..{self.n1}"
+            )
         return self.rows[n - self.n0][j - self.lo]
 
     def __eq__(self, other):

@@ -18,7 +18,7 @@ Most components in the nested jets are exact zeros (an embedded rational has
 ``b == 0``; padded derivatives vanish), so the kernels skip them: a skipped
 Fraction product yields ``Fraction(0)`` and a skipped sum passes the other
 Fraction through -- the value and the type the full formula would give.  Two
-jets of order >= 1 combine only when their coefficients share one exact
+jets, of any order, combine only when their coefficients share one exact
 *kind* (``Fraction``, a QuadExt discriminant, or a jet order over a kind),
 so a skipped term cannot change a result's type and every formatted report
 is unchanged; jets of floats, of ints or of mixed kinds raise ``TypeError``.
@@ -414,7 +414,7 @@ class Jet:
     always a bug, so it raises instead of silently truncating.  Non-jet
     operands are constants, which must fit the jet's kind (:meth:`_fit`).
 
-    Two jets of order >= 1 must share one exact kind (see the module
+    Two jets of any order must share one exact kind (see the module
     docstring), else ``TypeError``.  The Leibniz sums skip every term with an
     exact-zero factor, sums pass a coefficient through when the other one is
     zero, and every loop skips binomials of 1 (see :func:`_term`).  The zero
@@ -516,8 +516,6 @@ class Jet:
         a zero in ``self`` passes ``b_i`` (negated for a difference)."""
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            return _jet((op(a[0], b[0]),))
         kind, nza, nzb = self._shapes(other)
         out = tuple(
             a[i] if i not in nzb
@@ -554,8 +552,6 @@ class Jet:
             return Jet(tuple(c * other for c in self.coeffs))
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            return _jet((_mul(a[0], b[0]),))
         kind, nza, nzb = self._shapes(other)
         out = []
         nonzero = []
@@ -585,8 +581,6 @@ class Jet:
         a, b = self.coeffs, other.coeffs
         if b[0] == 0:
             raise ZeroDivisionError("division by a jet with zero value coefficient")
-        if len(a) == 1:
-            return _jet((_div(a[0], b[0]),))
         kind, nza, nzb = self._shapes(other)
         # h[0] is always formed, so a zero divisor raises as before
         h = [_div(a[0], b[0])]
@@ -662,8 +656,8 @@ _set_coeffs = Jet.coeffs.__set__
 _set_shape = Jet._shape.__set__
 
 
-def _jet(coeffs, shape=None):
-    """Jet from a nonempty tuple, with its shape when the caller knows it."""
+def _jet(coeffs, shape):
+    """Jet from a nonempty tuple and its shape (None: scanned on first use)."""
     jet = _new(Jet)
     _set_coeffs(jet, coeffs)
     _set_shape(jet, shape)

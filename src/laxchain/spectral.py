@@ -429,7 +429,9 @@ def commutant_solve_windowed(l_op, band_m, n0, n1):
     are non-empty for every ``k`` from ``lo - band_m`` to ``hi + band_m``.
     Row ``(k, n)`` is kept when every site it reads, ``n + j`` for each
     ``j`` of the first sum and ``n`` itself, lies in the window (boundary
-    unknowns are free, interior equations are complete).  The rank counts
+    unknowns are free, interior equations are complete).  The rows read L
+    from its window on sites ``n0 - band_m..n1 + band_m``, so each
+    coefficient of L is evaluated once.  The rank counts
     the singular values strictly above ``NULLITY_THRESHOLD * sigma_max``,
     so an all-zero system has rank 0 and full nullity; ``gap`` is the ratio
     between the smallest kept and the largest discarded singular value, inf
@@ -449,6 +451,7 @@ def commutant_solve_windowed(l_op, band_m, n0, n1):
             col_index[(i, n)] = len(col_index)
     ncols = len(col_index)
 
+    win = l_op.window(n0 - band_m, n1 + band_m)
     rows = []
     for k in range(l_op.lo - band_m, l_op.hi + band_m + 1):
         lx = [j for j in range(l_op.lo, l_op.hi + 1) if abs(k - j) <= band_m]
@@ -457,9 +460,9 @@ def commutant_solve_windowed(l_op, band_m, n0, n1):
         for n in range(n0 - min(reach), n1 - max(reach) + 1):
             row = np.zeros(ncols)
             for j in lx:
-                row[col_index[(k - j, n + j)]] += float(l_op.coeff(j, n))
+                row[col_index[(k - j, n + j)]] += float(win.coeff(j, n))
             for i in xl:
-                row[col_index[(i, n)]] -= float(l_op.coeff(k - i, n + i))
+                row[col_index[(i, n)]] -= float(win.coeff(k - i, n + i))
             rows.append(row)
 
     if len(rows) < ncols:

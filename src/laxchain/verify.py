@@ -308,14 +308,18 @@ def l4_lax_residual_window(chain):
     """One-period window of ``dL/dx + [L, V_{n-1} V_n T^{-2}]`` for the
     fourth-order operator built from the chain couplings, with the time
     derivative taken from order-2 jets.  Exactly zero when the chain follows
-    the lattice flow.
+    the lattice flow.  L and its partner are evaluated over one period, each
+    coefficient once, and read modulo the period.
     """
+    period = chain.period
     sites = list(prolong_gamma_jets(chain, 2).values)
     vs, ws = vn_from_gamma(sites, chain.curve), wn_from_gamma(sites, chain.curve)
-    v = lambda n: vs[n % chain.period]
-    w = lambda n: ws[n % chain.period]
-    a_op = DifferenceOperator.from_bands({-2: lambda n: (v(n - 1) * v(n)).truncate(1)})
-    return lax_operator(build_l4(v, w), a_op).window(0, chain.period - 1)
+    v = lambda n: vs[n % period]
+    l4 = build_l4(v, lambda n: ws[n % period]).window(0, period - 1)
+    l_op = DifferenceOperator(l4.lo, l4.hi, lambda j, n: l4.coeff(j, n % period))
+    partner = [(v(n - 1) * v(n)).truncate(1) for n in range(period)]
+    a_op = DifferenceOperator.from_bands({-2: lambda n: partner[n % period]})
+    return lax_operator(l_op, a_op).window(0, period - 1)
 
 
 def _eval_lax_l4_sample(config):
@@ -417,8 +421,19 @@ def run_suite(
     ``samples`` and ``workers`` must be at least 1, since a report over no
     samples would read as a pass; the draw bounds must lie in
     1 <= bound < 2**63 and the seed in 0 <= seed < 2**64, the ranges of the
-    generator's integers and key."""
+    generator's integers and key.  These five must be ints (not bools) and
+    ``constants`` None or a :class:`SolutionConstants`, else ``TypeError``
+    naming the argument."""
     _suite_eval(suite)
+    ints = {"samples": samples, "workers": workers, "max_num": max_num,
+            "max_den": max_den, "seed": seed}
+    for name, value in ints.items():
+        if type(value) is bool or not isinstance(value, int):
+            raise TypeError(f"run_suite needs an int {name}, got {value!r}")
+    if constants is not None and not isinstance(constants, SolutionConstants):
+        raise TypeError(
+            f"run_suite needs constants None or a SolutionConstants, got {constants!r}"
+        )
     if samples < 1 or workers < 1:
         raise ValueError(
             f"run_suite needs samples >= 1 and workers >= 1, got samples = "

@@ -502,6 +502,22 @@ def test_couplings_are_the_tower_evaluation():
     assert data._w == tuple(wn_from_gamma(list(data.gamma), data.curve))
 
 
+@pytest.mark.parametrize("y_order", [0, 2])
+def test_couplings_at_x_order_0_read_the_chain_values(monkeypatch, y_order):
+    """At x-order 0, which has no jet layer, V_n and W_n are evaluated on
+    the chain values themselves, not on order-0 jets of them."""
+    seen = []
+    for name in ("vn_from_gamma", "wn_from_gamma"):
+        real = getattr(darboux, name)
+        monkeypatch.setattr(
+            darboux, name, lambda sites, curve, real=real: seen.append(sites) or real(sites, curve)
+        )
+    data = exact_data().truncated(0, y_order)
+    data.v_at(0), data.w_site(0)
+    assert len(seen) == 2
+    assert all(type(c) is Fraction for sites in seen for c in sites)
+
+
 def test_tail_is_evaluated_once_per_parity():
     """With s1 = k1 = p1 = 0, g_n is (-1)^n times one quotient: each parity
     is evaluated once.  With s1 != 0 each site is its own."""

@@ -171,6 +171,37 @@ def test_window_equality_and_json():
     assert payload["coeffs"] == ["-2/1", "1/3"] * 3
 
 
+def test_window_coeff_refuses_reads_outside_its_bands_and_sites():
+    """A read outside the window raises ``IndexError`` naming the read and
+    the window's ranges; a negative offset does not wrap to the far end."""
+    op = DifferenceOperator(-1, 1, lambda j, n: Fraction(10 * n + j))
+    win = op.window(2, 5)
+    assert win.coeff(-1, 2) == 19 and win.coeff(1, 5) == 51
+    for j, n in ((1, 1), (-2, 3), (2, 3), (0, 6)):
+        message = rf"\({j}, {n}\) is outside the window's bands -1..1 and sites 2..5"
+        with pytest.raises(IndexError, match=message):
+            win.coeff(j, n)
+
+
+def test_reading_a_product_twice_evaluates_its_factors_twice():
+    """``compose`` keeps no state: each read of a product's coefficient
+    calls the factors' providers anew."""
+    calls = []
+
+    def provider(j, n):
+        calls.append((j, n))
+        return Fraction(n + 2 * j)
+
+    a = DifferenceOperator(-1, 1, provider)
+    b = const_op({0: Fraction(3), 1: Fraction(-1)})
+    product = compose(a, b)
+    first = product.coeff(1, 4)
+    reads = len(calls)
+    assert reads == 2  # a_0(4) b_1(4) + a_1(4) b_0(5)
+    assert product.coeff(1, 4) == first
+    assert calls == calls[:reads] * 2
+
+
 def test_window_equality_tolerates_band_padding():
     narrow = const_op({0: Fraction(5)})
     wide = const_op({1: Fraction(0), 0: Fraction(5), -1: Fraction(0)})

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import cos
 
@@ -653,6 +654,21 @@ def test_windowed_system_equals_the_reference_assembly(monkeypatch, case):
     assert len(seen) == 1
     assert seen[0].shape == expected.shape
     assert np.array_equal(seen[0], expected)
+
+
+def test_windowed_solve_evaluates_each_coefficient_of_l_once():
+    """The rows read L from one window, so no coefficient of L is evaluated
+    twice (a product keeps no memo of its own); the system is unchanged."""
+    flat = flat_operator((0.3, 1.2))
+    reads = Counter()
+
+    def counted(j, n):
+        reads[j, n] += 1
+        return flat.coeff(j, n)
+
+    res = commutant_solve_windowed(DifferenceOperator(flat.lo, flat.hi, counted), 3, 0, 40)
+    assert reads and max(reads.values()) == 1
+    assert res == commutant_solve_windowed(flat, 3, 0, 40)
 
 
 def test_windowed_shift_pair():

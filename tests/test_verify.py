@@ -11,6 +11,7 @@ from laxchain import verify as verify_mod
 from laxchain.darboux import DarbouxData, SolutionConstants
 from laxchain.errors import AccuracyError, ConfigError
 from laxchain.flows import GammaChain, VWChain
+from laxchain.operators import DifferenceOperator
 from laxchain.scalars import Jet, format_scalar, is_rational_square, scalar_abs
 from laxchain.verify import (
     SUITES,
@@ -208,24 +209,38 @@ def test_runs_refuse_no_samples_or_no_workers(samples, workers):
         {"max_den": 2**63},
         {"seed": -1},
         {"seed": 2**64},
+        {"samples": True},
+        {"workers": 2.0},
+        {"max_num": True},
+        {"max_den": 8.0},
+        {"seed": "3"},
+        {"seed": np.int64(3)},
+        {"constants": (0, 0, 0)},
     ],
 )
 def test_runs_refuse_out_of_range_bounds_and_seeds(monkeypatch, bounds):
     """Draw bounds outside 1 <= bound < 2**63 and seeds outside
-    0 <= seed < 2**64 are refused by name before any draw, where numpy
-    would raise its own errors and a zero numerator bound would reject
-    every draw."""
+    0 <= seed < 2**64 are refused by name with ``ValueError`` before any
+    draw, where numpy would raise its own errors and a zero numerator bound
+    would reject every draw.  A count, bound or seed that is not an int (a
+    bool, a float, a string, a numpy integer), and constants that are not a
+    ``SolutionConstants``, are refused by name with ``TypeError``: a bool
+    would run as 1 and a float bound would reach numpy."""
 
     def no_draw(*args):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(verify_mod, "draw_sample", no_draw)
     ((name, value),) = bounds.items()
-    message = rf"< 2\*\*(63|64), got {name} = {value}$"
-    with pytest.raises(ValueError, match=message):
-        run_suite("chain", 1, **bounds)
-    with pytest.raises(ValueError, match=message):
-        run_all(1, **bounds)
+    if type(value) is int:
+        error, message = ValueError, rf"< 2\*\*(63|64), got {name} = {value}$"
+    else:
+        error, message = TypeError, rf"^run_suite needs (an int )?{name}\b.*, got "
+    args = {"samples": 1, **bounds}
+    with pytest.raises(error, match=message):
+        run_suite("chain", **args)
+    with pytest.raises(error, match=message):
+        run_all(**args)
 
 
 def test_runs_accept_the_edges_of_the_bound_and_seed_ranges():
@@ -234,6 +249,28 @@ def test_runs_accept_the_edges_of_the_bound_and_seed_ranges():
     widest = {"seed": 2**64 - 1, "max_num": 2**63 - 1, "max_den": 2**63 - 1}
     assert run_suite("factorization", 1, **widest).passed
     assert run_suite("factorization", 1, seed=0, max_den=1).passed
+
+
+def test_l4_lax_residual_window_evaluates_each_coefficient_of_l4_once(monkeypatch, rng):
+    """The residual reads L4 from one period's window, so no coefficient
+    of L4 is evaluated twice; the window is the same."""
+    chain = random_chain(rng)
+    expected = l4_lax_residual_window(chain)
+    reads = Counter()
+    real = verify_mod.build_l4
+
+    def counted_l4(v, w):
+        l4 = real(v, w)
+
+        def coeff(j, n):
+            reads[j, n] += 1
+            return l4.coeff(j, n)
+
+        return DifferenceOperator(l4.lo, l4.hi, coeff)
+
+    monkeypatch.setattr(verify_mod, "build_l4", counted_l4)
+    assert l4_lax_residual_window(chain) == expected
+    assert len(reads) == 5 * chain.period and max(reads.values()) == 1
 
 
 def test_replay_from_dump():
