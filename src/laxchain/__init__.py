@@ -2,10 +2,10 @@
 and exact Darboux-transform verification on elliptic spectral curves.
 
 The package splits into scalar kernels (exact rationals, quadratic
-extensions, jets), a banded difference-operator algebra, the lattice flows
-and their integrators, spectral-polynomial machinery with commutant
-searches, bounded-branch Weierstrass integration, and the Darboux residual
-suites.  Everything algebraic is generic in the scalar: the same formulas
+extensions, jets, fraction-free series), a banded difference-operator
+algebra, the lattice flows and their integrators, spectral-polynomial
+machinery with commutant searches, bounded-branch Weierstrass integration,
+and the Darboux residual suites.  Everything algebraic is generic in the scalar: the same formulas
 run exactly over Q(w) for identity certification and over floats for
 simulation.
 """
@@ -71,6 +71,7 @@ from .scalars import (
     Fraction,
     Jet,
     QuadExt,
+    Series,
     format_scalar,
     is_rational_square,
     rational,

@@ -3,15 +3,20 @@
 Everything here evaluates identities pointwise in (x, y) at jet-equipped
 sample configurations: gamma carries x-jets along the lattice flow, the curve
 point z0 carries y-jets along the Weierstrass-type ODE, and site quantities
-live in the smallest jet tower over a base field that the configuration's
+live in the smallest tower over a base field that the configuration's
 orders need: the quadratic extension Q(w), or Q itself for a rational curve
-point.  An order-0 variable has no jet layer: base values at orders (0, 0),
-one jet over the base along the live variable otherwise (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13).  Each check reads its own orders
-through ``DarbouxData.truncated`` from any configuration at or above them,
-so none evaluates a formula in the nested Jet_x(Jet_y(base)).  Chain values
-enter by arithmetic, as ``zero + c`` with ``zero`` the point's own zero, so
-no code path switches on the scalar type; V_n and W_n are computed over Q.
+point.  An order-0 variable has no layer: base values at orders (0, 0), one
+fraction-free ``scalars.Series`` over the base along the live variable when
+the other order is 0 (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., ch. 13), and the nested Jet_x(Jet_y(base)) only when both orders are
+at least 1.  A y-series is stored in s = w*y: its coefficient k is divided
+by w**k, so each one is a rational series or w times one and its products
+meet no term with both parts.  Each check reads its own orders through
+``DarbouxData.truncated`` from any configuration at or above them, so the
+x- and y-brackets and the chain equations' reads run on series and none
+evaluates a formula in the nested tower.  Chain values enter by arithmetic,
+as ``zero + c`` with ``zero`` the point's own zero, so no code path switches
+on the scalar type; V_n and W_n are computed over Q.
 A rational identity that evaluates to exactly zero at random rational
 configurations is certified with overwhelming confidence (Schwartz-Zippel
 style), without any symbolic engine.
@@ -27,14 +32,15 @@ z0 yields the transformed operator; :func:`crosscheck_window` checks its
 four explicit band formulas against the swapped product.  chi1, chi2, the
 left factor's T^{-1} band, the transformed bands, b_n and f_n without its
 tail are ``DarbouxData`` methods behind one per-site memo, sharing the
-memoised gaps z0 - gamma_n, so each is evaluated once per site.
+memoised gaps z0 - gamma_n and their squares, so each is evaluated once per
+site.
 
 The chain equations are zero curvature: :func:`chain_residuals` reads them
 from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
 B = T + f.  The Lax residuals (the x and y brackets here, the fourth-order
 one in ``verify``) are built by :func:`lax_operator`, which takes dL and,
-cut by one order, L from one operator's outer jet; the checks read it on
-one period with ``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
+cut by one order, L from one operator's series (or jets); the checks read
+it on one period with ``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
 assemble their bracket with ``operators.lax_residual``.
 
 Both signs of w are certified from one evaluation.  w enters only through
@@ -43,25 +49,24 @@ in the jet coefficients of the chain and of that point.  The map
 sigma: a + b w -> a - b w is a field automorphism of Q(w) that fixes Q, so
 it commutes with every such expression: the results at the sign -1 jet are
 sigma of the results at the sign +1 jet, coefficient by coefficient
-(``Jet.conjugate``).  Every zero test is sigma-invariant, since sigma is
-injective (x = 0 exactly when sigma(x) = 0), so no branch taken here
-depends on the sign.  Code that broke this -- a branch on the sign of a
-component, a float taken before a zero test -- would make the two signs
-disagree; a differential test in the test suite runs both signs in full
+(``Jet.conjugate``, ``Series.conjugate``).  Every zero test is
+sigma-invariant, since sigma is injective (x = 0 exactly when
+sigma(x) = 0), so no branch taken here depends on the sign.  Code that
+broke this -- a branch on the sign of a component, a float taken before a
+zero test -- would make the two signs disagree; a differential test in the test suite runs both signs in full
 against ``verify``'s evaluators to catch it.
 """
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, wraps
-from operator import itemgetter
 
 from .curves import SpectralCurve
 from .elliptic import exact_wp_jet
 from .errors import DegenerateConfigurationError, PoleError
 from .flows import prolong_gamma_jets, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
-from .scalars import Jet, QuadExt, rational, scalar_value
+from .scalars import Jet, QuadExt, Series, rational, scalar_value
 
 __all__ = [
     "ChainSolution",
@@ -110,11 +115,13 @@ class DarbouxData:
 
     ``chain`` holds the exact x-jets of gamma_n and ``point`` the exact
     y-jet of the curve point, one order above the working orders.  They
-    enter the tower Jet_x(Jet_y(base)), without the layer of an order-0
-    variable, as ``gamma``/``dgamma`` and ``z0``/``w`` (chain values as
-    ``zero + c``).  Site lookups reduce modulo the period, every per-site
-    formula is a method memoised in ``_site_cache``, and ``_copies`` holds
-    the shared copies of :meth:`truncated`."""
+    enter the tower as ``gamma``/``dgamma`` and ``z0``/``w`` (chain values
+    as ``zero + c``): base values at orders (0, 0), a ``Series`` along the
+    live variable when the other order is 0 (the y-series in s = w*y), and
+    the nested Jet_x(Jet_y(base)) when both orders are at least 1.  Site
+    lookups reduce modulo the period, every per-site formula is a method
+    memoised in ``_site_cache``, and ``_copies`` holds the shared copies of
+    :meth:`truncated`."""
 
     curve: SpectralCurve
     chain: tuple
@@ -154,10 +161,16 @@ class DarbouxData:
 
     def _tower(self, rows):
         """The tower element whose x-coefficient k has the y-coefficients
-        ``rows[k]``, without the layer of an order-0 variable."""
-        y_layer = Jet if self.y_order else itemgetter(0)
-        x_layer = Jet if self.x_order else itemgetter(0)
-        return x_layer(tuple(y_layer(tuple(r)) for r in rows))
+        ``rows[k]``: the nested Jet_x(Jet_y(base)) when both orders are at
+        least 1, one :class:`Series` along the live variable (the y-series
+        in s = w*y) when the other order is 0, and a base value at (0, 0)."""
+        if self.x_order and self.y_order:
+            return Jet(tuple(Jet(tuple(r)) for r in rows))
+        if self.x_order:
+            return Series([r[0] for r in rows])
+        if self.y_order:
+            return Series(rows[0], scaled=True)
+        return rows[0][0]
 
     _zero = cached_property(lambda self: self.point.coeffs[0] * 0)
 
@@ -203,6 +216,11 @@ class DarbouxData:
         return self.z0 - self.gamma_at(m)
 
     @_per_site
+    def gap_squared(self, m):
+        """``gap(m)**2``, which ``a0``, ``am1`` and ``b`` read."""
+        return self.gap(m) ** 2
+
+    @_per_site
     def chi1(self, m):
         return -self.v_at(m) * self.gap(m + 1) / self.gap(m)
 
@@ -226,8 +244,8 @@ class DarbouxData:
     @_per_site
     def a0(self, m):
         num = (
-            self.v_at(m) * self.gap(m + 1) ** 2
-            + self.v_at(m + 1) * self.gap(m) ** 2
+            self.v_at(m) * self.gap_squared(m + 1)
+            + self.v_at(m + 1) * self.gap_squared(m)
             - self._f_z0
         )
         return num / (self.gap(m) * self.gap(m + 1)) + self.z0
@@ -235,7 +253,7 @@ class DarbouxData:
     @_per_site
     def am1(self, m):
         g = self.gamma_at
-        return (g(m - 1) - g(m + 1)) * self.v_at(m) * self.w / self.gap(m) ** 2
+        return (g(m - 1) - g(m + 1)) * self.v_at(m) * self.w / self.gap_squared(m)
 
     @_per_site
     def d(self, m):
@@ -251,7 +269,7 @@ class DarbouxData:
 
     @_per_site
     def b(self, m):
-        return -self.w * self.dgamma_at(m) / self.gap(m) ** 2
+        return -self.w * self.dgamma_at(m) / self.gap_squared(m)
 
     @_per_site
     def f_core(self, m):
@@ -451,8 +469,10 @@ class ChainSolution:
     constants: SolutionConstants
 
     def __post_init__(self):
+        # f and g memos, and the copies of truncated(); nothing stored changes
         object.__setattr__(self, "_f_cache", {})
         object.__setattr__(self, "_g_cache", {})
+        object.__setattr__(self, "_copies", {})
 
     def g(self, n):
         c = self.constants
@@ -481,8 +501,17 @@ class ChainSolution:
         return self.data.d(n)
 
     def truncated(self, x_order, y_order):
-        """The same solution on ``data.truncated(x_order, y_order)``."""
-        return ChainSolution(self.data.truncated(x_order, y_order), self.constants)
+        """The same solution on ``data.truncated(x_order, y_order)``: itself
+        at its data's orders, else one copy per lower pair, shared with its
+        copies as ``DarbouxData.truncated`` shares its own."""
+        data = self.data.truncated(x_order, y_order)
+        if data is self.data:
+            return self
+        copy = self._copies.get(data)
+        if copy is None:
+            copy = self._copies[data] = ChainSolution(data, self.constants)
+            object.__setattr__(copy, "_copies", self._copies)
+        return copy
 
 
 def rank2_solution(data, constants=None):
@@ -527,21 +556,23 @@ def chain_residuals(sol, n):
 def lax_operator(l_op, a_op):
     """The Lax residual ``dL + [L, A]`` as an operator.
 
-    ``l_op`` carries one more order of its outer jet than the residual: dL
-    is its coefficient-wise derivative, and the L of the bracket is the
-    same coefficients truncated by one order (truncation commutes with the
-    field operations, so this equals L rebuilt at the lower order).
+    ``l_op`` carries one more order of its series (or jets) than the
+    residual: dL is its coefficient-wise derivative, and the L of the
+    bracket is the same coefficients truncated by one order (truncation
+    commutes with the field operations, so this equals L rebuilt at the
+    lower order).
     ``a_op`` is given at the residual's order.  The checks differentiate
     along the one live variable of a configuration whose other order is 0,
-    so that is the outer jet; coefficients that are not jets are constants.
-    Coefficients are evaluated only when read.
+    so that is a series; the fourth-order bracket in ``verify`` passes x-jets
+    over Q.  Coefficients that are neither are constants.  Coefficients are
+    evaluated only when read.
     """
 
     def derive(c):
-        return c.derivative() if isinstance(c, Jet) else 0
+        return c.derivative() if isinstance(c, (Jet, Series)) else 0
 
     def cut(c):
-        return c.truncate(c.order - 1) if isinstance(c, Jet) else c
+        return c.truncate(c.order - 1) if isinstance(c, (Jet, Series)) else c
 
     return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op)
 
@@ -554,7 +585,7 @@ def commutator_x_check(data):
     is Ltilde's own ``T^{-2}`` band, behind the same memo) and cut by one
     x-order, as :func:`lax_operator` cuts Ltilde.  Exactly zero when gamma
     follows the lattice flow; the constants play no role (b and d do not
-    contain them).  Runs on x-jets over the base.  Requires x-order >= 1.
+    contain them).  Runs on x-series over the base.  Requires x-order >= 1.
     """
     if data.x_order < 1:
         raise ValueError("the x-commutator check needs x-jet order >= 1")
@@ -569,7 +600,8 @@ def commutator_y_residual(data, constants=None):
 
     Exactly zero when the curve-point jet satisfies the Weierstrass ODE
     (that is what ties z0'' to F'(z0)/2); a jet violating it is the standard
-    negative control.  Runs on y-jets over the base.  Requires y-order >= 1.
+    negative control.  Runs on y-series over the base, stored in s = w*y.
+    Requires y-order >= 1.
     """
     if data.y_order < 1:
         raise ValueError("the y-commutator check needs y-jet order >= 1")

@@ -1,10 +1,10 @@
-"""Exact scalar kernels: rationals, quadratic extensions, truncated jets.
+"""Exact scalar kernels: rationals, quadratic extensions, truncated series.
 
 Everything downstream (operators, flows, Darboux residuals) is generic in the
 scalar, so one code path serves exact identity verification and floating-point
 simulation; this module holds the exact kinds only.  Floats take Python's and
 numpy's own arithmetic, and their collision rule lives in :mod:`laxchain.flows`,
-its only user.  Three exact kinds are used:
+its only user.  Four exact kinds are used:
 
 * exact rationals -- :class:`fractions.Fraction` (always in lowest terms,
   positive denominator, never rounded);
@@ -12,7 +12,15 @@ its only user.  Three exact kinds are used:
   root ``w`` of a fixed rational discriminant ``D``;
 * :class:`Jet` -- truncated Taylor data ``(value, f', ..., f^(K))`` propagated
   through arithmetic by the Leibniz rule.  Jets nest: a jet whose coefficients
-  are jets in a second variable carries mixed partial derivatives.
+  are jets in a second variable carries mixed partial derivatives;
+* :class:`Series` -- one truncated series over Q(w) or Q held fraction-free:
+  Taylor coefficient k is ``(a_k + b_k w) / d`` with int ``a_k``, ``b_k`` and
+  one int ``d > 0``, reduced by one gcd per result (the move fraction-free
+  elimination makes; Bareiss, *Math. Comp.* 22, 1968), so a product is a
+  Cauchy product of ints with no Fraction per coefficient (Griewank &
+  Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  ``coeffs`` gives the
+  raw derivatives a Jet over the same field holds.  A series along the
+  curve point is stored in ``s = w*y`` (see :class:`Series`).
 
 Most components in the nested jets are exact zeros (an embedded rational has
 ``b == 0``; padded derivatives vanish), so the kernels skip them: a skipped
@@ -38,17 +46,18 @@ pair -- a float, a bool, a Fraction subclass, a QuadExt or a jet -- takes
 the plain operator.
 
 All values are immutable after construction and safe to share between
-threads; a jet's cached zero pattern is a function of its coefficients, so
-concurrent fills agree.
+threads; a jet's cached zero pattern and a series' cached ``coeffs`` are
+functions of what they hold, so concurrent fills agree.
 """
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, sqrt
+from math import comb, factorial, gcd, isqrt, lcm, sqrt
 
 __all__ = [
     "Fraction",
     "Jet",
     "QuadExt",
+    "Series",
     "format_scalar",
     "is_rational_square",
     "rational",
@@ -677,11 +686,400 @@ def _kind_name(x):
     if type(x) is Jet:
         kinds = " | ".join(dict.fromkeys(map(_kind_name, x.coeffs)))
         return f"Jet(order {x.order} over {kinds})"
+    if type(x) is Series:
+        field = "Q" if x.disc is None else f"Q(w), w^2 = {x.disc}"
+        return f"Series(order {x.order} over {field}{', in s = w*y' if x.scaled else ''})"
     return f"QuadExt(w^2 = {x.disc})" if type(x) is QuadExt else type(x).__name__
 
 
 def _union(nza, nzb):
     return nza if nza == nzb else tuple(sorted(set(nza) | set(nzb)))
+
+
+class Series:
+    """Truncated series over Q(w) or Q held fraction-free: Taylor
+    coefficient k is ``(a[k] + b[k]*w) / d`` with int tuples ``a``, ``b``
+    (``b`` all zero over Q, where ``disc`` is None) and one int ``d > 0``,
+    reduced by one gcd per result, so equal series hold equal ints.
+
+    Built from raw derivatives, as a :class:`Jet` is: all Fractions (over
+    Q) or all QuadExts of one discriminant.  ``coeffs`` gives them back,
+    equal in value, type and ``repr`` to what a Jet over the same field
+    holds, built on first read and cached.  Products are Cauchy products of
+    the Taylor coefficients (no binomials, no Fraction per coefficient);
+    a quotient first makes its divisor rational (times w for a multiple of
+    w, times its conjugate when both parts are nonzero), then runs an int
+    recurrence over a power of the divisor's value coefficient.
+
+    A *scaled* series (``scaled=True``; over Q(w) only, a rational point
+    needs none) stores coefficient k divided by ``w**k``, which makes it a
+    series in ``s = w*y``: ``derivative`` multiplies by w, and
+    ``conjugate`` negates ``b`` and multiplies coefficient k by ``(-1)**k``.
+    Jet coefficients along the curve point alternate between rationals and
+    rational multiples of w; scaled, each series is one of the two, so a
+    product seldom meets a term with both parts nonzero.
+
+    Constants are ints, Fractions and QuadExts of the series' field.  A
+    float or another type raises ``TypeError``; another discriminant, order
+    or storage raises ``ValueError``; a zero divisor ``ZeroDivisionError``.
+    """
+
+    __slots__ = ("a", "b", "d", "disc", "scaled", "_coeffs")
+
+    def __new__(cls, coeffs, scaled=False):
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("a series needs at least a value coefficient")
+        disc = coeffs[0].disc if type(coeffs[0]) is QuadExt else None
+        scaled = bool(scaled) and disc is not None
+        n, m = (disc._numerator, disc._denominator) if scaled else (1, 1)
+        if not n:
+            raise ZeroDivisionError("cannot scale a series by w = 0")
+        size = len(coeffs)
+        nums, dens = [0] * (2 * size), [1] * (2 * size)
+        for k, c in enumerate(coeffs):
+            if type(c) is QuadExt and (c.disc is disc or c.disc == disc):
+                x, y = c.a, c.b
+            elif type(c) is Fraction and disc is None:
+                x, y = c, _ZERO
+            elif type(c) in (Fraction, QuadExt):
+                raise ValueError(f"series coefficients over two fields: {list(coeffs)!r}")
+            else:
+                raise TypeError(f"a series coefficient must be exact, got {_kind_name(c)}")
+            xn, yn = x._numerator, y._numerator
+            if not (xn or yn):
+                continue
+            f = factorial(k)
+            xd, yd = x._denominator * f, y._denominator * f
+            if scaled and k:  # divided by w**k, with w**2 = n/m
+                if k & 1:  # (x + y w)/w = y + (x m/n) w
+                    xn, xd, yn, yd = yn, yd, xn * m, xd * n
+                p, q = m ** (k >> 1), n ** (k >> 1)
+                xn, xd, yn, yd = xn * p, xd * q, yn * p, yd * q
+            nums[2 * k: 2 * k + 2] = xn, yn
+            dens[2 * k: 2 * k + 2] = xd, yd
+        d = lcm(*dens)
+        ints = [x * (d // e) for x, e in zip(nums, dens)]
+        return _reduced(ints[0::2], ints[1::2], d, disc, scaled)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Series is immutable")
+
+    @property
+    def order(self):
+        return len(self.a) - 1
+
+    @property
+    def coeffs(self):
+        """The raw derivatives ``(f, f', ..., f^(K))``, cached."""
+        out = self._coeffs
+        if out is None:
+            out = tuple(map(self._raw, range(len(self.a))))
+            _set_cached(self, out)
+        return out
+
+    def _raw(self, k):
+        f, d, disc = factorial(k), self.d, self.disc
+        x, y = self.a[k] * f, self.b[k] * f
+        if disc is None:
+            return _ratio(x, d)
+        e = d
+        if self.scaled:  # times w**k, with w**2 = n/m
+            n, m = disc._numerator, disc._denominator
+            if k & 1:  # (x + y w) w = y n/m + x w
+                x, y, d = y * n, x, d * m
+            p, q = n ** (k >> 1), m ** (k >> 1)
+            x, y, d, e = x * p, y * p, d * q, e * q
+        return _quad(_ratio(x, d), _ratio(y, e), disc)
+
+    def _peer(self, other):
+        """``ValueError`` unless the series ``other`` has this one's order,
+        field and storage."""
+        if len(other.a) != len(self.a):
+            raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
+        if other.disc is not self.disc and other.disc != self.disc:
+            raise ValueError(
+                f"mixing series over different fields: {_kind_name(self)} and {_kind_name(other)}"
+            )
+        if other.scaled is not self.scaled:
+            raise ValueError(
+                f"mixing series of two storages: {_kind_name(self)} and {_kind_name(other)}"
+            )
+
+    def _constant(self, c):
+        """The exact constant ``c`` as ints ``(a, b, d)`` of this series'
+        field; see the class docstring for what is refused."""
+        t = type(c)
+        if t is int:
+            return c, 0, 1
+        if t is Fraction:
+            return c._numerator, 0, c._denominator
+        if t is QuadExt and self.disc is not None:
+            if c.disc is not self.disc and c.disc != self.disc:
+                raise ValueError(f"a {_kind_name(c)} constant does not fit {_kind_name(self)}")
+            x, y = c.a, c.b
+            d = lcm(x._denominator, y._denominator)
+            return x._numerator * (d // x._denominator), y._numerator * (d // y._denominator), d
+        error = ValueError if t is QuadExt else TypeError
+        raise error(f"a {_kind_name(c)} constant does not fit {_kind_name(self)}")
+
+    def _pad(self, x):
+        """The value ``x`` as a constant int sequence of this series' length."""
+        return (x,) + (0,) * (len(self.a) - 1)
+
+    def _plus(self, a2, b2, e):
+        """``self + (a2 + b2*w) / e`` for int sequences of its length."""
+        d = self.d
+        g = gcd(d, e)
+        s, t = e // g, d // g
+        a = [x * s + y * t for x, y in zip(self.a, a2)]
+        b = [x * s + y * t for x, y in zip(self.b, b2)]
+        return _reduced(a, b, d * s, self.disc, self.scaled)
+
+    def __add__(self, other):
+        if type(other) is Series:
+            self._peer(other)
+            return self._plus(other.a, other.b, other.d)
+        ca, cb, cd = self._constant(other)
+        if not (ca or cb):
+            return self
+        return self._plus(self._pad(ca), self._pad(cb), cd)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is Series:
+            self._peer(other)
+            return self._plus(_negated(other.a), _negated(other.b), other.d)
+        ca, cb, cd = self._constant(other)
+        return self._plus(self._pad(-ca), self._pad(-cb), cd)
+
+    def __rsub__(self, other):
+        # only a constant reaches here: Series - Series dispatches to __sub__
+        return -self + other
+
+    def _times(self, a2, b2, e):
+        """``self * (a2 + b2*w) / e`` for int sequences of its length; a
+        factor whose parts are all zero is skipped."""
+        a1, b1 = self.a, self.b
+        ha1, hb1, ha2, hb2 = any(a1), any(b1), any(a2), any(b2)
+        zero = (0,) * len(a1)
+        a = _conv(a1, a2) if ha1 and ha2 else zero
+        b = _conv(a1, b2) if ha1 and hb2 else zero
+        if hb1 and ha2:
+            b = _conv(b1, a2) if b is zero else [x + y for x, y in zip(b, _conv(b1, a2))]
+        d = self.d * e
+        if hb1 and hb2:
+            # w*w = D = n/m
+            n, m = self.disc._numerator, self.disc._denominator
+            a = [m * x + n * y for x, y in zip(a, _conv(b1, b2))]
+            b = [m * y for y in b]
+            d *= m
+        return _reduced(a, b, d, self.disc, self.scaled)
+
+    def __mul__(self, other):
+        if type(other) is Series:
+            self._peer(other)
+            return self._times(other.a, other.b, other.d)
+        ca, cb, cd = self._constant(other)
+        if not cb:
+            if ca == cd:
+                return self
+            return _reduced(
+                [x * ca for x in self.a], [y * ca for y in self.b], self.d * cd,
+                self.disc, self.scaled,
+            )
+        return self._times(self._pad(ca), self._pad(cb), cd)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not Series:
+            ca, cb, cd = self._constant(other)
+            if not cb and ca:
+                return _reduced(
+                    [x * cd for x in self.a], [y * cd for y in self.b], self.d * ca,
+                    self.disc, self.scaled,
+                )
+            other = _series(self._pad(ca), self._pad(cb), cd, self.disc, self.scaled)
+        self._peer(other)
+        # (a + b w)/d over the divisor (p + q w)/e, brought to a rational p
+        a, b, d = self.a, self.b, self.d
+        p, q, e = other.a, other.b, other.d
+        if any(q):
+            if any(p):
+                # times the divisor's conjugate, which leaves a rational divisor
+                conj = _negated(q)
+                num, den = self._times(p, conj, 1), other._times(p, conj, 1)
+                a, b, d, p, e = num.a, num.b, num.d, den.a, den.d
+            else:
+                # (a + b w) / (q w) = (n b + m a w) / (n q) with D = n/m
+                n, m = self.disc._numerator, self.disc._denominator
+                a, b, d, p = [n * y for y in b], [m * x for x in a], d * n, q
+        if not p[0]:
+            raise ZeroDivisionError("division by a series with zero value coefficient")
+        a, b, scale = _divided(a, b, p)
+        return _reduced([x * e for x in a], [y * e for y in b], d * scale, self.disc, self.scaled)
+
+    def __rtruediv__(self, other):
+        # only a constant reaches here
+        ca, cb, cd = self._constant(other)
+        return _series(self._pad(ca), self._pad(cb), cd, self.disc, self.scaled) / self
+
+    def __neg__(self):
+        return _series(_negated(self.a), _negated(self.b), self.d, self.disc, self.scaled)
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        if exponent == 0:
+            zero = self._pad(0)
+            return _series(self._pad(1), zero, 1, self.disc, self.scaled)
+        # binary powering from self: x**2 is one product
+        result = None
+        base = self
+        while True:
+            if exponent & 1:
+                result = base if result is None else base * result
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
+
+    def derivative(self):
+        """Series of ``f'`` (one order lower); along ``s = w*y`` that is
+        w times the derivative in s."""
+        if len(self.a) == 1:
+            raise ValueError("cannot differentiate an order-0 series")
+        a = [k * x for k, x in enumerate(self.a)][1:]
+        b = [k * y for k, y in enumerate(self.b)][1:]
+        if not self.scaled:
+            return _reduced(a, b, self.d, self.disc, False)
+        # (a + b w) w = n b / m + a w with D = n/m
+        n, m = self.disc._numerator, self.disc._denominator
+        return _reduced([n * y for y in b], [m * x for x in a], self.d * m, self.disc, True)
+
+    def truncate(self, order):
+        if order > self.order:
+            raise ValueError(f"cannot extend a series of order {self.order} to {order}")
+        if order < 0:
+            raise ValueError("a series needs at least a value coefficient")
+        k = order + 1
+        return _reduced(self.a[:k], self.b[:k], self.d, self.disc, self.scaled)
+
+    def conjugate(self):
+        """The series with ``w -> -w`` applied to every coefficient."""
+        a, b = self.a, _negated(self.b)
+        if self.scaled:  # coefficient k is divided by w**k
+            a = tuple(-x if k & 1 else x for k, x in enumerate(a))
+            b = tuple(-y if k & 1 else y for k, y in enumerate(b))
+        return _series(a, b, self.d, self.disc, self.scaled)
+
+    def __eq__(self, other):
+        if type(other) is Series:
+            if other.scaled is self.scaled and other.disc == self.disc:
+                return self.a == other.a and self.b == other.b and self.d == other.d
+            return self.coeffs == other.coeffs
+        if not isinstance(other, (int, Fraction, QuadExt)):
+            return NotImplemented
+        if not other:
+            return not (any(self.a) or any(self.b))
+        return not (any(self.a[1:]) or any(self.b[1:])) and self.coeffs[0] == other
+
+    def __bool__(self):
+        return any(self.a) or any(self.b)
+
+    def __repr__(self):
+        return f"Series({list(self.coeffs)!r}{', scaled=True' if self.scaled else ''})"
+
+
+_set_a_ints = Series.a.__set__
+_set_b_ints = Series.b.__set__
+_set_d = Series.d.__set__
+_set_field = Series.disc.__set__
+_set_scaled = Series.scaled.__set__
+_set_cached = Series._coeffs.__set__
+
+
+def _series(a, b, d, disc, scaled):
+    """Series from int tuples already reduced, unchecked."""
+    s = _new(Series)
+    _set_a_ints(s, a)
+    _set_b_ints(s, b)
+    _set_d(s, d)
+    _set_field(s, disc)
+    _set_scaled(s, scaled)
+    _set_cached(s, None)
+    return s
+
+
+def _reduced(a, b, d, disc, scaled):
+    """Series from int sequences over a nonzero ``d``: one gcd divides
+    them out, and the sign makes ``d`` positive."""
+    g = gcd(d, *a, *b)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return _series(tuple(a), tuple(b), d, disc, scaled)
+    return _series(tuple([x // g for x in a]), tuple([y // g for y in b]), d // g, disc, scaled)
+
+
+def _ratio(n, d):
+    """Fraction ``n/d`` for ``d > 0``, in lowest terms."""
+    if not n:
+        return _ZERO
+    g = gcd(n, d)
+    return _frac(n // g, d // g)
+
+
+def _negated(x):
+    return tuple(-v for v in x)
+
+
+def _conv(x, y):
+    """The truncated Cauchy product of two int sequences of one length,
+    written out up to length 3 (order 2)."""
+    n = len(x)
+    if n == 3:
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        return [x0 * y0, x0 * y1 + x1 * y0, x0 * y2 + x1 * y1 + x2 * y0]
+    if n == 2:
+        x0, x1 = x
+        y0, y1 = y
+        return [x0 * y0, x0 * y1 + x1 * y0]
+    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def _divided(xa, xb, p):
+    """``(ra, rb, scale)`` with the series quotients ``xa / p`` and
+    ``xb / p`` of int sequences equal to ``ra / scale`` and ``rb / scale``.
+    A constant divisor divides once; else ``scale`` is ``p0**len(p)``."""
+    p0 = p[0]
+    if not any(p[1:]):
+        return xa, xb, p0
+    return _recurrence(xa, p), _recurrence(xb, p), p0 ** len(p)
+
+
+def _recurrence(x, p):
+    """Numerators of ``x / p`` over ``p0**n``: coefficient k is
+    ``R_k / p0**(k+1)`` with ``R_k = x_k p0**k - sum_j R_j p_(k-j) p0**(k-1-j)``,
+    brought over the common ``p0**n``; written out up to length 3."""
+    if not any(x):
+        return x
+    n, p0 = len(x), p[0]
+    if n == 3:
+        x0, x1, x2 = x
+        _, p1, p2 = p
+        r1 = x1 * p0 - x0 * p1
+        return [x0 * p0 * p0, r1 * p0, (x2 * p0 - x0 * p2) * p0 - r1 * p1]
+    if n == 2:
+        return [x[0] * p0, x[1] * p0 - x[0] * p[1]]
+    powers = [p0 ** k for k in range(n + 1)]
+    r = []
+    for k in range(n):
+        r.append(x[k] * powers[k] - sum(r[j] * p[k - j] * powers[k - 1 - j] for j in range(k)))
+    return [v * powers[n - 1 - k] for k, v in enumerate(r)]
 
 
 def scalar_value(x):
@@ -697,9 +1095,10 @@ def scalar_abs(x):
     Exact rationals keep exact absolute values.  Quadratic-extension elements
     report 0 when exactly zero, otherwise a numeric embedding (|a + b*sqrt(D)|
     for D >= 0, complex modulus for D < 0).  Jets report the max over their
-    coefficients, so a "zero residual" means every derivative vanished too.
+    coefficients, so a "zero residual" means every derivative vanished too;
+    so do series.
     """
-    if isinstance(x, Jet):
+    if isinstance(x, (Jet, Series)):
         return max(scalar_abs(c) for c in x.coeffs)
     if isinstance(x, QuadExt):
         if x.a == 0 and x.b == 0:
@@ -717,9 +1116,10 @@ def format_scalar(x):
     """Serialize a scalar for JSON/CSV reports.
 
     Exact rationals render as ``"p/q"`` (denominator always written);
-    extension elements as ``"a + b*w | w^2 = D"``; jets component-wise.
+    extension elements as ``"a + b*w | w^2 = D"``; jets and series
+    component-wise, by their raw derivatives.
     """
-    if isinstance(x, Jet):
+    if isinstance(x, (Jet, Series)):
         return "jet(" + "; ".join(format_scalar(c) for c in x.coeffs) + ")"
     if isinstance(x, QuadExt):
         return (

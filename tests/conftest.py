@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -44,3 +45,27 @@ def random_point_off_chain(rng, chain, max_num=50, max_den=8):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, *names, key=None)`` wraps the named attributes
+    of ``owner`` (a class or a module) for the rest of the test and returns
+    the ``Counter`` they fill: one count per call under the attribute's
+    name, or under ``key(name, *args)`` when that is given and not None."""
+
+    def install(owner, *names, key=None):
+        counts = Counter()
+        for name in names:
+            real = getattr(owner, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                label = name if key is None else key(name, *args)
+                if label is not None:
+                    counts[label] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    return install

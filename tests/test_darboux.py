@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from laxchain import darboux, verify
 from laxchain.curves import SpectralCurve
 from laxchain.darboux import (
+    ChainSolution,
     DarbouxData,
     SolutionConstants,
     chain_problem,
@@ -37,7 +38,7 @@ from laxchain.flows import (
     wn_from_gamma,
 )
 from laxchain.operators import DifferenceOperator, build_l4, compose, lax_residual
-from laxchain.scalars import Jet, QuadExt, format_scalar
+from laxchain.scalars import Jet, QuadExt, Series, format_scalar
 from laxchain.verify import draw_sample
 
 from conftest import random_chain, random_point_off_chain
@@ -224,7 +225,7 @@ def test_float_chain_jet_is_refused_by_name_on_an_exact_curve():
 
 
 # the memoised per-site formulas of DarbouxData
-PER_SITE = ("gap", "chi1", "chi2", "a1", "a0", "am1", "d", "b", "f_core")
+PER_SITE = ("gap", "gap_squared", "chi1", "chi2", "a1", "a0", "am1", "d", "b", "f_core")
 
 
 def test_per_site_memo_reduces_sites_modulo_the_period():
@@ -325,8 +326,9 @@ def test_lax_x_sample_evaluates_each_site_formula_once(memo_stores):
     configuration Ltilde is built from, so one lax-x sample evaluates every
     formula it needs once per site; d is Ltilde's own T^-2 band."""
     assert verify._eval_lax_x_sample(draw_sample(7, 0))[0]
-    assert {name for name, _ in memo_stores} == {"gap", "a1", "a0", "am1", "d", "b"}
-    assert sorted(memo_stores.values()) == [1] * (6 * verify.PERIOD)
+    names = {"gap", "gap_squared", "a1", "a0", "am1", "d", "b"}
+    assert {name for name, _ in memo_stores} == names
+    assert sorted(memo_stores.values()) == [1] * (len(names) * verify.PERIOD)
 
 
 def test_factorization_sample_evaluates_the_left_factor_band_once(memo_stores):
@@ -341,14 +343,15 @@ def test_factorization_sample_evaluates_the_left_factor_band_once(memo_stores):
 def test_lax_y_check_evaluates_each_site_formula_once_per_order(memo_stores):
     """The y-bracket reads Ltilde's bands from the view at y-order 2 and f
     from the view at y-order 1: each formula is evaluated once per site on
-    each, so the gaps, which both read, twice."""
+    each, so the gaps, which both read, twice, and the squared gaps, which
+    Ltilde's bands alone read, once."""
     config = draw_sample(7, 0)
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
     memo_stores.clear()
     wp = exact_wp_jet(config.curve, config.z0, order=3)
     assert commutator_y_check(darboux_data(prolong_gamma_jets(chain, 1), wp), solved).is_zero()
-    names = {"gap": 2, "a1": 1, "a0": 1, "am1": 1, "d": 1, "f_core": 1}
+    names = {"gap": 2, "gap_squared": 1, "a1": 1, "a0": 1, "am1": 1, "d": 1, "f_core": 1}
     assert {name for name, _ in memo_stores} == set(names)
     for (name, _), count in memo_stores.items():
         assert count == names[name], name
@@ -360,17 +363,47 @@ def test_chain_sample_evaluates_each_site_formula_once_per_copy(monkeypatch, mem
     copy at orders (0, 1) and f_x from the one at (1, 0).  Across the bare
     and the solved residuals at every site, each formula is evaluated once
     per site on each copy that reads it, and none on the configuration at
-    (1, 1): so the gaps and f twice, b and d once."""
+    (1, 1): so the gaps and f twice, b, d and the squared gaps once."""
     config = draw_sample(7, 0)
     solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
     monkeypatch.setattr(verify, "solve_tail_constants", lambda chain: solved)
     memo_stores.clear()
     assert verify._eval_chain_sample(config)[0]
-    names = {"gap": 2, "f_core": 2, "b": 1, "d": 1}
+    names = {"gap": 2, "f_core": 2, "gap_squared": 1, "b": 1, "d": 1}
     assert {name for name, _ in memo_stores} == set(names)
     for (name, _), count in memo_stores.items():
         assert count == names[name], name
     assert len(memo_stores) == len(names) * verify.PERIOD
+
+
+def test_chain_sample_forms_f_once_per_solution_copy_and_site(monkeypatch, count_calls):
+    """A solution keeps one copy per lower pair of orders, shared like the
+    configuration's, so its f memo outlives each ``chain_residuals`` call:
+    f = f_core + g is formed once per solution (bare and solved), pair of
+    orders and site.  The tail's literal site index makes the sites -2..3
+    at (0, 1) and 0..3 at (1, 0): 2 * (6 + 4) = 20."""
+    config = draw_sample(7, 0)
+    solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
+    monkeypatch.setattr(verify, "solve_tail_constants", lambda chain: solved)
+    formed = count_calls(ChainSolution, "g")  # f calls g once, when it forms f
+    assert verify._eval_chain_sample(config)[0]
+    assert formed["g"] == 20
+    sol = rank2_solution(exact_data().truncated(1, 1), solved)
+    copy = sol.truncated(0, 1)
+    assert sol.truncated(1, 1) is sol and sol.truncated(0, 1) is copy
+    assert copy.data is sol.data.truncated(0, 1) and copy.truncated(0, 1) is copy
+    assert sol.truncated(1, 0).truncated(0, 0) is copy.truncated(0, 0)
+
+
+def test_lax_x_sample_squares_each_gap_once_per_site(count_calls):
+    """a0 reads the squares of gap(m) and gap(m + 1), am1 and b that of
+    gap(m): all read the memoised ``gap_squared``, so a lax-x sample
+    squares one gap per site."""
+    squares = count_calls(Series, "__pow__")
+    for index in range(4):
+        squares.clear()
+        assert verify._eval_lax_x_sample(draw_sample(7, index))[0]
+        assert squares == {"__pow__": verify.PERIOD}, index
 
 
 def _strip(c):
@@ -391,9 +424,13 @@ def _cut_to(c, x_order, y_order):
 
 
 def _single_layer(c):
-    """True for a Q(w) value or a jet over Q(w) (no jet inside a jet)."""
-    inner = c.coeffs if isinstance(c, Jet) else (c,)
-    return not any(isinstance(x, Jet) for x in inner)
+    """True for a Q(w) value or a series over Q(w): no jet at all."""
+    return not isinstance(c, Jet)
+
+
+def _raw(c):
+    """The raw derivatives of a jet or a series; a value or constant as it is."""
+    return c.coeffs if isinstance(c, (Jet, Series)) else c
 
 
 def _y_cut(c):
@@ -451,8 +488,8 @@ def _nested_windows(data, solved):
 @pytest.mark.parametrize("index", range(4))
 def test_checks_run_in_the_single_layer_tower(index, max_num, max_den):
     """Each check's window holds Q(w) values (factorization, crosscheck)
-    or jets over Q(w) (the x- and y-brackets), equal in value and ``repr``
-    to the nested evaluation's cut to the check's orders."""
+    or series over Q(w) (the x- and y-brackets), whose raw derivatives equal
+    in value and ``repr`` the nested evaluation's cut to the check's orders."""
     config = draw_sample(7, index, max_num, max_den)
     chain = GammaChain(config.gamma, config.curve)
     solved = solve_tail_constants(chain)
@@ -470,10 +507,11 @@ def test_checks_run_in_the_single_layer_tower(index, max_num, max_den):
     for win, want, orders in zip(got, _nested_windows(data, solved), jet_orders):
         coeffs = [c for row in win.rows for c in row]
         assert all(map(_single_layer, coeffs))
-        assert {c.order for c in coeffs if isinstance(c, Jet)} == orders
-        cut = [c for row in want.rows for c in row]
-        assert coeffs == cut
-        assert list(map(repr, coeffs)) == list(map(repr, cut))
+        assert {c.order for c in coeffs if isinstance(c, Series)} == orders
+        got_raw = [_raw(c) for c in coeffs]
+        cut = [_raw(c) for row in want.rows for c in row]
+        assert got_raw == cut
+        assert list(map(repr, got_raw)) == list(map(repr, cut))
         assert win.is_zero()
 
 
@@ -481,14 +519,19 @@ def test_checks_run_in_the_single_layer_tower(index, max_num, max_den):
 def test_order_0_variables_have_no_jet_layer(x_order, y_order):
     """At orders with a 0, gamma, gamma', z0, w, V and W are the nested
     values at orders (2, 2) cut down, with no layer for the order-0
-    variable; at orders (1, 1) they stay nested."""
+    variable: base values at (0, 0), a series along the live variable
+    otherwise, whose raw derivatives equal the cut jet's in value and
+    ``repr``; at orders (1, 1) they stay nested."""
     full = exact_data()
     data = full.truncated(x_order, y_order)
-    for name in ("gamma", "dgamma", "_v", "_w"):
-        want = [_cut_to(c, x_order, y_order) for c in getattr(full, name)]
-        assert list(getattr(data, name)) == want
-    for name in ("z0", "w"):
-        assert getattr(data, name) == _cut_to(getattr(full, name), x_order, y_order)
+    for name in ("gamma", "dgamma", "_v", "_w", "z0", "w"):
+        got, whole = getattr(data, name), getattr(full, name)
+        if name in ("z0", "w"):
+            got, whole = (got,), (whole,)
+        got = [_raw(c) for c in got]
+        want = [_raw(_cut_to(c, x_order, y_order)) for c in whole]
+        assert got == want, name
+        assert repr(got) == repr(want), name
     assert all(map(_single_layer, data.gamma + (data.z0, data.w)))
     both = full.truncated(1, 1)
     assert all(isinstance(c, Jet) for c in both.z0.coeffs + both.gamma_at(0).coeffs)
@@ -985,11 +1028,11 @@ def test_commutator_x_partner_cut_equals_the_lower_order_build(
 
 
 def _cut(c):
-    return c.truncate(c.order - 1) if isinstance(c, Jet) else c
+    return c.truncate(c.order - 1) if isinstance(c, (Jet, Series)) else c
 
 
 def _derivative(c):
-    return c.derivative() if isinstance(c, Jet) else 0
+    return c.derivative() if isinstance(c, (Jet, Series)) else 0
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -997,7 +1040,7 @@ def _derivative(c):
 def test_lax_window_truncation_equals_rebuild(rng, axis, sign):
     """The transformed operator cut by one jet order equals the operator
     rebuilt from the lower-order configuration (the reference), and so does
-    every bracket ``lax_operator`` assembles from it.  Both are jets over
+    every bracket ``lax_operator`` assembles from it.  Both are series over
     the base along ``axis``, with no layer for the other, order-0 variable."""
     for max_num, max_den in ((50, 8), (10**9, 10**6), (50, 8)):
         chain = random_chain(rng, max_num=max_num, max_den=max_den)

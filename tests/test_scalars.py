@@ -16,6 +16,7 @@ from laxchain.flows import NUMERIC_DEGENERACY_RTOL, floats_collide
 from laxchain.scalars import (
     Jet,
     QuadExt,
+    Series,
     format_scalar,
     is_rational_square,
     rational,
@@ -1042,3 +1043,155 @@ def test_lax_y_runs_its_rationals_through_the_helpers(monkeypatch):
     monkeypatch.undo()
     assert all(ok for ok, _, _ in results)
     assert len(calls) <= 3000, len(calls)
+
+
+# ---------------------------------------------------------------------------
+# Series: the fraction-free truncated series against Jet over the same field
+# ---------------------------------------------------------------------------
+
+SERIES_DISCS = (None, Fraction(5), Fraction(-7, 3))
+
+
+def field_values(disc):
+    """Values of Q (``disc`` None) or of Q(w): rationals, rational multiples
+    of w and elements with both parts, many of them zero."""
+    if disc is None:
+        return sparse_rationals
+    return st.builds(lambda a, b: QuadExt(a, b, disc), sparse_rationals, sparse_rationals)
+
+
+@st.composite
+def series_cases(draw):
+    """``(disc, scaled, x, y, c)``: two coefficient tuples of one order 0..3
+    over one field, a storage, and an exact constant of that field."""
+    disc = draw(st.sampled_from(SERIES_DISCS))
+    order = draw(st.integers(0, 3))
+    values = field_values(disc)
+    x, y = (tuple(draw(st.lists(values, min_size=order + 1, max_size=order + 1)))
+            for _ in range(2))
+    c = draw(st.one_of(st.integers(-5, 5), sparse_rationals, values))
+    return disc, draw(st.booleans()), x, y, c
+
+
+def _series_outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError, TypeError) as err:
+        return type(err)
+
+
+def _assert_series_matches(got, want, context):
+    """A series result equals the jet result through ``coeffs``, in value
+    and ``repr``, and holds ints over a positive denominator in lowest
+    terms; an error is the same error."""
+    if isinstance(want, type):
+        assert got is want, context
+        return
+    assert type(got) is Series, context
+    assert got.coeffs == want.coeffs, context
+    assert repr(got.coeffs) == repr(want.coeffs), context
+    ints = got.a + got.b + (got.d,)
+    assert all(type(v) is int for v in ints) and got.d > 0, context
+    assert math.gcd(*ints) == 1, context
+
+
+SERIES_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+
+
+@given(series_cases())
+@settings(max_examples=250, deadline=None)
+def test_series_matches_jet_over_the_same_field(case):
+    """Every series operation gives the raw derivatives the same jet
+    operation gives, for both storages (plain, and scaled in s = w*y) over
+    Q(w) and over Q, where a scaled request stores plainly."""
+    disc, scaled, x, y, c = case
+    sx, sy, jx, jy = Series(x, scaled), Series(y, scaled), Jet(x), Jet(y)
+    assert sx.scaled is (scaled and disc is not None)
+    assert (sx.disc, sx.order) == (disc, len(x) - 1)
+    _assert_series_matches(sx, jx, "coeffs")
+    for name, op in SERIES_BINARY.items():
+        for s_args, j_args, side in (
+            ((sx, sy), (jx, jy), "series"),
+            ((sx, c), (jx, c), "constant right"),
+            ((c, sx), (c, jx), "constant left"),
+        ):
+            want = _series_outcome(op, *j_args)
+            _assert_series_matches(_series_outcome(op, *s_args), want, (name, side))
+    for exponent in range(4):
+        _assert_series_matches(sx**exponent, jx**exponent, ("pow", exponent))
+    _assert_series_matches(-sx, -jx, "neg")
+    _assert_series_matches(sx.conjugate(), jx.conjugate(), "conjugate")
+    for order in range(len(x)):
+        _assert_series_matches(sx.truncate(order), jx.truncate(order), ("truncate", order))
+    if len(x) > 1:
+        _assert_series_matches(sx.derivative(), jx.derivative(), "derivative")
+    assert (sx == sy) is (jx == jy)
+    assert (sx == c) is (jx == c)
+    assert (sx == 0) is (jx == 0)
+    assert bool(sx) is bool(jx)
+    assert (sx == Series(x, scaled)) and (sx.conjugate().conjugate() == sx)
+    assert format_scalar(sx) == format_scalar(jx)
+    assert scalar_abs(sx) == scalar_abs(jx)
+
+
+def test_series_scaled_storage_is_a_series_in_w_times_y():
+    """The curve-point jet ``(p, w, F'(p)/2, F''(p) w/2)``, scaled, holds
+    rationals alone; its derivative is w times a rational series."""
+    disc = Fraction(-7, 3)
+    w = QuadExt(0, 1, disc)
+    point = (QuadExt(2, 0, disc), w, QuadExt(Fraction(5, 2), 0, disc), Fraction(3) * w)
+    z0 = Series(point, scaled=True)
+    assert not any(z0.b) and all(z0.a)
+    slope = z0.derivative()
+    assert not any(slope.a) and any(slope.b)
+    assert slope.coeffs == point[1:]
+    plain = Series(point)
+    assert any(plain.a) and any(plain.b)
+
+
+def test_series_refusals():
+    disc = Fraction(5)
+    q = QuadExt(1, 2, disc)
+    s = Series((q, q, q))
+    for op in SERIES_BINARY.values():
+        for bad in (0.5, 1.0, True, Jet((q, q, q))):
+            with pytest.raises(TypeError):
+                op(s, bad)
+        for other in (
+            QuadExt(1, 2, Fraction(3)),
+            Series((QuadExt(1, 2, Fraction(3)),) * 3),
+            Series((Fraction(1),) * 3),
+            Series((q, q)),
+            Series((q, q, q), scaled=True),
+        ):
+            with pytest.raises(ValueError):
+                op(s, other)
+            with pytest.raises(ValueError):
+                op(other, s)
+    with pytest.raises(ValueError):
+        Series((Fraction(1),) * 3) + q  # a QuadExt constant over Q
+    for zero in (0, Fraction(0), QuadExt(0, 0, disc), Series((QuadExt(0, 0, disc), q, q))):
+        with pytest.raises(ZeroDivisionError):
+            s / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / Series((QuadExt(0, 0, disc), q, q), scaled=True)
+    with pytest.raises(TypeError):
+        Series((q, 0.5))
+    with pytest.raises(TypeError):
+        Series((1, 2))
+    with pytest.raises(ValueError):
+        Series((q, Fraction(1)))
+    with pytest.raises(ValueError):
+        Series(())
+    with pytest.raises(ValueError):
+        Series((q,)).derivative()
+    with pytest.raises(ValueError):
+        s.truncate(3)
+    with pytest.raises(AttributeError):
+        s.d = 1

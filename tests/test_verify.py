@@ -12,7 +12,15 @@ from laxchain.darboux import DarbouxData, SolutionConstants
 from laxchain.errors import AccuracyError, ConfigError
 from laxchain.flows import GammaChain, VWChain
 from laxchain.operators import DifferenceOperator
-from laxchain.scalars import Jet, format_scalar, is_rational_square, scalar_abs
+from laxchain.scalars import (
+    Jet,
+    QuadExt,
+    Series,
+    format_scalar,
+    is_rational_square,
+    scalar_abs,
+    scalar_value,
+)
 from laxchain.verify import (
     SUITES,
     SampleConfig,
@@ -50,23 +58,16 @@ def test_draw_sample_deterministic():
     assert c.gamma != a.gamma or c.z0 != a.z0
 
 
-def test_draw_sample_gives_up_after_a_fixed_number_of_rejections(monkeypatch):
+def test_draw_sample_gives_up_after_a_fixed_number_of_rejections(monkeypatch, count_calls):
     """Bounds that admit no sample (four distinct gammas need at least four
     values) end in a ConfigError naming them after MAX_REJECTED_DRAWS
     rejected draws, instead of drawing forever."""
-    draws = []
-    real = verify_mod._draw_fraction
-
-    def counted(rng, max_num, max_den):
-        draws.append(None)
-        return real(rng, max_num, max_den)
-
+    draws = count_calls(verify_mod, "_draw_fraction")
     monkeypatch.setattr(verify_mod, "MAX_REJECTED_DRAWS", 5)
-    monkeypatch.setattr(verify_mod, "_draw_fraction", counted)
     with pytest.raises(ConfigError, match="numerators <= 1 and denominators <= 1"):
         draw_sample(seed=7, index=0, max_num=1, max_den=1)
     # every rejected draw stops at the repeated gammas: 3 curve + 4 gamma values
-    assert len(draws) == 5 * 7
+    assert draws["_draw_fraction"] == 5 * 7
 
 
 def test_default_run_accepts_every_sample_at_its_first_draw(monkeypatch):
@@ -77,41 +78,24 @@ def test_default_run_accepts_every_sample_at_its_first_draw(monkeypatch):
         draw_sample(seed=7, index=i)
 
 
-def test_draw_sample_rejects_an_inadmissible_z0(monkeypatch):
+def test_draw_sample_rejects_an_inadmissible_z0(count_calls):
     """Seed 1, index 1 at bounds 5/1 draws a z0 on the chain once before it
-    draws an admissible one; the accepted z0 passes both checks."""
-    rejected = []
-
-    def counted(check):
-        def wrapper(*args):
-            problem = check(*args)
-            if problem:
-                rejected.append(problem)
-            return problem
-
-        return wrapper
-
+    draws an admissible one: ``point_problem`` runs twice and refuses the
+    first, the square test runs on the second alone, and the accepted z0
+    passes both checks."""
     point_problem, square_problem = verify_mod.point_problem, verify_mod._square_problem
-    monkeypatch.setattr(verify_mod, "point_problem", counted(point_problem))
-    monkeypatch.setattr(verify_mod, "_square_problem", counted(square_problem))
+    calls = count_calls(verify_mod, "point_problem", "_square_problem")
     cfg = draw_sample(1, 1, 5, 1)
-    assert len(rejected) == 1
+    assert calls == {"point_problem": 2, "_square_problem": 1}
     disc = cfg.curve.eval(cfg.z0)
     assert point_problem(cfg.curve, cfg.gamma, cfg.z0, disc) is None
     assert square_problem(disc) is None
 
 
-def test_draw_sample_evaluates_f_at_z0_once(monkeypatch):
-    points = []
-    real = SpectralCurve.eval
-
-    def counted(curve, z):
-        points.append(z)
-        return real(curve, z)
-
-    monkeypatch.setattr(SpectralCurve, "eval", counted)
+def test_draw_sample_evaluates_f_at_z0_once(count_calls):
+    points = count_calls(SpectralCurve, "eval", key=lambda name, curve, z: z)
     cfg = draw_sample(seed=7, index=0)  # accepted at its first draw
-    assert points.count(cfg.z0) == 1
+    assert points[cfg.z0] == 1
 
 
 def test_sample_dump_roundtrip():
@@ -547,52 +531,98 @@ def test_sign_one_and_its_conjugate_equal_both_signs_in_full(bounds):
     _assert_same_outcome(verify_mod._eval_chain_sample(config), _ref_chain(config), "user")
 
 
-@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
-def test_suites_run_every_jet_operation_on_one_exact_kind(monkeypatch, bounds):
-    """No jet sum, product or quotient of a suite runs with nothing skipped:
-    a float, an int or a second discriminant slipping into the nested jets
-    would give a pair without a shared exact kind, and a slower certify."""
-    real = Jet._shapes
-    calls = {suite: [0, 0] for suite in verify_mod._SUITE_EVALS}  # [shared, unshared]
-
-    def counted(self, other):
-        shapes = real(self, other)
-        calls[suite][shapes[0] is None] += 1
-        return shapes
-
-    monkeypatch.setattr(Jet, "_shapes", counted)
-    for index in range(4):
-        config = draw_sample(7, index, *bounds)
-        for suite, evaluate in verify_mod._SUITE_EVALS.items():
-            assert evaluate(config)[0] is True, (suite, index)
-    assert all(unshared == 0 for _, unshared in calls.values()), calls
-    assert sum(shared for shared, _ in calls.values()) > 0
+BINARY_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
 
 
-@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
-def test_no_suite_evaluates_in_the_nested_tower(monkeypatch, bounds):
-    """Every check runs in a single-layer tower: while any suite evaluates a
-    sample, the tail probes included, no jet whose coefficients are jets is
-    added, subtracted, multiplied or divided."""
-    nested = Counter()
-    current = [None]
-
-    def is_nested(x):
-        return isinstance(x, Jet) and isinstance(x.coeffs[0], Jet)
-
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
-                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
-        def counted(self, other, real=getattr(Jet, name), name=name):
-            if is_nested(self) or is_nested(other):
-                nested[current[0], name] += 1
-            return real(self, other)
-
-        monkeypatch.setattr(Jet, name, counted)
+def _evaluate_suites(bounds, current):
+    """Every suite on ``draw_sample(7, 0..3)`` at ``bounds``, passing, with
+    ``current[0]`` naming the suite that runs."""
     for index in range(4):
         config = draw_sample(7, index, *bounds)
         for suite, evaluate in verify_mod._SUITE_EVALS.items():
             current[0] = suite
             assert evaluate(config)[0] is True, (suite, index)
+
+
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_suites_run_every_jet_operation_on_one_exact_kind(bounds, count_calls):
+    """No jet sum, product or quotient of a suite runs with nothing skipped:
+    a float, an int or a second discriminant slipping into the jets would
+    give a pair without a shared exact kind (``_shapes`` raises), and a
+    slower certify.  Every jet a suite combines is over Q (prolongation,
+    V_n and W_n, the fourth-order bracket): no configuration builds a jet
+    over Q(w).  Every series operation has one discriminant and one
+    storage: the x-series of lax-x and of the chain's (1, 0) reads are
+    plain, the y-series of lax-y and of the chain's (0, 1) reads scaled
+    (lax-y reaches (1, 0) through its tail probes), and the factorization
+    and the fourth-order bracket run on none."""
+    current = [None]
+    jets = count_calls(
+        Jet, "_shapes", key=lambda name, a, b: (current[0], type(scalar_value(a)))
+    )
+
+    def kinds(name, *args):
+        discs = {x.disc for x in args if isinstance(x, (Series, QuadExt))}
+        storages = {x.scaled for x in args if isinstance(x, Series)}
+        return current[0], len(discs), tuple(storages)
+
+    series = count_calls(Series, *BINARY_OPS, key=kinds)
+    _evaluate_suites(bounds, current)
+    assert {kind for _, kind in jets} == {Fraction}
+    assert {discs for _, discs, _ in series} == {1}
+    assert all(len(storage) == 1 for _, _, storage in series)
+    storages = {suite: set() for suite in verify_mod._SUITE_EVALS}
+    for suite, _, (scaled,) in series:
+        storages[suite].add(scaled)
+    assert storages == {
+        "chain": {False, True},
+        "lax-x": {False},
+        "lax-y": {False, True},
+        "factorization": set(),
+        "lax-l4": set(),
+    }
+
+
+def _mixed(x):
+    """True for a series or a QuadExt whose rational part and w part are
+    both nonzero."""
+    if isinstance(x, Series):
+        return any(x.a) and any(x.b)
+    return isinstance(x, QuadExt) and bool(x.a) and bool(x.b)
+
+
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_no_series_product_or_quotient_meets_both_parts(bounds, count_calls):
+    """With y-series stored in s = w*y, every series a suite multiplies or
+    divides is a rational series or w times one, and so is every QuadExt
+    constant: no product reaches the D*b*b' term and no quotient the
+    divisor's conjugate.  Storing y-jets unscaled would mix the parts."""
+    current = [None]
+    ops = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__")
+    calls = count_calls(
+        Series, *ops, key=lambda name, *args: (current[0], any(map(_mixed, args)))
+    )
+    _evaluate_suites(bounds, current)
+    assert {suite for suite, _ in calls} == {"chain", "lax-x", "lax-y"}
+    assert not any(mixed for _, mixed in calls), calls
+
+
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_no_suite_evaluates_in_the_nested_tower(bounds, count_calls):
+    """Every check runs in a single-layer tower: while any suite evaluates a
+    sample, the tail probes included, no jet whose coefficients are jets is
+    added, subtracted, multiplied or divided."""
+    current = [None]
+
+    def is_nested(x):
+        return isinstance(x, Jet) and isinstance(x.coeffs[0], Jet)
+
+    nested = count_calls(
+        Jet, *BINARY_OPS,
+        key=lambda name, *args: (current[0], name) if any(map(is_nested, args)) else None,
+    )
+    _evaluate_suites(bounds, current)
     assert not nested, nested
 
 
@@ -628,28 +658,21 @@ def test_lax_y_control_witness_is_the_first_nonzero_of_its_full_window(bounds):
         assert repr(witness) == repr(first), (bounds, index)
 
 
-def test_lax_y_control_costs_a_third_of_its_full_window_at_most(monkeypatch):
+def test_lax_y_control_costs_a_third_of_its_full_window_at_most(count_calls):
     """A deterministic cost bound instead of a wall clock: over four draws
-    the control multiplies at most a third as many jets as its full window
-    (about a quarter, stopping at site 0), so a control that quietly reads
-    every coefficient again fails here."""
-    real = Jet.__mul__
-    count = [0]
-
-    def counted(a, b):
-        count[0] += 1
-        return real(a, b)
-
-    monkeypatch.setattr(Jet, "__mul__", counted)
+    the control multiplies at most a third as many series as its full
+    window (about a quarter, stopping at site 0), so a control that quietly
+    reads every coefficient again fails here."""
+    products = count_calls(Series, "__mul__")
     lazy = full = 0
     for index in range(4):
         inputs = _lax_y_control_inputs(draw_sample(7, index))
-        before = count[0]
+        before = products["__mul__"]
         assert verify_mod._lax_y_control(*inputs) is not None
-        lazy += count[0] - before
-        before = count[0]
+        lazy += products["__mul__"] - before
+        before = products["__mul__"]
         assert not _full_control_window(*inputs).is_zero()
-        full += count[0] - before
+        full += products["__mul__"] - before
     assert 0 < 3 * lazy <= full, (lazy, full)
 
 
