@@ -22,14 +22,14 @@ its only user.  Four exact kinds are used:
   raw derivatives a Jet over the same field holds.  A series along the
   curve point is stored in ``s = w*y`` (see :class:`Series`).
 
-Most components in the nested jets are exact zeros (an embedded rational has
-``b == 0``; padded derivatives vanish), so the kernels skip them: a skipped
-Fraction product yields ``Fraction(0)`` and a skipped sum passes the other
-Fraction through -- the value and the type the full formula would give.  Two
-jets, of any order, combine only when their coefficients share one exact
-*kind* (``Fraction``, a QuadExt discriminant, or a jet order over a kind),
-so a skipped term cannot change a result's type and every formatted report
-is unchanged; jets of floats, of ints or of mixed kinds raise ``TypeError``.
+Most QuadExt components are exact zeros (an embedded rational has
+``b == 0``), so QuadExt products skip them: a skipped Fraction product yields
+``Fraction(0)`` and a skipped sum passes the other Fraction through -- the
+value and the type the full formula would give.  Jets run the plain Leibniz
+sum and quotient recurrence.  Two jets, of any order, combine only when their
+coefficients share one exact *kind* (``Fraction``, a QuadExt discriminant, or
+a jet order over a kind), computed once when a jet is built; jets of floats,
+of ints or of mixed kinds raise ``TypeError``.
 
 Every component of a QuadExt sum, product or quotient, and every
 coefficient sum, Leibniz term and quotient between two jets, goes through
@@ -46,8 +46,8 @@ pair -- a float, a bool, a Fraction subclass, a QuadExt or a jet -- takes
 the plain operator.
 
 All values are immutable after construction and safe to share between
-threads; a jet's cached zero pattern and a series' cached ``coeffs`` are
-functions of what they hold, so concurrent fills agree.
+threads; a series' cached ``coeffs`` is a function of what it holds, so
+concurrent fills agree.
 """
 
 from fractions import Fraction
@@ -341,15 +341,9 @@ class QuadExt:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = _quad(self.a * 0 + 1, self.b * 0, self.disc)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if exponent == 0:
+            return _quad(self.a * 0 + 1, self.b * 0, self.disc)
+        return _power(self, exponent)
 
     def conjugate(self):
         """``a - b*w``: the automorphism ``w -> -w``, which fixes the base field."""
@@ -397,20 +391,16 @@ def _quad(a, b, disc):
     return q
 
 
-def _kind_zero(x):
-    """``(kind, is_zero)`` of a Fraction, QuadExt or jet of one kind, else
-    None.  The kind is ``Fraction``, a QuadExt's discriminant, or
-    ``(order, kind)`` of a jet whose coefficients share one kind."""
+def _kind(x):
+    """The exact kind of a Fraction, QuadExt or jet, else None: ``Fraction``,
+    a QuadExt's discriminant, or a jet's :attr:`Jet.kind`."""
     t = type(x)
     if t is Jet:
-        shape = x._shape
-        if shape is None:
-            shape = x._scan()
-        return (shape[0], not shape[1]) if shape else None
+        return x.kind
     if t is QuadExt:
-        return x.disc, not (x.a._numerator or x.b._numerator)
+        return x.disc
     if t is Fraction:
-        return Fraction, not x._numerator
+        return Fraction
     return None
 
 
@@ -423,56 +413,37 @@ class Jet:
     always a bug, so it raises instead of silently truncating.  Non-jet
     operands are constants, which must fit the jet's kind (:meth:`_fit`).
 
-    Two jets of any order must share one exact kind (see the module
-    docstring), else ``TypeError``.  The Leibniz sums skip every term with an
-    exact-zero factor, sums pass a coefficient through when the other one is
-    zero, and every loop skips binomials of 1 (see :func:`_term`).  The zero
-    pattern is scanned on first use and cached on the jet (``_shape``:
-    ``((order, kind), nonzero indices)``, or False for a jet of no exact
-    kind); results carry theirs.
+    ``kind`` is ``(order, kind)`` when every coefficient has one exact kind
+    (see the module docstring), else None; a jet built by :class:`Jet`
+    computes it, and results of jet arithmetic take their operands'.  Two
+    jets of any order must share one exact kind, else ``TypeError``.
     """
 
-    __slots__ = ("coeffs", "_shape")
+    __slots__ = ("coeffs", "kind")
 
     def __init__(self, coeffs):
-        _set_coeffs(self, tuple(coeffs))
-        _set_shape(self, None)
-        if not self.coeffs:
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a jet needs at least a value coefficient")
+        kind = _kind(coeffs[0])
+        same = kind is not None and all(k is kind or k == kind for k in map(_kind, coeffs[1:]))
+        _set_coeffs(self, coeffs)
+        _set_kind(self, (len(coeffs) - 1, kind) if same else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
-    def _scan(self):
-        kind = None
-        nonzero = []
-        for i, c in enumerate(self.coeffs):
-            kz = _kind_zero(c)
-            if kz is None or (i and kz[0] is not kind and kz[0] != kind):
-                shape = False
-                break
-            kind = kz[0]
-            if not kz[1]:
-                nonzero.append(i)
-        else:
-            shape = ((len(self.coeffs) - 1, kind), tuple(nonzero))
-        _set_shape(self, shape)
-        return shape
-
-    def _shapes(self, other):
-        """``(kind, nonzero_self, nonzero_other)``: the shared exact kind and
-        the cached zero patterns; ``TypeError`` when there is no shared kind."""
-        sa = self._shape
-        if sa is None:
-            sa = self._scan()
-        sb = other._shape
-        if sb is None:
-            sb = other._scan()
-        if sa and sb and (sa[0] is sb[0] or sa[0] == sb[0]):
-            return sa[0], sa[1], sb[1]
-        raise TypeError(
-            f"jets share no exact kind: {_kind_name(self)} and {_kind_name(other)}"
-        )
+    def _peer(self, other):
+        """The kind this jet shares with the jet ``other``: ``ValueError``
+        when their orders differ, ``TypeError`` when they share no exact kind."""
+        if len(other.coeffs) != len(self.coeffs):
+            raise ValueError(f"jet order mismatch: {self.order} vs {other.order}")
+        kind = self.kind
+        if kind is None or (other.kind is not kind and other.kind != kind):
+            raise TypeError(
+                f"jets share no exact kind: {_kind_name(self)} and {_kind_name(other)}"
+            )
+        return kind
 
     def _fit(self, c):
         """``TypeError`` unless the constant ``c`` fits the jet's kind: an int,
@@ -480,9 +451,9 @@ class Jet:
         a jet nested in them."""
         if isinstance(c, _EXACT):
             return
-        kc, x = _kind_zero(c), self
-        while kc and type(x) is Jet and (x._shape or x._scan()):
-            if x._shape[0][1] is kc[0] or x._shape[0][1] == kc[0]:
+        kc, x = _kind(c), self
+        while kc is not None and type(x) is Jet and x.kind:
+            if x.kind[1] is kc or x.kind[1] == kc:
                 return
             x = x.coeffs[0]
         raise TypeError(f"a {_kind_name(c)} constant does not fit {_kind_name(self)}")
@@ -516,30 +487,13 @@ class Jet:
             raise ValueError(f"cannot extend a jet of order {self.order} to {order}")
         return Jet(self.coeffs[: order + 1])
 
-    def _check_order(self, other):
-        if len(other.coeffs) != len(self.coeffs):
-            raise ValueError(f"jet order mismatch: {self.order} vs {other.order}")
-
-    def _zip(self, other, op, negate):
-        """Coefficient-wise ``op``: a zero in ``other`` passes ``a_i`` through,
-        a zero in ``self`` passes ``b_i`` (negated for a difference)."""
-        self._check_order(other)
-        a, b = self.coeffs, other.coeffs
-        kind, nza, nzb = self._shapes(other)
-        out = tuple(
-            a[i] if i not in nzb
-            else op(a[i], b[i]) if i in nza
-            else _neg(b[i]) if negate else b[i]
-            for i in range(len(a))
-        )
-        return _jet(out, (kind, _union(nza, nzb)))
-
     def __add__(self, other):
         if not isinstance(other, Jet):
             # constants only touch the value coefficient
             self._fit(other)
             return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
-        return self._zip(other, _add, False)
+        kind = self._peer(other)
+        return _jet(tuple(map(_add, self.coeffs, other.coeffs)), kind)
 
     __radd__ = __add__
 
@@ -547,7 +501,8 @@ class Jet:
         if not isinstance(other, Jet):
             self._fit(other)
             return Jet((self.coeffs[0] - other,) + self.coeffs[1:])
-        return self._zip(other, _sub, True)
+        kind = self._peer(other)
+        return _jet(tuple(map(_sub, self.coeffs, other.coeffs)), kind)
 
     def __rsub__(self, other):
         # only a non-Jet reaches here: Jet - Jet dispatches to __sub__
@@ -559,26 +514,15 @@ class Jet:
             # constants have no derivatives: Leibniz collapses to a scale
             self._fit(other)
             return Jet(tuple(c * other for c in self.coeffs))
-        self._check_order(other)
+        kind = self._peer(other)
         a, b = self.coeffs, other.coeffs
-        kind, nza, nzb = self._shapes(other)
         out = []
-        nonzero = []
         for k in range(len(a)):
-            term = None
-            for j in nza:
-                if j > k:
-                    break
-                if k - j in nzb:
-                    p = _term(k, j, a[j], b[k - j])
-                    term = p if term is None else _add(term, p)
-            if term is None:
-                # every term has a zero factor: the coefficient is that zero
-                term = b[k] if 0 in nza else a[0]
-            else:
-                nonzero.append(k)
+            term = _mul(a[0], b[k])
+            for j in range(1, k + 1):
+                term = _add(term, _term(k, j, a[j], b[k - j]))
             out.append(term)
-        return _jet(tuple(out), (kind, tuple(nonzero)))
+        return _jet(tuple(out), kind)
 
     __rmul__ = __mul__
 
@@ -586,59 +530,41 @@ class Jet:
         if not isinstance(other, Jet):
             self._fit(other)
             return Jet(tuple(c / other for c in self.coeffs))
-        self._check_order(other)
         a, b = self.coeffs, other.coeffs
-        if b[0] == 0:
+        # a zero divisor raises before two jets of no shared kind do
+        if len(a) == len(b) and b[0] == 0:
             raise ZeroDivisionError("division by a jet with zero value coefficient")
-        kind, nza, nzb = self._shapes(other)
-        # h[0] is always formed, so a zero divisor raises as before
+        kind = self._peer(other)
         h = [_div(a[0], b[0])]
-        nonzero = [0] if 0 in nza else []
         for k in range(1, len(a)):
-            acc = a[k] if k in nza else None
-            for j in nonzero:
-                if k - j in nzb:
-                    p = _term(k, j, h[j], b[k - j])
-                    acc = _neg(p) if acc is None else _sub(acc, p)
-            if acc is None:
-                h.append(a[k])  # a zero of the shared kind
-            else:
-                h.append(_div(acc, b[0]))
-                nonzero.append(k)
-        return _jet(tuple(h), (kind, tuple(nonzero)))
+            acc = a[k]
+            for j in range(k):
+                acc = _sub(acc, _term(k, j, h[j], b[k - j]))
+            h.append(_div(acc, b[0]))
+        return _jet(tuple(h), kind)
 
     def __rtruediv__(self, other):
         self._fit(other)
         return Jet.constant(self.coeffs[0] * 0 + other, self.order) / self
 
     def __neg__(self):
-        return _jet(tuple(-c for c in self.coeffs), self._shape)
+        return _jet(tuple(-c for c in self.coeffs), self.kind)
 
     def conjugate(self):
         """The jet with ``w -> -w`` applied to every coefficient.
 
         QuadExt and jet coefficients are conjugated; Fraction and int
         coefficients are base-field values, which their own ``conjugate()``
-        returns unchanged.  The map keeps every zero pattern, so the cached
-        shape carries over.
+        returns unchanged.  The map keeps every coefficient's kind.
         """
-        return _jet(tuple(c.conjugate() for c in self.coeffs), self._shape)
+        return _jet(tuple(c.conjugate() for c in self.coeffs), self.kind)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         if exponent == 0:
             return Jet.constant(self.coeffs[0] * 0 + 1, self.order)
-        # binary powering from self: x**2 is one product
-        result = None
-        base = self
-        while True:
-            if exponent & 1:
-                result = base if result is None else base * result
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
+        return _power(self, exponent)
 
     def __eq__(self, other):
         if isinstance(other, Jet):
@@ -662,14 +588,14 @@ class Jet:
 
 
 _set_coeffs = Jet.coeffs.__set__
-_set_shape = Jet._shape.__set__
+_set_kind = Jet.kind.__set__
 
 
-def _jet(coeffs, shape):
-    """Jet from a nonempty tuple and its shape (None: scanned on first use)."""
+def _jet(coeffs, kind):
+    """Jet from a nonempty tuple and its kind, unchecked."""
     jet = _new(Jet)
     _set_coeffs(jet, coeffs)
-    _set_shape(jet, shape)
+    _set_kind(jet, kind)
     return jet
 
 
@@ -681,6 +607,19 @@ def _term(k, j, x, y):
     return p if c == 1 else _mul(c, p)
 
 
+def _power(x, exponent):
+    """``x ** exponent`` for an int ``exponent >= 1``, by binary powering
+    from ``x``: ``x**2`` is one product."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = x if result is None else x * result
+        exponent >>= 1
+        if not exponent:
+            return result
+        x = x * x
+
+
 def _kind_name(x):
     """``x``'s type for an error message; a jet's names its order and kinds."""
     if type(x) is Jet:
@@ -690,10 +629,6 @@ def _kind_name(x):
         field = "Q" if x.disc is None else f"Q(w), w^2 = {x.disc}"
         return f"Series(order {x.order} over {field}{', in s = w*y' if x.scaled else ''})"
     return f"QuadExt(w^2 = {x.disc})" if type(x) is QuadExt else type(x).__name__
-
-
-def _union(nza, nzb):
-    return nza if nza == nzb else tuple(sorted(set(nza) | set(nzb)))
 
 
 class Series:
@@ -935,16 +870,7 @@ class Series:
         if exponent == 0:
             zero = self._pad(0)
             return _series(self._pad(1), zero, 1, self.disc, self.scaled)
-        # binary powering from self: x**2 is one product
-        result = None
-        base = self
-        while True:
-            if exponent & 1:
-                result = base if result is None else base * result
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
+        return _power(self, exponent)
 
     def derivative(self):
         """Series of ``f'`` (one order lower); along ``s = w*y`` that is
@@ -1083,10 +1009,11 @@ def _recurrence(x, p):
 
 
 def scalar_value(x):
-    """Strip jet layers and return the underlying value component."""
+    """Strip jet layers and return the underlying value component; a
+    series gives its value coefficient."""
     while isinstance(x, Jet):
         x = x.coeffs[0]
-    return x
+    return x._raw(0) if isinstance(x, Series) else x
 
 
 def scalar_abs(x):

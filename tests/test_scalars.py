@@ -187,7 +187,7 @@ def test_jet_truth_value_reads_every_coefficient():
 
 def test_jet_is_immutable():
     jet = Jet((Fraction(1), Fraction(2)))
-    for name in ("coeffs", "_shape"):
+    for name in ("coeffs", "kind"):
         with pytest.raises(AttributeError, match="^Jet is immutable$"):
             setattr(jet, name, ())
     assert jet.coeffs == (1, 2)
@@ -303,6 +303,18 @@ def test_scalar_value_and_exactness():
     # a QuadExt equals exact base values only; a float is never equal
     two = QuadExt(Fraction(2), Fraction(0), Fraction(3))
     assert two == 2 and two == Fraction(2) and two != 2.0 and 2.0 != two
+
+
+def test_scalar_value_reads_the_value_coefficient_of_jets_and_series():
+    """A jet and a series (plain or stored in s = w*y) whose value is zero
+    and whose derivative is not: the value reads 0, the whole does not."""
+    for coeffs in ([QuadExt(0, 0, 5), QuadExt(1, 0, 5)],
+                   [QuadExt(Fraction(2, 3), -1, 5), QuadExt(0, 4, 5)]):
+        want = coeffs[0]
+        for x in (Jet(coeffs), Series(coeffs), Series(coeffs, scaled=True)):
+            assert repr(scalar_value(x)) == repr(want), x
+            assert (scalar_value(x) == 0) is (want == 0) and x != 0
+    assert scalar_value(Series([Fraction(0), Fraction(1, 2)])) == 0
 
 
 def test_scalar_abs():
@@ -567,6 +579,8 @@ def check_all_ops(x, y):
 
 
 DISC = Fraction(-7, 3)
+# components from a small pool, so sums and products often cancel to zero
+CANCELLING = (0, 0, 1, -1, 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -583,6 +597,14 @@ def test_kernels_match_dense_formulas_on_nested_jets(seed):
             for const in (Fraction(0), Fraction(3, 4), 2, leaf()):
                 check_all_ops(x, const)
                 check_all_ops(const, x)
+        # a second operation on results that often cancel
+        rational = lambda: Fraction(rng.choice(CANCELLING))
+        for leaf in (rational, lambda: QuadExt(rational(), rational(), DISC)):
+            x, y, z = (sparse_jet(rng, orders, leaf, 0.0) for _ in range(3))
+            for op, _ in OPS.values():
+                first = outcome(op, x, y)
+                if not isinstance(first, type):
+                    check_all_ops(first, z)
 
 
 def test_kernels_match_dense_formulas_on_zero_value_coefficients():
@@ -605,8 +627,7 @@ def test_kernels_match_dense_formulas_on_zero_value_coefficients():
 
 
 def _share_kind(x, y):
-    sx, sy = Jet(x.coeffs)._scan(), Jet(y.coeffs)._scan()
-    return bool(sx and sy and sx[0] == sy[0])
+    return x.kind is not None and x.kind == y.kind
 
 
 def check_all_ops_or_refused(x, y):
@@ -804,18 +825,6 @@ def nested_quad_jets(disc, x_order, y_order, parts=sparse_rationals):
     return st.lists(inner, min_size=x_order + 1, max_size=x_order + 1).map(Jet)
 
 
-def _assert_shapes_fresh(x):
-    """Every cached jet shape in ``x`` equals a fresh scan of its coefficients.
-
-    Shapes left by arithmetic may list a cancelled coefficient as nonzero,
-    so this holds for scanned jets, not for every result."""
-    if isinstance(x, Jet):
-        if x._shape is not None:
-            assert x._shape == Jet(x.coeffs)._scan()
-        for c in x.coeffs:
-            _assert_shapes_fresh(c)
-
-
 @given(st.data(), st.sampled_from(DISCS), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=80)
 def test_conjugation_is_a_ring_homomorphism_on_nested_jets(data, disc, x_order, y_order):
@@ -828,52 +837,9 @@ def test_conjugation_is_a_ring_homomorphism_on_nested_jets(data, disc, x_order, 
             continue
         assert_same(got.conjugate(), want, (name, x, y))
     assert deep_key(x.conjugate().conjugate()) == deep_key(x)
-    x._scan()
-    _assert_shapes_fresh(x.conjugate())
 
 
-# components from a small pool, so sums and products often cancel to zero
-cancelling_rationals = st.sampled_from((0, 0, 1, -1, 2)).map(Fraction)
-
-
-def _unshaped(x):
-    """``x`` rebuilt with no jet shape cached anywhere in it."""
-    return Jet(tuple(_unshaped(c) for c in x.coeffs)) if isinstance(x, Jet) else x
-
-
-def _assert_shapes_sound(x):
-    """Every jet shape carried in ``x`` is sound: of the kind a fresh scan
-    finds, and listing every coefficient a fresh scan finds nonzero.  It may
-    list a coefficient that cancelled to zero, never leave out a nonzero one:
-    the kernels skip exactly the coefficients a shape leaves out."""
-    if isinstance(x, Jet):
-        if x._shape:
-            fresh = Jet(x.coeffs)._scan()
-            assert fresh and x._shape[0] == fresh[0], (x._shape, fresh)
-            assert set(fresh[1]) <= set(x._shape[1]), (x._shape, fresh)
-        for c in x.coeffs:
-            _assert_shapes_sound(c)
-
-
-@given(st.data(), st.sampled_from(DISCS), st.integers(0, 2), st.integers(0, 2))
-@settings(max_examples=150)
-def test_carried_zero_patterns_are_sound_on_nested_jets(data, disc, x_order, y_order):
-    """Results of +, -, * and / carry sound shapes, also when their operands
-    are themselves results carrying shapes, and they equal the same
-    operation on operands with no cached shapes in value and type."""
-    jets = nested_quad_jets(disc, x_order, y_order, cancelling_rationals)
-    x, y, z = (data.draw(jets) for _ in range(3))
-    for op, _ in OPS.values():
-        first = outcome(op, x, y)
-        if isinstance(first, type):
-            continue
-        _assert_shapes_sound(first)
-        for op2, _ in OPS.values():
-            got = outcome(op2, first, z)
-            want = outcome(op2, _unshaped(first), _unshaped(z))
-            assert_same(got, want, (x, y, z))
-            if not isinstance(got, type):
-                _assert_shapes_sound(got)
+cancelling_rationals = st.sampled_from(CANCELLING).map(Fraction)
 
 
 def flat_jets(leaf, order):
@@ -881,42 +847,41 @@ def flat_jets(leaf, order):
     return st.lists(leaf, min_size=order + 1, max_size=order + 1).map(Jet)
 
 
-@given(st.data(), st.sampled_from((None,) + DISCS), st.integers(1, 3))
-@settings(max_examples=200)
-def test_carried_zero_patterns_are_sound_on_flat_jets(data, disc, order):
-    """Sums, differences, products and quotients of Fraction or QuadExt jets
-    of orders 1-3 carry a zero pattern that lists every coefficient a fresh
-    scan finds nonzero, also after a second operation; operands are drawn
-    from a small pool, so results often cancel."""
-    if disc is None:
-        leaf = cancelling_rationals
-    else:
-        leaf = st.builds(QuadExt, cancelling_rationals, cancelling_rationals, st.just(disc))
+def _assert_kind_fresh(x):
+    """Every jet in ``x`` carries the kind a fresh ``Jet`` of its
+    coefficients computes: one exact kind, as its operands share one."""
+    if isinstance(x, Jet):
+        fresh = Jet(x.coeffs).kind
+        assert fresh is not None and x.kind == fresh, (x.kind, fresh)
+        for c in x.coeffs:
+            _assert_kind_fresh(c)
+
+
+@given(st.data(), st.sampled_from((None,) + DISCS), st.sampled_from((None, 0, 1, 2)),
+       st.integers(0, 3))
+@settings(max_examples=150)
+def test_results_carry_the_kind_a_fresh_jet_computes(data, disc, inner, order):
+    """Sums, differences, products, quotients, negations, conjugates and
+    squares of flat or nested jets over Q or Q(w) carry the kind ``Jet``
+    computes from their coefficients, also after a second operation;
+    components come from a small pool, so results often cancel."""
+    leaf = cancelling_rationals
+    if disc is not None:
+        leaf = st.builds(QuadExt, leaf, leaf, st.just(disc))
+    if inner is not None:
+        leaf = flat_jets(leaf, inner)
     x, y, z = (data.draw(flat_jets(leaf, order)) for _ in range(3))
+    unary = (operator.neg, Jet.conjugate, lambda v: v**2)
     for op, _ in OPS.values():
         first = outcome(op, x, y)
         if isinstance(first, type):
             continue
-        _assert_shapes_sound(first)
-        for op2, _ in OPS.values():
-            second = outcome(op2, first, z)
+        _assert_kind_fresh(first)
+        for second in [outcome(op2, first, z) for op2, _ in OPS.values()]:
             if not isinstance(second, type):
-                _assert_shapes_sound(second)
-
-
-def test_cancelled_coefficients_stay_listed_in_the_carried_pattern():
-    """Two results whose operation cancels a coefficient: the pattern they
-    carry may still list it (later operations then do not skip it), but
-    must list every coefficient that is nonzero."""
-    w = QuadExt(0, 1, 5)
-    z = QuadExt(0, 0, 5)
-    difference = Jet((w, z)) - Jet((w, z))
-    product = Jet((w, w)) * Jet((w, -w))
-    assert Jet(difference.coeffs)._scan()[1] == ()
-    assert Jet(product.coeffs)._scan()[1] == (0,)
-    for result in (difference, product):
-        assert result._shape
-        _assert_shapes_sound(result)
+                _assert_kind_fresh(second)
+        for f in unary:
+            _assert_kind_fresh(f(first))
 
 
 # ---------------------------------------------------------------------------

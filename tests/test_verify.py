@@ -547,19 +547,18 @@ def _evaluate_suites(bounds, current):
 
 @pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
 def test_suites_run_every_jet_operation_on_one_exact_kind(bounds, count_calls):
-    """No jet sum, product or quotient of a suite runs with nothing skipped:
-    a float, an int or a second discriminant slipping into the jets would
-    give a pair without a shared exact kind (``_shapes`` raises), and a
-    slower certify.  Every jet a suite combines is over Q (prolongation,
-    V_n and W_n, the fourth-order bracket): no configuration builds a jet
-    over Q(w).  Every series operation has one discriminant and one
-    storage: the x-series of lax-x and of the chain's (1, 0) reads are
-    plain, the y-series of lax-y and of the chain's (0, 1) reads scaled
-    (lax-y reaches (1, 0) through its tail probes), and the factorization
-    and the fourth-order bracket run on none."""
+    """No jet sum, product or quotient of a suite meets a pair without a
+    shared exact kind: a float, an int or a second discriminant slipping
+    into the jets would make ``_peer`` raise.  Every jet a suite combines
+    is over Q (prolongation, V_n and W_n, the fourth-order bracket): no
+    configuration builds a jet over Q(w).  Every series operation has one
+    discriminant and one storage: the x-series of lax-x and of the chain's
+    (1, 0) reads are plain, the y-series of lax-y and of the chain's (0, 1)
+    reads scaled (lax-y reaches (1, 0) through its tail probes), and the
+    factorization and the fourth-order bracket run on none."""
     current = [None]
     jets = count_calls(
-        Jet, "_shapes", key=lambda name, a, b: (current[0], type(scalar_value(a)))
+        Jet, "_peer", key=lambda name, a, b: (current[0], type(scalar_value(a)))
     )
 
     def kinds(name, *args):
