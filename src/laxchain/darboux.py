@@ -14,9 +14,15 @@ by w**k, so each one is a rational series or w times one and its products
 meet no term with both parts.  Each check reads its own orders through
 ``DarbouxData.truncated`` from any configuration at or above them, so the
 x- and y-brackets and the chain equations' reads run on series and none
-evaluates a formula in the nested tower.  Chain values enter by arithmetic,
-as ``zero + c`` with ``zero`` the point's own zero, so no code path switches
-on the scalar type; V_n and W_n are computed over Q.
+evaluates a formula in the nested tower.  Chain values, and V_n and W_n,
+enter a series from their ints (``Series.over``) and a base value or the
+nested tower by arithmetic, as ``zero + c`` with ``zero`` the point's own
+zero.  V_n and W_n are computed over Q once per chain and x-order, in the
+chain's own memo (``GammaChain.shared``): every configuration built on one
+prolonged chain reads that one result -- its ``truncated`` copies, the
+probes of :func:`solve_tail_constants`, and a copy with another point made
+by ``dataclasses.replace`` (lax-y's control).  What depends on the point,
+the lifted sources and the per-site memo, stays with each configuration.
 A rational identity that evaluates to exactly zero at random rational
 configurations is certified with overwhelming confidence (Schwartz-Zippel
 style), without any symbolic engine.
@@ -39,8 +45,9 @@ The chain equations are zero curvature: :func:`chain_residuals` reads them
 from the bracket [d/dx - A, d/dy - B] of A = b T^{-1} + d T^{-2} and
 B = T + f.  The Lax residuals (the x and y brackets here, the fourth-order
 one in ``verify``) are built by :func:`lax_operator`, which takes dL and,
-cut by one order, L from one operator's series (or jets); the checks read
-it on one period with ``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
+cut by one order, L from one operator's series (or jets), each cut
+evaluated once per coefficient; the checks read it on one period with
+``window``.  Both :func:`chain_residuals` and :func:`lax_operator`
 assemble their bracket with ``operators.lax_residual``.
 
 Both signs of w are certified from one evaluation.  w enters only through
@@ -57,14 +64,14 @@ zero test -- would make the two signs disagree; a differential test in the test 
 against ``verify``'s evaluators to catch it.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property, wraps
 
 from .curves import SpectralCurve
 from .elliptic import exact_wp_jet
 from .errors import DegenerateConfigurationError, PoleError
-from .flows import prolong_gamma_jets, vn_from_gamma, wn_from_gamma
+from .flows import GammaChain, prolong_gamma_jets, vn_from_gamma, wn_from_gamma
 from .operators import DifferenceOperator, build_l4, compose, lax_residual
 from .scalars import Jet, QuadExt, Series, rational, scalar_value
 
@@ -93,6 +100,10 @@ __all__ = [
 # Sample configurations
 # ---------------------------------------------------------------------------
 
+# the y-coefficients of a value constant in y
+_NIL = Fraction(0)
+
+
 def _per_site(formula):
     """Memoise ``formula(data, m)`` under its name and the site modulo the period."""
     name = formula.__name__
@@ -115,21 +126,33 @@ class DarbouxData:
 
     ``chain`` holds the exact x-jets of gamma_n and ``point`` the exact
     y-jet of the curve point, one order above the working orders.  They
-    enter the tower as ``gamma``/``dgamma`` and ``z0``/``w`` (chain values
-    as ``zero + c``): base values at orders (0, 0), a ``Series`` along the
-    live variable when the other order is 0 (the y-series in s = w*y), and
-    the nested Jet_x(Jet_y(base)) when both orders are at least 1.  Site
-    lookups reduce modulo the period, every per-site formula is a method
-    memoised in ``_site_cache``, and ``_copies`` holds the shared copies of
-    :meth:`truncated`."""
+    enter the tower as ``gamma``/``dgamma`` and ``z0``/``w``: base values
+    at orders (0, 0) (chain values as ``zero + c``), a ``Series`` along the
+    live variable when the other order is 0 (chain values from their ints;
+    the y-series in s = w*y), and the nested Jet_x(Jet_y(base)) when both
+    orders are at least 1.  Site lookups reduce modulo the period, every
+    per-site formula is a method memoised in ``_site_cache``, and
+    ``_copies`` holds the shared copies of :meth:`truncated`.
+
+    ``jets`` is the ``GammaChain`` the chain came from, whose memo keeps
+    V_n and W_n per x-order for every configuration on it.  A
+    configuration given no ``jets``, or another chain or curve than its
+    ``jets`` holds (``replace(data, chain=...)``), starts a chain memo of
+    its own, so it never reads another chain's couplings."""
 
     curve: SpectralCurve
     chain: tuple
     point: Jet
     x_order: int
     y_order: int
+    jets: GammaChain = field(default=None, repr=False)
 
     def __post_init__(self):
+        # the chain's own memo is shared with every configuration on the
+        # same chain; one given another chain or curve starts its own
+        jets = self.jets
+        if jets is None or jets.values != self.chain or jets.curve != self.curve:
+            object.__setattr__(self, "jets", GammaChain(self.chain, self.curve))
         # per-site memo table and lower-order copies; nothing stored changes
         object.__setattr__(self, "_site_cache", {})
         object.__setattr__(self, "_copies", {})
@@ -147,12 +170,16 @@ class DarbouxData:
     def truncated(self, x_order, y_order):
         """The configuration at orders (x_order, y_order): itself at its own
         orders, else one copy per lower pair, shared with its copies, whose
-        memo starts empty; a higher x or y order raises ``ValueError``."""
+        memo starts empty; a higher or a negative x or y order raises
+        ``ValueError`` before any copy is made."""
         orders = (x_order, y_order)
         if orders == (self.x_order, self.y_order):
             return self
         if x_order > self.x_order or y_order > self.y_order:
             raise ValueError(f"cannot extend orders {(self.x_order, self.y_order)} to {orders}")
+        if x_order < 0 or y_order < 0:
+            raise ValueError(f"cannot cut orders {(self.x_order, self.y_order)} to {orders}: "
+                             "orders start at 0")
         copy = self._copies.get(orders)
         if copy is None:
             copy = self._copies[orders] = replace(self, x_order=x_order, y_order=y_order)
@@ -173,11 +200,22 @@ class DarbouxData:
         return rows[0][0]
 
     _zero = cached_property(lambda self: self.point.coeffs[0] * 0)
+    # the point's field: its discriminant, or None over Q
+    _disc = cached_property(lambda self: getattr(self.point.coeffs[0], "disc", None))
 
     def _lift_x(self, coeffs):
-        """Exact x-coefficients as a tower element constant in y."""
-        pad = (self._zero,) * self.y_order
-        return self._tower([(self._zero + c,) + pad for c in coeffs[: self.x_order + 1]])
+        """Exact x-coefficients as a tower element constant in y.  A series
+        is built from the coefficients' ints (:meth:`Series.over`); a base
+        value at (0, 0) and the nested tower take ``zero + c``."""
+        x, y = self.x_order, self.y_order
+        if not (x or y):
+            return self._zero + coeffs[0]
+        if x and y:
+            pad = (self._zero,) * y
+            return self._tower([(self._zero + c,) + pad for c in coeffs[: x + 1]])
+        if x:
+            return Series.over(self._disc, coeffs[: x + 1])
+        return Series.over(self._disc, (coeffs[0],) + (_NIL,) * y, scaled=True)
 
     def _lift_y(self, coeffs):
         """y-coefficients of the point's field as a tower element constant in x."""
@@ -190,15 +228,24 @@ class DarbouxData:
     z0 = cached_property(lambda self: self._lift_y(self.point.coeffs))
     w = cached_property(lambda self: self._lift_y(self.point.coeffs[1:]))
 
-    def _couplings(self, of_gamma):
+    def _couplings(self, name, of_gamma):
         """``of_gamma`` (V_n or W_n) evaluated over Q on the exact x-jets at
-        the working x-order (values at x-order 0), then lifted into the tower."""
+        the working x-order (values at x-order 0), then lifted into the
+        tower.  The evaluation is kept under ``(name, x-order)`` in the
+        chain's memo (``GammaChain.shared``), so it runs once for every
+        configuration on one chain: its copies, the tail solve's probes and
+        lax-y's control."""
         x = self.x_order
-        sites = [j.truncate(x) if x else j.coeffs[0] for j in self.chain]
-        return tuple(self._lift_x(c.coeffs if x else (c,)) for c in of_gamma(sites, self.curve))
 
-    _v = cached_property(lambda self: self._couplings(vn_from_gamma))
-    _w = cached_property(lambda self: self._couplings(wn_from_gamma))
+        def evaluate():
+            sites = [j.truncate(x) if x else j.coeffs[0] for j in self.chain]
+            return tuple(of_gamma(sites, self.curve))
+
+        induced = self.jets.shared((name, x), evaluate)
+        return tuple(self._lift_x(c.coeffs if x else (c,)) for c in induced)
+
+    _v = cached_property(lambda self: self._couplings("V", vn_from_gamma))
+    _w = cached_property(lambda self: self._couplings("W", wn_from_gamma))
 
     @cached_property
     def _f_z0(self):
@@ -285,9 +332,11 @@ def darboux_data(jet_chain, wp_jet):
     carries the exact y-jet of the curve point (order >= 1), over Q(w) or
     Q.  Working orders come out one lower than the sources, so gamma and
     gamma' (and z0 and z0') share a uniform shape.  Chain values enter the
-    point's field as ``zero + c``, with ``zero`` that field's own zero; a
-    chain jet with a coefficient that is not a Fraction or a QuadExt (a
-    float) raises ``TypeError`` naming its site.
+    point's field (see :class:`DarbouxData`); a chain jet with a coefficient
+    that is not a Fraction or a QuadExt (a float) raises ``TypeError``
+    naming its site.  The configuration keeps ``jet_chain`` as its
+    ``jets``: every configuration built on one chain object shares that
+    chain's memo of V_n and W_n.
 
     Validates by exact ``==`` that the suites' denominators cannot vanish:
     z0 off the curve's branch points (w, with w^2 = F(z0), is a divisor),
@@ -320,7 +369,7 @@ def darboux_data(jet_chain, wp_jet):
                 f"gamma at site {n} is a branch point of the curve (V_n = 0)"
             )
     return DarbouxData(
-        jet_chain.curve, tuple(jet_chain.values), wp_jet, x_ord, wp_jet.order - 1
+        jet_chain.curve, jet_chain.values, wp_jet, x_ord, wp_jet.order - 1, jet_chain
     )
 
 
@@ -565,7 +614,11 @@ def lax_operator(l_op, a_op):
     along the one live variable of a configuration whose other order is 0,
     so that is a series; the fourth-order bracket in ``verify`` passes x-jets
     over Q.  Coefficients that are neither are constants.  Coefficients are
-    evaluated only when read.
+    evaluated only when read.  The bracket's two products read each
+    coefficient of L several times, so the cut is kept per ``(j, n)``
+    (:meth:`DifferenceOperator.cached`): each cut, like each derivative,
+    is evaluated once.  A partner whose coefficients are cuts too (the
+    x-bracket's) is passed the same way by its caller.
     """
 
     def derive(c):
@@ -574,7 +627,7 @@ def lax_operator(l_op, a_op):
     def cut(c):
         return c.truncate(c.order - 1) if isinstance(c, (Jet, Series)) else c
 
-    return lax_residual(l_op.map_coeffs(cut), l_op.map_coeffs(derive), a_op)
+    return lax_residual(l_op.map_coeffs(cut).cached(), l_op.map_coeffs(derive), a_op)
 
 
 def commutator_x_check(data):
@@ -583,15 +636,16 @@ def commutator_x_check(data):
 
     The partner's bands are read from the same configuration as Ltilde (d
     is Ltilde's own ``T^{-2}`` band, behind the same memo) and cut by one
-    x-order, as :func:`lax_operator` cuts Ltilde.  Exactly zero when gamma
-    follows the lattice flow; the constants play no role (b and d do not
-    contain them).  Runs on x-series over the base.  Requires x-order >= 1.
+    x-order, as :func:`lax_operator` cuts Ltilde: once per coefficient.
+    Exactly zero when gamma follows the lattice flow; the constants play no
+    role (b and d do not contain them).  Runs on x-series over the base.
+    Requires x-order >= 1.
     """
     if data.x_order < 1:
         raise ValueError("the x-commutator check needs x-jet order >= 1")
     d_hi = data.truncated(data.x_order, 0)
     a_op = DifferenceOperator.from_bands({-1: d_hi.b, -2: d_hi.d})
-    a_op = a_op.map_coeffs(lambda c: c.truncate(c.order - 1))
+    a_op = a_op.map_coeffs(lambda c: c.truncate(c.order - 1)).cached()
     return lax_operator(transformed_operator(d_hi), a_op).window(0, data.period - 1)
 
 
@@ -655,15 +709,33 @@ def solve_tail_constants(chain):
     The three curve points are the first three of the six integers
     int(max|gamma_n|) + 2, ..., + 7 that :func:`point_problem` admits: each
     lies past every gamma_n, and F vanishes at no more than three of them.
-    The gap is read from the configuration at orders (1, 1).  The chain must
-    be exact (:func:`prolong_gamma_jets` refuses any other).
-    """
-    curve = chain.curve
-    jets = prolong_gamma_jets(chain, 2)
+    The gap is read from a configuration at orders (1, 1) per point.
 
-    start = int(max(abs(v) for v in chain.values)) + 2
+    ``chain`` holds rational values, which are prolonged here to x-order 2,
+    or their x-jets of order at least 2, as :func:`prolong_gamma_jets`
+    returns them, which are read as they are.  A suite passes the jets its
+    own check is built on: the probes then share that one prolongation and
+    the chain's memo of V_n (``GammaChain.shared``) with the check.  A value
+    that is not a Fraction (a float, or a QuadExt of a chain over Q(w))
+    raises ``TypeError`` naming its site before anything is evaluated.
+    """
+    values = [scalar_value(v) for v in chain.values]
+    for n, v in enumerate(values):
+        if type(v) is not Fraction:
+            raise TypeError(
+                f"gamma at site {n} is a {type(v).__name__}, not a Fraction: "
+                f"the tail solve needs a rational chain, got {v!r}"
+            )
+    curve = chain.curve
+    jets = chain if isinstance(chain.values[0], Jet) else prolong_gamma_jets(chain, 2)
+    if jets.values[0].order < 2:
+        raise ValueError(
+            f"the tail solve reads x-jets of order >= 2, got order {jets.values[0].order}"
+        )
+
+    start = int(max(abs(v) for v in values)) + 2
     candidates = (Fraction(start + i) for i in range(6))
-    probes = [p for p in candidates if not point_problem(curve, chain.values, p)][:3]
+    probes = [p for p in candidates if not point_problem(curve, values, p)][:3]
 
     gaps = []
     for p in probes:

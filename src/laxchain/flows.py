@@ -104,7 +104,11 @@ def _site_values(values, name):
 
 @dataclass(frozen=True)
 class GammaChain:
-    """N-periodic site values gamma_0..gamma_{N-1} (numbers or x-jets) on a curve."""
+    """N-periodic site values gamma_0..gamma_{N-1} (numbers or x-jets) on a curve.
+
+    :meth:`shared` keeps values that depend on the chain alone in a memo of
+    the chain's own, which is not a field: every reader of one chain object
+    shares it, and a copy made by ``dataclasses.replace`` starts empty."""
 
     values: tuple
     curve: SpectralCurve
@@ -113,6 +117,7 @@ class GammaChain:
         object.__setattr__(self, "values", _site_values(self.values, "gamma"))
         if len(self.values) < 2:
             raise ValueError("chain period must be at least 2")
+        object.__setattr__(self, "_shared", {})
 
     @property
     def period(self):
@@ -120,6 +125,14 @@ class GammaChain:
 
     def gamma(self, n):
         return self.values[n % self.period]
+
+    def shared(self, key, compute):
+        """``compute()`` on the first call with ``key``, kept in the chain's
+        memo and returned again on every later call with it."""
+        hit = self._shared.get(key)
+        if hit is None:
+            hit = self._shared[key] = compute()
+        return hit
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,20 @@ class DifferenceOperator:
         """New operator with ``fn`` applied to every coefficient."""
         return DifferenceOperator(self.lo, self.hi, lambda j, n: fn(self.coeff(j, n)))
 
+    def cached(self):
+        """The same operator with each coefficient evaluated on its first
+        read and kept, one per ``(j, n)``: for a factor that a product
+        reads more than once.  The memo belongs to the returned operator."""
+        coeff, memo = self.coeff, {}
+
+        def read(j, n):
+            hit = memo.get((j, n))
+            if hit is None:
+                hit = memo[j, n] = coeff(j, n)
+            return hit
+
+        return DifferenceOperator(self.lo, self.hi, read)
+
     def apply(self, psi, n):
         """``sum_j u_j(n) psi(n + j)`` for a site-indexed callable ``psi``."""
         acc = 0
@@ -119,8 +133,12 @@ def compose(a, b):
     present, summed from the first term (an empty sum is 0).
 
     The product keeps no memo: every read evaluates the factors' providers
-    anew, so a reader that reads a coefficient more than once takes a
-    :meth:`DifferenceOperator.window` first and reads that.
+    anew, and a coefficient of ``a`` or ``b`` is read by every product
+    coefficient it enters.  So a reader that reads a coefficient of the
+    product more than once takes a :meth:`DifferenceOperator.window` first
+    and reads that, and a factor whose coefficients cost more than a lookup
+    is passed through :meth:`DifferenceOperator.cached` (as
+    ``darboux.lax_operator`` does with its cuts).
     """
 
     def coeff(k, n):

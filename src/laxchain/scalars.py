@@ -20,7 +20,8 @@ its only user.  Four exact kinds are used:
   Cauchy product of ints with no Fraction per coefficient (Griewank &
   Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  ``coeffs`` gives the
   raw derivatives a Jet over the same field holds.  A series along the
-  curve point is stored in ``s = w*y`` (see :class:`Series`).
+  curve point is stored in ``s = w*y`` (see :class:`Series`), and
+  :meth:`Series.over` builds one of rational coefficients from their ints.
 
 Most QuadExt components are exact zeros (an embedded rational has
 ``b == 0``), so QuadExt products skip them: a skipped Fraction product yields
@@ -696,6 +697,29 @@ class Series:
         d = lcm(*dens)
         ints = [x * (d // e) for x, e in zip(nums, dens)]
         return _reduced(ints[0::2], ints[1::2], d, disc, scaled)
+
+    @classmethod
+    def over(cls, disc, coeffs, scaled=False):
+        """The series of the raw derivatives ``coeffs`` over Q(w) with
+        ``w**2 = disc`` (over Q when ``disc`` is None): equal, in its ints,
+        to ``Series([zero + c for c in coeffs], scaled)`` with ``zero`` that
+        field's zero.  Fractions enter from their ints, with no QuadExt
+        made, when they are a constant (as it is: a Fraction is in lowest
+        terms) or an unscaled series (over the least common denominator of
+        their Taylor coefficients); anything else takes ``zero + c``."""
+        zeros = (0,) * len(coeffs)
+        if coeffs and all(type(c) is Fraction for c in coeffs):
+            scaled = bool(scaled) and disc is not None
+            c = coeffs[0]
+            if not any(x._numerator for x in coeffs[1:]):
+                return _series((c._numerator,) + zeros[1:], zeros, c._denominator, disc, scaled)
+            if not scaled:
+                dens = [x._denominator * factorial(k) for k, x in enumerate(coeffs)]
+                d = lcm(*dens)
+                ints = [x._numerator * (d // e) for x, e in zip(coeffs, dens)]
+                return _reduced(ints, zeros, d, disc, False)
+        zero = _ZERO if disc is None else _quad(_ZERO, _ZERO, disc)
+        return cls([zero + c for c in coeffs], scaled)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")

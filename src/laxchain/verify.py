@@ -199,9 +199,11 @@ def draw_sample(
 # ---------------------------------------------------------------------------
 
 def _sample_data(config, x_order, y_order):
-    """The configuration at the sign +1 of w and at the working jet orders
-    its suite reads.  Sign -1 is never evaluated: its results are the
-    conjugates of these (see the module docstring)."""
+    """The configuration at the sign +1 of w and at working jet orders at or
+    above those its suite reads.  The chain and lax-y take x-order 1: the
+    tail solve's probes read the same order-2 jets (``data.jets``), so the
+    sample prolongs its chain once.  Sign -1 is never evaluated: its
+    results are the conjugates of these (see the module docstring)."""
     jets = prolong_gamma_jets(GammaChain(config.gamma, config.curve), x_order + 1)
     wp = exact_wp_jet(config.curve, config.z0, order=y_order + 1)
     return darboux_data(jets, wp)
@@ -234,8 +236,8 @@ def _eval_chain_sample(config):
     with the solved tail constants all three vanish, for both square-root
     signs.  The solved constants and the gap magnitude are reported.
     """
-    solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
     data = _sample_data(config, 1, 1)
+    solved = solve_tail_constants(data.jets)
     bare = rank2_solution(data)
     fixed = rank2_solution(data, solved)
     must_vanish = []
@@ -282,8 +284,8 @@ def _eval_lax_y_sample(config):
     nonzero coefficient, so it stops at the first (:func:`_lax_y_control`);
     the coefficients it skips divide by the check's denominators, which the
     check has already evaluated, so no pole goes unseen."""
-    solved = solve_tail_constants(GammaChain(config.gamma, config.curve))
-    data = _sample_data(config, 0, 2)
+    data = _sample_data(config, 1, 2)
+    solved = solve_tail_constants(data.jets)
     ok, worst = _windows_zero([commutator_y_check(data, solved)])
     control_hit = _lax_y_control(data, solved) is not None
     return ok and control_hit, worst, {"negative_control_nonzero": control_hit}

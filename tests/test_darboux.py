@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import astuple, replace
 from fractions import Fraction
@@ -91,6 +92,56 @@ def test_truncation_refuses_higher_orders():
     for x_order, y_order in ((3, 1), (2, 1), (1, 2)):
         with pytest.raises(ValueError, match="cannot extend"):
             cut.truncated(x_order, y_order)
+
+
+@pytest.mark.parametrize("orders", [(-1, 0), (0, -1), (-1, -1), (1, -2)])
+def test_truncation_refuses_negative_orders_before_storing_a_copy(orders):
+    """A negative order raises ``ValueError`` naming the orders at the
+    call, on a configuration and on a solution, and no copy is kept."""
+    data = exact_data().truncated(1, 1)
+    sol = rank2_solution(data)
+    kept = dict(data._copies)  # the copies shared with the parent: (1, 1) itself
+    pattern = re.escape(f"cannot cut orders (1, 1) to {orders}")
+    with pytest.raises(ValueError, match=pattern):
+        data.truncated(*orders)
+    with pytest.raises(ValueError, match=pattern):
+        sol.truncated(*orders)
+    assert data._copies == kept and sol._copies == {}
+    assert sol.truncated(0, 1).data is data.truncated(0, 1)
+
+
+def test_configurations_on_one_chain_share_its_couplings(count_calls):
+    """The x-order-0 couplings are evaluated once for every configuration
+    built on one chain object: a second point, a lower copy and a
+    ``replace`` with another point read the first evaluation."""
+    evaluated = count_calls(darboux, "vn_from_gamma", "wn_from_gamma")
+    jets = prolong_gamma_jets(CHAIN, 3)
+    first = darboux_data(jets, exact_wp_jet(CURVE, Fraction(9, 2), order=3))
+    second = darboux_data(jets, exact_wp_jet(CURVE, Fraction(-7, 2), order=2))
+    moved = replace(first, point=exact_wp_jet(CURVE, Fraction(13, 3), order=3))
+    assert first.jets is jets and second.jets is jets and moved.jets is jets
+    views = [first.truncated(0, 0), first.truncated(0, 2),
+             second.truncated(0, 1), moved.truncated(0, 0)]
+    for view in views:
+        view.v_at(0), view.w_site(0)
+    assert evaluated == {"vn_from_gamma": 1, "wn_from_gamma": 1}
+    fresh = exact_data(CHAIN, Fraction(-7, 2), order=3).truncated(0, 1)
+    assert views[2]._v == fresh._v and repr(views[2]._v) == repr(fresh._v)
+    assert len({id(view._site_cache) for view in views}) == len(views)
+
+
+def test_a_configuration_given_another_chain_reads_its_own_couplings():
+    """``replace(data, chain=...)`` leaves the first chain's memo behind:
+    its couplings are those of the chain it holds."""
+    data = exact_data().truncated(0, 1)
+    data.v_at(0)
+    other = prolong_gamma_jets(GammaChain((2, 3, 5, 11), CURVE), 3)
+    moved = replace(data, chain=other.values)
+    assert moved.jets is not data.jets and moved.jets.values == other.values
+    fresh = darboux_data(other, data.point).truncated(0, 1)
+    assert moved._v == fresh._v and moved._v != data._v
+    recurved = replace(data, curve=SpectralCurve.elliptic(0, -1, 0))
+    assert recurved.jets is not data.jets and recurved.jets.curve == recurved.curve
 
 
 def _leaves(x):
@@ -1138,6 +1189,38 @@ def test_solve_tail_constants_frozen_case():
     assert solved.k0 == Fraction(-4471, 336)
     assert solved.p0 == Fraction(583, 56)
     assert solved.s1 == 0 and solved.k1 == 0 and solved.p1 == 0
+
+
+def test_tail_solve_refuses_a_chain_over_q_w_up_front(count_calls):
+    """A chain over Q(w) prolongs, but its tail solve needs a rational
+    chain: raw or prolonged, it raises ``TypeError`` naming the first site
+    that is not a Fraction before anything is prolonged or evaluated."""
+    disc = Fraction(5)
+    chain = GammaChain(
+        (QuadExt(1, 0, disc), QuadExt(2, 1, disc), QuadExt(3, 0, disc), QuadExt(5, 0, disc)),
+        CURVE,
+    )
+    jets = prolong_gamma_jets(chain, 2)
+    calls = count_calls(darboux, "prolong_gamma_jets", "darboux_data")
+    for given in (chain, jets):
+        with pytest.raises(TypeError, match=r"^gamma at site 0 is a QuadExt, not a Fraction: "
+                                            r"the tail solve needs a rational chain"):
+            solve_tail_constants(given)
+    assert not calls
+
+
+def test_tail_solve_reads_prolonged_jets_as_they_are(count_calls):
+    """Given the x-jets of its chain, the tail solve prolongs nothing and
+    solves the constants its own prolongation gives; jets of order 1
+    cannot carry the gap's x-slope."""
+    solved = solve_tail_constants(CHAIN)
+    prolonged = count_calls(darboux, "prolong_gamma_jets")
+    for order in (2, 3):
+        got = solve_tail_constants(prolong_gamma_jets(CHAIN, order))
+        assert got == solved and repr(got) == repr(solved)
+    assert not prolonged
+    with pytest.raises(ValueError, match="x-jets of order >= 2, got order 1"):
+        solve_tail_constants(prolong_gamma_jets(CHAIN, 1))
 
 
 def test_float_chain_is_refused_by_the_tail_solve():

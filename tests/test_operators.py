@@ -202,6 +202,32 @@ def test_reading_a_product_twice_evaluates_its_factors_twice():
     assert calls == calls[:reads] * 2
 
 
+def test_a_cached_factor_evaluates_each_coefficient_once(rng):
+    """A product of ``cached`` factors reads each factor coefficient from
+    one evaluation per ``(j, n)`` and equals the uncached product; each
+    ``cached`` call keeps a memo of its own."""
+    calls = []
+
+    def provider(j, n):
+        calls.append((j, n))
+        return Fraction(n + 2 * j, 3)
+
+    a = DifferenceOperator(-2, 1, provider)
+    b = random_small_operator(rng)
+    plain = commutator(a, b).window(-3, 3)
+    calls.clear()
+    cached = a.cached()
+    assert (cached.lo, cached.hi) == (a.lo, a.hi)
+    assert commutator(cached, b).window(-3, 3) == plain
+    assert calls and len(calls) == len(set(calls))
+    reads = len(calls)
+    assert commutator(cached, b).window(-3, 3) == plain
+    assert len(calls) == reads
+    other = a.cached()
+    assert other.coeff(0, 0) == cached.coeff(0, 0)
+    assert calls[reads:] == [(0, 0)]
+
+
 def test_window_equality_tolerates_band_padding():
     narrow = const_op({0: Fraction(5)})
     wide = const_op({1: Fraction(0), 0: Fraction(5), -1: Fraction(0)})

@@ -1105,6 +1105,59 @@ def test_series_matches_jet_over_the_same_field(case):
     assert scalar_abs(sx) == scalar_abs(jx)
 
 
+@st.composite
+def lift_cases(draw):
+    """``(disc, scaled, coeffs)``: raw derivatives of order 0..3, rational
+    (a constant or not) or, now and then, elements of Q(w)."""
+    disc = draw(st.sampled_from(SERIES_DISCS))
+    order = draw(st.integers(0, 3))
+    values = st.one_of(sparse_rationals, field_values(disc)) if disc else sparse_rationals
+    coeffs = tuple(draw(st.lists(values, min_size=order + 1, max_size=order + 1)))
+    if draw(st.booleans()):
+        coeffs = coeffs[:1] + (Fraction(0),) * order  # a constant
+    return disc, draw(st.sampled_from((False, True, 0, 1))), coeffs
+
+
+@given(lift_cases())
+@settings(max_examples=200, deadline=None)
+def test_series_over_equals_the_embedded_series(case):
+    """``Series.over`` holds the ints, field and storage of the series of
+    the coefficients embedded as ``zero + c``, so every later operation and
+    ``repr`` agree."""
+    disc, scaled, coeffs = case
+    zero = Fraction(0) if disc is None else QuadExt(0, 0, disc)
+    want = Series([zero + c for c in coeffs], scaled)
+    got = Series.over(disc, coeffs, scaled)
+    assert type(got) is Series
+    assert (got.a, got.b, got.d, got.disc) == (want.a, want.b, want.d, want.disc)
+    assert got.scaled is want.scaled
+    assert repr(got) == repr(want)
+
+
+def test_series_over_makes_no_quadext_for_rationals(monkeypatch):
+    """A rational constant (either storage) or unscaled rational series
+    enters from its ints: no QuadExt is built on the way."""
+    made = []
+    real = scalars._quad
+    monkeypatch.setattr(scalars, "_quad", lambda *args: made.append(args) or real(*args))
+    disc = Fraction(-7, 3)
+    Series.over(disc, (Fraction(3, 4), Fraction(-5, 6), Fraction(7, 2)))
+    Series.over(disc, (Fraction(3, 4), Fraction(0), Fraction(0)), scaled=True)
+    Series.over(None, (Fraction(3, 4), Fraction(1, 9)))
+    assert made == []
+    Series.over(disc, (Fraction(3, 4), Fraction(1, 9)), scaled=True)  # scaled by w: not rational
+    assert made
+
+
+def test_series_over_refusals():
+    with pytest.raises(ValueError):
+        Series.over(Fraction(5), ())
+    with pytest.raises(TypeError):
+        Series.over(Fraction(5), (Fraction(1), 0.5))
+    with pytest.raises(ValueError):
+        Series.over(Fraction(5), (QuadExt(1, 2, Fraction(3)), Fraction(1)))
+
+
 def test_series_scaled_storage_is_a_series_in_w_times_y():
     """The curve-point jet ``(p, w, F'(p)/2, F''(p) w/2)``, scaled, holds
     rationals alone; its derivative is w times a rational series."""

@@ -625,6 +625,94 @@ def test_no_suite_evaluates_in_the_nested_tower(bounds, count_calls):
     assert not nested, nested
 
 
+# Per sample of each suite: series built by ``Series(...)`` (the point's z0
+# and w on each configuration that reads them; the chain values, V_n and
+# W_n enter their series from ints), prolongation passes (``dkn_rhs``
+# sweeps), V_n and W_n evaluations, and ``Series.truncate`` calls.  The
+# chain and lax-y prolong once at order 2 and share it, and V_n at
+# x-order 0, with the three tail probes (and lax-y's control); the
+# brackets cut each coefficient of L, and the x-bracket each of its
+# partner, once.
+PER_SAMPLE_WORK = {
+    #                series, passes, couplings, truncations
+    "chain":         (16, 2, 1, 0),
+    "lax-x":         (2, 3, 1, 40),
+    "lax-y":         (20, 2, 1, 23),
+    "factorization": (0, 1, 2, 0),
+    "lax-l4":        (0, 2, 2, 0),
+}
+
+
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_per_sample_work_is_pinned(bounds, count_calls):
+    """Each suite does the work of ``PER_SAMPLE_WORK`` on every sample,
+    whatever the draw: more series, passes, coupling evaluations or cuts
+    mean a configuration redoes what another one on its chain has done."""
+    from laxchain import darboux as darboux_mod
+    from laxchain import flows as flows_mod
+
+    kinds = {"__new__": "series", "dkn_rhs": "passes", "vn_from_gamma": "couplings",
+             "wn_from_gamma": "couplings", "truncate": "truncations"}
+    key = lambda name, *args: kinds[name]
+    counters = [
+        count_calls(Series, "__new__", "truncate", key=key),
+        count_calls(flows_mod, "dkn_rhs", key=key),
+        count_calls(darboux_mod, "vn_from_gamma", "wn_from_gamma", key=key),
+        count_calls(verify_mod, "vn_from_gamma", "wn_from_gamma", key=key),
+    ]
+    for index in range(4):
+        config = draw_sample(7, index, *bounds)
+        for suite, evaluate in verify_mod._SUITE_EVALS.items():
+            for counter in counters:
+                counter.clear()
+            assert evaluate(config)[0] is True, (suite, index)
+            work = sum(counters, Counter())
+            got = tuple(work[kind] for kind in ("series", "passes", "couplings", "truncations"))
+            assert got == PER_SAMPLE_WORK[suite], (suite, index, got)
+
+
+@pytest.mark.parametrize("bounds", [(1000, 8), WIDE_BOUNDS], ids=["default", "wide"])
+def test_interleaved_samples_share_chain_state_within_a_sample_only(bounds, monkeypatch):
+    """Samples of two draws run A, B, A, and each outcome equals the
+    two-sign reference evaluated on its own, in value and ``repr``.  Within
+    a chain or lax-y sample every configuration built -- the check's, its
+    copies, the tail probes and lax-y's control -- reads one chain object
+    holding that draw's chain, whose memo holds that chain's couplings
+    alone, and no two configurations share a site memo."""
+    from laxchain.darboux import vn_from_gamma
+    from laxchain.flows import prolong_gamma_jets
+
+    draws = {"A": draw_sample(7, 0, *bounds), "B": draw_sample(7, 1, *bounds)}
+    fresh = {(suite, key): reference(config)
+             for suite, reference in TWO_SIGN_REFERENCE.items()
+             for key, config in draws.items()}
+    built = []
+    real = DarbouxData.__post_init__
+
+    def record(data):
+        real(data)
+        built.append(data)
+
+    monkeypatch.setattr(DarbouxData, "__post_init__", record)
+    points = {"chain": 4, "lax-y": 5}  # the check's, three probes', the control's
+    for key in "ABA":
+        config = draws[key]
+        jets = prolong_gamma_jets(GammaChain(config.gamma, config.curve), 2).values
+        for suite, evaluate in verify_mod._SUITE_EVALS.items():
+            built.clear()
+            _assert_same_outcome(evaluate(config), fresh[suite, key], (suite, key))
+            if suite not in points:
+                continue
+            chain = built[0].jets
+            assert all(data.jets is chain for data in built), (suite, key)
+            assert chain.values == jets and chain.curve == config.curve, (suite, key)
+            assert len({id(data.point) for data in built}) == points[suite], (suite, key)
+            assert len({id(data._site_cache) for data in built}) == len(built), (suite, key)
+            assert set(chain._shared) == {("V", 0)}, (suite, key)
+            values = [j.coeffs[0] for j in jets]
+            assert chain._shared["V", 0] == tuple(vn_from_gamma(values, config.curve))
+
+
 def _lax_y_control_inputs(config):
     """The configuration and the solved tail of lax-y."""
     chain = GammaChain(config.gamma, config.curve)
